@@ -38,8 +38,10 @@ from .learners import (
     batch_train,
     fit_scaler,
     grid_search,
+    online_fit,
     online_init,
     online_predict,
+    online_train,
     online_update,
     predict,
 )

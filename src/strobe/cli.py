@@ -62,7 +62,7 @@ from .learners import (
     load_model,
     online_init,
     online_predict,
-    online_update,
+    online_train,
     predict,
     save_model,
 )
@@ -353,10 +353,7 @@ def cmd_train(args) -> int:
         else:
             model = batch_train(samples, seed=args.seed)
     else:
-        model = online_init(k=args.k, lam_poisson=args.poisson_lambda, seed=args.seed)
-        order = np.random.default_rng(args.seed & 0xFFFFFFFFFFFFFFFF).permutation(len(samples))
-        for i in order:
-            online_update(model, samples[int(i)])
+        model = online_train(samples, k=args.k, lam_poisson=args.poisson_lambda, seed=args.seed)
     if not args.out:
         raise _UsageError("train requires --out PATH")
     save_model(model, args.out)

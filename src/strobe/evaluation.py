@@ -15,6 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dataset import (
+    MAX_SPLIT_RETRIES,
     Corpus,
     Label,
     Sample,
@@ -35,8 +36,8 @@ from .learners import (
     HingeHyperparams,
     OnlineModel,
     batch_train,
-    online_init,
     online_predict,
+    online_train,
     online_update,
     predict,
 )
@@ -233,13 +234,7 @@ def train_on_split(
     train = corpus.by_ids(split.train_ids)
     if learner is LearnerKind.BATCH:
         return batch_train(train, hp, seed=seed)
-    model = online_init(k=ensemble, lam_poisson=lam_poisson, seed=seed)
-    order = np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 1])
-    ).permutation(len(train))
-    for i in order:
-        online_update(model, train[int(i)])
-    return model
+    return online_train(train, k=ensemble, lam_poisson=lam_poisson, seed=seed)
 
 
 def _predict_fn(model: BatchModel | OnlineModel) -> Callable[[FeatureVector], Label]:
@@ -266,7 +261,7 @@ def _single_run(
             if report.family_overlap != 0:
                 raise StrobeError("family-disjoint split produced family overlap")
     except Degenerate:
-        return RunRecord(seed=seed, retries=0, result=None, skipped=True)
+        return RunRecord(seed=seed, retries=MAX_SPLIT_RETRIES, result=None, skipped=True)
     model = train_on_split(corpus, split, learner, seed, hp, ensemble, lam_poisson)
     result = holdout_eval(_predict_fn(model), corpus.by_ids(split.test_ids))
     return RunRecord(seed=seed, retries=split.retries, result=result)

@@ -5,17 +5,19 @@ descent on the regularized hinge loss, with leakage-safe standardization
 fitted on training data only and a grid search capped at 200 configurations.
 
 Online: an ensemble of incremental Gaussian class-conditional models where
-each arriving sample is replayed to each ensemble member a Poisson-drawn
-number of times (online leveraging bagging). Cold models and exact ties
-predict NOT_SE.
+each arriving sample enters each ensemble member with a Poisson-drawn weight
+(online leveraging bagging). A stream is merged into the per-member means
+and M2 in one weighted pairwise update instead of replaying each sample
+weight-many times. Cold models and exact ties predict NOT_SE.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,47 +200,21 @@ def grid_search(
 # Online leveraging bagging
 # --------------------------------------------------------------------------
 
-@dataclass
-class GaussianBaseLearner:
-    """Incremental per-class Gaussian model (Welford mean/M2 per feature)."""
+class GaussianBaseLearner(NamedTuple):
+    """One ensemble member: views of its row in the model's arrays."""
 
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=np.int64))
-    mean: np.ndarray = field(default_factory=lambda: np.zeros((2, N_FEATURES)))
-    m2: np.ndarray = field(default_factory=lambda: np.zeros((2, N_FEATURES)))
-
-    def observe(self, x: np.ndarray, cls: int) -> None:
-        self.counts[cls] += 1
-        n = self.counts[cls]
-        delta = x - self.mean[cls]
-        self.mean[cls] += delta / n
-        self.m2[cls] += delta * (x - self.mean[cls])
-
-    def variance(self, cls: int) -> np.ndarray:
-        n = self.counts[cls]
-        if n >= 2:
-            return np.maximum(self.m2[cls] / (n - 1), VAR_FLOOR)
-        return np.full(N_FEATURES, VAR_FLOOR)
-
-    def vote(self, x: np.ndarray) -> int:
-        """0 = NOT_SE, 1 = SE; no evidence or exact tie votes NOT_SE."""
-        total = int(self.counts.sum())
-        if total == 0:
-            return 0
-        scores = []
-        for cls in (0, 1):
-            n = int(self.counts[cls])
-            if n == 0:
-                scores.append(-math.inf)
-                continue
-            var = self.variance(cls)
-            ll = -0.5 * float(np.sum(np.log(2.0 * math.pi * var) + (x - self.mean[cls]) ** 2 / var))
-            scores.append(math.log(n / total) + ll)
-        return 1 if scores[1] > scores[0] else 0
+    counts: np.ndarray  # (2,) weighted observations per class
+    mean: np.ndarray    # (2, N_FEATURES) per-class feature means
+    m2: np.ndarray      # (2, N_FEATURES) per-class sums of squared deviations
 
 
 @dataclass
 class OnlineModel:
-    learners: list[GaussianBaseLearner]
+    """k incremental per-class Gaussian models, stored as stacked arrays."""
+
+    counts: np.ndarray  # (k, 2) int64
+    mean: np.ndarray    # (k, 2, N_FEATURES)
+    m2: np.ndarray      # (k, 2, N_FEATURES)
     lam_poisson: float
     seed: int
     rng: np.random.Generator
@@ -246,7 +222,12 @@ class OnlineModel:
 
     @property
     def k(self) -> int:
-        return len(self.learners)
+        return len(self.counts)
+
+    @property
+    def learners(self) -> list[GaussianBaseLearner]:
+        return [GaussianBaseLearner(self.counts[j], self.mean[j], self.m2[j])
+                for j in range(self.k)]
 
 
 def online_init(
@@ -259,29 +240,87 @@ def online_init(
     if not lam_poisson > 0:
         raise BadConfig(f"poisson lambda must be > 0, got {lam_poisson}")
     return OnlineModel(
-        learners=[GaussianBaseLearner() for _ in range(k)],
+        counts=np.zeros((k, 2), dtype=np.int64),
+        mean=np.zeros((k, 2, N_FEATURES)),
+        m2=np.zeros((k, 2, N_FEATURES)),
         lam_poisson=lam_poisson,
         seed=seed,
         rng=np.random.default_rng(_np_seed(seed)),
     )
 
 
-def online_update(model: OnlineModel, sample: Sample) -> OnlineModel:
-    """Replay the sample to each member a Poisson-drawn number of times."""
-    x = np.asarray(sample.features.as_tuple(), dtype=float)
-    cls = _CLS[sample.label]
-    for learner in model.learners:
-        r = int(model.rng.poisson(model.lam_poisson))
-        model.n_draws += 1
-        for _ in range(r):
-            learner.observe(x, cls)
+def online_fit(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> OnlineModel:
+    """Feed a stream of samples (rows of X, classes 0/1 in cls) to every member.
+
+    Sample i gets weight W[i, j] ~ Poisson(lam) in member j. All n * k weights
+    come from one draw in sample-major order, which yields the values that
+    one scalar draw per sample and member would. Each class's weighted batch
+    is merged into each member's running mean and M2 with the pairwise update
+    of Chan, Golub & LeVeque (1979); this equals replaying sample i W[i, j]
+    times up to floating-point rounding.
+    """
+    W = model.rng.poisson(model.lam_poisson, size=(len(X), model.k))
+    model.n_draws += W.size
+    for c in (0, 1):
+        rows = cls == c
+        Wc = W[rows]
+        nb = Wc.sum(axis=0)
+        hit = np.flatnonzero(nb)
+        if hit.size == 0:
+            continue
+        Xc, Wc, nb = X[rows], Wc[:, hit].astype(float), nb[hit]
+        mb = (Wc.T @ Xc) / nb[:, None]
+        # One member at a time: a (members, rows, features) temporary would
+        # dominate peak memory on large streams.
+        m2b = np.stack([Wc[:, i] @ (Xc - mb[i]) ** 2 for i in range(len(hit))])
+        na = model.counts[hit, c]
+        n = na + nb
+        delta = mb - model.mean[hit, c]
+        model.mean[hit, c] += delta * (nb / n)[:, None]
+        model.m2[hit, c] += m2b + delta ** 2 * (na * nb / n)[:, None]
+        model.counts[hit, c] = n
     return model
 
 
+def online_update(model: OnlineModel, sample: Sample) -> OnlineModel:
+    """Feed one sample to every member with a Poisson-drawn weight."""
+    x = np.asarray(sample.features.as_tuple(), dtype=float)
+    return online_fit(model, x[None, :], np.array([_CLS[sample.label]]))
+
+
+def online_train(
+    train: list[Sample],
+    k: int = DEFAULT_ONLINE_ENSEMBLE,
+    lam_poisson: float = DEFAULT_POISSON_LAMBDA,
+    seed: int = 0,
+) -> OnlineModel:
+    """A fresh ensemble that has seen the training set once, as a stream
+    shuffled by a generator derived from the seed."""
+    model = online_init(k=k, lam_poisson=lam_poisson, seed=seed)
+    order = np.random.default_rng(
+        np.random.SeedSequence([_np_seed(seed), 1])
+    ).permutation(len(train))
+    X, y = _design_matrix(train)
+    return online_fit(model, X[order], (y[order] > 0).astype(np.int64))
+
+
 def online_predict(model: OnlineModel, fv: FeatureVector) -> Label:
-    """Majority vote of the members; overall ties predict NOT_SE."""
+    """Majority vote of the members; overall ties predict NOT_SE.
+
+    A member votes for the class with the higher log prior plus diagonal
+    Gaussian log-likelihood; a class it has not seen scores -inf, so a cold
+    member and an exact tie vote NOT_SE. Variances are unbiased and floored.
+    """
     x = np.asarray(fv.as_tuple(), dtype=float)
-    votes_se = sum(learner.vote(x) for learner in model.learners)
+    counts = model.counts
+    n = counts[..., None]
+    # Cold classes divide by zero here; np.where discards those entries.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = np.where(n >= 2, np.maximum(model.m2 / (n - 1), VAR_FLOOR), VAR_FLOOR)
+        ll = -0.5 * np.sum(np.log(2.0 * math.pi * var) + (x - model.mean) ** 2 / var, axis=-1)
+        prior = np.log(counts / counts.sum(axis=1, keepdims=True))
+    scores = np.where(counts > 0, prior + ll, -math.inf)
+    votes_se = int(np.count_nonzero(scores[:, 1] > scores[:, 0]))
     return Label.SE if 2 * votes_se > model.k else Label.NOT_SE
 
 
@@ -308,12 +347,8 @@ def model_to_json(model: BatchModel | OnlineModel) -> dict:
         "seed": model.seed,
         "n_draws": model.n_draws,
         "learners": [
-            {
-                "counts": learner.counts.tolist(),
-                "mean": learner.mean.tolist(),
-                "m2": learner.m2.tolist(),
-            }
-            for learner in model.learners
+            {"counts": m.counts.tolist(), "mean": m.mean.tolist(), "m2": m.m2.tolist()}
+            for m in model.learners
         ],
     }
 
@@ -330,25 +365,18 @@ def model_from_json(obj: dict) -> BatchModel | OnlineModel:
             hyperparams=HingeHyperparams(**obj["hyperparams"]),
         )
     if obj["kind"] == "online":
-        learners = [
-            GaussianBaseLearner(
-                counts=np.asarray(entry["counts"], dtype=np.int64),
-                mean=np.asarray(entry["mean"], dtype=float),
-                m2=np.asarray(entry["m2"], dtype=float),
-            )
-            for entry in obj["learners"]
-        ]
+        members = obj["learners"]
         model = OnlineModel(
-            learners=learners,
+            counts=np.asarray([m["counts"] for m in members], dtype=np.int64),
+            mean=np.asarray([m["mean"] for m in members], dtype=float),
+            m2=np.asarray([m["m2"] for m in members], dtype=float),
             lam_poisson=float(obj["lam_poisson"]),
             seed=int(obj["seed"]),
             rng=np.random.default_rng(_np_seed(int(obj["seed"]))),
-            n_draws=0,
+            n_draws=int(obj["n_draws"]),
         )
-        # Replay the consumed draws so the generator state matches the export.
-        for _ in range(int(obj["n_draws"])):
-            model.rng.poisson(model.lam_poisson)
-        model.n_draws = int(obj["n_draws"])
+        # Redraw the consumed weights so the generator state matches the export.
+        model.rng.poisson(model.lam_poisson, size=model.n_draws)
         return model
     raise BadConfig(f"unknown model kind {obj.get('kind')!r}")
 

@@ -3,14 +3,18 @@
 Each of these takes a deliberately different route from the library code it
 checks: the MUTF-8 reference leans on the stdlib UTF-8/UTF-16 codecs, the
 checksum/digest references are textbook reimplementations, the feature
-reference recomputes every metric straight from its definition, and the box
-oracle works on an explicitly sorted list.
+reference recomputes every metric straight from its definition, the box
+oracle works on an explicitly sorted list, and the online ensemble oracle
+replays every sample one Welford step at a time with one scalar Poisson draw
+per sample and member.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+
+import numpy as np
 
 _LEAD_LEN = {}
 for _b in range(0x01, 0x80):
@@ -154,3 +158,82 @@ def reference_box_stats(values):
         "whisker_hi": max(inside),
         "outliers": sorted(outliers),
     }
+
+
+# --------------------------------------------------------------------------
+# Online leveraging bagging by sample replay
+# --------------------------------------------------------------------------
+
+class ReplayGaussianLearner:
+    """Per-class Gaussian model fed one observation at a time (Welford)."""
+
+    VAR_FLOOR = 1e-9
+
+    def __init__(self, n_features: int = 8) -> None:
+        self.n_features = n_features
+        self.counts = np.zeros(2, dtype=np.int64)
+        self.mean = np.zeros((2, n_features))
+        self.m2 = np.zeros((2, n_features))
+
+    def observe(self, x, cls: int) -> None:
+        self.counts[cls] += 1
+        n = self.counts[cls]
+        delta = x - self.mean[cls]
+        self.mean[cls] += delta / n
+        self.m2[cls] += delta * (x - self.mean[cls])
+
+    def variance(self, cls: int):
+        n = self.counts[cls]
+        if n >= 2:
+            return np.maximum(self.m2[cls] / (n - 1), self.VAR_FLOOR)
+        return np.full(self.n_features, self.VAR_FLOOR)
+
+    def vote(self, x) -> int:
+        """0 = NOT_SE, 1 = SE; no evidence or an exact tie votes NOT_SE."""
+        total = int(self.counts.sum())
+        if total == 0:
+            return 0
+        scores = []
+        for cls in (0, 1):
+            n = int(self.counts[cls])
+            if n == 0:
+                scores.append(-math.inf)
+                continue
+            var = self.variance(cls)
+            ll = -0.5 * float(np.sum(np.log(2.0 * math.pi * var) + (x - self.mean[cls]) ** 2 / var))
+            scores.append(math.log(n / total) + ll)
+        return 1 if scores[1] > scores[0] else 0
+
+
+class ReplayEnsemble:
+    """Online leveraging bagging by replay: for each arriving sample, each
+    member draws its own Poisson(lam) count r with one scalar draw and
+    observes the sample r times."""
+
+    def __init__(self, k: int, lam: float, seed: int) -> None:
+        self.learners = [ReplayGaussianLearner() for _ in range(k)]
+        self.lam = lam
+        self.rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+        self.n_draws = 0
+
+    def update(self, x, cls: int) -> None:
+        for learner in self.learners:
+            r = int(self.rng.poisson(self.lam))
+            self.n_draws += 1
+            for _ in range(r):
+                learner.observe(x, cls)
+
+    def predict(self, x) -> int:
+        """1 (SE) on a strict majority of member votes, else 0."""
+        votes = sum(learner.vote(x) for learner in self.learners)
+        return 1 if 2 * votes > len(self.learners) else 0
+
+    def assert_state_matches(self, model) -> None:
+        """Equal draw count and per-member counts; means and M2 within 1e-9
+        (relative, or absolute near zero), since summation order differs."""
+        assert model.n_draws == self.n_draws
+        assert len(model.learners) == len(self.learners)
+        for member, ref in zip(model.learners, self.learners):
+            assert np.array_equal(member.counts, ref.counts)
+            np.testing.assert_allclose(member.mean, ref.mean, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(member.m2, ref.m2, rtol=1e-9, atol=1e-9)

@@ -24,21 +24,32 @@ from strobe.dataset import (
 )
 from strobe.dex import classify_strings, parse_dex
 from strobe.errors import DecodeError
-from strobe.evaluation import LearnerKind, box_stats, prequential_eval, run_experiment, run_lofo
+from strobe.evaluation import (
+    LearnerKind,
+    box_stats,
+    prequential_eval,
+    run_experiment,
+    run_lofo,
+    train_on_split,
+)
 from strobe.features import FeatureVector, feature_vector_from_strings, shannon_entropy
 from strobe.heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
 from strobe.learners import (
+    DEFAULT_ONLINE_ENSEMBLE,
+    DEFAULT_POISSON_LAMBDA,
     batch_train,
     default_grid,
     hinge_objective,
     hinge_subgradient,
     online_init,
+    online_predict,
     predict,
 )
 from strobe.mutf8 import decode_mutf8, encode_mutf8
 from strobe.synth import DexSpec, build_dex
 
 from oracles import (
+    ReplayEnsemble,
     reference_adler32,
     reference_box_stats,
     reference_decode_mutf8,
@@ -243,9 +254,9 @@ def test_criterion_09_prequential_identity():
             def __init__(self):
                 self.left = 4
 
-            def poisson(self, lam):
-                self.left -= 1
-                return 1
+            def poisson(self, lam, size):
+                self.left -= int(np.prod(size))
+                return np.ones(size, dtype=np.int64)
 
         model = online_init(k=1, seed=0)
         model.rng = FakePoisson()
@@ -307,6 +318,28 @@ def test_criterion_11_batch_learner():
             checked += 1
 
         assert len(default_grid()) <= 200
+
+
+def test_online_ensemble_matches_replay_oracle(confounded):
+    """The weighted-merge ensemble against per-sample replay on a frozen
+    family-disjoint split: equal counts and draws, means and M2 within 1e-9,
+    identical votes on every test sample."""
+    corpus = confounded["corpus"]
+    split = family_disjoint_split(corpus, BASE_SEED)
+    model = train_on_split(corpus, split, LearnerKind.ONLINE, BASE_SEED)
+
+    train = corpus.by_ids(split.train_ids)
+    oracle = ReplayEnsemble(DEFAULT_ONLINE_ENSEMBLE, DEFAULT_POISSON_LAMBDA, BASE_SEED)
+    order = np.random.default_rng(np.random.SeedSequence([BASE_SEED, 1])).permutation(len(train))
+    for i in order:
+        s = train[i]
+        oracle.update(np.asarray(s.features.as_tuple()), int(s.label is Label.SE))
+
+    assert oracle.n_draws == DEFAULT_ONLINE_ENSEMBLE * len(train)
+    oracle.assert_state_matches(model)
+    for s in corpus.by_ids(split.test_ids):
+        expected = Label.SE if oracle.predict(np.asarray(s.features.as_tuple())) else Label.NOT_SE
+        assert online_predict(model, s.features) is expected
 
 
 def test_family_fingerprint_probe(confounded):

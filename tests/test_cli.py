@@ -3,7 +3,9 @@ import json
 import pytest
 
 from strobe.cli import main
-from strobe.dataset import load_manifest
+from strobe.dataset import Split, SplitStrategy, load_manifest
+from strobe.evaluation import LearnerKind, train_on_split
+from strobe.learners import model_to_json
 from strobe.synth import SynthConfig, gen_corpus
 
 
@@ -106,6 +108,19 @@ def test_train_online_and_eval(features_csv, tmp_path):
     assert main(["eval", "--manifest", str(features_csv), "--model", str(model),
                  "--split", str(split), "--out", str(out)]) == 0
     assert json.loads(model.read_text())["kind"] == "online"
+
+
+def test_train_online_matches_train_on_split(features_csv, tmp_path):
+    model = tmp_path / "om.json"
+    assert main(["train", "--manifest", str(features_csv), "--learner", "online",
+                 "--k", "5", "--poisson-lambda", "3.0", "--seed", "4",
+                 "--out", str(model)]) == 0
+    corpus = load_manifest(features_csv)
+    everything = Split(train_ids=frozenset(s.sample_id for s in corpus.samples),
+                       test_ids=frozenset(), strategy=SplitStrategy.RANDOM, seed=4)
+    expected = train_on_split(corpus, everything, LearnerKind.ONLINE, seed=4,
+                              ensemble=5, lam_poisson=3.0)
+    assert json.loads(model.read_text()) == json.loads(json.dumps(model_to_json(expected)))
 
 
 def test_eval_csv_format_and_train_side(features_csv, tmp_path):

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from strobe.dataset import Corpus, Label, Sample, SplitStrategy, random_split
+from strobe import evaluation
+from strobe.dataset import MAX_SPLIT_RETRIES, Corpus, Label, Sample, SplitStrategy, random_split
 from strobe.errors import Degenerate, Empty, EmptyStream, EmptyTest
 from strobe.evaluation import (
     EvalResult,
@@ -42,11 +43,15 @@ def separable_corpus(n_families=6, per_class=4, noise=0.05):
 
 
 class FakePoisson:
+    """Scripted Poisson draws, handed out in C order for each size= request."""
+
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def poisson(self, lam):
-        return self.draws.pop(0)
+    def poisson(self, lam, size):
+        n = int(np.prod(size))
+        out, self.draws = self.draws[:n], self.draws[n:]
+        return np.array(out, dtype=np.int64).reshape(size)
 
 
 # --- holdout ---------------------------------------------------------------
@@ -234,6 +239,23 @@ def test_run_experiment_degenerate_corpus():
     with pytest.raises(Degenerate):
         run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, LearnerKind.BATCH,
                        repetitions=2, base_seed=0)
+
+
+def test_skipped_run_records_every_split_attempt(monkeypatch):
+    corpus = separable_corpus()
+    real_split = evaluation.family_disjoint_split
+
+    def split_failing_on_seed_1(corpus, seed):
+        if seed == 1:
+            raise Degenerate("no valid split")
+        return real_split(corpus, seed)
+
+    monkeypatch.setattr(evaluation, "family_disjoint_split", split_failing_on_seed_1)
+    summary = run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, LearnerKind.BATCH,
+                             repetitions=3, base_seed=0)
+    skipped = summary.to_json()["per_run"][1]
+    assert skipped["skipped"] and skipped["retries"] == MAX_SPLIT_RETRIES
+    assert not summary.per_run[0].skipped and not summary.per_run[2].skipped
 
 
 def test_training_ignores_test_side_features():

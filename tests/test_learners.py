@@ -6,7 +6,6 @@ from strobe.errors import BadConfig, SingleClass, TooSmall
 from strobe.features import FeatureVector
 from strobe.learners import (
     BatchModel,
-    GaussianBaseLearner,
     HingeHyperparams,
     Scaler,
     batch_train,
@@ -17,11 +16,15 @@ from strobe.learners import (
     hinge_subgradient,
     model_from_json,
     model_to_json,
+    online_fit,
     online_init,
     online_predict,
+    online_train,
     online_update,
     predict,
 )
+
+from oracles import ReplayEnsemble
 
 
 def fv(entropy=0.0, length=0.0, **kw):
@@ -41,11 +44,15 @@ def toy_separable(n=20):
 
 
 class FakePoisson:
+    """Scripted Poisson draws, handed out in C order for each size= request."""
+
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def poisson(self, lam):
-        return self.draws.pop(0)
+    def poisson(self, lam, size):
+        n = int(np.prod(size))
+        out, self.draws = self.draws[:n], self.draws[n:]
+        return np.array(out, dtype=np.int64).reshape(size)
 
 
 # --- scaler -------------------------------------------------------------------
@@ -236,14 +243,66 @@ def test_even_split_vote_is_not_se():
 def test_welford_matches_batch_statistics():
     rng = np.random.default_rng(5)
     values = rng.normal(3.0, 2.0, size=200)
-    learner = GaussianBaseLearner()
-    for v in values:
-        x = np.zeros(8)
-        x[0] = v
-        learner.observe(x, 1)
+    X = np.zeros((200, 8))
+    X[:, 0] = values
+    model = online_init(k=1, seed=0)
+    model.rng = FakePoisson([1] * 200)
+    # Uneven chunks exercise the merge into an empty, a one-sample and a
+    # populated member.
+    for lo, hi in ((0, 1), (1, 2), (2, 90), (90, 200)):
+        online_fit(model, X[lo:hi], np.ones(hi - lo, dtype=np.int64))
+    learner = model.learners[0]
     assert learner.counts[1] == 200
     assert abs(learner.mean[1][0] - values.mean()) <= 1e-9
     assert abs(learner.m2[1][0] - ((values - values.mean()) ** 2).sum()) <= 1e-9
+
+
+# --- online learner against the replay oracle ----------------------------------------
+
+def random_stream(rng, n):
+    scale = 10.0 ** rng.integers(-2, 3, size=8)
+    shift = rng.normal(0.0, 5.0, size=8)
+    X = rng.normal(size=(n, 8)) * scale + shift
+    X[:, 0] += 3.0 * (rng.random(n) < 0.5)
+    cls = (X[:, 0] > shift[0] + 1.5).astype(np.int64)
+    return X, cls
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_online_fit_matches_replay_oracle(trial):
+    rng = np.random.default_rng(1000 + trial)
+    k = int(rng.integers(1, 12))
+    lam = float(rng.choice([0.5, 1.0, 6.0, 12.0]))
+    X, cls = random_stream(rng, int(rng.integers(1, 300)))
+    if trial % 4 == 0:
+        cls[:] = trial % 8 // 4  # single-class stream
+    model = online_init(k=k, lam_poisson=lam, seed=trial)
+    oracle = ReplayEnsemble(k, lam, seed=trial)
+    # Half the stream in one bulk fit, the rest one sample at a time.
+    half = len(X) // 2
+    online_fit(model, X[:half], cls[:half])
+    for i in range(half, len(X)):
+        online_update(model, Sample(f"s{i}", "fam", Label.SE if cls[i] else Label.NOT_SE,
+                                    features=FeatureVector(*X[i], n_strings=1)))
+    for x, c in zip(X, cls):
+        oracle.update(x, int(c))
+    oracle.assert_state_matches(model)
+    probes, _ = random_stream(rng, 200)
+    for x in np.vstack([X, probes]):
+        expected = Label.SE if oracle.predict(x) else Label.NOT_SE
+        assert online_predict(model, FeatureVector(*x, n_strings=1)) is expected
+
+
+def test_online_train_matches_replay_oracle():
+    rng = np.random.default_rng(77)
+    X, cls = random_stream(rng, 400)
+    train = [Sample(f"s{i}", "fam", Label.SE if c else Label.NOT_SE,
+                    features=FeatureVector(*x, n_strings=1)) for i, (x, c) in enumerate(zip(X, cls))]
+    model = online_train(train, k=10, lam_poisson=6.0, seed=31)
+    oracle = ReplayEnsemble(10, 6.0, seed=31)
+    for i in np.random.default_rng(np.random.SeedSequence([31, 1])).permutation(len(train)):
+        oracle.update(X[i], int(cls[i]))
+    oracle.assert_state_matches(model)
 
 
 def test_online_separable_stream_holdout():
@@ -273,11 +332,16 @@ def test_batch_model_json_roundtrip():
 
 
 def test_online_model_json_roundtrip_preserves_rng_stream():
-    model = online_init(k=3, lam_poisson=6.0, seed=9)
-    for i in range(20):
-        online_update(model, sample(f"s{i}", "SE" if i % 3 else "NOT_SE", entropy=float(i)))
-    clone = model_from_json(model_to_json(model))
-    extra = sample("x", "SE", entropy=4.2)
-    online_update(model, extra)
-    online_update(clone, extra)
-    assert model_to_json(model) == model_to_json(clone)
+    stream = [sample(f"s{i}", "SE" if i % 3 else "NOT_SE", entropy=float(i)) for i in range(20)]
+    per_sample = online_init(k=3, lam_poisson=6.0, seed=9)
+    for s in stream:
+        online_update(per_sample, s)
+    bulk = online_train(stream, k=3, lam_poisson=6.0, seed=9)
+    for model in (per_sample, bulk):
+        clone = model_from_json(model_to_json(model))
+        assert clone.n_draws == model.n_draws == 60
+        assert clone.rng.bit_generator.state == model.rng.bit_generator.state
+        extra = sample("x", "SE", entropy=4.2)
+        online_update(model, extra)
+        online_update(clone, extra)
+        assert model_to_json(model) == model_to_json(clone)
