@@ -56,14 +56,11 @@ from .heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
 from .learners import (
     DEFAULT_ONLINE_ENSEMBLE,
     DEFAULT_POISSON_LAMBDA,
-    BatchModel,
     batch_train,
     grid_search,
     load_model,
     online_init,
-    online_predict,
     online_train,
-    predict,
     save_model,
 )
 
@@ -117,18 +114,21 @@ def _build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="base seed; fixes all randomized behavior")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for per-file / per-rep work")
     common.add_argument("--out", help="output path")
     common.add_argument("--format", choices=("csv", "json"), default="json")
+    # lofo takes no --jobs: its folds train in one lockstep pass, which
+    # worker processes only slowed down.
+    with_jobs = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_jobs.add_argument("--jobs", type=int, default=1, help="worker processes for per-file / per-rep work")
 
-    p = sub.add_parser("extract", parents=[common], help="extract feature CSV from APKs")
+    p = sub.add_parser("extract", parents=[with_jobs], help="extract feature CSV from APKs")
     p.add_argument("--apk-dir", required=True, help="corpus directory of APK files")
     p.add_argument("--manifest", help="manifest CSV (defaults to <apk-dir>/manifest.csv if present)")
     p.add_argument("--strict", action="store_true",
                    help="drop samples whose string section fails to decode")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic APK corpus")
+    p = sub.add_parser("synth", parents=[with_jobs], help="generate a synthetic APK corpus")
     p.add_argument("--config", help="SynthConfig JSON file")
     p.add_argument("--preset", choices=("confounded", "control", "stripped"))
     p.add_argument("--n-families", type=int)
@@ -143,12 +143,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--scheme", choices=(synth.SCHEME_BASE64_XOR, synth.SCHEME_STRIP_ALL))
     p.set_defaults(func=cmd_synth, seed=None)
 
-    p = sub.add_parser("split", parents=[common], help="build and export a train/test split")
+    p = sub.add_parser("split", parents=[with_jobs], help="build and export a train/test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", required=True, choices=("random", "family-disjoint", "lofo"))
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", parents=[common], help="train a model on a feature manifest")
+    p = sub.add_parser("train", parents=[with_jobs], help="train a model on a feature manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--learner", required=True, choices=("batch", "online"))
     p.add_argument("--grid", action="store_true", help="grid-search hyperparameters first (batch only)")
@@ -157,14 +157,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--poisson-lambda", type=float, default=DEFAULT_POISSON_LAMBDA)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a saved model on a split side")
+    p = sub.add_parser("eval", parents=[with_jobs], help="evaluate a saved model on a split side")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--side", choices=("test", "train"), default="test")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("prequential", parents=[common],
+    p = sub.add_parser("prequential", parents=[with_jobs],
                        help="test-then-train over the corpus as a seeded stream")
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", type=int, default=DEFAULT_ONLINE_ENSEMBLE)
@@ -176,7 +176,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--learner", required=True, choices=("batch", "online"))
     p.set_defaults(func=cmd_lofo)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment", parents=[with_jobs],
                        help="repeated split/train/eval with box statistics")
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", required=True, choices=("random", "family-disjoint"))
@@ -187,14 +187,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--gnuplot", help="also write a gnuplot-friendly box data file")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("praguard-check", parents=[common],
+    p = sub.add_parser("praguard-check", parents=[with_jobs],
                        help="flag apps whose string section is (almost) empty")
     p.add_argument("--apk-dir", required=True)
     p.add_argument("--manifest")
     p.add_argument("--max-strings", type=int, default=0)
     p.set_defaults(func=cmd_praguard_check)
 
-    p = sub.add_parser("stats", parents=[common], help="box statistics over a value column")
+    p = sub.add_parser("stats", parents=[with_jobs], help="box statistics over a value column")
     p.add_argument("--input", required=True, help="CSV with header, or one number per line")
     p.add_argument("--column", default="accuracy")
     p.set_defaults(func=cmd_stats)
@@ -366,10 +366,7 @@ def cmd_eval(args) -> int:
     split = load_split(args.split)
     ids = split.test_ids if args.side == "test" else split.train_ids
     samples = corpus.by_ids(ids)
-    if isinstance(model, BatchModel):
-        result = holdout_eval(lambda fv: predict(model, fv), samples)
-    else:
-        result = holdout_eval(lambda fv: online_predict(model, fv), samples)
+    result = holdout_eval(model, samples)
     if args.format == "csv":
         keys = ["tp", "fp", "tn", "fn", "accuracy", "precision", "recall", "f1"]
         obj = result.to_json()

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import partial
+from typing import Iterable
 
 import numpy as np
 
 from .dataset import (
     MAX_SPLIT_RETRIES,
     Corpus,
-    Label,
     Sample,
     Split,
     SplitStrategy,
@@ -26,8 +26,7 @@ from .dataset import (
     random_split,
     validate_split,
 )
-from .errors import Degenerate, Empty, EmptyStream, EmptyTest, StrobeError
-from .features import FeatureVector
+from .errors import Degenerate, Empty, EmptyStream, EmptyTest, SingleClass, StrobeError
 from .learners import (
     DEFAULT_HYPERPARAMS,
     DEFAULT_ONLINE_ENSEMBLE,
@@ -35,11 +34,15 @@ from .learners import (
     BatchModel,
     HingeHyperparams,
     OnlineModel,
+    batch_predict_rows,
     batch_train,
+    design_matrix,
+    hinge_sgd,
     online_predict,
+    online_predict_rows,
     online_train,
     online_update,
-    predict,
+    predict,  # noqa: F401  (bench/tracing.py wraps evaluation.predict by name)
 )
 
 
@@ -104,24 +107,21 @@ class BoxStats:
         }
 
 
-def holdout_eval(predict_fn: Callable[[FeatureVector], Label], test: list[Sample]) -> EvalResult:
-    """Confusion counts over a frozen model, SE positive."""
+def holdout_eval(model: BatchModel | OnlineModel, test: list[Sample]) -> EvalResult:
+    """Confusion counts of a frozen model over the test samples, SE positive;
+    every prediction equals predict / online_predict on that sample."""
     if not test:
         raise EmptyTest("holdout evaluation needs a non-empty test set")
-    tp = fp = tn = fn = 0
-    for s in test:
-        predicted = predict_fn(s.features)
-        if s.label is Label.SE:
-            if predicted is Label.SE:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted is Label.SE:
-                fp += 1
-            else:
-                tn += 1
-    return EvalResult.from_confusion(tp, fp, tn, fn)
+    X, y = design_matrix(test)
+    if isinstance(model, BatchModel):
+        predicted = batch_predict_rows(model, X)
+    else:
+        predicted = online_predict_rows(model, X)
+    actual = y > 0
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted & ~actual))
+    fn = int(np.count_nonzero(~predicted & actual))
+    return EvalResult.from_confusion(tp, fp, len(test) - tp - fp - fn, fn)
 
 
 def prequential_eval(model: OnlineModel, stream: list[Sample]) -> PrequentialResult:
@@ -130,15 +130,17 @@ def prequential_eval(model: OnlineModel, stream: list[Sample]) -> PrequentialRes
         raise EmptyStream("prequential evaluation needs a non-empty stream")
     correct: list[bool] = []
     running: list[float] = []
+    hits = 0
     for sample in stream:
         predicted = online_predict(model, sample.features)
         correct.append(predicted is sample.label)
-        running.append(sum(correct) / len(correct))
+        hits += correct[-1]
+        running.append(hits / len(correct))
         online_update(model, sample)
     return PrequentialResult(
         per_sample_correct=tuple(correct),
         running_accuracy=tuple(running),
-        final_accuracy=sum(correct) / len(correct),
+        final_accuracy=hits / len(correct),
     )
 
 
@@ -237,48 +239,64 @@ def train_on_split(
     return online_train(train, k=ensemble, lam_poisson=lam_poisson, seed=seed)
 
 
-def _predict_fn(model: BatchModel | OnlineModel) -> Callable[[FeatureVector], Label]:
-    if isinstance(model, BatchModel):
-        return lambda fv: predict(model, fv)
-    return lambda fv: online_predict(model, fv)
+def train_on_splits(
+    corpus: Corpus,
+    splits: list[Split],
+    seeds: list[int],
+    learner: LearnerKind,
+    hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
+    ensemble: int = DEFAULT_ONLINE_ENSEMBLE,
+    lam_poisson: float = DEFAULT_POISSON_LAMBDA,
+) -> list[BatchModel | OnlineModel]:
+    """train_on_split for each (split, seed) pair, with identical models.
+
+    Batch fits all train together in one lockstep hinge_sgd pass over the
+    corpus matrix, each on its split's training rows in corpus order.
+    """
+    if learner is LearnerKind.ONLINE or not splits:
+        return [train_on_split(corpus, split, learner, seed, hp, ensemble, lam_poisson)
+                for split, seed in zip(splits, seeds)]
+    X, y = design_matrix(corpus.samples)
+    streams = [(np.array(sorted(corpus.id_index[i] for i in split.train_ids), dtype=np.intp), seed)
+               for split, seed in zip(splits, seeds)]
+    models = hinge_sgd(X, y, streams, [(i, hp) for i in range(len(streams))])
+    if any(model is None for model in models):
+        raise SingleClass("training data contains a single class")
+    return models
 
 
-def _single_run(
+def _experiment_runs(
+    seeds: list[int],
     corpus: Corpus,
     strategy: SplitStrategy,
     learner: LearnerKind,
-    seed: int,
     hp: HingeHyperparams,
     ensemble: int,
     lam_poisson: float,
-) -> RunRecord:
-    try:
-        if strategy is SplitStrategy.RANDOM:
-            split = random_split(corpus, seed)
-        else:
-            split = family_disjoint_split(corpus, seed)
-            report = validate_split(corpus, split)
-            if report.family_overlap != 0:
-                raise StrobeError("family-disjoint split produced family overlap")
-    except Degenerate:
-        return RunRecord(seed=seed, retries=MAX_SPLIT_RETRIES, result=None, skipped=True)
-    model = train_on_split(corpus, split, learner, seed, hp, ensemble, lam_poisson)
-    result = holdout_eval(_predict_fn(model), corpus.by_ids(split.test_ids))
-    return RunRecord(seed=seed, retries=split.retries, result=result)
-
-
-_POOL_ARGS: dict = {}
-
-
-def _pool_init(corpus, strategy, learner, hp, ensemble, lam_poisson) -> None:
-    _POOL_ARGS.update(corpus=corpus, strategy=strategy, learner=learner,
-                      hp=hp, ensemble=ensemble, lam_poisson=lam_poisson)
-
-
-def _pool_run(seed: int) -> RunRecord:
-    a = _POOL_ARGS
-    return _single_run(a["corpus"], a["strategy"], a["learner"], seed,
-                       a["hp"], a["ensemble"], a["lam_poisson"])
+) -> list[RunRecord]:
+    """One RunRecord per seed: split, train every repetition together, and
+    score each test side."""
+    splits: dict[int, Split] = {}
+    for seed in seeds:
+        try:
+            if strategy is SplitStrategy.RANDOM:
+                splits[seed] = random_split(corpus, seed)
+            else:
+                splits[seed] = family_disjoint_split(corpus, seed)
+                if validate_split(corpus, splits[seed]).family_overlap != 0:
+                    raise StrobeError("family-disjoint split produced family overlap")
+        except Degenerate:
+            continue
+    models = train_on_splits(corpus, list(splits.values()), list(splits), learner,
+                             hp, ensemble, lam_poisson)
+    results = {seed: holdout_eval(model, corpus.by_ids(split.test_ids))
+               for (seed, split), model in zip(splits.items(), models)}
+    return [
+        RunRecord(seed=seed, retries=splits[seed].retries, result=results[seed])
+        if seed in splits
+        else RunRecord(seed=seed, retries=MAX_SPLIT_RETRIES, result=None, skipped=True)
+        for seed in seeds
+    ]
 
 
 def run_experiment(
@@ -296,8 +314,10 @@ def run_experiment(
 
     Family-disjoint splits are validated on every run; a repetition whose
     split cannot be built within the retry budget is recorded and skipped.
-    Repetitions are independent, so jobs > 1 runs them in a process pool;
-    results are merged in repetition order either way.
+    Batch repetitions train in lockstep; jobs > 1 splits the seeds into
+    contiguous chunks, one per worker process, so each worker trains its
+    chunk in one pass. Results are merged in repetition order and do not
+    depend on jobs.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -305,16 +325,16 @@ def run_experiment(
         raise ValueError("LOFO experiments use run_lofo")
 
     seeds = [base_seed + i for i in range(repetitions)]
-    if jobs > 1:
+    runs = partial(_experiment_runs, corpus=corpus, strategy=strategy, learner=learner,
+                   hp=hp, ensemble=ensemble, lam_poisson=lam_poisson)
+    if jobs > 1 and repetitions > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_pool_init,
-            initargs=(corpus, strategy, learner, hp, ensemble, lam_poisson),
-        ) as pool:
-            records = list(pool.map(_pool_run, seeds))
+        bounds = np.linspace(0, repetitions, min(jobs, repetitions) + 1).round().astype(int)
+        chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            records = [r for part in pool.map(runs, chunks) for r in part]
     else:
-        records = [_single_run(corpus, strategy, learner, s, hp, ensemble, lam_poisson)
-                   for s in seeds]
+        records = runs(seeds)
 
     accuracies = [r.result.accuracy for r in records if r.result is not None]
     if not accuracies:
@@ -366,22 +386,17 @@ def run_lofo(
     ensemble: int = DEFAULT_ONLINE_ENSEMBLE,
     lam_poisson: float = DEFAULT_POISSON_LAMBDA,
 ) -> LofoSummary:
-    """Hold out each family in turn; aggregate size-weighted accuracy and the
-    pooled confusion over all held-out predictions."""
-    per_family: list[FamilyResult] = []
-    tp = fp = tn = fn = 0
-    for i, split in enumerate(lofo_splits(corpus)):
-        model = train_on_split(corpus, split, learner, base_seed + i, hp, ensemble, lam_poisson)
-        result = holdout_eval(_predict_fn(model), corpus.by_ids(split.test_ids))
-        per_family.append(FamilyResult(
-            family=split.held_out_family,
-            n=len(split.test_ids),
-            result=result,
-        ))
-        tp += result.tp
-        fp += result.fp
-        tn += result.tn
-        fn += result.fn
+    """Hold out each family in turn (fold i trains with seed base_seed + i);
+    aggregate size-weighted accuracy and the pooled confusion over all
+    held-out predictions. Batch folds train in lockstep in one pass."""
+    splits = lofo_splits(corpus)
+    models = train_on_splits(corpus, splits, [base_seed + i for i in range(len(splits))],
+                             learner, hp, ensemble, lam_poisson)
+    per_family = [
+        FamilyResult(family=split.held_out_family, n=len(split.test_ids),
+                     result=holdout_eval(model, corpus.by_ids(split.test_ids)))
+        for split, model in zip(splits, models)
+    ]
     weighted = weighted_family_accuracy(
         (fr.family, fr.n, fr.result.accuracy) for fr in per_family
     )
@@ -390,7 +405,12 @@ def run_lofo(
         base_seed=base_seed,
         per_family=tuple(per_family),
         weighted_accuracy=weighted,
-        pooled=EvalResult.from_confusion(tp, fp, tn, fn),
+        pooled=EvalResult.from_confusion(
+            tp=sum(fr.result.tp for fr in per_family),
+            fp=sum(fr.result.fp for fr in per_family),
+            tn=sum(fr.result.tn for fr in per_family),
+            fn=sum(fr.result.fn for fr in per_family),
+        ),
     )
 
 

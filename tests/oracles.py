@@ -4,9 +4,10 @@ Each of these takes a deliberately different route from the library code it
 checks: the MUTF-8 reference leans on the stdlib UTF-8/UTF-16 codecs, the
 checksum/digest references are textbook reimplementations, the feature
 reference recomputes every metric straight from its definition, the box
-oracle works on an explicitly sorted list, and the online ensemble oracle
+oracle works on an explicitly sorted list, the online ensemble oracle
 replays every sample one Welford step at a time with one scalar Poisson draw
-per sample and member.
+per sample and member, and the hinge-SGD oracle trains one model at a time
+with the per-sample loop.
 """
 
 from __future__ import annotations
@@ -237,3 +238,60 @@ class ReplayEnsemble:
             assert np.array_equal(member.counts, ref.counts)
             np.testing.assert_allclose(member.mean, ref.mean, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(member.m2, ref.m2, rtol=1e-9, atol=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Hinge-loss SGD, one fit and one sample at a time
+# --------------------------------------------------------------------------
+
+def reference_batch_train(train, hp, seed: int = 0):
+    """(weights, bias, scaler mean, scaler std) of the per-sample
+    Pegasos-style loop over shuffled epochs, with the scaler fitted on the
+    training set; None for a single-class training set."""
+    X = np.asarray([s.features.as_tuple() for s in train], dtype=float)
+    y = np.asarray([1.0 if s.label.value == "SE" else -1.0 for s in train])
+    if len(set(y.tolist())) < 2:
+        return None
+    mean = X.mean(axis=0)
+    std = np.maximum(X.std(axis=0), 1e-9)
+    Xs = (X - mean) / std
+
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    w = np.zeros(8)
+    b = 0.0
+    shrink = 1.0 - 2.0 * hp.lr * hp.lam
+    for _ in range(hp.epochs):
+        for i in rng.permutation(len(y)):
+            margin = y[i] * (w @ Xs[i] + b)
+            w *= shrink
+            if margin < 1.0:
+                w += hp.lr * y[i] * Xs[i]
+                b += hp.lr * y[i]
+    return w, b, mean, std
+
+
+def reference_grid_search(train, grid, folds: int, seed: int):
+    """The grid point with the best mean k-fold validation accuracy, one
+    reference fit and one per-sample prediction at a time; ties go to the
+    earliest point, single-class folds are skipped."""
+    order = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF).permutation(len(train))
+    chunks = np.array_split(order, folds)
+    best, best_hp = None, None
+    for gi, hp in enumerate(grid):
+        accs = []
+        for f, chunk in enumerate(chunks):
+            val_idx = set(int(i) for i in chunk)
+            fit = reference_batch_train(
+                [train[i] for i in range(len(train)) if i not in val_idx], hp, seed + f)
+            if fit is None:
+                continue
+            w, b, mean, std = fit
+            correct = 0
+            for i in chunk:
+                x = (np.asarray(train[int(i)].features.as_tuple(), dtype=float) - mean) / std
+                predicted_se = float(w @ x + b) > 0.0
+                correct += predicted_se == (train[int(i)].label.value == "SE")
+            accs.append(correct / len(chunk))
+        if accs and (best is None or (sum(accs) / len(accs), -gi) > best):
+            best, best_hp = (sum(accs) / len(accs), -gi), hp
+    return best_hp

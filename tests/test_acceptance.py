@@ -19,6 +19,7 @@ from strobe.dataset import (
     SplitStrategy,
     Corpus,
     family_disjoint_split,
+    lofo_splits,
     random_split,
     validate_split,
 )
@@ -31,18 +32,25 @@ from strobe.evaluation import (
     run_experiment,
     run_lofo,
     train_on_split,
+    train_on_splits,
 )
 from strobe.features import FeatureVector, feature_vector_from_strings, shannon_entropy
 from strobe.heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
 from strobe.learners import (
+    DEFAULT_HYPERPARAMS,
     DEFAULT_ONLINE_ENSEMBLE,
     DEFAULT_POISSON_LAMBDA,
+    HingeHyperparams,
+    batch_predict_rows,
     batch_train,
     default_grid,
+    design_matrix,
+    grid_search,
     hinge_objective,
     hinge_subgradient,
     online_init,
     online_predict,
+    online_predict_rows,
     predict,
 )
 from strobe.mutf8 import decode_mutf8, encode_mutf8
@@ -51,9 +59,11 @@ from strobe.synth import DexSpec, build_dex
 from oracles import (
     ReplayEnsemble,
     reference_adler32,
+    reference_batch_train,
     reference_box_stats,
     reference_decode_mutf8,
     reference_feature_means,
+    reference_grid_search,
     reference_sha1,
 )
 
@@ -340,6 +350,46 @@ def test_online_ensemble_matches_replay_oracle(confounded):
     for s in corpus.by_ids(split.test_ids):
         expected = Label.SE if oracle.predict(np.asarray(s.features.as_tuple())) else Label.NOT_SE
         assert online_predict(model, s.features) is expected
+
+
+def test_lockstep_lofo_matches_per_sample_loop(confounded):
+    """Every LOFO fold of the frozen corpus, trained together, against the
+    per-sample loop bit for bit: all folds for 2 epochs, the first and the
+    last fold with the default hyperparameters (30 epochs)."""
+    corpus = confounded["corpus"]
+    splits = lofo_splits(corpus)
+    seeds = [BASE_SEED + i for i in range(len(splits))]
+    for hp, stride in ((HingeHyperparams(epochs=2), 1), (DEFAULT_HYPERPARAMS, len(splits) - 1)):
+        chosen = list(range(0, len(splits), stride))
+        models = train_on_splits(corpus, [splits[i] for i in chosen],
+                                 [seeds[i] for i in chosen], LearnerKind.BATCH, hp)
+        for i, model in zip(chosen, models):
+            w, b, mean, std = reference_batch_train(
+                corpus.by_ids(splits[i].train_ids), hp, seeds[i])
+            assert np.array_equal(model.weights, w) and model.bias == b, splits[i].held_out_family
+            assert np.array_equal(model.scaler.mean, mean) and np.array_equal(model.scaler.std, std)
+
+
+def test_lockstep_grid_search_matches_reference_loop(confounded):
+    """The grid point chosen on a 300-sample slice of the frozen corpus
+    equals the one-fit-at-a-time grid loop's, negative-shrink points included."""
+    train = list(confounded["corpus"].samples[::16][:300])
+    grid = default_grid()[::13] + default_grid()[196:]
+    assert grid_search(train, grid, folds=3, seed=BASE_SEED) == \
+        reference_grid_search(train, grid, folds=3, seed=BASE_SEED)
+
+
+def test_row_scorers_match_per_sample_predictions(confounded):
+    """Scoring the whole frozen corpus at once gives every per-sample label."""
+    corpus = confounded["corpus"]
+    split = family_disjoint_split(corpus, BASE_SEED)
+    X, _ = design_matrix(corpus.samples)
+    batch = train_on_split(corpus, split, LearnerKind.BATCH, BASE_SEED)
+    online = train_on_split(corpus, split, LearnerKind.ONLINE, BASE_SEED)
+    assert batch_predict_rows(batch, X).tolist() == \
+        [predict(batch, s.features) is Label.SE for s in corpus.samples]
+    assert online_predict_rows(online, X).tolist() == \
+        [online_predict(online, s.features) is Label.SE for s in corpus.samples]
 
 
 def test_family_fingerprint_probe(confounded):

@@ -166,6 +166,13 @@ def test_lofo_cli(features_csv, tmp_path):
     assert 0.0 <= payload["weighted_accuracy"] <= 1.0
 
 
+def test_lofo_cli_rejects_jobs(features_csv, tmp_path):
+    # The folds train in one lockstep pass; a flag that did nothing is a usage error.
+    assert main(["lofo", "--manifest", str(features_csv), "--learner", "batch",
+                 "--jobs", "3", "--out", str(tmp_path / "lofo.json")]) == 1
+    assert not (tmp_path / "lofo.json").exists()
+
+
 def test_experiment_cli_with_csv_and_gnuplot(features_csv, tmp_path):
     out = tmp_path / "exp.json"
     per_run = tmp_path / "runs.csv"

@@ -19,7 +19,7 @@ from strobe.evaluation import (
     weighted_family_accuracy,
 )
 from strobe.features import FeatureVector
-from strobe.learners import online_init, online_predict
+from strobe.learners import BatchModel, HingeHyperparams, Scaler, online_init, online_predict
 
 from oracles import reference_box_stats
 
@@ -56,16 +56,23 @@ class FakePoisson:
 
 # --- holdout ---------------------------------------------------------------
 
+def constant_model(label):
+    """Zero weights; the bias alone decides, so every sample gets `label`."""
+    return BatchModel(weights=np.zeros(8), bias=1.0 if label is Label.SE else -1.0,
+                      scaler=Scaler(mean=np.zeros(8), std=np.ones(8)),
+                      hyperparams=HingeHyperparams())
+
+
 def test_holdout_all_correct():
     test = [sample(f"s{i}", "f", "SE", 5.0) for i in range(10)]
-    result = holdout_eval(lambda x: Label.SE, test)
+    result = holdout_eval(constant_model(Label.SE), test)
     assert result.accuracy == 1.0 and result.tp == 10
 
 
 def test_holdout_always_not_se_on_balanced_set():
     test = [sample(f"p{i}", "f", "SE", 1.0) for i in range(5)]
     test += [sample(f"n{i}", "f", "NOT_SE", 1.0) for i in range(5)]
-    result = holdout_eval(lambda x: Label.NOT_SE, test)
+    result = holdout_eval(constant_model(Label.NOT_SE), test)
     assert result.accuracy == 0.5
     assert result.recall == 0.0
     assert result.f1 == 0.0
@@ -79,7 +86,7 @@ def test_confusion_arithmetic():
 
 def test_holdout_empty():
     with pytest.raises(EmptyTest):
-        holdout_eval(lambda x: Label.SE, [])
+        holdout_eval(constant_model(Label.SE), [])
 
 
 # --- prequential -------------------------------------------------------------
@@ -228,6 +235,15 @@ def test_run_experiment_parallel_matches_serial():
     parallel = run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, LearnerKind.BATCH,
                               repetitions=4, base_seed=3, jobs=3)
     assert serial.to_json() == parallel.to_json()
+
+
+@pytest.mark.parametrize("learner", list(LearnerKind))
+def test_results_do_not_depend_on_jobs(learner):
+    # 5 repetitions make chunks of 2+3 and 2+1+2.
+    corpus = separable_corpus(n_families=7, noise=0.8)
+    runs = [run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, learner, repetitions=5,
+                           base_seed=3, jobs=jobs).to_json() for jobs in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_run_experiment_degenerate_corpus():

@@ -8,23 +8,27 @@ from strobe.learners import (
     BatchModel,
     HingeHyperparams,
     Scaler,
+    batch_predict_rows,
     batch_train,
     default_grid,
+    design_matrix,
     fit_scaler,
     grid_search,
     hinge_objective,
+    hinge_sgd,
     hinge_subgradient,
     model_from_json,
     model_to_json,
     online_fit,
     online_init,
     online_predict,
+    online_predict_rows,
     online_train,
     online_update,
     predict,
 )
 
-from oracles import ReplayEnsemble
+from oracles import ReplayEnsemble, reference_batch_train, reference_grid_search
 
 
 def fv(entropy=0.0, length=0.0, **kw):
@@ -145,6 +149,103 @@ def test_subgradient_matches_finite_differences():
         checked += 1
 
 
+# --- lockstep SGD against the per-sample loop ----------------------------------------
+
+def random_train(rng, n):
+    """n samples, SE shifted by 1.5 in every feature but the last, which is
+    constant (it standardizes to 0, so its weight only ever shrinks, and a
+    negative shrink flips its sign); labels drawn at random."""
+    se = rng.random(n) < 0.5
+    X = rng.normal(size=(n, 8)) + 1.5 * se[:, None]
+    X[:, 7] = 0.0
+    return [Sample(f"s{i}", "fam", Label.SE if c else Label.NOT_SE,
+                   features=FeatureVector(*x, n_strings=1)) for i, (x, c) in enumerate(zip(X, se))]
+
+
+def assert_matches_reference(model, train, hp, seed):
+    """Bitwise equality with the per-sample loop, signed zeros included."""
+    ref = reference_batch_train(train, hp, seed)
+    if ref is None:
+        assert model is None
+        return
+    w, b, mean, std = ref
+    assert np.array_equal(model.weights, w) and model.bias == b
+    assert np.array_equal(np.signbit(model.weights), np.signbit(w))
+    assert np.array_equal(model.scaler.mean, mean) and np.array_equal(model.scaler.std, std)
+
+
+NEGATIVE_SHRINK = [hp for hp in default_grid() if 1.0 - 2.0 * hp.lr * hp.lam < 0.0]
+
+
+def test_default_grid_has_negative_shrink_points():
+    assert len(NEGATIVE_SHRINK) == 4
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_hinge_sgd_matches_per_sample_loop(trial):
+    """Random mixes of fits: ragged training sets, repeated seeds, a
+    single-class stream, epochs 0, 1, 20 and 50, negative-shrink grid points."""
+    rng = np.random.default_rng(100 + trial)
+    pool = random_train(rng, 90)
+    X, y = design_matrix(pool)
+    se_rows = np.flatnonzero(y > 0)
+    streams = [(se_rows[:int(rng.integers(2, len(se_rows)))], 0)]
+    for _ in range(int(rng.integers(2, 6))):
+        rows = np.sort(rng.choice(len(pool), int(rng.integers(2, len(pool))), replace=False))
+        streams.append((rows, int(rng.integers(-1, 3))))
+    grid = default_grid()
+    fits = []
+    for s in range(len(streams)):
+        for _ in range(int(rng.integers(1, 4))):
+            base = grid[int(rng.integers(len(grid)))] if rng.random() < 0.6 \
+                else NEGATIVE_SHRINK[int(rng.integers(len(NEGATIVE_SHRINK)))]
+            epochs = int(rng.choice([0, 1, 20, 50]))
+            fits.append((s, HingeHyperparams(lam=base.lam, lr=base.lr, epochs=epochs)))
+    models = hinge_sgd(X, y, streams, fits)
+    assert models[0] is None
+    for (s, hp), model in zip(fits, models):
+        rows, seed = streams[s]
+        assert_matches_reference(model, [pool[i] for i in rows], hp, seed)
+
+    rows, seed = streams[1]
+    hp = fits[-1][1]
+    assert_matches_reference(batch_train([pool[i] for i in rows], hp, seed), [pool[i] for i in rows], hp, seed)
+
+
+def test_hinge_sgd_with_nothing_to_train():
+    X, y = design_matrix(toy_separable())
+    assert hinge_sgd(X, y, [], []) == []
+    (model,) = hinge_sgd(X, y, [(np.arange(len(y)), 3)], [(0, HingeHyperparams(epochs=0))])
+    assert not model.weights.any() and model.bias == 0.0
+
+
+# --- row scorers -------------------------------------------------------------------
+
+def test_batch_predict_rows_matches_predict():
+    rng = np.random.default_rng(4)
+    train = random_train(rng, 200)
+    X, _ = design_matrix(train)
+    for seed in range(3):
+        model = batch_train(train[:150], seed=seed)
+        assert batch_predict_rows(model, X).tolist() == \
+            [predict(model, s.features) is Label.SE for s in train]
+    tie = BatchModel(weights=np.zeros(8), bias=0.0, scaler=Scaler(np.zeros(8), np.ones(8)),
+                     hyperparams=HingeHyperparams())
+    assert not batch_predict_rows(tie, X).any()
+
+
+def test_online_predict_rows_matches_online_predict():
+    rng = np.random.default_rng(5)
+    train = random_train(rng, 200)
+    X, _ = design_matrix(train)
+    models = [online_init(k=4, seed=1),                    # cold: every vote NOT_SE
+              online_train(train[:3], k=5, seed=2),        # members with one class only
+              online_train(train[:150], k=10, seed=3)]
+    for model in models:
+        assert online_predict_rows(model, X).tolist() == \
+            [online_predict(model, s.features) is Label.SE for s in train]
+
+
 # --- grid search -----------------------------------------------------------------
 
 def test_grid_single_point():
@@ -159,6 +260,13 @@ def test_grid_prefers_working_configuration():
     useless = HingeHyperparams(lam=1e-4, lr=0.05, epochs=0)
     good = HingeHyperparams(lam=1e-4, lr=0.05, epochs=20)
     assert grid_search(train, [useless, good], folds=2, seed=0) == good
+
+
+def test_grid_matches_reference_loop_on_toy():
+    grid = default_grid()[::10] + NEGATIVE_SHRINK
+    for seed in (0, 5):
+        assert grid_search(toy_separable(), grid, folds=3, seed=seed) == \
+            reference_grid_search(toy_separable(), grid, folds=3, seed=seed)
 
 
 def test_default_grid_respects_budget():
