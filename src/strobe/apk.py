@@ -8,6 +8,7 @@ strings without cross-dex deduplication.
 from __future__ import annotations
 
 import io
+import lzma
 import re
 import zipfile
 import zlib
@@ -18,6 +19,13 @@ from .dex import classify_strings, parse_dex
 from .errors import CorruptEntry, NoDex, NotAZip
 
 _DEX_NAME = re.compile(r"^classes([0-9]+)?\.dex$")
+
+# What zipfile raises on a damaged archive besides BadZipFile: an unsupported
+# feature (NotImplementedError, or RuntimeError for an encrypted entry), a
+# bad offset or name (ValueError), and each decompressor's own error.
+_OPEN_ERRORS = (zipfile.BadZipFile, RuntimeError, ValueError)
+_READ_ERRORS = (zipfile.BadZipFile, RuntimeError, ValueError, EOFError, OSError,
+                zlib.error, lzma.LZMAError)
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,7 @@ def list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
     """Return (name, payload) for every classes*.dex entry, numerically ordered."""
     try:
         zf = zipfile.ZipFile(io.BytesIO(archive))
-    except zipfile.BadZipFile as exc:
+    except _OPEN_ERRORS as exc:
         raise NotAZip(str(exc)) from exc
 
     with zf:
@@ -51,7 +59,7 @@ def list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
         for _, name in matched:
             try:
                 out.append((name, zf.read(name)))
-            except (zipfile.BadZipFile, zlib.error) as exc:
+            except _READ_ERRORS as exc:
                 raise CorruptEntry(f"{name}: {exc}") from exc
         return out
 

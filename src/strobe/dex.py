@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from .errors import BadMagic, DecodeError, OffsetOutOfBounds, StrictDecodeError, Truncated
-from .mutf8 import decode_mutf8, utf16_length
+from .mutf8 import decode_mutf8, utf16_length, utf16_sort_key
 
 logger = logging.getLogger(__name__)
 
@@ -165,10 +165,19 @@ def _u4(data: bytes, offset: int) -> int:
     return struct.unpack_from("<I", data, offset)[0]
 
 
+def _table(data: bytes, section: SectionInfo, words: int = 1) -> tuple[int, ...]:
+    """Every u4 word of an id table of `words` words per entry, in one read.
+
+    A table with no entries may carry any offset and is never read.
+    """
+    if section.count == 0:
+        return ()
+    return struct.unpack_from(f"<{section.count * words}I", data, section.offset)
+
+
 def _read_strings(data: bytes, section: SectionInfo) -> list[StringEntry]:
     entries: list[StringEntry] = []
-    for i in range(section.count):
-        data_off = _u4(data, section.offset + 4 * i)
+    for i, data_off in enumerate(_table(data, section)):
         if data_off >= len(data):
             raise OffsetOutOfBounds(f"string_data offset 0x{data_off:x} of entry {i} exceeds buffer")
         entries.append(_read_string_entry(data, i, data_off))
@@ -176,20 +185,16 @@ def _read_strings(data: bytes, section: SectionInfo) -> list[StringEntry]:
 
 
 def _read_string_entry(data: bytes, index: int, data_off: int) -> StringEntry:
-    failed = StringEntry(index=index, data_offset=data_off, text="", decode_ok=False)
+    text = None
     try:
         declared_len, pos = _read_uleb128(data, data_off)
+        terminator = data.find(b"\x00", pos)
+        if terminator != -1:
+            text = decode_mutf8(data[pos:terminator])
     except DecodeError:
-        return failed
-    terminator = data.find(b"\x00", pos)
-    if terminator == -1:
-        return failed
-    try:
-        text = decode_mutf8(data[pos:terminator])
-    except DecodeError:
-        return failed
-    if utf16_length(text) != declared_len:
-        return failed
+        pass
+    if text is None or utf16_length(text) != declared_len:
+        return StringEntry(index=index, data_offset=data_off, text="", decode_ok=False)
     return StringEntry(index=index, data_offset=data_off, text=text, decode_ok=True)
 
 
@@ -209,28 +214,22 @@ def _read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
-def _utf16_sort_key(text: str) -> bytes:
-    # Byte order of UTF-16-BE equals code-unit order, the dex sorting rule.
-    return text.encode("utf-16-be", "surrogatepass")
-
-
 def _warn_if_unsorted(entries: list[StringEntry]) -> None:
     # The format requires a sorted string table; obfuscated files in the wild
-    # violate this, so it is a warning rather than an error.
+    # violate this, so it is a warning rather than an error. ASCII strings
+    # compare in code-unit order as they are.
     decoded = [e.text for e in entries if e.decode_ok]
-    keys = [_utf16_sort_key(t) for t in decoded]
-    if any(a > b for a, b in zip(keys, keys[1:])):
+    keys = decoded if all(map(str.isascii, decoded)) else [utf16_sort_key(t) for t in decoded]
+    if keys != sorted(keys):
         logger.warning("string table is not sorted by UTF-16 code units")
 
 
 def _read_index_table(data: bytes, section: SectionInfo, n_strings: int, name: str) -> tuple[int, ...]:
-    out = []
-    for i in range(section.count):
-        idx = _u4(data, section.offset + 4 * i)
+    ids = _table(data, section)
+    for i, idx in enumerate(ids):
         if idx >= n_strings:
             raise OffsetOutOfBounds(f"{name}[{i}] references string {idx} of {n_strings}")
-        out.append(idx)
-    return tuple(out)
+    return ids
 
 
 def _read_proto_ids(
@@ -238,44 +237,38 @@ def _read_proto_ids(
 ) -> tuple[int, ...]:
     # Return types reference type_ids, whose descriptors are already counted
     # as identifiers; only the shorty string index is collected here.
-    shorties = []
-    for i in range(section.count):
-        base = section.offset + 12 * i
-        shorty_idx = _u4(data, base)
-        return_type_idx = _u4(data, base + 4)
+    fields = _table(data, section, 3)
+    shorties = fields[0::3]
+    for i, (shorty_idx, return_type_idx) in enumerate(zip(shorties, fields[1::3])):
         if shorty_idx >= n_strings:
             raise OffsetOutOfBounds(f"proto_ids[{i}] shorty references string {shorty_idx} of {n_strings}")
         if return_type_idx >= n_types:
             raise OffsetOutOfBounds(f"proto_ids[{i}] return type {return_type_idx} of {n_types}")
-        shorties.append(shorty_idx)
-    return tuple(shorties)
+    return shorties
 
 
 def _read_member_ids(
     data: bytes, section: SectionInfo, n_strings: int, n_types: int, name: str
 ) -> tuple[int, ...]:
-    # field_id_item and method_id_item share the shape (u2 class, u2 x, u4 name).
-    out = []
-    for i in range(section.count):
-        base = section.offset + 8 * i
-        class_idx = struct.unpack_from("<H", data, base)[0]
-        name_idx = _u4(data, base + 4)
+    # field_id_item and method_id_item share the shape (u2 class, u2 x, u4
+    # name); the class index is the low half of the first little-endian word.
+    fields = _table(data, section, 2)
+    names = fields[1::2]
+    for i, (word, name_idx) in enumerate(zip(fields[0::2], names)):
+        class_idx = word & 0xFFFF
         if class_idx >= n_types:
             raise OffsetOutOfBounds(f"{name}[{i}] references type {class_idx} of {n_types}")
         if name_idx >= n_strings:
             raise OffsetOutOfBounds(f"{name}[{i}] references string {name_idx} of {n_strings}")
-        out.append(name_idx)
-    return tuple(out)
+    return names
 
 
 def _read_class_defs(
     data: bytes, section: SectionInfo, n_strings: int, n_types: int
 ) -> tuple[int, ...]:
+    fields = _table(data, section, 8)
     source_files = []
-    for i in range(section.count):
-        base = section.offset + 32 * i
-        class_idx = _u4(data, base)
-        source_file_idx = _u4(data, base + 16)
+    for i, (class_idx, source_file_idx) in enumerate(zip(fields[0::8], fields[4::8])):
         if class_idx >= n_types:
             raise OffsetOutOfBounds(f"class_defs[{i}] references type {class_idx} of {n_types}")
         if source_file_idx != NO_INDEX:

@@ -34,11 +34,12 @@ class StrictDecodeError(DecodeError):
 # --- APK containers --------------------------------------------------------
 
 class NotAZip(StrobeError):
-    """Missing end-of-central-directory record."""
+    """Missing end-of-central-directory record or unreadable central directory."""
 
 
 class CorruptEntry(StrobeError):
-    """CRC mismatch or bad compressed stream for an archive entry."""
+    """CRC mismatch, bad compressed stream, or an unreadable (unsupported or
+    encrypted) archive entry."""
 
 
 class NoDex(StrobeError):

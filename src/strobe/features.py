@@ -93,19 +93,26 @@ def feature_vector(app: AppStrings) -> FeatureVector:
 
 
 def feature_vector_from_strings(strings: tuple[str, ...] | list[str]) -> FeatureVector:
+    """Means of per_string_metrics over strings.
+
+    Every metric but the entropy is an integer per string, so its sum is
+    counted once over the joined strings; the entropies are summed in string
+    order. The result equals the means of per_string_metrics bit for bit.
+    """
     n = len(strings)
     if n == 0:
         return FeatureVector()
-    metrics = [per_string_metrics(s) for s in strings]
+    joined = "".join(strings)
+    length = len(joined)
     return FeatureVector(
-        avg_entropy=sum(m.entropy for m in metrics) / n,
-        avg_wordsize=sum(m.wordsize for m in metrics) / n,
-        avg_length=sum(m.length for m in metrics) / n,
-        avg_eq=sum(m.eq_count for m in metrics) / n,
-        avg_dash=sum(m.dash_count for m in metrics) / n,
-        avg_slash=sum(m.slash_count for m in metrics) / n,
-        avg_plus=sum(m.plus_count for m in metrics) / n,
-        avg_repeat=sum(m.repeat_count for m in metrics) / n,
+        avg_entropy=sum(map(shannon_entropy, strings)) / n,
+        avg_wordsize=len(joined.encode("utf-8")) / n,
+        avg_length=length / n,
+        avg_eq=joined.count("=") / n,
+        avg_dash=joined.count("-") / n,
+        avg_slash=joined.count("/") / n,
+        avg_plus=joined.count("+") / n,
+        avg_repeat=(length - sum(map(len, map(set, strings)))) / n,
         n_strings=n,
     )
 

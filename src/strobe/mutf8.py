@@ -17,7 +17,28 @@ def decode_mutf8(data: bytes) -> str:
     Raises DecodeError on a raw 0x00 byte, malformed or missing continuation
     bytes, overlong encodings other than 0xC0 0x80, 4-byte lead bytes, and
     unpaired surrogates.
+
+    Most payloads are also valid UTF-8, so the C UTF-8 codec is tried first.
+    Strict UTF-8 rejects overlong forms (0xC0 0x80 included), encoded
+    surrogates and truncation, so every MUTF-8-specific form reaches the
+    strict loop below, as do the forms MUTF-8 forbids but UTF-8 admits: a raw
+    0x00 (checked before decoding) and 4-byte sequences (code points
+    >= U+10000 in the result). Whatever the codec returns otherwise is what
+    the loop would return.
     """
+    if b"\x00" not in data:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            if text.isascii() or max(text) < "\U00010000":
+                return text
+    return _decode_strict(data)
+
+
+def _decode_strict(data: bytes) -> str:
+    """The MUTF-8 decoder proper: code units, then surrogate pairing."""
     units = _decode_units(data)
     out: list[str] = []
     i = 0
@@ -109,4 +130,12 @@ def _encode_unit(out: bytearray, u: int) -> None:
 
 def utf16_length(text: str) -> int:
     """Length of text in UTF-16 code units, the unit of dex string lengths."""
-    return sum(2 if ord(ch) >= 0x10000 else 1 for ch in text)
+    return len(text.encode("utf-16-le", "surrogatepass")) >> 1
+
+
+def utf16_sort_key(text: str) -> bytes:
+    """Sort key in UTF-16 code-unit order, the order of a dex string table.
+
+    Byte order of UTF-16-BE equals code-unit order.
+    """
+    return text.encode("utf-16-be", "surrogatepass")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge
-from .mutf8 import encode_mutf8, utf16_length
+from .mutf8 import encode_mutf8, utf16_length, utf16_sort_key
 
 NO_INDEX = 0xFFFFFFFF
 
@@ -103,10 +103,6 @@ def _resolve_wiring(spec: DexSpec) -> dict[str, list[str]]:
     return roles
 
 
-def _utf16_sort_key(text: str) -> bytes:
-    return text.encode("utf-16-be", "surrogatepass")
-
-
 def _uleb128(value: int) -> bytes:
     out = bytearray()
     while True:
@@ -125,7 +121,7 @@ def build_dex(spec: DexSpec) -> bytes:
 
     all_strings = sorted(
         set(spec.identifier_strings) | set(spec.non_identifier_strings),
-        key=_utf16_sort_key,
+        key=utf16_sort_key,
     )
     if len(all_strings) > 0xFFFF:
         raise SpecTooLarge(f"{len(all_strings)} strings exceed the writer's 16-bit limits")

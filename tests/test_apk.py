@@ -1,10 +1,12 @@
 import io
+import random
+import struct
 import zipfile
 
 import pytest
 
 from strobe.apk import extract_app_strings, list_dex_entries
-from strobe.errors import CorruptEntry, NoDex, NotAZip
+from strobe.errors import CorruptEntry, NoDex, NotAZip, StrobeError
 from strobe.synth import DexSpec, build_dex, write_apk
 
 
@@ -55,6 +57,46 @@ def test_corrupt_entry_crc():
     archive[start] ^= 0xFF
     with pytest.raises(CorruptEntry):
         list_dex_entries(bytes(archive))
+
+
+def _patch_entry_field(archive: bytes, local_pos: int, central_pos: int, value: int) -> bytes:
+    """Set one u2 field of the first entry in its local and central headers."""
+    patched = bytearray(archive)
+    struct.pack_into("<H", patched, local_pos, value)
+    struct.pack_into("<H", patched, patched.index(b"PK\x01\x02") + central_pos, value)
+    return bytes(patched)
+
+
+def test_unsupported_compression_method_is_corrupt_entry():
+    archive = _patch_entry_field(make_zip({"classes.dex": b"A" * 64}), 8, 10, 99)
+    with pytest.raises(CorruptEntry):
+        list_dex_entries(archive)
+
+
+def test_encrypted_entry_is_corrupt_entry():
+    archive = _patch_entry_field(make_zip({"classes.dex": b"A" * 64}), 6, 8, 0x1)
+    with pytest.raises(CorruptEntry):
+        list_dex_entries(archive)
+
+
+def test_fuzz_mutated_archives_raise_only_library_errors():
+    rng = random.Random(17)
+    bases = []
+    for method in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2,
+                   zipfile.ZIP_LZMA):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w", method) as zf:
+            zf.writestr("classes.dex", bytes(rng.randrange(256) for _ in range(200)) * 2)
+            zf.writestr("classes2.dex", b"payload" * 30)
+        bases.append(buf.getvalue())
+    for _ in range(3000):
+        archive = bytearray(rng.choice(bases))
+        for _ in range(rng.randrange(1, 4)):
+            archive[rng.randrange(len(archive))] = rng.randrange(256)
+        try:
+            list_dex_entries(bytes(archive))
+        except StrobeError:
+            pass  # defined rejection is fine; anything else is a bug
 
 
 def test_payload_roundtrip(tmp_path):

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from strobe.dex import NO_INDEX, classify_strings, parse_dex
+from strobe.dex import NO_INDEX, SECTION_LAYOUT, classify_strings, parse_dex
 from strobe.errors import BadMagic, OffsetOutOfBounds, StrictDecodeError, StrobeError, Truncated
 from strobe.synth import DexSpec, build_dex
 
@@ -183,3 +183,29 @@ def test_no_index_source_file_ignored():
     blob = simple_dex()
     dex = parse_dex(blob)
     assert NO_INDEX not in dex.source_file_ids
+
+
+@pytest.mark.parametrize("empty", [
+    ("type_ids", "proto_ids", "field_ids", "method_ids", "class_defs"),
+    tuple(SECTION_LAYOUT),
+])
+def test_empty_tables_with_wild_offsets_parse(empty):
+    # A table with no entries is never read, whatever its offset says.
+    blob = bytearray(simple_dex())
+    for name in empty:
+        count_pos, off_pos, _ = SECTION_LAYOUT[name]
+        struct.pack_into("<I", blob, count_pos, 0)
+        struct.pack_into("<I", blob, off_pos, 0xFFFFFFFF)
+    dex = parse_dex(bytes(blob))
+    for name in empty:
+        assert dex.section_table[name].count == 0
+    assert len(dex.strings) == (0 if "string_ids" in empty else 3)
+
+
+def test_sorted_table_with_astral_strings_does_not_warn(caplog):
+    # U+10000 sorts before U+FFFF in UTF-16 code units, after it in code points.
+    blob = simple_dex(identifiers=("Lx;",), payload=("\uffff", "\U00010000"))
+    with caplog.at_level(logging.WARNING, logger="strobe.dex"):
+        dex = parse_dex(blob)
+    assert [e.text for e in dex.strings][-2:] == ["\U00010000", "\uffff"]
+    assert not any("not sorted" in r.message for r in caplog.records)

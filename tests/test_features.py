@@ -111,3 +111,29 @@ def test_csv_row_formats_nine_significant_digits():
     assert row[0:3] == ["s1", "famX", "SE"]
     assert row[3] == f"{fv.avg_entropy:.9g}"
     assert row[-2:] == ["2", "2"]
+
+
+def test_feature_means_bit_equal_to_per_string_metrics():
+    # The vector is computed over the joined strings; it must equal the plain
+    # means of per_string_metrics exactly, not merely within a tolerance.
+    rng = random.Random(31)
+    bmp = "abcxyz =/-+Ωé€\uffff"
+    astral = bmp + "\U0001F600\U00010000\U0010FFFF"
+    for pool in (bmp, astral):
+        for _ in range(50):
+            strings = ["".join(rng.choice(pool) for _ in range(rng.randrange(0, 30)))
+                       for _ in range(rng.randrange(1, 40))]
+            metrics = [per_string_metrics(s) for s in strings]
+            n = len(strings)
+            assert feature_vector_from_strings(strings) == FeatureVector(
+                avg_entropy=sum(m.entropy for m in metrics) / n,
+                avg_wordsize=sum(m.wordsize for m in metrics) / n,
+                avg_length=sum(m.length for m in metrics) / n,
+                avg_eq=sum(m.eq_count for m in metrics) / n,
+                avg_dash=sum(m.dash_count for m in metrics) / n,
+                avg_slash=sum(m.slash_count for m in metrics) / n,
+                avg_plus=sum(m.plus_count for m in metrics) / n,
+                avg_repeat=sum(m.repeat_count for m in metrics) / n,
+                n_strings=n,
+            )
+    assert feature_vector_from_strings([]) == FeatureVector()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from strobe.errors import DecodeError
-from strobe.mutf8 import decode_mutf8, encode_mutf8, utf16_length
+from strobe.mutf8 import _decode_strict, decode_mutf8, encode_mutf8, utf16_length
 
 from oracles import reference_decode_mutf8
 
@@ -77,11 +77,70 @@ def test_roundtrip_random_text():
         assert decode_mutf8(encode_mutf8(text)) == text
 
 
-def _decode_or_none(data) -> str | None:
+def test_utf16_length_matches_per_code_point_count():
+    rng = random.Random(5)
+    ranges = [(0x01, 0x80), (0x80, 0xD800), (0xD800, 0xE000), (0xE000, 0x10000),
+              (0x10000, 0x110000)]
+    for _ in range(2000):
+        text = "".join(chr(rng.randrange(*rng.choice(ranges)))
+                       for _ in range(rng.randrange(0, 30)))
+        assert utf16_length(text) == sum(2 if ord(ch) >= 0x10000 else 1 for ch in text)
+
+
+def _decode_or_none(data, decode=decode_mutf8) -> str | None:
     try:
-        return decode_mutf8(data)
+        return decode(data)
     except DecodeError:
         return None
+
+
+# ASCII and BMP material, which the UTF-8 fast path decodes, and byte
+# strings it must hand to the strict loop: MUTF-8's encoded NUL and CESU-8
+# pairs, lone and swapped surrogates, a 4-byte UTF-8 sequence, a raw NUL,
+# truncated 2- and 3-byte tails and overlongs.
+_CLEAN = [b"abc", b"x=y/z+w-v", "Ω".encode("utf-8"), "€".encode("utf-8"),
+          "\uffff".encode("utf-8")]
+_ADVERSARIAL = [
+    b"\xc0\x80", encode_mutf8("\U0001F600"), encode_mutf8("\U0010FFFF"),
+    b"\xed\xa0\x80", b"\xed\xb0\x80", b"\xed\xb0\x80\xed\xa0\x80",
+    "\U0001F600".encode("utf-8"), b"\x00", b"\xc3", b"\xe2\x82", b"\xc1\x81",
+    b"\xe0\x80\x80", b"\xc0\xaf",
+]
+
+
+def _random_payload(rng) -> bytes:
+    """0-64 bytes: uniform noise, clean material, or clean material with
+    adversarial splices."""
+    size = rng.randrange(0, 65)
+    mode = rng.random()
+    if mode < 0.25:
+        return bytes(rng.randrange(256) for _ in range(size))
+    pool = _CLEAN if mode < 0.6 else _CLEAN + _ADVERSARIAL
+    data = bytearray()
+    while len(data) < size:
+        data += rng.choice(pool)
+    return bytes(data[:size])
+
+
+def _fast_path_applies(data: bytes) -> bool:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return b"\x00" not in data and all(ord(ch) < 0x10000 for ch in text)
+
+
+def test_fast_and_strict_decoders_agree_with_oracle():
+    rng = random.Random(2024)
+    fast = 0
+    for _ in range(20_000):
+        data = _random_payload(rng)
+        got = _decode_or_none(data)
+        assert got == reference_decode_mutf8(data), data.hex()
+        assert _decode_or_none(data, _decode_strict) == got, data.hex()
+        fast += _fast_path_applies(data)
+    # Both paths see a substantial share of the inputs.
+    assert 2000 < fast < 18_000
 
 
 def test_oracle_exhaustive_up_to_two_bytes():
