@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 from pathlib import Path
@@ -24,6 +25,7 @@ from . import synth
 from .apk import extract_app_strings
 from .dataset import (
     Corpus,
+    Label,
     Sample,
     SplitStrategy,
     family_disjoint_split,
@@ -31,6 +33,7 @@ from .dataset import (
     load_split,
     lofo_splits,
     random_split,
+    validate_split,
 )
 from .errors import (
     BadMagic,
@@ -52,7 +55,7 @@ from .evaluation import (
     run_lofo,
 )
 from .features import CSV_HEADER, csv_row, feature_vector
-from .heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
+from .heuristic import HeuristicConfig, detect_dexguard
 from .learners import (
     DEFAULT_ONLINE_ENSEMBLE,
     DEFAULT_POISSON_LAMBDA,
@@ -112,23 +115,26 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="base seed; fixes all randomized behavior")
-    common.add_argument("--out", help="output path")
-    common.add_argument("--format", choices=("csv", "json"), default="json")
-    # lofo takes no --jobs: its folds train in one lockstep pass, which
-    # worker processes only slowed down.
-    with_jobs = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_jobs.add_argument("--jobs", type=int, default=1, help="worker processes for per-file / per-rep work")
+    # Each subcommand declares only the flags its cmd_* reads. argparse shares
+    # a parent parser's actions with every child, so flags are not inherited.
+    def command(name, func, help, *, seed=False, jobs=False, out_required=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if seed:
+            p.add_argument("--seed", type=int, default=42, help="base seed; fixes all randomized behavior")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="worker processes for per-file / per-rep work")
+        p.add_argument("--out", required=out_required, help="output path")
+        return p
 
-    p = sub.add_parser("extract", parents=[with_jobs], help="extract feature CSV from APKs")
+    p = command("extract", cmd_extract, "extract feature CSV from APKs", jobs=True)
     p.add_argument("--apk-dir", required=True, help="corpus directory of APK files")
     p.add_argument("--manifest", help="manifest CSV (defaults to <apk-dir>/manifest.csv if present)")
     p.add_argument("--strict", action="store_true",
                    help="drop samples whose string section fails to decode")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("synth", parents=[with_jobs], help="generate a synthetic APK corpus")
+    p = command("synth", cmd_synth, "generate a synthetic APK corpus", out_required=True)
+    p.add_argument("--seed", type=int, help="corpus seed (default: the seed of --preset / --config)")
     p.add_argument("--config", help="SynthConfig JSON file")
     p.add_argument("--preset", choices=("confounded", "control", "stripped"))
     p.add_argument("--n-families", type=int)
@@ -141,43 +147,40 @@ def _build_parser() -> _Parser:
     p.add_argument("--strings-per-app", type=int, nargs=2, metavar=("MIN", "MAX"))
     p.add_argument("--identifiers-per-app", type=int, nargs=2, metavar=("MIN", "MAX"))
     p.add_argument("--scheme", choices=(synth.SCHEME_BASE64_XOR, synth.SCHEME_STRIP_ALL))
-    p.set_defaults(func=cmd_synth, seed=None)
 
-    p = sub.add_parser("split", parents=[with_jobs], help="build and export a train/test split")
+    p = command("split", cmd_split, "build and export a train/test split", seed=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", required=True, choices=("random", "family-disjoint", "lofo"))
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", parents=[with_jobs], help="train a model on a feature manifest")
+    p = command("train", cmd_train, "train a model on a feature manifest", seed=True, out_required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--learner", required=True, choices=("batch", "online"))
     p.add_argument("--grid", action="store_true", help="grid-search hyperparameters first (batch only)")
-    p.add_argument("--folds", type=int, default=3)
+    p.add_argument("--folds", type=int, help="grid-search folds (default 3; needs --grid)")
     p.add_argument("--k", type=int, default=DEFAULT_ONLINE_ENSEMBLE, help="online ensemble size")
     p.add_argument("--poisson-lambda", type=float, default=DEFAULT_POISSON_LAMBDA)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[with_jobs], help="evaluate a saved model on a split side")
+    p = command("eval", cmd_eval, "evaluate a saved model on a split side")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--side", choices=("test", "train"), default="test")
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
 
-    p = sub.add_parser("prequential", parents=[with_jobs],
-                       help="test-then-train over the corpus as a seeded stream")
+    p = command("prequential", cmd_prequential,
+                "test-then-train over the corpus as a seeded stream", seed=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", type=int, default=DEFAULT_ONLINE_ENSEMBLE)
     p.add_argument("--poisson-lambda", type=float, default=DEFAULT_POISSON_LAMBDA)
-    p.set_defaults(func=cmd_prequential)
 
-    p = sub.add_parser("lofo", parents=[common], help="leave-one-family-out evaluation")
+    # lofo takes no --jobs: its folds train in one lockstep pass, which
+    # worker processes only slowed down.
+    p = command("lofo", cmd_lofo, "leave-one-family-out evaluation", seed=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--learner", required=True, choices=("batch", "online"))
-    p.set_defaults(func=cmd_lofo)
 
-    p = sub.add_parser("experiment", parents=[with_jobs],
-                       help="repeated split/train/eval with box statistics")
+    p = command("experiment", cmd_experiment, "repeated split/train/eval with box statistics",
+                seed=True, jobs=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", required=True, choices=("random", "family-disjoint"))
     p.add_argument("--learner", required=True, choices=("batch", "online"))
@@ -185,19 +188,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--strict", action="store_true")
     p.add_argument("--csv", help="also write per-run rows as CSV")
     p.add_argument("--gnuplot", help="also write a gnuplot-friendly box data file")
-    p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("praguard-check", parents=[with_jobs],
-                       help="flag apps whose string section is (almost) empty")
+    p = command("praguard-check", cmd_praguard_check, "flag apps whose string section is (almost) empty")
     p.add_argument("--apk-dir", required=True)
     p.add_argument("--manifest")
     p.add_argument("--max-strings", type=int, default=0)
-    p.set_defaults(func=cmd_praguard_check)
 
-    p = sub.add_parser("stats", parents=[with_jobs], help="box statistics over a value column")
+    p = command("stats", cmd_stats, "box statistics over a value column")
     p.add_argument("--input", required=True, help="CSV with header, or one number per line")
     p.add_argument("--column", default="accuracy")
-    p.set_defaults(func=cmd_stats)
 
     return parser
 
@@ -206,69 +205,56 @@ def _build_parser() -> _Parser:
 # Shared plumbing
 # --------------------------------------------------------------------------
 
-def _resolve_manifest(apk_dir: str, manifest: str | None) -> tuple[Path, Path | None]:
+def _apk_samples(corpus: Corpus, manifest: Path) -> list[Sample]:
+    """The samples of a path manifest, each path resolved against the manifest's directory."""
+    if any(s.path is None for s in corpus.samples):
+        raise _UsageError("manifest already contains features; nothing to extract")
+    return [replace(s, path=str(manifest.parent / s.path)) for s in corpus.samples]
+
+
+def _apk_dir_samples(apk_dir: str, manifest: str | None) -> list[Sample]:
+    """The APKs to read: those the manifest lists (default <apk-dir>/manifest.csv), else every *.apk."""
     base = Path(apk_dir)
-    if manifest:
-        return base, Path(manifest)
-    candidate = base / "manifest.csv"
-    return base, candidate if candidate.exists() else None
-
-
-def _iter_apk_rows(base: Path, manifest: Path | None) -> list[tuple[str, str, str, Path]]:
-    """(sample_id, family, label, path) for each APK to process."""
-    if manifest is not None:
-        corpus = load_manifest(manifest)
-        rows = []
-        for s in corpus.samples:
-            if s.path is None:
-                raise _UsageError("manifest already contains features; nothing to extract")
-            rows.append((s.sample_id, s.family, s.label.value, manifest.parent / s.path))
-        return rows
+    manifest_path = Path(manifest) if manifest else base / "manifest.csv"
+    if manifest or manifest_path.exists():
+        return _apk_samples(load_manifest(manifest_path), manifest_path)
     apks = sorted(base.rglob("*.apk"))
     if not apks:
         raise _UsageError(f"no .apk files under {base}")
     print(f"warning: no manifest found; labels default to NOT_SE and family "
           f"to the parent directory name", file=sys.stderr)
-    rows = []
-    for path in apks:
-        family = path.parent.name if path.parent != base else "unknown"
-        rows.append((path.stem, family, "NOT_SE", path))
-    return rows
+    return [Sample(path.stem, path.parent.name if path.parent != base else "unknown",
+                   Label.NOT_SE, path=str(path)) for path in apks]
 
 
-def _extract_row(task: tuple[str, str, str, str, bool]) -> tuple[str, list[str] | None]:
-    sample_id, family, label, path, strict = task
-    app = extract_app_strings(path, strict=strict)
+def _extract_row(task: tuple[Sample, bool]) -> tuple[Sample, int] | None:
+    """The sample with its full-precision features and decode-failure count; None if --strict drops it."""
+    sample, strict = task
+    app = extract_app_strings(sample.path, strict=strict)
     if app.strict_excluded:
-        return sample_id, None
-    fv = feature_vector(app)
-    return sample_id, csv_row(sample_id, family, label, fv, app.decode_failures)
+        return None
+    return replace(sample, features=feature_vector(app), path=None), app.decode_failures
 
 
-def _extract_all(rows, strict: bool, jobs: int) -> list[list[str]]:
-    tasks = [(sid, fam, lab, str(path), strict) for sid, fam, lab, path in rows]
+def _extract_all(samples: list[Sample], strict: bool, jobs: int) -> list[tuple[Sample, int]]:
+    """_extract_row over samples, in their order, without the ones --strict drops."""
+    tasks = [(s, strict) for s in samples]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_extract_row, tasks, chunksize=32))
     else:
-        results = [_extract_row(t) for t in tasks]
-    by_id = {sid: row for sid, row in results if row is not None}
-    return [by_id[sid] for sid in sorted(by_id)]
+        results = list(map(_extract_row, tasks))
+    return [r for r in results if r is not None]
 
 
-def _load_feature_corpus(manifest: str, strict: bool = False) -> Corpus:
+def _load_feature_corpus(manifest: str, strict: bool = False, jobs: int = 1) -> Corpus:
     """Load a manifest; if it is path-based, extract features from the APKs."""
     manifest_path = Path(manifest)
     corpus = load_manifest(manifest_path)
     if all(s.features is not None for s in corpus.samples):
         return corpus
-    samples = []
-    for s in corpus.samples:
-        app = extract_app_strings(manifest_path.parent / s.path, strict=strict)
-        if app.strict_excluded:
-            continue
-        samples.append(Sample(s.sample_id, s.family, s.label, features=feature_vector(app)))
-    return Corpus.from_samples(samples)
+    rows = _extract_all(_apk_samples(corpus, manifest_path), strict, jobs)
+    return Corpus.from_samples([sample for sample, _ in rows])
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -287,12 +273,11 @@ def _write_json(out: str | None, obj) -> None:
 # --------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
-    base, manifest = _resolve_manifest(args.apk_dir, args.manifest)
-    rows = _iter_apk_rows(base, manifest)
-    table = _extract_all(rows, args.strict, args.jobs)
-    out_rows = [list(CSV_HEADER)] + table
-    text = "\n".join(",".join(row) for row in out_rows) + "\n"
-    _write_text(args.out, text)
+    rows = _extract_all(_apk_dir_samples(args.apk_dir, args.manifest), args.strict, args.jobs)
+    by_id = {s.sample_id: csv_row(s.sample_id, s.family, s.label.value, s.features, failures)
+             for s, failures in rows}
+    table = [CSV_HEADER, *(by_id[sid] for sid in sorted(by_id))]
+    _write_text(args.out, "".join(",".join(row) + "\n" for row in table))
     return EXIT_OK
 
 
@@ -323,8 +308,6 @@ def cmd_synth(args) -> int:
         merged.update(overrides)
         cfg = synth.SynthConfig.from_json(merged)
 
-    if not args.out:
-        raise _UsageError("synth requires --out DIR")
     cfg.validate()
     out_dir, manifest = synth.gen_corpus(cfg, args.out)
     print(f"wrote corpus to {out_dir} ({manifest.name})")
@@ -344,18 +327,20 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.grid and args.learner == "online":
+        raise _UsageError("--grid needs --learner batch")
+    if args.folds is not None and not args.grid:
+        raise _UsageError("--folds needs --grid")
     corpus = _load_feature_corpus(args.manifest)
     samples = list(corpus.samples)
     if args.learner == "batch":
         if args.grid:
-            hp = grid_search(samples, folds=args.folds, seed=args.seed)
+            hp = grid_search(samples, folds=3 if args.folds is None else args.folds, seed=args.seed)
             model = batch_train(samples, hp, seed=args.seed)
         else:
             model = batch_train(samples, seed=args.seed)
     else:
         model = online_train(samples, k=args.k, lam_poisson=args.poisson_lambda, seed=args.seed)
-    if not args.out:
-        raise _UsageError("train requires --out PATH")
     save_model(model, args.out)
     return EXIT_OK
 
@@ -364,6 +349,7 @@ def cmd_eval(args) -> int:
     corpus = _load_feature_corpus(args.manifest)
     model = load_model(args.model)
     split = load_split(args.split)
+    validate_split(corpus, split)
     ids = split.test_ids if args.side == "test" else split.train_ids
     samples = corpus.by_ids(ids)
     result = holdout_eval(model, samples)
@@ -400,7 +386,7 @@ def cmd_lofo(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    corpus = _load_feature_corpus(args.manifest, strict=args.strict)
+    corpus = _load_feature_corpus(args.manifest, strict=args.strict, jobs=args.jobs)
     strategy = SplitStrategy.RANDOM if args.strategy == "random" else SplitStrategy.FAMILY_DISJOINT
     summary = run_experiment(
         corpus, strategy, LearnerKind[args.learner.upper()],
@@ -429,20 +415,21 @@ def _csv_cell(value) -> str:
 
 
 def cmd_praguard_check(args) -> int:
-    base, manifest = _resolve_manifest(args.apk_dir, args.manifest)
-    rows = _iter_apk_rows(base, manifest)
+    samples = sorted(_apk_dir_samples(args.apk_dir, args.manifest), key=lambda s: s.sample_id)
     cfg = HeuristicConfig(max_strings=args.max_strings)
-    apps = []
     lines = ["sample_id,n_strings,verdict"]
-    for sample_id, _family, _label, path in sorted(rows):
-        app = extract_app_strings(path)
-        apps.append(app)
+    flagged = []  # the string count of each app flagged SE
+    for sample in samples:
+        app = extract_app_strings(sample.path)
+        n_strings = len(app.non_identifier_strings)
         verdict = detect_dexguard(app, cfg)
-        lines.append(f"{sample_id},{len(app.non_identifier_strings)},{verdict.value}")
+        if verdict is Label.SE:
+            flagged.append(n_strings)
+        lines.append(f"{sample.sample_id},{n_strings},{verdict.value}")
     _write_text(args.out, "\n".join(lines) + "\n")
-    n_flagged = sum(1 for a in apps if detect_dexguard(a, cfg).value == "SE")
-    frac = zero_string_fraction(apps, cfg)
-    print(f"flagged SE: {n_flagged}/{len(apps)}; zero-string fraction among flagged: {frac:.1%}")
+    frac = flagged.count(0) / len(flagged) if flagged else 0.0
+    print(f"flagged SE: {len(flagged)}/{len(samples)}; zero-string fraction among flagged: {frac:.1%}",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -450,8 +437,9 @@ def cmd_stats(args) -> int:
     values: list[float] = []
     with open(args.input, encoding="utf-8") as fh:
         first = fh.readline()
-        if args.column in first.split(","):
-            idx = first.rstrip("\n").split(",").index(args.column)
+        header = first.rstrip("\n").split(",")
+        if args.column in header:
+            idx = header.index(args.column)
             for line in fh:
                 cell = line.rstrip("\n").split(",")[idx]
                 if cell:

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from strobe.cli import main
+from strobe.cli import _build_parser, main
 from strobe.dataset import Split, SplitStrategy, load_manifest
-from strobe.evaluation import LearnerKind, train_on_split
+from strobe.evaluation import LearnerKind, box_stats, train_on_split
 from strobe.learners import model_to_json
 from strobe.synth import SynthConfig, gen_corpus
 
@@ -148,6 +148,15 @@ def test_experiment_accepts_path_manifest(corpus_dir, tmp_path):
     assert json.loads(out.read_text())["repetitions"] == 2
 
 
+def test_experiment_extracts_a_path_manifest_with_its_jobs(corpus_dir, tmp_path):
+    args = ["experiment", "--manifest", str(corpus_dir / "manifest.csv"), "--strategy", "random",
+            "--learner", "batch", "--reps", "2", "--seed", "1"]
+    serial, parallel = tmp_path / "jobs1.json", tmp_path / "jobs2.json"
+    assert main(args + ["--out", str(serial)]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
 def test_prequential_cli(features_csv, tmp_path):
     out = tmp_path / "preq.json"
     assert main(["prequential", "--manifest", str(features_csv), "--seed", "7",
@@ -218,7 +227,7 @@ def test_praguard_check_cli(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "sample_id,n_strings,verdict"
     assert any(line.endswith(",SE") for line in lines[1:])
-    assert "zero-string fraction among flagged: 100.0%" in capsys.readouterr().out
+    assert "zero-string fraction among flagged: 100.0%" in capsys.readouterr().err
 
 
 def test_exit_code_usage_error():
@@ -251,3 +260,125 @@ def test_error_line_is_machine_readable(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     payload = json.loads(err)
     assert payload["exit_code"] == 4 and "message" in payload
+
+
+def test_stats_finds_the_last_header_column(features_csv, tmp_path):
+    per_run = tmp_path / "runs.csv"
+    assert main(["experiment", "--manifest", str(features_csv), "--strategy", "random",
+                 "--learner", "batch", "--reps", "3", "--seed", "6",
+                 "--out", str(tmp_path / "x.json"), "--csv", str(per_run)]) == 0
+    header, *rows = per_run.read_text().splitlines()
+    assert header.endswith(",f1")
+    out = tmp_path / "f1.json"
+    assert main(["stats", "--input", str(per_run), "--column", "f1", "--out", str(out)]) == 0
+    f1 = [float(row.split(",")[-1]) for row in rows]
+    assert json.loads(out.read_text()) == json.loads(json.dumps(box_stats(f1).to_json()))
+    one_column = tmp_path / "acc.csv"
+    one_column.write_text("accuracy\n0.5\n0.75\n")
+    assert main(["stats", "--input", str(one_column), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["median"] == 0.625
+
+
+def test_eval_rejects_a_split_with_unknown_ids(features_csv, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
+                 "--out", str(model)]) == 0
+    known = load_manifest(features_csv).samples[0].sample_id
+    split = tmp_path / "s.json"
+    unknown = Split(train_ids=frozenset(), test_ids=frozenset({known, "ghost1", "ghost2"}),
+                    strategy=SplitStrategy.RANDOM, seed=0)
+    split.write_text(json.dumps(unknown.to_json()))
+    out = tmp_path / "e.json"
+    assert main(["eval", "--manifest", str(features_csv), "--model", str(model),
+                 "--split", str(split), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "UnknownId"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--learner", "online", "--grid", "--out", "MODEL"],
+                                   ["--learner", "online", "--folds", "4", "--out", "MODEL"],
+                                   ["--learner", "batch", "--folds", "4", "--out", "MODEL"],
+                                   ["--learner", "batch"]])
+def test_train_usage_errors_write_nothing(features_csv, tmp_path, capsys, flags):
+    out = tmp_path / "model.json"
+    args = ["train", "--manifest", str(features_csv)] + [str(out) if f == "MODEL" else f for f in flags]
+    assert main(args) == 1
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+# The options each subcommand takes, besides -h: exactly the ones its cmd_* reads.
+KEPT_OPTIONS = {
+    "extract": {"--apk-dir", "--manifest", "--strict", "--jobs", "--out"},
+    "synth": {"--config", "--preset", "--n-families", "--samples-per-family", "--skew",
+              "--se-family-fraction", "--mixed-family-fraction", "--fingerprint-strength",
+              "--se-string-fraction", "--strings-per-app", "--identifiers-per-app", "--scheme",
+              "--seed", "--out"},
+    "split": {"--manifest", "--strategy", "--seed", "--out"},
+    "train": {"--manifest", "--learner", "--grid", "--folds", "--k", "--poisson-lambda",
+              "--seed", "--out"},
+    "eval": {"--manifest", "--model", "--split", "--side", "--format", "--out"},
+    "prequential": {"--manifest", "--k", "--poisson-lambda", "--seed", "--out"},
+    "lofo": {"--manifest", "--learner", "--seed", "--out"},
+    "experiment": {"--manifest", "--strategy", "--learner", "--reps", "--strict", "--csv",
+                   "--gnuplot", "--seed", "--jobs", "--out"},
+    "praguard-check": {"--apk-dir", "--manifest", "--max-strings", "--out"},
+    "stats": {"--input", "--column", "--out"},
+}
+
+SHARED_FLAGS = {"--seed": "3", "--jobs": "2", "--format": "json"}
+
+# (lofo, --jobs) is left to test_lofo_cli_rejects_jobs.
+REMOVED_PAIRS = [(name, flag) for name in KEPT_OPTIONS for flag in SHARED_FLAGS
+                 if flag not in KEPT_OPTIONS[name] and (name, flag) != ("lofo", "--jobs")]
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(KEPT_OPTIONS)
+    for name, parser in subparsers.items():
+        options = {s for action in parser._actions for s in action.option_strings}
+        assert options - {"-h", "--help"} == KEPT_OPTIONS[name], name
+
+
+@pytest.fixture(scope="module")
+def valid_commands(corpus_dir, features_csv, tmp_path_factory):
+    """A working command line per subcommand, without its --out."""
+    root = tmp_path_factory.mktemp("commands")
+    model, split, values = root / "model.json", root / "split.json", root / "values.csv"
+    assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
+                 "--out", str(model)]) == 0
+    assert main(["split", "--manifest", str(features_csv), "--strategy", "random",
+                 "--out", str(split)]) == 0
+    values.write_text("accuracy\n0.5\n0.75\n")
+    feat = ["--manifest", str(features_csv)]
+    return {
+        "extract": ["extract", "--apk-dir", str(corpus_dir)],
+        "synth": ["synth", "--n-families", "2", "--samples-per-family", "2", "2",
+                  "--strings-per-app", "3", "5"],
+        "split": ["split", *feat, "--strategy", "random"],
+        "train": ["train", *feat, "--learner", "batch"],
+        "eval": ["eval", *feat, "--model", str(model), "--split", str(split)],
+        "prequential": ["prequential", *feat],
+        "lofo": ["lofo", *feat, "--learner", "batch"],
+        "experiment": ["experiment", *feat, "--strategy", "random", "--learner", "batch",
+                       "--reps", "2"],
+        "praguard-check": ["praguard-check", "--apk-dir", str(corpus_dir)],
+        "stats": ["stats", "--input", str(values)],
+    }
+
+
+@pytest.mark.parametrize("name,flag", REMOVED_PAIRS)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(valid_commands, tmp_path, name, flag):
+    ok, rejected = tmp_path / "ok", tmp_path / "rejected"
+    assert main(valid_commands[name] + ["--out", str(ok)]) == 0
+    assert ok.exists()
+    assert main(valid_commands[name] + [flag, SHARED_FLAGS[flag], "--out", str(rejected)]) == 1
+    assert not rejected.exists()
+
+
+@pytest.mark.parametrize("name", ["split", "train", "prequential", "lofo", "experiment"])
+def test_seedless_runs_use_seed_42(valid_commands, tmp_path, name):
+    seedless, seeded = tmp_path / "seedless", tmp_path / "seeded"
+    assert main(valid_commands[name] + ["--out", str(seedless)]) == 0
+    assert main(valid_commands[name] + ["--seed", "42", "--out", str(seeded)]) == 0
+    assert seedless.read_bytes() == seeded.read_bytes()
