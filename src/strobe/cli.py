@@ -35,16 +35,7 @@ from .dataset import (
     random_split,
     validate_split,
 )
-from .errors import (
-    BadMagic,
-    CorruptEntry,
-    DecodeError,
-    NoDex,
-    NotAZip,
-    OffsetOutOfBounds,
-    StrobeError,
-    Truncated,
-)
+from .errors import BadValue, ParseError, StrobeError
 from .evaluation import (
     LearnerKind,
     box_stats,
@@ -73,8 +64,6 @@ EXIT_PARSE = 2
 EXIT_DATASET = 3
 EXIT_IO = 4
 
-_PARSE_ERRORS = (BadMagic, Truncated, OffsetOutOfBounds, DecodeError, NotAZip, CorruptEntry, NoDex)
-
 
 class _UsageError(Exception):
     pass
@@ -98,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _UsageError as exc:
         return _fail(exc, EXIT_USAGE)
-    except _PARSE_ERRORS as exc:
+    except ParseError as exc:
         return _fail(exc, EXIT_PARSE)
     except StrobeError as exc:
         return _fail(exc, EXIT_DATASET)
@@ -157,8 +146,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--learner", required=True, choices=("batch", "online"))
     p.add_argument("--grid", action="store_true", help="grid-search hyperparameters first (batch only)")
     p.add_argument("--folds", type=int, help="grid-search folds (default 3; needs --grid)")
-    p.add_argument("--k", type=int, default=DEFAULT_ONLINE_ENSEMBLE, help="online ensemble size")
-    p.add_argument("--poisson-lambda", type=float, default=DEFAULT_POISSON_LAMBDA)
+    p.add_argument("--k", type=int, help=f"online ensemble size (default {DEFAULT_ONLINE_ENSEMBLE}; online only)")
+    p.add_argument("--poisson-lambda", type=float,
+                   help=f"online Poisson weight mean (default {DEFAULT_POISSON_LAMBDA}; online only)")
 
     p = command("eval", cmd_eval, "evaluate a saved model on a split side")
     p.add_argument("--manifest", required=True)
@@ -223,8 +213,10 @@ def _apk_dir_samples(apk_dir: str, manifest: str | None) -> list[Sample]:
         raise _UsageError(f"no .apk files under {base}")
     print(f"warning: no manifest found; labels default to NOT_SE and family "
           f"to the parent directory name", file=sys.stderr)
-    return [Sample(path.stem, path.parent.name if path.parent != base else "unknown",
-                   Label.NOT_SE, path=str(path)) for path in apks]
+    # Rows are keyed by file stem: two APKs with one name raise DuplicateId.
+    return list(Corpus.from_samples([
+        Sample(path.stem, path.parent.name if path.parent != base else "unknown",
+               Label.NOT_SE, path=str(path)) for path in apks]).samples)
 
 
 def _extract_row(task: tuple[Sample, bool]) -> tuple[Sample, int] | None:
@@ -251,7 +243,7 @@ def _load_feature_corpus(manifest: str, strict: bool = False, jobs: int = 1) -> 
     """Load a manifest; if it is path-based, extract features from the APKs."""
     manifest_path = Path(manifest)
     corpus = load_manifest(manifest_path)
-    if all(s.features is not None for s in corpus.samples):
+    if corpus.X is not None:
         return corpus
     rows = _extract_all(_apk_samples(corpus, manifest_path), strict, jobs)
     return Corpus.from_samples([sample for sample, _ in rows])
@@ -282,14 +274,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.preset == "confounded":
-        cfg = synth.confounded_preset()
-    elif args.preset == "control":
-        cfg = synth.control_preset()
-    elif args.preset == "stripped":
-        cfg = synth.stripped_preset()
-    else:
-        cfg = synth.SynthConfig()
+    presets = {"confounded": synth.confounded_preset, "control": synth.control_preset,
+               "stripped": synth.stripped_preset}
+    cfg = presets[args.preset]() if args.preset else synth.SynthConfig()
     if args.config:
         base = cfg.to_json()
         with open(args.config, encoding="utf-8") as fh:
@@ -331,6 +318,8 @@ def cmd_train(args) -> int:
         raise _UsageError("--grid needs --learner batch")
     if args.folds is not None and not args.grid:
         raise _UsageError("--folds needs --grid")
+    if args.learner == "batch" and (args.k is not None or args.poisson_lambda is not None):
+        raise _UsageError("--k and --poisson-lambda need --learner online")
     corpus = _load_feature_corpus(args.manifest)
     samples = list(corpus.samples)
     if args.learner == "batch":
@@ -340,7 +329,9 @@ def cmd_train(args) -> int:
         else:
             model = batch_train(samples, seed=args.seed)
     else:
-        model = online_train(samples, k=args.k, lam_poisson=args.poisson_lambda, seed=args.seed)
+        k = DEFAULT_ONLINE_ENSEMBLE if args.k is None else args.k
+        lam = DEFAULT_POISSON_LAMBDA if args.poisson_lambda is None else args.poisson_lambda
+        model = online_train(samples, k=k, lam_poisson=lam, seed=args.seed)
     save_model(model, args.out)
     return EXIT_OK
 
@@ -350,9 +341,8 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     split = load_split(args.split)
     validate_split(corpus, split)
-    ids = split.test_ids if args.side == "test" else split.train_ids
-    samples = corpus.by_ids(ids)
-    result = holdout_eval(model, samples)
+    rows = corpus.rows(split.test_ids if args.side == "test" else split.train_ids)
+    result = holdout_eval(model, corpus.X[rows], corpus.y[rows])
     if args.format == "csv":
         keys = ["tp", "fp", "tn", "fn", "accuracy", "precision", "recall", "f1"]
         obj = result.to_json()
@@ -440,17 +430,25 @@ def cmd_stats(args) -> int:
         header = first.rstrip("\n").split(",")
         if args.column in header:
             idx = header.index(args.column)
-            for line in fh:
-                cell = line.rstrip("\n").split(",")[idx]
-                if cell:
-                    values.append(float(cell))
+            for line_no, line in enumerate(fh, start=2):
+                cells = line.rstrip("\n").split(",")
+                if len(cells) < len(header) and line.strip():
+                    raise BadValue(f"line {line_no} has {len(cells)} columns, expected {len(header)}")
+                if len(cells) > idx and cells[idx]:
+                    values.append(_number(cells[idx], line_no))
         else:
-            for line in [first, *fh]:
-                line = line.strip()
-                if line:
-                    values.append(float(line))
+            for line_no, line in enumerate([first, *fh], start=1):
+                if line.strip():
+                    values.append(_number(line.strip(), line_no))
     _write_json(args.out, box_stats(values).to_json())
     return EXIT_OK
+
+
+def _number(cell: str, line_no: int) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise BadValue(f"line {line_no}: {cell!r} is not a number") from None
 
 
 if __name__ == "__main__":

@@ -9,21 +9,25 @@ class StrobeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ParseError(StrobeError):
+    """Base class for malformed DEX and APK input (CLI exit code 2)."""
+
+
 # --- DEX parsing -----------------------------------------------------------
 
-class BadMagic(StrobeError):
+class BadMagic(ParseError):
     """First 8 bytes are not a dex magic."""
 
 
-class Truncated(StrobeError):
+class Truncated(ParseError):
     """Declared file size exceeds (or disagrees with) the input buffer."""
 
 
-class OffsetOutOfBounds(StrobeError):
+class OffsetOutOfBounds(ParseError):
     """A table offset or cross-table index points outside the file."""
 
 
-class DecodeError(StrobeError):
+class DecodeError(ParseError):
     """Malformed MUTF-8 string data."""
 
 
@@ -33,16 +37,16 @@ class StrictDecodeError(DecodeError):
 
 # --- APK containers --------------------------------------------------------
 
-class NotAZip(StrobeError):
+class NotAZip(ParseError):
     """Missing end-of-central-directory record or unreadable central directory."""
 
 
-class CorruptEntry(StrobeError):
+class CorruptEntry(ParseError):
     """CRC mismatch, bad compressed stream, or an unreadable (unsupported or
     encrypted) archive entry."""
 
 
-class NoDex(StrobeError):
+class NoDex(ParseError):
     """Archive contains no classes*.dex entry."""
 
 
@@ -98,6 +102,10 @@ class EmptyStream(StrobeError):
 
 class Empty(StrobeError):
     """Statistic requested over an empty collection."""
+
+
+class BadValue(StrobeError):
+    """A results file holds a non-numeric cell or a row shorter than its header."""
 
 
 # --- Synthetic corpus generation -------------------------------------------

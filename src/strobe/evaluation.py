@@ -9,7 +9,7 @@ seeded shuffled stream), then classify the test side with the model frozen.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Iterable
 
@@ -34,12 +34,9 @@ from .learners import (
     BatchModel,
     HingeHyperparams,
     OnlineModel,
-    batch_predict_rows,
     batch_train,
-    design_matrix,
     hinge_sgd,
     online_predict,
-    online_predict_rows,
     online_train,
     online_update,
     predict,  # noqa: F401  (bench/tracing.py wraps evaluation.predict by name)
@@ -75,11 +72,7 @@ class EvalResult:
         )
 
     def to_json(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -100,28 +93,26 @@ class BoxStats:
     outliers: tuple[float, ...]
 
     def to_json(self) -> dict:
-        return {
-            "mean": self.mean, "median": self.median, "q1": self.q1, "q3": self.q3,
-            "whisker_lo": self.whisker_lo, "whisker_hi": self.whisker_hi,
-            "outliers": list(self.outliers),
-        }
+        return {**asdict(self), "outliers": list(self.outliers)}
 
 
-def holdout_eval(model: BatchModel | OnlineModel, test: list[Sample]) -> EvalResult:
-    """Confusion counts of a frozen model over the test samples, SE positive;
-    every prediction equals predict / online_predict on that sample."""
-    if not test:
+def holdout_eval(model: BatchModel | OnlineModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
+    """Confusion counts of a frozen model over test rows X (raw features)
+    with labels y (+1 SE, -1 NOT_SE), SE positive."""
+    if len(y) == 0:
         raise EmptyTest("holdout evaluation needs a non-empty test set")
-    X, y = design_matrix(test)
-    if isinstance(model, BatchModel):
-        predicted = batch_predict_rows(model, X)
-    else:
-        predicted = online_predict_rows(model, X)
+    predicted = model.predict(X)
     actual = y > 0
     tp = int(np.count_nonzero(predicted & actual))
     fp = int(np.count_nonzero(predicted & ~actual))
     fn = int(np.count_nonzero(~predicted & actual))
-    return EvalResult.from_confusion(tp, fp, len(test) - tp - fp - fn, fn)
+    return EvalResult.from_confusion(tp, fp, len(y) - tp - fp - fn, fn)
+
+
+def _holdout_side(model: BatchModel | OnlineModel, corpus: Corpus, ids) -> EvalResult:
+    """holdout_eval on the corpus rows of the given ids."""
+    rows = corpus.rows(ids)
+    return holdout_eval(model, corpus.X[rows], corpus.y[rows])
 
 
 def prequential_eval(model: OnlineModel, stream: list[Sample]) -> PrequentialResult:
@@ -256,10 +247,8 @@ def train_on_splits(
     if learner is LearnerKind.ONLINE or not splits:
         return [train_on_split(corpus, split, learner, seed, hp, ensemble, lam_poisson)
                 for split, seed in zip(splits, seeds)]
-    X, y = design_matrix(corpus.samples)
-    streams = [(np.array(sorted(corpus.id_index[i] for i in split.train_ids), dtype=np.intp), seed)
-               for split, seed in zip(splits, seeds)]
-    models = hinge_sgd(X, y, streams, [(i, hp) for i in range(len(streams))])
+    streams = [(corpus.rows(split.train_ids), seed) for split, seed in zip(splits, seeds)]
+    models = hinge_sgd(corpus.X, corpus.y, streams, [(i, hp) for i in range(len(streams))])
     if any(model is None for model in models):
         raise SingleClass("training data contains a single class")
     return models
@@ -289,7 +278,7 @@ def _experiment_runs(
             continue
     models = train_on_splits(corpus, list(splits.values()), list(splits), learner,
                              hp, ensemble, lam_poisson)
-    results = {seed: holdout_eval(model, corpus.by_ids(split.test_ids))
+    results = {seed: _holdout_side(model, corpus, split.test_ids)
                for (seed, split), model in zip(splits.items(), models)}
     return [
         RunRecord(seed=seed, retries=splits[seed].retries, result=results[seed])
@@ -394,7 +383,7 @@ def run_lofo(
                              learner, hp, ensemble, lam_poisson)
     per_family = [
         FamilyResult(family=split.held_out_family, n=len(split.test_ids),
-                     result=holdout_eval(model, corpus.by_ids(split.test_ids)))
+                     result=_holdout_side(model, corpus, split.test_ids))
         for split, model in zip(splits, models)
     ]
     weighted = weighted_family_accuracy(

@@ -14,22 +14,21 @@ each arriving sample enters each ensemble member with a Poisson-drawn weight
 and M2 in one weighted pairwise update instead of replaying each sample
 weight-many times. Cold models and exact ties predict NOT_SE.
 
-batch_predict_rows and online_predict_rows score a whole feature matrix at
-once, with the same label per row as predict and online_predict.
+Both models score a whole feature matrix at once with model.predict(X);
+predict and online_predict give the same label for one sample.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Label, Sample
+from .dataset import Label, Sample, design_matrix
 from .errors import BadConfig, SingleClass, TooSmall
 from .features import FeatureVector
 
@@ -75,50 +74,20 @@ class BatchModel:
     scaler: Scaler
     hyperparams: HingeHyperparams
 
-    def decision(self, fv: FeatureVector) -> float:
-        x = self.scaler.transform(np.asarray(fv.as_tuple(), dtype=float))
-        return float(self.weights @ x + self.bias)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The sign rule on every row of raw features X: True where SE; a
+        margin of exactly zero predicts NOT_SE. The stacked matmul runs the
+        dot kernel of w @ x, so each row's margin is bit-identical to it."""
+        Xs = self.scaler.transform(X)
+        margins = np.matmul(self.weights[None, None, :], Xs[:, :, None]).reshape(len(Xs))
+        return margins + self.bias > 0.0
 
 
-def fit_scaler(train: list[FeatureVector]) -> Scaler:
-    """Per-feature mean and population standard deviation (train only)."""
-    if len(train) < 2:
-        raise TooSmall(f"scaler needs at least 2 vectors, got {len(train)}")
-    X = np.asarray([fv.as_tuple() for fv in train], dtype=float)
-    return _fit_scaler_matrix(X)
-
-
-def _fit_scaler_matrix(X: np.ndarray) -> Scaler:
-    mean = X.mean(axis=0)
-    std = np.maximum(X.std(axis=0), STD_FLOOR)
-    return Scaler(mean=mean, std=std)
-
-
-def hinge_objective(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, lam: float) -> float:
-    """Average hinge loss plus lam * ||w||^2 on a batch."""
-    margins = y * (X @ weights + bias)
-    return float(np.mean(np.maximum(0.0, 1.0 - margins)) + lam * weights @ weights)
-
-
-def hinge_subgradient(
-    weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
-    """Subgradient of hinge_objective (the zero branch at active margins)."""
-    margins = y * (X @ weights + bias)
-    active = margins < 1.0
-    grad_w = -(y[active, None] * X[active]).sum(axis=0) / len(y) + 2.0 * lam * weights
-    grad_b = -float(y[active].sum()) / len(y)
-    return grad_w, grad_b
-
-
-def design_matrix(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Raw features (n, 8) and labels (n,), +1 for SE and -1 for NOT_SE."""
-    # fromiter builds no list of per-sample tuples (about 0.5 MB on the
-    # 5,027-app corpus).
-    X = np.fromiter(chain.from_iterable(s.features.as_tuple() for s in samples),
-                    dtype=float, count=N_FEATURES * len(samples)).reshape(-1, N_FEATURES)
-    y = np.asarray([1.0 if s.label is Label.SE else -1.0 for s in samples])
-    return X, y
+def fit_scaler(X: np.ndarray) -> Scaler:
+    """Per-feature mean and population standard deviation of the rows of X (train only)."""
+    if len(X) < 2:
+        raise TooSmall(f"scaler needs at least 2 vectors, got {len(X)}")
+    return Scaler(mean=X.mean(axis=0), std=np.maximum(X.std(axis=0), STD_FLOOR))
 
 
 # Rows are gathered and standardized for a block of lockstep steps at a time;
@@ -176,7 +145,7 @@ def hinge_sgd(
     scalers: list[Scaler | None] = []
     for rows, _ in streams:
         two_classes = len(set(y[rows].tolist())) == 2
-        scalers.append(_fit_scaler_matrix(X[rows]) if two_classes else None)
+        scalers.append(fit_scaler(X[rows]) if two_classes else None)
     steps = [len(streams[s][0]) * hp.epochs if scalers[s] is not None else 0 for s, hp in fits]
     live = sorted((f for f in range(len(fits)) if steps[f] > 0), key=lambda f: -steps[f])
 
@@ -263,17 +232,8 @@ def batch_train(train: list[Sample], hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
 
 
 def predict(model: BatchModel, fv: FeatureVector) -> Label:
-    """Sign rule; a margin of exactly zero predicts NOT_SE."""
-    return Label.SE if model.decision(fv) > 0.0 else Label.NOT_SE
-
-
-def batch_predict_rows(model: BatchModel, X: np.ndarray) -> np.ndarray:
-    """predict on every row of raw features X at once: True where SE. The
-    stacked matmul is the dot kernel BatchModel.decision uses, so every row's
-    margin is bit-identical to it."""
-    Xs = model.scaler.transform(X)
-    margins = np.matmul(model.weights[None, None, :], Xs[:, :, None]).reshape(len(Xs))
-    return margins + model.bias > 0.0
+    """BatchModel.predict on one sample."""
+    return Label.SE if model.predict(np.asarray(fv.as_tuple(), dtype=float)[None, :])[0] else Label.NOT_SE
 
 
 def default_grid() -> list[HingeHyperparams]:
@@ -326,7 +286,7 @@ def grid_search(
             model = models[gi * folds + f]
             if model is None:
                 continue
-            correct = int(np.count_nonzero(batch_predict_rows(model, X[chunk]) == (y[chunk] > 0)))
+            correct = int(np.count_nonzero(model.predict(X[chunk]) == (y[chunk] > 0)))
             accs.append(correct / len(chunk))
         if not accs:
             continue
@@ -371,6 +331,27 @@ class OnlineModel:
     def learners(self) -> list[GaussianBaseLearner]:
         return [GaussianBaseLearner(self.counts[j], self.mean[j], self.m2[j])
                 for j in range(self.k)]
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """online_predict on every row of raw features X at once: True where SE.
+
+        Members are scored one at a time, in place: a (rows, members, 2, 8)
+        temporary would dominate peak memory on large test sets. Every
+        operation is online_predict's, elementwise, so every vote is identical
+        to it.
+        """
+        var, log_norm, prior = _member_terms(self)
+        votes_se = np.zeros(len(X), dtype=np.int64)
+        d = np.empty((len(X), 2, N_FEATURES))
+        for j in range(self.k):
+            np.subtract(X[:, None, :], self.mean[j], out=d)
+            np.square(d, out=d)
+            np.divide(d, var[j], out=d)
+            np.add(log_norm[j], d, out=d)
+            ll = -0.5 * d.sum(axis=-1)
+            scores = np.where(self.counts[j] > 0, prior[j] + ll, -math.inf)
+            votes_se += scores[:, 1] > scores[:, 0]
+        return 2 * votes_se > self.k
 
 
 def online_init(
@@ -474,27 +455,6 @@ def online_predict(model: OnlineModel, fv: FeatureVector) -> Label:
     return Label.SE if 2 * votes_se > model.k else Label.NOT_SE
 
 
-def online_predict_rows(model: OnlineModel, X: np.ndarray) -> np.ndarray:
-    """online_predict on every row of raw features X at once: True where SE.
-
-    Members are scored one at a time, in place: a (rows, members, 2, 8)
-    temporary would dominate peak memory on large test sets. Every operation
-    is online_predict's, elementwise, so every vote is identical to it.
-    """
-    var, log_norm, prior = _member_terms(model)
-    votes_se = np.zeros(len(X), dtype=np.int64)
-    d = np.empty((len(X), 2, N_FEATURES))
-    for j in range(model.k):
-        np.subtract(X[:, None, :], model.mean[j], out=d)
-        np.square(d, out=d)
-        np.divide(d, var[j], out=d)
-        np.add(log_norm[j], d, out=d)
-        ll = -0.5 * d.sum(axis=-1)
-        scores = np.where(model.counts[j] > 0, prior[j] + ll, -math.inf)
-        votes_se += scores[:, 1] > scores[:, 0]
-    return 2 * votes_se > model.k
-
-
 # --------------------------------------------------------------------------
 # Model persistence
 # --------------------------------------------------------------------------
@@ -506,11 +466,7 @@ def model_to_json(model: BatchModel | OnlineModel) -> dict:
             "weights": model.weights.tolist(),
             "bias": model.bias,
             "scaler": {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
-            "hyperparams": {
-                "lam": model.hyperparams.lam,
-                "lr": model.hyperparams.lr,
-                "epochs": model.hyperparams.epochs,
-            },
+            "hyperparams": asdict(model.hyperparams),
         }
     return {
         "kind": "online",

@@ -6,8 +6,9 @@ checksum/digest references are textbook reimplementations, the feature
 reference recomputes every metric straight from its definition, the box
 oracle works on an explicitly sorted list, the online ensemble oracle
 replays every sample one Welford step at a time with one scalar Poisson draw
-per sample and member, and the hinge-SGD oracle trains one model at a time
-with the per-sample loop.
+per sample and member, the hinge-SGD oracle trains one model at a time
+with the per-sample loop, the decision oracle scores one feature vector with
+a plain dot product, and the split oracles look every sample up by id.
 """
 
 from __future__ import annotations
@@ -295,3 +296,59 @@ def reference_grid_search(train, grid, folds: int, seed: int):
         if accs and (best is None or (sum(accs) / len(accs), -gi) > best):
             best, best_hp = (sum(accs) / len(accs), -gi), hp
     return best_hp
+
+
+def hinge_objective(weights, bias: float, X, y, lam: float) -> float:
+    """Average hinge loss plus lam * ||w||^2 on a batch."""
+    margins = y * (X @ weights + bias)
+    return float(np.mean(np.maximum(0.0, 1.0 - margins)) + lam * weights @ weights)
+
+
+def hinge_subgradient(weights, bias: float, X, y, lam: float):
+    """Subgradient of hinge_objective (the zero branch at active margins)."""
+    margins = y * (X @ weights + bias)
+    active = margins < 1.0
+    grad_w = -(y[active, None] * X[active]).sum(axis=0) / len(y) + 2.0 * lam * weights
+    grad_b = -float(y[active].sum()) / len(y)
+    return grad_w, grad_b
+
+
+def reference_decision(model, fv) -> float:
+    """A batch model's margin on one feature vector; SE where it is > 0."""
+    x = model.scaler.transform(np.asarray(fv.as_tuple(), dtype=float))
+    return float(model.weights @ x + model.bias)
+
+
+# --------------------------------------------------------------------------
+# Splits, one sample id at a time
+# --------------------------------------------------------------------------
+
+def reference_both_classes(corpus, ids) -> bool:
+    """Whether the samples with these ids hold both labels."""
+    ids = set(ids)
+    labels = {s.label.value for s in corpus.samples if s.sample_id in ids}
+    return labels == {"SE", "NOT_SE"}
+
+
+def reference_validate_split(corpus, split) -> dict:
+    """validate_split's report as a dict, by a scan of the corpus per side;
+    None when the split names an id the corpus lacks."""
+    by_id = {s.sample_id: s for s in corpus.samples}
+    if any(sid not in by_id for sid in split.train_ids | split.test_ids):
+        return None
+    every = [s.sample_id for s in corpus.samples]
+    sides = []
+    for ids in (split.train_ids, split.test_ids):
+        members = [by_id[sid] for sid in every if sid in ids]
+        sides.append(({s.family for s in members},
+                      {"SE": sum(s.label.value == "SE" for s in members),
+                       "NOT_SE": sum(s.label.value == "NOT_SE" for s in members)}))
+    (train_families, train_classes), (test_families, test_classes) = sides
+    return {
+        "partition_ok": all((sid in split.train_ids) != (sid in split.test_ids) for sid in every),
+        "family_overlap": len(train_families & test_families),
+        "train_class_counts": train_classes,
+        "test_class_counts": test_classes,
+        "train_family_count": len(train_families),
+        "test_family_count": len(test_families),
+    }

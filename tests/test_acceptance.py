@@ -5,8 +5,11 @@ single PASS/FAIL line (run with -s to see them live). The corpus-level tests
 run on the frozen synthetic corpora from conftest.
 """
 
+import multiprocessing
+import os
 import random
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -41,16 +44,12 @@ from strobe.learners import (
     DEFAULT_ONLINE_ENSEMBLE,
     DEFAULT_POISSON_LAMBDA,
     HingeHyperparams,
-    batch_predict_rows,
     batch_train,
     default_grid,
     design_matrix,
     grid_search,
-    hinge_objective,
-    hinge_subgradient,
     online_init,
     online_predict,
-    online_predict_rows,
     predict,
 )
 from strobe.mutf8 import decode_mutf8, encode_mutf8
@@ -58,9 +57,12 @@ from strobe.synth import DexSpec, build_dex
 
 from oracles import (
     ReplayEnsemble,
+    hinge_objective,
+    hinge_subgradient,
     reference_adler32,
     reference_batch_train,
     reference_box_stats,
+    reference_decision,
     reference_decode_mutf8,
     reference_feature_means,
     reference_grid_search,
@@ -163,31 +165,50 @@ def test_criterion_05_dex_roundtrip():
             assert blob[12:32] == reference_sha1(blob[32:])
 
 
+def _decode_or_none(data):
+    try:
+        return decode_mutf8(data)
+    except DecodeError:
+        return None
+
+
+def _first_mutf8_disagreement(b0s: range) -> str | None:
+    """The first input of 1 to 3 bytes starting with a byte in b0s on which
+    decode_mutf8 and the reference disagree, as hex; None if there is none."""
+    buf1 = bytearray(1)
+    buf2 = bytearray(2)
+    buf3 = bytearray(3)
+    for b0 in b0s:
+        buf1[0] = b0
+        if _decode_or_none(buf1) != reference_decode_mutf8(buf1):
+            return bytes(buf1).hex()
+        buf2[0] = b0
+        buf3[0] = b0
+        for b1 in range(256):
+            buf2[1] = b1
+            if _decode_or_none(buf2) != reference_decode_mutf8(buf2):
+                return bytes(buf2).hex()
+            buf3[1] = b1
+            for b2 in range(256):
+                buf3[2] = b2
+                if _decode_or_none(buf3) != reference_decode_mutf8(buf3):
+                    return bytes(buf3).hex()
+    return None
+
+
 def test_criterion_06_mutf8_oracle():
     with criterion(6, "MUTF-8 decoder agrees with the codec-based reference (exhaustive <= 3 bytes)"):
-        def mine(data):
-            try:
-                return decode_mutf8(data)
-            except DecodeError:
-                return None
-
-        assert mine(b"") == reference_decode_mutf8(b"")
-        buf1 = bytearray(1)
-        buf2 = bytearray(2)
-        buf3 = bytearray(3)
-        for b0 in range(256):
-            buf1[0] = b0
-            assert mine(buf1) == reference_decode_mutf8(buf1)
-            buf2[0] = b0
-            buf3[0] = b0
-            for b1 in range(256):
-                buf2[1] = b1
-                assert mine(buf2) == reference_decode_mutf8(buf2)
-                buf3[1] = b1
-                for b2 in range(256):
-                    buf3[2] = b2
-                    if mine(buf3) != reference_decode_mutf8(buf3):
-                        raise AssertionError(f"disagreement on {bytes(buf3).hex()}")
+        assert _decode_or_none(b"") == reference_decode_mutf8(b"")
+        # The 16,843,009 inputs of 1 to 3 bytes, split by first byte over up
+        # to 4 worker processes; inline when only one CPU is available.
+        workers = min(4, len(os.sched_getaffinity(0)))
+        if workers > 1:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+                found = list(pool.map(_first_mutf8_disagreement,
+                                      [range(w, 256, workers) for w in range(workers)]))
+        else:
+            found = [_first_mutf8_disagreement(range(256))]
+        assert found == [None] * len(found), f"disagreement on {found}"
 
         rng = random.Random(606)
         seeds = [encode_mutf8(chr(c)) for c in (0x41, 0x7F1, 0x8001, 0x1F600, 0)]
@@ -199,7 +220,7 @@ def test_criterion_06_mutf8_oracle():
                 for _ in range(rng.randrange(0, 3)):
                     data[rng.randrange(len(data))] = rng.randrange(256)
                 data = bytes(data)
-            assert mine(data) == reference_decode_mutf8(data), data.hex()
+            assert _decode_or_none(data) == reference_decode_mutf8(data), data.hex()
 
 
 def test_criterion_07_feature_oracle():
@@ -386,9 +407,9 @@ def test_row_scorers_match_per_sample_predictions(confounded):
     X, _ = design_matrix(corpus.samples)
     batch = train_on_split(corpus, split, LearnerKind.BATCH, BASE_SEED)
     online = train_on_split(corpus, split, LearnerKind.ONLINE, BASE_SEED)
-    assert batch_predict_rows(batch, X).tolist() == \
-        [predict(batch, s.features) is Label.SE for s in corpus.samples]
-    assert online_predict_rows(online, X).tolist() == \
+    assert batch.predict(X).tolist() == \
+        [reference_decision(batch, s.features) > 0.0 for s in corpus.samples]
+    assert online.predict(X).tolist() == \
         [online_predict(online, s.features) is Label.SE for s in corpus.samples]
 
 

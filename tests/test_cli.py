@@ -279,6 +279,45 @@ def test_stats_finds_the_last_header_column(features_csv, tmp_path):
     assert json.loads(out.read_text())["median"] == 0.625
 
 
+def test_online_train_defaults_equal_the_explicit_flags(features_csv, tmp_path):
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    assert main(["train", "--manifest", str(features_csv), "--learner", "online",
+                 "--out", str(default)]) == 0
+    assert main(["train", "--manifest", str(features_csv), "--learner", "online",
+                 "--k", "10", "--poisson-lambda", "6.0", "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["accuracy\nabc\n", "abc\n", "seed,accuracy\n1,0.5\n2,x\n",
+                                  "seed,accuracy\n1,0.5\n2\n"])
+def test_stats_rejects_bad_rows_with_a_typed_error(tmp_path, capsys, text):
+    values = tmp_path / "values.csv"
+    values.write_text(text)
+    out = tmp_path / "box.json"
+    assert main(["stats", "--input", str(values), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "BadValue"
+    assert not out.exists()
+
+
+def test_stats_skips_blank_lines(tmp_path):
+    values, out = tmp_path / "values.csv", tmp_path / "box.json"
+    values.write_text("seed,accuracy\n1,0.5\n\n2,0.75\n\n")
+    assert main(["stats", "--input", str(values), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["median"] == 0.625
+
+
+def test_extract_without_manifest_rejects_repeated_file_names(corpus_dir, tmp_path, capsys):
+    apks = tmp_path / "apks"
+    first = sorted(corpus_dir.rglob("*.apk"))[0]
+    for fam in ("famA", "famB"):
+        (apks / fam).mkdir(parents=True)
+        (apks / fam / first.name).write_bytes(first.read_bytes())
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--apk-dir", str(apks), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DuplicateId"
+    assert not out.exists()
+
+
 def test_eval_rejects_a_split_with_unknown_ids(features_csv, tmp_path, capsys):
     model = tmp_path / "m.json"
     assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
@@ -298,7 +337,9 @@ def test_eval_rejects_a_split_with_unknown_ids(features_csv, tmp_path, capsys):
 @pytest.mark.parametrize("flags", [["--learner", "online", "--grid", "--out", "MODEL"],
                                    ["--learner", "online", "--folds", "4", "--out", "MODEL"],
                                    ["--learner", "batch", "--folds", "4", "--out", "MODEL"],
-                                   ["--learner", "batch"]])
+                                   ["--learner", "batch"],
+                                   ["--learner", "batch", "--k", "5", "--out", "MODEL"],
+                                   ["--learner", "batch", "--poisson-lambda", "2.0", "--out", "MODEL"]])
 def test_train_usage_errors_write_nothing(features_csv, tmp_path, capsys, flags):
     out = tmp_path / "model.json"
     args = ["train", "--manifest", str(features_csv)] + [str(out) if f == "MODEL" else f for f in flags]

@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -10,6 +11,7 @@ from strobe.dataset import (
     Sample,
     Split,
     SplitStrategy,
+    _both_classes,
     _draw_family_train,
     family_disjoint_split,
     load_manifest,
@@ -29,6 +31,8 @@ from strobe.errors import (
     UnknownLabel,
 )
 from strobe.features import FeatureVector
+
+from oracles import reference_both_classes, reference_validate_split
 
 
 def make_corpus(families: dict[str, list[str]]) -> Corpus:
@@ -286,3 +290,73 @@ def test_split_json_roundtrip(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["strategy"] == "FAMILY_DISJOINT"
     assert payload["train_ids"] == sorted(payload["train_ids"])
+
+
+# --- corpus rows -----------------------------------------------------------------
+
+def test_rows_are_corpus_order_for_any_iterable():
+    corpus = make_corpus({"B": ["SE", "NOT_SE", "SE"], "A": ["NOT_SE", "SE"]})
+    ids = ["A1", "B0", "B2", "A0"]
+    want = [0, 2, 3, 4]
+    for given in (ids, reversed(ids), set(ids), frozenset(ids), iter(ids), (*ids, "B0"), {i: 0 for i in ids}):
+        assert corpus.rows(given).tolist() == want
+    assert corpus.rows([]).tolist() == []
+    assert [s.sample_id for s in corpus.by_ids(reversed(ids))] == ["B0", "B2", "A0", "A1"]
+
+
+def test_rows_unknown_id():
+    corpus = make_corpus({"A": ["SE", "NOT_SE"]})
+    with pytest.raises(UnknownId):
+        corpus.rows(["A0", "ghost"])
+    with pytest.raises(UnknownId):
+        corpus.by_ids({"ghost"})
+
+
+def test_corpus_arrays_by_row():
+    corpus = make_corpus({"B": ["SE", "NOT_SE"], "A": ["NOT_SE"]})
+    assert corpus.y.tolist() == [1.0, -1.0, -1.0]
+    assert corpus.family_codes.tolist() == [1, 1, 0]
+    assert corpus.X.shape == (3, 8)
+    assert corpus == make_corpus({"B": ["SE", "NOT_SE"], "A": ["NOT_SE"]})
+    paths = Corpus.from_samples([Sample("s", "A", Label.SE, path="s.apk")])
+    assert paths.X is None and paths.y.tolist() == [1.0]
+
+
+def oracle_corpus():
+    """12 families of 1 to 9 samples with random labels, some single-class."""
+    rng = random.Random(12)
+    return make_corpus({f"f{i:02d}": [rng.choice(["SE", "NOT_SE"]) for _ in range(rng.randrange(1, 10))]
+                        for i in range(12)})
+
+
+def hand_made_splits(corpus):
+    ids = [s.sample_id for s in corpus.samples]
+    half = len(ids) // 2
+    cases = [
+        (ids[:half + 3], ids[half:]),        # overlapping sides
+        (ids[:half - 3], ids[half:]),        # rows on neither side
+        (ids, []),                           # empty test side
+        (ids[:1], ids[1:]),                  # single-sample side
+        (ids[::2], ids[1::2]),               # interleaved partition
+    ]
+    return [Split(frozenset(a), frozenset(b), SplitStrategy.RANDOM, 0) for a, b in cases]
+
+
+def test_row_validation_matches_id_oracle():
+    corpus = oracle_corpus()
+    splits = [random_split(corpus, seed) for seed in range(5)]
+    splits += [family_disjoint_split(corpus, seed) for seed in range(5)]
+    splits += lofo_splits(corpus)
+    splits += hand_made_splits(corpus)
+    for split in splits:
+        assert asdict(validate_split(corpus, split)) == reference_validate_split(corpus, split)
+        for ids in (split.train_ids, split.test_ids):
+            assert _both_classes(corpus, corpus.rows(ids)) == reference_both_classes(corpus, ids)
+
+
+def test_row_validation_unknown_id_matches_oracle():
+    corpus = oracle_corpus()
+    split = Split(frozenset({"f000", "ghost"}), frozenset({"f001"}), SplitStrategy.RANDOM, 0)
+    assert reference_validate_split(corpus, split) is None
+    with pytest.raises(UnknownId):
+        validate_split(corpus, split)

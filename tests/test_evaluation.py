@@ -19,7 +19,7 @@ from strobe.evaluation import (
     weighted_family_accuracy,
 )
 from strobe.features import FeatureVector
-from strobe.learners import BatchModel, HingeHyperparams, Scaler, online_init, online_predict
+from strobe.learners import BatchModel, HingeHyperparams, Scaler, design_matrix, online_init, online_predict
 
 from oracles import reference_box_stats
 
@@ -65,14 +65,14 @@ def constant_model(label):
 
 def test_holdout_all_correct():
     test = [sample(f"s{i}", "f", "SE", 5.0) for i in range(10)]
-    result = holdout_eval(constant_model(Label.SE), test)
+    result = holdout_eval(constant_model(Label.SE), *design_matrix(test))
     assert result.accuracy == 1.0 and result.tp == 10
 
 
 def test_holdout_always_not_se_on_balanced_set():
     test = [sample(f"p{i}", "f", "SE", 1.0) for i in range(5)]
     test += [sample(f"n{i}", "f", "NOT_SE", 1.0) for i in range(5)]
-    result = holdout_eval(constant_model(Label.NOT_SE), test)
+    result = holdout_eval(constant_model(Label.NOT_SE), *design_matrix(test))
     assert result.accuracy == 0.5
     assert result.recall == 0.0
     assert result.f1 == 0.0
@@ -86,7 +86,7 @@ def test_confusion_arithmetic():
 
 def test_holdout_empty():
     with pytest.raises(EmptyTest):
-        holdout_eval(constant_model(Label.SE), [])
+        holdout_eval(constant_model(Label.SE), *design_matrix([]))
 
 
 # --- prequential -------------------------------------------------------------

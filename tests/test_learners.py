@@ -8,27 +8,30 @@ from strobe.learners import (
     BatchModel,
     HingeHyperparams,
     Scaler,
-    batch_predict_rows,
     batch_train,
     default_grid,
     design_matrix,
     fit_scaler,
     grid_search,
-    hinge_objective,
     hinge_sgd,
-    hinge_subgradient,
     model_from_json,
     model_to_json,
     online_fit,
     online_init,
     online_predict,
-    online_predict_rows,
     online_train,
     online_update,
     predict,
 )
 
-from oracles import ReplayEnsemble, reference_batch_train, reference_grid_search
+from oracles import (
+    ReplayEnsemble,
+    hinge_objective,
+    hinge_subgradient,
+    reference_batch_train,
+    reference_decision,
+    reference_grid_search,
+)
 
 
 def fv(entropy=0.0, length=0.0, **kw):
@@ -37,6 +40,11 @@ def fv(entropy=0.0, length=0.0, **kw):
 
 def sample(sid, label, entropy=0.0, length=0.0):
     return Sample(sid, "fam", Label(label), features=fv(entropy, length))
+
+
+def matrix(vectors):
+    """Feature vectors as rows of a raw feature matrix."""
+    return np.array([v.as_tuple() for v in vectors])
 
 
 def toy_separable(n=20):
@@ -62,28 +70,28 @@ class FakePoisson:
 # --- scaler -------------------------------------------------------------------
 
 def test_scaler_mean_and_population_std():
-    s = fit_scaler([fv(length=2.0), fv(length=4.0)])
+    s = fit_scaler(matrix([fv(length=2.0), fv(length=4.0)]))
     i = 2  # avg_length slot
     assert s.mean[i] == 3.0
     assert s.std[i] == 1.0  # population rule: sqrt(((2-3)^2 + (4-3)^2)/2)
 
 
 def test_scaler_clamps_constant_feature():
-    s = fit_scaler([fv(length=5.0), fv(length=5.0)])
+    s = fit_scaler(matrix([fv(length=5.0), fv(length=5.0)]))
     assert s.std[2] == pytest.approx(1e-9)
 
 
 def test_scaler_transform_centers_train():
     vectors = [fv(entropy=float(i), length=float(2 * i)) for i in range(10)]
-    s = fit_scaler(vectors)
-    X = np.array([v.as_tuple() for v in vectors])
+    X = matrix(vectors)
+    s = fit_scaler(X)
     Z = s.transform(X)
     assert np.all(np.abs(Z.mean(axis=0)) <= 1e-9)
 
 
 def test_scaler_too_small():
     with pytest.raises(TooSmall):
-        fit_scaler([fv()])
+        fit_scaler(matrix([fv()]))
 
 
 # --- batch learner --------------------------------------------------------------
@@ -227,11 +235,12 @@ def test_batch_predict_rows_matches_predict():
     X, _ = design_matrix(train)
     for seed in range(3):
         model = batch_train(train[:150], seed=seed)
-        assert batch_predict_rows(model, X).tolist() == \
-            [predict(model, s.features) is Label.SE for s in train]
+        assert model.predict(X).tolist() == \
+            [reference_decision(model, s.features) > 0.0 for s in train]
+        assert [predict(model, s.features) is Label.SE for s in train] == model.predict(X).tolist()
     tie = BatchModel(weights=np.zeros(8), bias=0.0, scaler=Scaler(np.zeros(8), np.ones(8)),
                      hyperparams=HingeHyperparams())
-    assert not batch_predict_rows(tie, X).any()
+    assert not tie.predict(X).any()
 
 
 def test_online_predict_rows_matches_online_predict():
@@ -242,7 +251,7 @@ def test_online_predict_rows_matches_online_predict():
               online_train(train[:3], k=5, seed=2),        # members with one class only
               online_train(train[:150], k=10, seed=3)]
     for model in models:
-        assert online_predict_rows(model, X).tolist() == \
+        assert model.predict(X).tolist() == \
             [online_predict(model, s.features) is Label.SE for s in train]
 
 
