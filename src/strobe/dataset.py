@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import (
     BadHeader,
+    BadValue,
     Degenerate,
     DuplicateId,
     TooFewFamilies,
@@ -209,12 +211,29 @@ def load_manifest(path: str | Path) -> Corpus:
             sample_id, family, label_text = row[0], row[1], row[2]
             label = Label.parse(label_text)
             if inline_features:
-                values = [float(v) for v in row[3:11]]
-                fv = FeatureVector(*values, n_strings=int(row[11]))
+                values = [_feature_cell(row_no, name, v) for name, v in zip(FEATURE_NAMES, row[3:11])]
+                fv = FeatureVector(*values, n_strings=_count_cell(row_no, "n_strings", row[11]))
                 samples.append(Sample(sample_id, family, label, features=fv))
             else:
                 samples.append(Sample(sample_id, family, label, path=row[3]))
     return Corpus.from_samples(samples)
+
+
+def _feature_cell(row_no: int, column: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise BadValue(f"row {row_no} column {column!r}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise BadValue(f"row {row_no} column {column!r}: {text!r} is not finite")
+    return value
+
+
+def _count_cell(row_no: int, column: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadValue(f"row {row_no} column {column!r}: {text!r} is not an integer") from None
 
 
 def random_split(corpus: Corpus, seed: int) -> Split:

@@ -105,7 +105,9 @@ class Empty(StrobeError):
 
 
 class BadValue(StrobeError):
-    """A results file holds a non-numeric cell or a row shorter than its header."""
+    """An input holds a non-numeric, non-finite or non-integer value where a
+    number is expected, a row shorter than its header, or a sample without
+    the features its use needs."""
 
 
 # --- Synthetic corpus generation -------------------------------------------

@@ -21,12 +21,13 @@ from .dataset import (
     Sample,
     Split,
     SplitStrategy,
+    design_matrix,
     family_disjoint_split,
     lofo_splits,
     random_split,
     validate_split,
 )
-from .errors import Degenerate, Empty, EmptyStream, EmptyTest, SingleClass, StrobeError
+from .errors import BadValue, Degenerate, Empty, EmptyStream, EmptyTest, SingleClass, StrobeError
 from .learners import (
     DEFAULT_HYPERPARAMS,
     DEFAULT_ONLINE_ENSEMBLE,
@@ -34,13 +35,13 @@ from .learners import (
     BatchModel,
     HingeHyperparams,
     OnlineModel,
+    _prequential_sweep,
     batch_train,
     hinge_sgd,
-    online_predict,
     online_train,
-    online_update,
-    predict,  # noqa: F401  (bench/tracing.py wraps evaluation.predict by name)
 )
+# bench/tracing.py wraps these evaluation attributes by name.
+from .learners import online_predict, online_update, predict  # noqa: F401
 
 
 class LearnerKind(enum.Enum):
@@ -116,22 +117,25 @@ def _holdout_side(model: BatchModel | OnlineModel, corpus: Corpus, ids) -> EvalR
 
 
 def prequential_eval(model: OnlineModel, stream: list[Sample]) -> PrequentialResult:
-    """Test-then-train over the stream; the model is mutated in place."""
+    """Test-then-train over the stream; the model is mutated in place.
+
+    Each sample is voted on as online_predict would and then fed to the model
+    as online_update would, with bit-identical results, in one sweep over
+    the stream's feature matrix. A sample without features raises BadValue
+    before the model is touched.
+    """
     if not stream:
         raise EmptyStream("prequential evaluation needs a non-empty stream")
-    correct: list[bool] = []
-    running: list[float] = []
-    hits = 0
     for sample in stream:
-        predicted = online_predict(model, sample.features)
-        correct.append(predicted is sample.label)
-        hits += correct[-1]
-        running.append(hits / len(correct))
-        online_update(model, sample)
+        if sample.features is None:
+            raise BadValue(f"stream sample {sample.sample_id!r} has no features")
+    X, y = design_matrix(stream)
+    correct = _prequential_sweep(model, X, (y > 0).astype(np.int64))
+    hits = np.cumsum(correct)
     return PrequentialResult(
-        per_sample_correct=tuple(correct),
-        running_accuracy=tuple(running),
-        final_accuracy=hits / len(correct),
+        per_sample_correct=tuple(correct.tolist()),
+        running_accuracy=tuple((hits / np.arange(1, len(stream) + 1)).tolist()),
+        final_accuracy=int(hits[-1]) / len(stream),
     )
 
 

@@ -455,6 +455,87 @@ def online_predict(model: OnlineModel, fv: FeatureVector) -> Label:
     return Label.SE if 2 * votes_se > model.k else Label.NOT_SE
 
 
+_SWEEP_BLOCK = 256  # stream rows whose per-row terms are computed together
+
+
+def _prequential_sweep(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """Vote on each row of X, then feed it to the model, in stream order;
+    True where the vote named the row's class (0 NOT_SE, 1 SE in cls).
+
+    Bit-identical to online_predict then online_update per row: the same
+    values in the model, the same n_draws and the same generator state.
+    All n * k weights come from one draw, as in online_fit. The counts
+    depend on the weights and classes alone, so for a block of rows integer
+    cumulative sums give every row's counts, and with them its log priors
+    and merge coefficients; each row's weighted batch mean (w * x) / w and
+    M2 w * (x - mean)**2 are computed for the block too. The loop keeps the
+    floored variances and their log-norms current in place, refreshing only
+    the class and members a row was merged into; a member whose weight is 0
+    is left untouched, as online_fit leaves it.
+    """
+    n, k = len(X), model.k
+    W = model.rng.poisson(model.lam_poisson, size=(n, k))
+    model.n_draws += W.size
+    var, log_norm, _ = _member_terms(model)
+    correct = np.empty(n, dtype=bool)
+    d = np.empty_like(model.mean)
+    # Per class c, views of member rows [:, c] of the state arrays.
+    mean_c, m2_c, var_c, log_norm_c = (
+        (a[:, 0], a[:, 1]) for a in (model.mean, model.m2, var, log_norm))
+    two_pi = 2.0 * math.pi
+    # Cold classes divide by zero below; their entries are never read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n, _SWEEP_BLOCK):
+            Xb, cb, Wb = (a[start:start + _SWEEP_BLOCK] for a in (X, cls, W))
+            m = len(Xb)
+            step = np.zeros((m, k, 2), dtype=np.int64)
+            step[np.arange(m), :, cb] = Wb
+            after = model.counts + np.cumsum(step, axis=0)
+            before = after - step
+            seen = before > 0
+            prior = np.log(before / before.sum(axis=2, keepdims=True))
+            na = before[np.arange(m), :, cb]
+            nn = na + Wb
+            frac = (Wb / nn)[..., None]
+            coef = (na * Wb / nn)[..., None]
+            dof = (nn - 1.0)[..., None]
+            cold = ((nn < 2) & (Wb > 0)).any(axis=1)
+            full = (Wb > 0).all(axis=1)
+            Wf = Wb[..., None].astype(float)
+            mb = (Wf * Xb[:, None, :]) / Wf
+            m2b = Wf * (Xb[:, None, :] - mb) ** 2
+            for i in range(m):
+                # online_predict's vote, in place in d.
+                np.subtract(Xb[i], model.mean, out=d)
+                np.square(d, out=d)
+                np.divide(d, var, out=d)
+                np.add(log_norm, d, out=d)
+                scores = d.sum(axis=-1)
+                scores *= -0.5
+                scores = np.where(seen[i], scores + prior[i], -math.inf)
+                votes_se = np.count_nonzero(scores[:, 1] > scores[:, 0])
+                c = cb[i]
+                correct[start + i] = (2 * votes_se > k) == (c == 1)
+                # online_fit's merge into the members with weight > 0.
+                if full[i]:
+                    hit = slice(None)
+                else:
+                    hit = np.flatnonzero(Wb[i])
+                    if hit.size == 0:
+                        continue
+                mean, m2 = mean_c[c], m2_c[c]
+                delta = mb[i, hit] - mean[hit]
+                mean[hit] += delta * frac[i, hit]
+                m2[hit] += m2b[i, hit] + delta ** 2 * coef[i, hit]
+                v = np.maximum(m2[hit] / dof[i, hit], VAR_FLOOR)
+                if cold[i]:
+                    v[nn[i, hit] < 2] = VAR_FLOOR
+                var_c[c][hit] = v
+                log_norm_c[c][hit] = np.log(two_pi * v)
+            model.counts[...] = after[-1]
+    return correct
+
+
 # --------------------------------------------------------------------------
 # Model persistence
 # --------------------------------------------------------------------------

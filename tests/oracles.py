@@ -6,7 +6,8 @@ checksum/digest references are textbook reimplementations, the feature
 reference recomputes every metric straight from its definition, the box
 oracle works on an explicitly sorted list, the online ensemble oracle
 replays every sample one Welford step at a time with one scalar Poisson draw
-per sample and member, the hinge-SGD oracle trains one model at a time
+per sample and member, the prequential oracle votes and updates one sample
+per library call, the hinge-SGD oracle trains one model at a time
 with the per-sample loop, the decision oracle scores one feature vector with
 a plain dot product, and the split oracles look every sample up by id.
 """
@@ -17,6 +18,10 @@ import math
 import struct
 
 import numpy as np
+
+from strobe.errors import EmptyStream
+from strobe.evaluation import PrequentialResult
+from strobe.learners import online_predict, online_update
 
 _LEAD_LEN = {}
 for _b in range(0x01, 0x80):
@@ -239,6 +244,27 @@ class ReplayEnsemble:
             assert np.array_equal(member.counts, ref.counts)
             np.testing.assert_allclose(member.mean, ref.mean, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(member.m2, ref.m2, rtol=1e-9, atol=1e-9)
+
+
+def reference_prequential_eval(model, stream):
+    """Test-then-train one sample at a time: online_predict on the sample,
+    then online_update with it; the model is mutated in place."""
+    if not stream:
+        raise EmptyStream("prequential evaluation needs a non-empty stream")
+    correct: list[bool] = []
+    running: list[float] = []
+    hits = 0
+    for sample in stream:
+        predicted = online_predict(model, sample.features)
+        correct.append(predicted is sample.label)
+        hits += correct[-1]
+        running.append(hits / len(correct))
+        online_update(model, sample)
+    return PrequentialResult(
+        per_sample_correct=tuple(correct),
+        running_accuracy=tuple(running),
+        final_accuracy=hits / len(correct),
+    )
 
 
 # --------------------------------------------------------------------------

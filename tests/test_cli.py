@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from strobe.cli import _build_parser, main
 from strobe.dataset import Split, SplitStrategy, load_manifest
 from strobe.evaluation import LearnerKind, box_stats, train_on_split
-from strobe.learners import model_to_json
+from strobe.learners import model_to_json, online_init
 from strobe.synth import SynthConfig, gen_corpus
+
+from oracles import reference_prequential_eval
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +167,35 @@ def test_prequential_cli(features_csv, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["n"] == len(payload["running_accuracy"])
     assert payload["final_accuracy"] == payload["running_accuracy"][-1]
+
+
+def test_prequential_cli_equals_the_per_sample_loop(features_csv, tmp_path):
+    out = tmp_path / "preq.json"
+    assert main(["prequential", "--manifest", str(features_csv), "--k", "7",
+                 "--poisson-lambda", "2.0", "--seed", "7", "--out", str(out)]) == 0
+    samples = load_manifest(features_csv).samples
+    stream = [samples[int(i)] for i in np.random.default_rng(7).permutation(len(samples))]
+    result = reference_prequential_eval(online_init(k=7, lam_poisson=2.0, seed=7), stream)
+    payload = {"n": len(stream), "final_accuracy": result.final_accuracy,
+               "running_accuracy": list(result.running_accuracy)}
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("column, cell", [("avg_wordsize", "abc"), ("avg_dash", "nan"),
+                                          ("n_strings", "1.5")])
+def test_split_rejects_a_bad_feature_cell(features_csv, tmp_path, capsys, column, cell):
+    header, first, *rest = features_csv.read_text().splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index(column)] = cell
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    out = tmp_path / "split.json"
+    assert main(["split", "--manifest", str(bad), "--strategy", "random", "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "BadValue"
+    assert column in json.loads(lines[0])["message"]
+    assert not out.exists()
 
 
 def test_lofo_cli(features_csv, tmp_path):

@@ -23,6 +23,7 @@ from strobe.dataset import (
 )
 from strobe.errors import (
     BadHeader,
+    BadValue,
     Degenerate,
     DuplicateId,
     TooFewFamilies,
@@ -85,6 +86,24 @@ def test_load_feature_manifest(tmp_path):
     fv = corpus.samples[0].features
     assert fv.avg_entropy == 1.5
     assert fv.n_strings == 12
+
+
+@pytest.mark.parametrize("column, cell, reason", [
+    ("avg_wordsize", "abc", "not a number"),
+    ("avg_entropy", "nan", "not finite"),
+    ("avg_repeat", "-inf", "not finite"),
+    ("n_strings", "1.5", "not an integer"),
+])
+def test_bad_feature_cell_is_a_typed_error_naming_row_and_column(tmp_path, column, cell, reason):
+    header = ("sample_id,family,label,avg_entropy,avg_wordsize,avg_length,"
+              "avg_eq,avg_dash,avg_slash,avg_plus,avg_repeat,n_strings,decode_failures")
+    good = "1.5,10,9.5,0.1,0,0,0.2,3,12,0".split(",")
+    bad = list(good)
+    bad[header.split(",").index(column) - 3] = cell
+    p = tmp_path / "f.csv"
+    write_manifest(p, ["s1,famA,SE," + ",".join(good), "s2,famA,SE," + ",".join(bad)], header=header)
+    with pytest.raises(BadValue, match=f"row 3 column '{column}': '{cell}' is {reason}"):
+        load_manifest(p)
 
 
 def test_duplicate_id_rejected(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from strobe import evaluation
 from strobe.dataset import MAX_SPLIT_RETRIES, Corpus, Label, Sample, SplitStrategy, random_split
-from strobe.errors import Degenerate, Empty, EmptyStream, EmptyTest
+from strobe.errors import BadValue, Degenerate, Empty, EmptyStream, EmptyTest
 from strobe.evaluation import (
     EvalResult,
     LearnerKind,
@@ -19,9 +19,18 @@ from strobe.evaluation import (
     weighted_family_accuracy,
 )
 from strobe.features import FeatureVector
-from strobe.learners import BatchModel, HingeHyperparams, Scaler, design_matrix, online_init, online_predict
+from strobe.learners import (
+    _SWEEP_BLOCK,
+    BatchModel,
+    HingeHyperparams,
+    Scaler,
+    design_matrix,
+    online_fit,
+    online_init,
+    online_predict,
+)
 
-from oracles import reference_box_stats
+from oracles import reference_box_stats, reference_prequential_eval
 
 
 def fv(entropy=0.0):
@@ -133,6 +142,80 @@ def test_prequential_hand_trace_with_stubbed_draws():
 def test_prequential_empty_stream():
     with pytest.raises(EmptyStream):
         prequential_eval(online_init(k=1, seed=0), [])
+
+
+def matrix_stream(X, cls):
+    return [Sample(f"s{i}", "f", Label.SE if c else Label.NOT_SE,
+                   features=FeatureVector(*(float(v) for v in row), n_strings=1))
+            for i, (row, c) in enumerate(zip(X, cls))]
+
+
+def model_state(model):
+    return (model.counts.dtype, model.counts.tobytes(), model.mean.tobytes(),
+            model.m2.tobytes(), model.n_draws, model.rng.bit_generator.state)
+
+
+def assert_prequential_matches_reference(make_model, stream):
+    """The sweep and the per-sample loop agree bit for bit: result tuples,
+    counts, mean and M2 bytes, draw count and generator state."""
+    model, ref = make_model(), make_model()
+    expected = reference_prequential_eval(ref, stream)
+    got = prequential_eval(model, stream)
+    assert got.per_sample_correct == expected.per_sample_correct
+    assert [v.hex() for v in got.running_accuracy] == [v.hex() for v in expected.running_accuracy]
+    assert got.final_accuracy.hex() == expected.final_accuracy.hex()
+    assert model_state(model) == model_state(ref)
+
+
+B = _SWEEP_BLOCK
+LENGTHS = [1, B - 1, B, B + 1, 2 * B + 1, 37]
+LAMBDAS = [0.3, 0.5, 1.0, 2.0, 6.0, 12.0]
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_prequential_sweep_matches_per_sample_loop(k):
+    # Per k, one stream per lambda, cycling through lengths around the block
+    # size, single-class and mixed streams, cold and warm-started models,
+    # feature scales 1e-6/1/1e3, and a constant and a -0.0 column; values
+    # rounded to a coarse grid give repeated rows, zero variances and ties.
+    rng = np.random.default_rng(900 + k)
+    for j, lam in enumerate(LAMBDAS):
+        n = LENGTHS[(k + j) % len(LENGTHS)]
+        scale = (1e-6, 1.0, 1e3)[(k + j) % 3]
+        X = (rng.normal(size=(n, 8)) + rng.normal(size=8)) * scale
+        if j % 2:
+            X = np.round(X / scale, 1) * scale
+        X[:, rng.integers(8)] = 2.5 * scale
+        X[:, rng.integers(8)] = -0.0
+        p_se = (0.0, 1.0, 0.5, 0.2)[(k + 2 * j) % 4]
+        cls = (rng.random(n) < p_se).astype(np.int64)
+        warm = j % 3 == 1
+        Xw = rng.normal(size=(int(rng.integers(1, 30)), 8)) * scale
+        cw = rng.integers(0, 2, size=len(Xw))
+        seed = int(rng.integers(2**32))
+
+        def make_model():
+            model = online_init(k=k, lam_poisson=lam, seed=seed)
+            return online_fit(model, Xw, cw) if warm else model
+
+        assert_prequential_matches_reference(make_model, matrix_stream(X, cls))
+
+
+def test_prequential_sweep_matches_per_sample_loop_on_confounded_corpus(confounded):
+    samples = confounded["corpus"].samples
+    order = np.random.default_rng(7).permutation(len(samples))
+    stream = [samples[int(i)] for i in order]
+    assert_prequential_matches_reference(lambda: online_init(seed=7), stream)
+
+
+def test_prequential_rejects_sample_without_features_before_touching_model():
+    model = online_fit(online_init(k=4, seed=3), np.arange(16.0).reshape(2, 8), np.array([0, 1]))
+    before = model_state(model)
+    stream = [sample("a", "f", "SE", 1.0), Sample("bare", "f", Label.NOT_SE),
+              sample("b", "f", "NOT_SE", 2.0)]
+    with pytest.raises(BadValue, match="bare"):
+        prequential_eval(model, stream)
+    assert model_state(model) == before
 
 
 # --- aggregate metrics ---------------------------------------------------------
