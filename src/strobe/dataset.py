@@ -213,6 +213,7 @@ def load_manifest(path: str | Path) -> Corpus:
             if inline_features:
                 values = [_feature_cell(row_no, name, v) for name, v in zip(FEATURE_NAMES, row[3:11])]
                 fv = FeatureVector(*values, n_strings=_count_cell(row_no, "n_strings", row[11]))
+                _count_cell(row_no, "decode_failures", row[12])
                 samples.append(Sample(sample_id, family, label, features=fv))
             else:
                 samples.append(Sample(sample_id, family, label, path=row[3]))
@@ -231,9 +232,12 @@ def _feature_cell(row_no: int, column: str, text: str) -> float:
 
 def _count_cell(row_no: int, column: str, text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise BadValue(f"row {row_no} column {column!r}: {text!r} is not an integer") from None
+    if value < 0:
+        raise BadValue(f"row {row_no} column {column!r}: {text!r} is negative")
+    return value
 
 
 def random_split(corpus: Corpus, seed: int) -> Split:

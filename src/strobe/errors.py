@@ -105,9 +105,9 @@ class Empty(StrobeError):
 
 
 class BadValue(StrobeError):
-    """An input holds a non-numeric, non-finite or non-integer value where a
-    number is expected, a row shorter than its header, or a sample without
-    the features its use needs."""
+    """An input holds a non-numeric or non-finite value where a number is
+    expected, a non-integer or negative one where a count is expected, a row
+    shorter than its header, or a sample without the features its use needs."""
 
 
 # --- Synthetic corpus generation -------------------------------------------

@@ -27,11 +27,9 @@ from .dataset import (
     random_split,
     validate_split,
 )
-from .errors import BadValue, Degenerate, Empty, EmptyStream, EmptyTest, SingleClass, StrobeError
+from .errors import BadConfig, BadValue, Degenerate, Empty, EmptyStream, EmptyTest, SingleClass, StrobeError
 from .learners import (
     DEFAULT_HYPERPARAMS,
-    DEFAULT_ONLINE_ENSEMBLE,
-    DEFAULT_POISSON_LAMBDA,
     BatchModel,
     HingeHyperparams,
     OnlineModel,
@@ -223,15 +221,13 @@ def train_on_split(
     split: Split,
     learner: LearnerKind,
     seed: int,
-    hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
-    ensemble: int = DEFAULT_ONLINE_ENSEMBLE,
-    lam_poisson: float = DEFAULT_POISSON_LAMBDA,
 ) -> BatchModel | OnlineModel:
-    """Fit the chosen learner on the training side of a split."""
+    """Fit the chosen learner, with its default settings, on the training
+    side of a split."""
     train = corpus.by_ids(split.train_ids)
     if learner is LearnerKind.BATCH:
-        return batch_train(train, hp, seed=seed)
-    return online_train(train, k=ensemble, lam_poisson=lam_poisson, seed=seed)
+        return batch_train(train, seed=seed)
+    return online_train(train, seed=seed)
 
 
 def train_on_splits(
@@ -240,17 +236,15 @@ def train_on_splits(
     seeds: list[int],
     learner: LearnerKind,
     hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
-    ensemble: int = DEFAULT_ONLINE_ENSEMBLE,
-    lam_poisson: float = DEFAULT_POISSON_LAMBDA,
 ) -> list[BatchModel | OnlineModel]:
     """train_on_split for each (split, seed) pair, with identical models.
 
     Batch fits all train together in one lockstep hinge_sgd pass over the
-    corpus matrix, each on its split's training rows in corpus order.
+    corpus matrix, each on its split's training rows in corpus order; hp
+    replaces their default hyperparameters.
     """
     if learner is LearnerKind.ONLINE or not splits:
-        return [train_on_split(corpus, split, learner, seed, hp, ensemble, lam_poisson)
-                for split, seed in zip(splits, seeds)]
+        return [train_on_split(corpus, split, learner, seed) for split, seed in zip(splits, seeds)]
     streams = [(corpus.rows(split.train_ids), seed) for split, seed in zip(splits, seeds)]
     models = hinge_sgd(corpus.X, corpus.y, streams, [(i, hp) for i in range(len(streams))])
     if any(model is None for model in models):
@@ -263,9 +257,6 @@ def _experiment_runs(
     corpus: Corpus,
     strategy: SplitStrategy,
     learner: LearnerKind,
-    hp: HingeHyperparams,
-    ensemble: int,
-    lam_poisson: float,
 ) -> list[RunRecord]:
     """One RunRecord per seed: split, train every repetition together, and
     score each test side."""
@@ -280,8 +271,7 @@ def _experiment_runs(
                     raise StrobeError("family-disjoint split produced family overlap")
         except Degenerate:
             continue
-    models = train_on_splits(corpus, list(splits.values()), list(splits), learner,
-                             hp, ensemble, lam_poisson)
+    models = train_on_splits(corpus, list(splits.values()), list(splits), learner)
     results = {seed: _holdout_side(model, corpus, split.test_ids)
                for (seed, split), model in zip(splits.items(), models)}
     return [
@@ -298,9 +288,6 @@ def run_experiment(
     learner: LearnerKind,
     repetitions: int,
     base_seed: int,
-    hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
-    ensemble: int = DEFAULT_ONLINE_ENSEMBLE,
-    lam_poisson: float = DEFAULT_POISSON_LAMBDA,
     jobs: int = 1,
 ) -> ExperimentSummary:
     """Repeat split/train/evaluate with seeds base_seed + i.
@@ -313,13 +300,12 @@ def run_experiment(
     depend on jobs.
     """
     if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise BadConfig(f"repetitions must be >= 1, got {repetitions}")
     if strategy is SplitStrategy.LOFO:
-        raise ValueError("LOFO experiments use run_lofo")
+        raise BadConfig("LOFO experiments use run_lofo")
 
     seeds = [base_seed + i for i in range(repetitions)]
-    runs = partial(_experiment_runs, corpus=corpus, strategy=strategy, learner=learner,
-                   hp=hp, ensemble=ensemble, lam_poisson=lam_poisson)
+    runs = partial(_experiment_runs, corpus=corpus, strategy=strategy, learner=learner)
     if jobs > 1 and repetitions > 1:
         from concurrent.futures import ProcessPoolExecutor
         bounds = np.linspace(0, repetitions, min(jobs, repetitions) + 1).round().astype(int)
@@ -375,16 +361,12 @@ def run_lofo(
     corpus: Corpus,
     learner: LearnerKind,
     base_seed: int,
-    hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
-    ensemble: int = DEFAULT_ONLINE_ENSEMBLE,
-    lam_poisson: float = DEFAULT_POISSON_LAMBDA,
 ) -> LofoSummary:
     """Hold out each family in turn (fold i trains with seed base_seed + i);
     aggregate size-weighted accuracy and the pooled confusion over all
     held-out predictions. Batch folds train in lockstep in one pass."""
     splits = lofo_splits(corpus)
-    models = train_on_splits(corpus, splits, [base_seed + i for i in range(len(splits))],
-                             learner, hp, ensemble, lam_poisson)
+    models = train_on_splits(corpus, splits, [base_seed + i for i in range(len(splits))], learner)
     per_family = [
         FamilyResult(family=split.held_out_family, n=len(split.test_ids),
                      result=_holdout_side(model, corpus, split.test_ids))

@@ -10,12 +10,13 @@ pair, and run_lofo and run_experiment every fold or repetition of a run.
 
 Online: an ensemble of incremental Gaussian class-conditional models where
 each arriving sample enters each ensemble member with a Poisson-drawn weight
-(online leveraging bagging). A stream is merged into the per-member means
-and M2 in one weighted pairwise update instead of replaying each sample
-weight-many times. Cold models and exact ties predict NOT_SE.
+(online leveraging bagging). One body each merges a weighted batch into the
+per-member means and M2 (_chan_merge, for online_fit and the prequential
+sweep) and casts the members' Gaussian votes (_votes_se, for
+OnlineModel.predict and the sweep). Cold models and exact ties predict NOT_SE.
 
 Both models score a whole feature matrix at once with model.predict(X);
-predict and online_predict give the same label for one sample.
+predict and online_predict are that call on one sample.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def _np_seed(seed: int) -> int:
 
 DEFAULT_ONLINE_ENSEMBLE = 10
 DEFAULT_POISSON_LAMBDA = 6.0
+# The largest lambda numpy's Generator.poisson accepts (its POISSON_LAM_MAX).
+_POISSON_LAMBDA_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 _CLS = {Label.NOT_SE: 0, Label.SE: 1}
 
@@ -333,24 +336,17 @@ class OnlineModel:
                 for j in range(self.k)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """online_predict on every row of raw features X at once: True where SE.
-
-        Members are scored one at a time, in place: a (rows, members, 2, 8)
-        temporary would dominate peak memory on large test sets. Every
-        operation is online_predict's, elementwise, so every vote is identical
-        to it.
+        """Majority vote of the members on every row of raw features X: True
+        where SE; overall ties predict NOT_SE. Members are scored one at a
+        time, in place: a (rows, members, 2, 8) temporary would dominate peak
+        memory on large test sets.
         """
         var, log_norm, prior = _member_terms(self)
         votes_se = np.zeros(len(X), dtype=np.int64)
         d = np.empty((len(X), 2, N_FEATURES))
         for j in range(self.k):
-            np.subtract(X[:, None, :], self.mean[j], out=d)
-            np.square(d, out=d)
-            np.divide(d, var[j], out=d)
-            np.add(log_norm[j], d, out=d)
-            ll = -0.5 * d.sum(axis=-1)
-            scores = np.where(self.counts[j] > 0, prior[j] + ll, -math.inf)
-            votes_se += scores[:, 1] > scores[:, 0]
+            votes_se += _votes_se(X[:, None, :], self.mean[j], var[j], log_norm[j],
+                                  prior[j], self.counts[j] > 0, d)
         return 2 * votes_se > self.k
 
 
@@ -361,8 +357,8 @@ def online_init(
 ) -> OnlineModel:
     if k < 1:
         raise BadConfig(f"ensemble size must be >= 1, got {k}")
-    if not lam_poisson > 0:
-        raise BadConfig(f"poisson lambda must be > 0, got {lam_poisson}")
+    if not 0 < lam_poisson <= _POISSON_LAMBDA_MAX:
+        raise BadConfig(f"poisson lambda must be in (0, {_POISSON_LAMBDA_MAX:.10g}], got {lam_poisson}")
     return OnlineModel(
         counts=np.zeros((k, 2), dtype=np.int64),
         mean=np.zeros((k, 2, N_FEATURES)),
@@ -399,9 +395,8 @@ def online_fit(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> OnlineMode
         m2b = np.stack([Wc[:, i] @ (Xc - mb[i]) ** 2 for i in range(len(hit))])
         na = model.counts[hit, c]
         n = na + nb
-        delta = mb - model.mean[hit, c]
-        model.mean[hit, c] += delta * (nb / n)[:, None]
-        model.m2[hit, c] += m2b + delta ** 2 * (na * nb / n)[:, None]
+        _chan_merge(model.mean[:, c], model.m2[:, c], hit, mb, m2b,
+                    (nb / n)[:, None], (na * nb / n)[:, None])
         model.counts[hit, c] = n
     return model
 
@@ -440,19 +435,37 @@ def _member_terms(model: OnlineModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return var, np.log(2.0 * math.pi * var), prior
 
 
-def online_predict(model: OnlineModel, fv: FeatureVector) -> Label:
-    """Majority vote of the members; overall ties predict NOT_SE.
+def _chan_merge(mean, m2, hit, mb, m2b, frac, coef) -> None:
+    """Merge weighted batches (means mb, M2 m2b) into rows hit of one class's
+    running mean and M2, in place, by the pairwise update of Chan, Golub &
+    LeVeque (1979); frac is nb / n and coef na * nb / n for na observations
+    before, nb in the batch and n = na + nb after."""
+    delta = mb - mean[hit]
+    mean[hit] += delta * frac
+    m2[hit] += m2b + delta ** 2 * coef
 
-    A member votes for the class with the higher log prior plus diagonal
-    Gaussian log-likelihood; a class it has not seen scores -inf, so a cold
-    member and an exact tie vote NOT_SE. Variances are unbiased and floored.
+
+def _votes_se(x, mean, var, log_norm, prior, seen, d) -> np.ndarray:
+    """Where a member votes SE: per class, the log prior plus the diagonal
+    Gaussian log-likelihood of x (unbiased floored variances), or -inf for a
+    class not seen, so a cold member and an exact tie vote NOT_SE.
+
+    Broadcasts one member over many rows or one row over many members; d is
+    scratch of the broadcast (..., 2, 8) shape, overwritten in place.
     """
-    x = np.asarray(fv.as_tuple(), dtype=float)
-    var, log_norm, prior = _member_terms(model)
-    ll = -0.5 * np.sum(log_norm + (x - model.mean) ** 2 / var, axis=-1)
-    scores = np.where(model.counts > 0, prior + ll, -math.inf)
-    votes_se = int(np.count_nonzero(scores[:, 1] > scores[:, 0]))
-    return Label.SE if 2 * votes_se > model.k else Label.NOT_SE
+    np.subtract(x, mean, out=d)
+    np.square(d, out=d)
+    np.divide(d, var, out=d)
+    np.add(log_norm, d, out=d)
+    scores = d.sum(axis=-1)
+    scores *= -0.5
+    scores = np.where(seen, scores + prior, -math.inf)
+    return scores[..., 1] > scores[..., 0]
+
+
+def online_predict(model: OnlineModel, fv: FeatureVector) -> Label:
+    """OnlineModel.predict on one sample."""
+    return Label.SE if model.predict(np.asarray(fv.as_tuple(), dtype=float)[None, :])[0] else Label.NOT_SE
 
 
 _SWEEP_BLOCK = 256  # stream rows whose per-row terms are computed together
@@ -505,15 +518,8 @@ def _prequential_sweep(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> np
             mb = (Wf * Xb[:, None, :]) / Wf
             m2b = Wf * (Xb[:, None, :] - mb) ** 2
             for i in range(m):
-                # online_predict's vote, in place in d.
-                np.subtract(Xb[i], model.mean, out=d)
-                np.square(d, out=d)
-                np.divide(d, var, out=d)
-                np.add(log_norm, d, out=d)
-                scores = d.sum(axis=-1)
-                scores *= -0.5
-                scores = np.where(seen[i], scores + prior[i], -math.inf)
-                votes_se = np.count_nonzero(scores[:, 1] > scores[:, 0])
+                votes_se = np.count_nonzero(
+                    _votes_se(Xb[i], model.mean, var, log_norm, prior[i], seen[i], d))
                 c = cb[i]
                 correct[start + i] = (2 * votes_se > k) == (c == 1)
                 # online_fit's merge into the members with weight > 0.
@@ -523,11 +529,9 @@ def _prequential_sweep(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> np
                     hit = np.flatnonzero(Wb[i])
                     if hit.size == 0:
                         continue
-                mean, m2 = mean_c[c], m2_c[c]
-                delta = mb[i, hit] - mean[hit]
-                mean[hit] += delta * frac[i, hit]
-                m2[hit] += m2b[i, hit] + delta ** 2 * coef[i, hit]
-                v = np.maximum(m2[hit] / dof[i, hit], VAR_FLOOR)
+                _chan_merge(mean_c[c], m2_c[c], hit, mb[i, hit], m2b[i, hit],
+                            frac[i, hit], coef[i, hit])
+                v = np.maximum(m2_c[c][hit] / dof[i, hit], VAR_FLOOR)
                 if cold[i]:
                     v[nn[i, hit] < 2] = VAR_FLOOR
                 var_c[c][hit] = v
@@ -574,15 +578,11 @@ def model_from_json(obj: dict) -> BatchModel | OnlineModel:
         )
     if obj["kind"] == "online":
         members = obj["learners"]
-        model = OnlineModel(
-            counts=np.asarray([m["counts"] for m in members], dtype=np.int64),
-            mean=np.asarray([m["mean"] for m in members], dtype=float),
-            m2=np.asarray([m["m2"] for m in members], dtype=float),
-            lam_poisson=float(obj["lam_poisson"]),
-            seed=int(obj["seed"]),
-            rng=np.random.default_rng(_np_seed(int(obj["seed"]))),
-            n_draws=int(obj["n_draws"]),
-        )
+        model = online_init(len(members), float(obj["lam_poisson"]), int(obj["seed"]))
+        model.counts = np.asarray([m["counts"] for m in members], dtype=np.int64)
+        model.mean = np.asarray([m["mean"] for m in members], dtype=float)
+        model.m2 = np.asarray([m["m2"] for m in members], dtype=float)
+        model.n_draws = int(obj["n_draws"])
         # Redraw the consumed weights so the generator state matches the export.
         model.rng.poisson(model.lam_poisson, size=model.n_draws)
         return model

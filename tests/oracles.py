@@ -6,8 +6,9 @@ checksum/digest references are textbook reimplementations, the feature
 reference recomputes every metric straight from its definition, the box
 oracle works on an explicitly sorted list, the online ensemble oracle
 replays every sample one Welford step at a time with one scalar Poisson draw
-per sample and member, the prequential oracle votes and updates one sample
-per library call, the hinge-SGD oracle trains one model at a time
+per sample and member, the online vote oracle scores one sample over every
+member in one broadcast, the prequential oracle votes with it and updates
+one sample per library call, the hinge-SGD oracle trains one model at a time
 with the per-sample loop, the decision oracle scores one feature vector with
 a plain dot product, and the split oracles look every sample up by id.
 """
@@ -19,9 +20,10 @@ import struct
 
 import numpy as np
 
+from strobe.dataset import Label
 from strobe.errors import EmptyStream
 from strobe.evaluation import PrequentialResult
-from strobe.learners import online_predict, online_update
+from strobe.learners import _member_terms, online_update
 
 _LEAD_LEN = {}
 for _b in range(0x01, 0x80):
@@ -246,16 +248,31 @@ class ReplayEnsemble:
             np.testing.assert_allclose(member.m2, ref.m2, rtol=1e-9, atol=1e-9)
 
 
+def reference_online_predict(model, fv):
+    """Majority vote of the members; overall ties predict NOT_SE.
+
+    A member votes for the class with the higher log prior plus diagonal
+    Gaussian log-likelihood; a class it has not seen scores -inf, so a cold
+    member and an exact tie vote NOT_SE. Variances are unbiased and floored.
+    """
+    x = np.asarray(fv.as_tuple(), dtype=float)
+    var, log_norm, prior = _member_terms(model)
+    ll = -0.5 * np.sum(log_norm + (x - model.mean) ** 2 / var, axis=-1)
+    scores = np.where(model.counts > 0, prior + ll, -math.inf)
+    votes_se = int(np.count_nonzero(scores[:, 1] > scores[:, 0]))
+    return Label.SE if 2 * votes_se > model.k else Label.NOT_SE
+
+
 def reference_prequential_eval(model, stream):
-    """Test-then-train one sample at a time: online_predict on the sample,
-    then online_update with it; the model is mutated in place."""
+    """Test-then-train one sample at a time: reference_online_predict on the
+    sample, then online_update with it; the model is mutated in place."""
     if not stream:
         raise EmptyStream("prequential evaluation needs a non-empty stream")
     correct: list[bool] = []
     running: list[float] = []
     hits = 0
     for sample in stream:
-        predicted = online_predict(model, sample.features)
+        predicted = reference_online_predict(model, sample.features)
         correct.append(predicted is sample.label)
         hits += correct[-1]
         running.append(hits / len(correct))

@@ -66,6 +66,7 @@ from oracles import (
     reference_decode_mutf8,
     reference_feature_means,
     reference_grid_search,
+    reference_online_predict,
     reference_sha1,
 )
 
@@ -410,7 +411,7 @@ def test_row_scorers_match_per_sample_predictions(confounded):
     assert batch.predict(X).tolist() == \
         [reference_decision(batch, s.features) > 0.0 for s in corpus.samples]
     assert online.predict(X).tolist() == \
-        [online_predict(online, s.features) is Label.SE for s in corpus.samples]
+        [reference_online_predict(online, s.features) is Label.SE for s in corpus.samples]
 
 
 def test_family_fingerprint_probe(confounded):

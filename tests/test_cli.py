@@ -116,13 +116,11 @@ def test_train_online_and_eval(features_csv, tmp_path):
 def test_train_online_matches_train_on_split(features_csv, tmp_path):
     model = tmp_path / "om.json"
     assert main(["train", "--manifest", str(features_csv), "--learner", "online",
-                 "--k", "5", "--poisson-lambda", "3.0", "--seed", "4",
-                 "--out", str(model)]) == 0
+                 "--seed", "4", "--out", str(model)]) == 0
     corpus = load_manifest(features_csv)
     everything = Split(train_ids=frozenset(s.sample_id for s in corpus.samples),
                        test_ids=frozenset(), strategy=SplitStrategy.RANDOM, seed=4)
-    expected = train_on_split(corpus, everything, LearnerKind.ONLINE, seed=4,
-                              ensemble=5, lam_poisson=3.0)
+    expected = train_on_split(corpus, everything, LearnerKind.ONLINE, seed=4)
     assert json.loads(model.read_text()) == json.loads(json.dumps(model_to_json(expected)))
 
 
@@ -182,7 +180,8 @@ def test_prequential_cli_equals_the_per_sample_loop(features_csv, tmp_path):
 
 
 @pytest.mark.parametrize("column, cell", [("avg_wordsize", "abc"), ("avg_dash", "nan"),
-                                          ("n_strings", "1.5")])
+                                          ("n_strings", "1.5"), ("n_strings", "-3"),
+                                          ("decode_failures", "abc")])
 def test_split_rejects_a_bad_feature_cell(features_csv, tmp_path, capsys, column, cell):
     header, first, *rest = features_csv.read_text().splitlines()
     cells = first.split(",")
@@ -329,6 +328,23 @@ def test_stats_rejects_bad_rows_with_a_typed_error(tmp_path, capsys, text):
     assert main(["stats", "--input", str(values), "--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "BadValue"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["experiment", "--strategy", "random", "--learner", "batch", "--reps", "0"],
+    ["prequential", "--poisson-lambda", "inf"],
+    ["prequential", "--poisson-lambda", "1e30"],
+    ["train", "--learner", "online", "--poisson-lambda", "inf"],
+])
+def test_bad_learner_settings_are_a_typed_error(features_csv, tmp_path, capsys, flags):
+    out = tmp_path / "out.json"
+    assert main([*flags, "--manifest", str(features_csv), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert (error["error"], error["exit_code"]) == ("BadConfig", 3)
+    assert captured.out == "" and not out.exists()
 
 
 def test_stats_skips_blank_lines(tmp_path):

@@ -93,6 +93,9 @@ def test_load_feature_manifest(tmp_path):
     ("avg_entropy", "nan", "not finite"),
     ("avg_repeat", "-inf", "not finite"),
     ("n_strings", "1.5", "not an integer"),
+    ("n_strings", "-3", "negative"),
+    ("decode_failures", "abc", "not an integer"),
+    ("decode_failures", "-1", "negative"),
 ])
 def test_bad_feature_cell_is_a_typed_error_naming_row_and_column(tmp_path, column, cell, reason):
     header = ("sample_id,family,label,avg_entropy,avg_wordsize,avg_length,"

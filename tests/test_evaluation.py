@@ -5,7 +5,7 @@ import pytest
 
 from strobe import evaluation
 from strobe.dataset import MAX_SPLIT_RETRIES, Corpus, Label, Sample, SplitStrategy, random_split
-from strobe.errors import BadValue, Degenerate, Empty, EmptyStream, EmptyTest
+from strobe.errors import BadConfig, BadValue, Degenerate, Empty, EmptyStream, EmptyTest
 from strobe.evaluation import (
     EvalResult,
     LearnerKind,
@@ -338,6 +338,14 @@ def test_run_experiment_degenerate_corpus():
     with pytest.raises(Degenerate):
         run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, LearnerKind.BATCH,
                        repetitions=2, base_seed=0)
+
+
+def test_run_experiment_rejects_a_bad_configuration():
+    corpus = separable_corpus()
+    with pytest.raises(BadConfig, match="repetitions"):
+        run_experiment(corpus, SplitStrategy.RANDOM, LearnerKind.BATCH, repetitions=0, base_seed=0)
+    with pytest.raises(BadConfig, match="run_lofo"):
+        run_experiment(corpus, SplitStrategy.LOFO, LearnerKind.BATCH, repetitions=1, base_seed=0)
 
 
 def test_skipped_run_records_every_split_attempt(monkeypatch):

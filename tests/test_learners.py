@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from strobe.dataset import Label, Sample
 from strobe.errors import BadConfig, SingleClass, TooSmall
 from strobe.features import FeatureVector
 from strobe.learners import (
+    _POISSON_LAMBDA_MAX,
     BatchModel,
     HingeHyperparams,
     Scaler,
@@ -31,6 +34,7 @@ from oracles import (
     reference_batch_train,
     reference_decision,
     reference_grid_search,
+    reference_online_predict,
 )
 
 
@@ -252,7 +256,7 @@ def test_online_predict_rows_matches_online_predict():
               online_train(train[:150], k=10, seed=3)]
     for model in models:
         assert model.predict(X).tolist() == \
-            [online_predict(model, s.features) is Label.SE for s in train]
+            [reference_online_predict(model, s.features) is Label.SE for s in train]
 
 
 # --- grid search -----------------------------------------------------------------
@@ -302,6 +306,24 @@ def test_online_init_bad_config():
         online_init(k=0)
     with pytest.raises(BadConfig):
         online_init(k=3, lam_poisson=0.0)
+
+
+@pytest.mark.parametrize("lam", [float("inf"), float("nan"), 1e30, 9.3e18, -1.0])
+def test_online_init_rejects_a_lambda_numpy_cannot_draw(lam):
+    with pytest.raises(BadConfig, match="poisson lambda"):
+        online_init(k=3, lam_poisson=lam)
+    obj = model_to_json(online_init(k=3, seed=1))
+    obj["lam_poisson"] = lam
+    with pytest.raises(BadConfig, match="poisson lambda"):
+        model_from_json(obj)
+
+
+def test_online_init_accepts_the_largest_lambda_numpy_draws():
+    for lam in (9.2e18, _POISSON_LAMBDA_MAX):
+        model = online_init(k=2, lam_poisson=lam, seed=0)
+        model.rng.poisson(model.lam_poisson, size=2)
+    with pytest.raises(ValueError, match="lam value too large"):
+        model.rng.poisson(math.nextafter(_POISSON_LAMBDA_MAX, math.inf))
 
 
 def test_cold_model_predicts_not_se():
