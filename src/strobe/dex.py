@@ -12,6 +12,8 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass
+from operator import gt
+from typing import NamedTuple
 
 from .errors import BadMagic, DecodeError, OffsetOutOfBounds, StrictDecodeError, Truncated
 from .mutf8 import decode_mutf8, utf16_length, utf16_sort_key
@@ -22,7 +24,8 @@ HEADER_SIZE = 0x70
 ENDIAN_CONSTANT = 0x12345678
 NO_INDEX = 0xFFFFFFFF
 
-# (count offset, data offset, bytes per entry) positions inside the header
+# (count offset, data offset, bytes per entry) positions inside the header;
+# each count is followed by its offset, so the two are read as one pair.
 SECTION_LAYOUT = {
     "string_ids": (56, 60, 4),
     "type_ids": (64, 68, 4),
@@ -33,14 +36,12 @@ SECTION_LAYOUT = {
 }
 
 
-@dataclass(frozen=True)
-class SectionInfo:
+class SectionInfo(NamedTuple):
     count: int
     offset: int
 
 
-@dataclass(frozen=True)
-class StringEntry:
+class StringEntry(NamedTuple):
     index: int
     data_offset: int
     text: str
@@ -56,16 +57,13 @@ class DexFile:
     checksum: int
     section_table: dict[str, SectionInfo]
     strings: tuple[StringEntry, ...]
+    decode_failures: int  # entries with decode_ok False
     # String indices referenced by each identifier-bearing table.
     type_descriptor_ids: tuple[int, ...]
     proto_shorty_ids: tuple[int, ...]
     field_name_ids: tuple[int, ...]
     method_name_ids: tuple[int, ...]
     source_file_ids: tuple[int, ...]
-
-    @property
-    def decode_failures(self) -> int:
-        return sum(1 for e in self.strings if not e.decode_ok)
 
 
 @dataclass(frozen=True)
@@ -76,11 +74,9 @@ class StringPool:
 
     def non_identifier_strings(self) -> list[str]:
         """Decoded non-identifier strings in string-table order."""
-        return [
-            e.text
-            for e in self.entries
-            if e.index in self.non_identifier_indices and e.decode_ok
-        ]
+        entries = self.entries
+        return [entries[i].text for i in sorted(self.non_identifier_indices)
+                if entries[i].decode_ok]
 
 
 def parse_dex(data: bytes, strict: bool = False) -> DexFile:
@@ -109,18 +105,15 @@ def parse_dex(data: bytes, strict: bool = False) -> DexFile:
         raise BadMagic(f"unsupported endian tag 0x{endian_tag:08x}")
 
     sections: dict[str, SectionInfo] = {}
-    for name, (count_pos, off_pos, entry_size) in SECTION_LAYOUT.items():
-        count = _u4(data, count_pos)
-        offset = _u4(data, off_pos)
+    for name, (count_pos, _, entry_size) in SECTION_LAYOUT.items():
+        count, offset = _read_pair(data, count_pos)
         if count > 0 and offset + count * entry_size > len(data):
             raise OffsetOutOfBounds(f"{name} table ({count} entries at 0x{offset:x}) exceeds buffer")
-        sections[name] = SectionInfo(count=count, offset=offset)
+        sections[name] = SectionInfo(count, offset)
 
-    entries = _read_strings(data, sections["string_ids"])
-    if strict:
-        failures = sum(1 for e in entries if not e.decode_ok)
-        if failures:
-            raise StrictDecodeError(f"{failures} string entries failed to decode")
+    entries, failures = _read_strings(data, sections["string_ids"])
+    if strict and failures:
+        raise StrictDecodeError(f"{failures} string entries failed to decode")
     _warn_if_unsorted(entries)
 
     n_strings = len(entries)
@@ -136,6 +129,7 @@ def parse_dex(data: bytes, strict: bool = False) -> DexFile:
         checksum=checksum,
         section_table=sections,
         strings=tuple(entries),
+        decode_failures=failures,
         type_descriptor_ids=type_ids,
         proto_shorty_ids=shorty_ids,
         field_name_ids=field_name_ids,
@@ -146,23 +140,22 @@ def parse_dex(data: bytes, strict: bool = False) -> DexFile:
 
 def classify_strings(dex: DexFile) -> StringPool:
     """Partition the string section into identifier and non-identifier indices."""
-    identifiers: set[int] = set()
-    identifiers.update(dex.type_descriptor_ids)
-    identifiers.update(dex.proto_shorty_ids)
-    identifiers.update(dex.field_name_ids)
-    identifiers.update(dex.method_name_ids)
-    identifiers.update(dex.source_file_ids)
-    everything = frozenset(range(len(dex.strings)))
-    identifier_indices = frozenset(identifiers)
+    identifier_indices = frozenset().union(
+        dex.type_descriptor_ids, dex.proto_shorty_ids, dex.field_name_ids,
+        dex.method_name_ids, dex.source_file_ids,
+    )
     return StringPool(
         entries=dex.strings,
         identifier_indices=identifier_indices,
-        non_identifier_indices=everything - identifier_indices,
+        non_identifier_indices=frozenset(range(len(dex.strings))) - identifier_indices,
     )
 
 
 def _u4(data: bytes, offset: int) -> int:
     return struct.unpack_from("<I", data, offset)[0]
+
+
+_read_pair = struct.Struct("<2I").unpack_from
 
 
 def _table(data: bytes, section: SectionInfo, words: int = 1) -> tuple[int, ...]:
@@ -175,13 +168,51 @@ def _table(data: bytes, section: SectionInfo, words: int = 1) -> tuple[int, ...]
     return struct.unpack_from(f"<{section.count * words}I", data, section.offset)
 
 
-def _read_strings(data: bytes, section: SectionInfo) -> list[StringEntry]:
+def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry], int]:
+    """Every string_data item in string_ids order, and how many failed to decode.
+
+    The common item, a 1- or 2-byte ULEB128 length, the payload and its NUL,
+    is read inline; any other goes through _read_string_entry, with the same
+    result. An ASCII payload decodes to as many UTF-16 code units as
+    characters, so only non-ASCII text is measured by utf16_length.
+    """
+    decode = decode_mutf8
+    find = data.find
+    # Builds a StringEntry from a tuple of its fields in C, as
+    # StringEntry._make does, without the Python-level constructor.
+    new = tuple.__new__
+    size = len(data)
     entries: list[StringEntry] = []
+    append = entries.append
+    failures = 0
     for i, data_off in enumerate(_table(data, section)):
-        if data_off >= len(data):
+        if data_off >= size:
             raise OffsetOutOfBounds(f"string_data offset 0x{data_off:x} of entry {i} exceeds buffer")
-        entries.append(_read_string_entry(data, i, data_off))
-    return entries
+        declared_len = data[data_off]
+        pos = data_off + 1
+        if declared_len & 0x80:
+            if pos < size and data[pos] < 0x80:
+                declared_len = declared_len & 0x7F | data[pos] << 7
+                pos += 1
+            else:
+                entry = _read_string_entry(data, i, data_off)
+                failures += not entry.decode_ok
+                append(entry)
+                continue
+        text = None
+        terminator = find(b"\x00", pos)
+        if terminator != -1:
+            try:
+                text = decode(data[pos:terminator])
+            except DecodeError:
+                pass
+        if text is not None and declared_len == (
+                len(text) if text.isascii() else utf16_length(text)):
+            append(new(StringEntry, (i, data_off, text, True)))
+        else:
+            failures += 1
+            append(new(StringEntry, (i, data_off, "", False)))
+    return entries, failures
 
 
 def _read_string_entry(data: bytes, index: int, data_off: int) -> StringEntry:
@@ -216,11 +247,15 @@ def _read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
 
 def _warn_if_unsorted(entries: list[StringEntry]) -> None:
     # The format requires a sorted string table; obfuscated files in the wild
-    # violate this, so it is a warning rather than an error. ASCII strings
-    # compare in code-unit order as they are.
-    decoded = [e.text for e in entries if e.decode_ok]
-    keys = decoded if all(map(str.isascii, decoded)) else [utf16_sort_key(t) for t in decoded]
-    if keys != sorted(keys):
+    # violate this, so it is a warning rather than an error. Each decoded
+    # string is compared with the next. Strings compare in code-unit order as
+    # they are unless the table holds a supplementary character (a surrogate
+    # pair in UTF-16), which code-point order puts after U+E000-U+FFFF.
+    keys = [e.text for e in entries if e.decode_ok]
+    joined = "".join(keys)
+    if utf16_length(joined) != len(joined):
+        keys = list(map(utf16_sort_key, keys))
+    if any(map(gt, keys, keys[1:])):
         logger.warning("string table is not sorted by UTF-16 code units")
 
 

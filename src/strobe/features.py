@@ -6,13 +6,23 @@ frequencies), UTF-8 byte size, code-point length, counts of '=', '-', '/'
 and '+', and repeated-character count (length minus distinct characters).
 An app with zero strings gets an all-zero vector — itself a strong signal
 for stripped apps — rather than NaNs.
+
+feature_vector_from_strings counts each string's characters once, in one
+Counter: its values, in order of first appearance, give the entropy terms,
+and its size the distinct-character count. The integer metrics are counted
+over the joined strings. Summation order is the invariant that keeps the
+means equal, bit for bit, to those of per_string_metrics: within a string
+the entropy terms are summed in first-appearance order, and across strings
+the entropies are summed in string order, each with the builtin sum.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
+from operator import mul
 
 from .apk import AppStrings
 
@@ -75,6 +85,15 @@ def shannon_entropy(s: str) -> float:
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
 
 
+def _entropy(counts: Collection[int], n: int) -> float:
+    """shannon_entropy of a string of length n from its code-point counts in
+    first-appearance order, with the same terms summed in the same order."""
+    if n <= 1:
+        return 0.0
+    p = [c / n for c in counts]
+    return -sum(map(mul, p, map(math.log2, p)))
+
+
 def per_string_metrics(s: str) -> PerStringMetrics:
     return PerStringMetrics(
         entropy=shannon_entropy(s),
@@ -93,26 +112,28 @@ def feature_vector(app: AppStrings) -> FeatureVector:
 
 
 def feature_vector_from_strings(strings: tuple[str, ...] | list[str]) -> FeatureVector:
-    """Means of per_string_metrics over strings.
-
-    Every metric but the entropy is an integer per string, so its sum is
-    counted once over the joined strings; the entropies are summed in string
-    order. The result equals the means of per_string_metrics bit for bit.
-    """
+    """Means of per_string_metrics over strings, equal to them bit for bit
+    (see the module docstring)."""
     n = len(strings)
     if n == 0:
         return FeatureVector()
+    entropies = []
+    distinct = 0
+    for s in strings:
+        counts = Counter(s).values()
+        distinct += len(counts)
+        entropies.append(_entropy(counts, len(s)))
     joined = "".join(strings)
     length = len(joined)
     return FeatureVector(
-        avg_entropy=sum(map(shannon_entropy, strings)) / n,
+        avg_entropy=sum(entropies) / n,
         avg_wordsize=len(joined.encode("utf-8")) / n,
         avg_length=length / n,
         avg_eq=joined.count("=") / n,
         avg_dash=joined.count("-") / n,
         avg_slash=joined.count("/") / n,
         avg_plus=joined.count("+") / n,
-        avg_repeat=(length - sum(map(len, map(set, strings)))) / n,
+        avg_repeat=(length - distinct) / n,
         n_strings=n,
     )
 

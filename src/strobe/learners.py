@@ -45,8 +45,9 @@ def _np_seed(seed: int) -> int:
 
 DEFAULT_ONLINE_ENSEMBLE = 10
 DEFAULT_POISSON_LAMBDA = 6.0
+_COUNT_MAX = int(np.iinfo(np.int64).max)  # the most an ensemble count can hold
 # The largest lambda numpy's Generator.poisson accepts (its POISSON_LAM_MAX).
-_POISSON_LAMBDA_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+_POISSON_LAMBDA_MAX = float(_COUNT_MAX - np.sqrt(_COUNT_MAX) * 10)
 
 _CLS = {Label.NOT_SE: 0, Label.SE: 1}
 
@@ -381,6 +382,7 @@ def online_fit(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> OnlineMode
     """
     W = model.rng.poisson(model.lam_poisson, size=(len(X), model.k))
     model.n_draws += W.size
+    _check_count_room(model, W, cls)
     for c in (0, 1):
         rows = cls == c
         Wc = W[rows]
@@ -421,6 +423,24 @@ def online_train(
     ).permutation(len(train))
     X, y = design_matrix(train)
     return online_fit(model, X[order], (y[order] > 0).astype(np.int64))
+
+
+def _check_count_room(model: OnlineModel, W: np.ndarray, cls: np.ndarray) -> None:
+    """Raise BadConfig, before any merge, if feeding rows of classes cls
+    with weights W would take a member's int64 count past its maximum.
+
+    Counts only grow, so the final ones bound every count on the way. The
+    sums are exact: Python integers, where the cheap bound does not hold.
+    """
+    if int(model.counts.max()) + len(W) * int(W.max(initial=0)) <= _COUNT_MAX:
+        return
+    for c in (0, 1):
+        totals = model.counts[:, c].astype(object) + W[cls == c].astype(object).sum(axis=0)
+        for j, total in enumerate(totals):
+            if total > _COUNT_MAX:
+                raise BadConfig(
+                    f"poisson lambda {model.lam_poisson:.10g} overflows the int64 count "
+                    f"of member {j}, class {c}: {total} weighted observations")
 
 
 def _member_terms(model: OnlineModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -489,6 +509,7 @@ def _prequential_sweep(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> np
     n, k = len(X), model.k
     W = model.rng.poisson(model.lam_poisson, size=(n, k))
     model.n_draws += W.size
+    _check_count_room(model, W, cls)
     var, log_norm, _ = _member_terms(model)
     correct = np.empty(n, dtype=bool)
     d = np.empty_like(model.mean)

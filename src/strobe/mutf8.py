@@ -8,7 +8,14 @@ sequences, and 4-byte sequences do not exist.
 
 from __future__ import annotations
 
+import re
+
 from .errors import DecodeError
+
+
+# The surrogateescape handler turns each byte the UTF-8 codec cannot decode
+# into one code point U+DC80-U+DCFF, which valid UTF-8 never yields.
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 def decode_mutf8(data: bytes) -> str:
@@ -18,22 +25,30 @@ def decode_mutf8(data: bytes) -> str:
     bytes, overlong encodings other than 0xC0 0x80, 4-byte lead bytes, and
     unpaired surrogates.
 
-    Most payloads are also valid UTF-8, so the C UTF-8 codec is tried first.
-    Strict UTF-8 rejects overlong forms (0xC0 0x80 included), encoded
-    surrogates and truncation, so every MUTF-8-specific form reaches the
-    strict loop below, as do the forms MUTF-8 forbids but UTF-8 admits: a raw
-    0x00 (checked before decoding) and 4-byte sequences (code points
-    >= U+10000 in the result). Whatever the codec returns otherwise is what
-    the loop would return.
+    Most payloads are also valid UTF-8, so the C UTF-8 codec decodes first;
+    its surrogateescape handler marks undecodable bytes instead of raising.
+    UTF-8 cannot decode overlong forms (0xC0 0x80 included), encoded
+    surrogates or truncated sequences, so every MUTF-8-specific form reaches
+    the strict loop below, as do the forms MUTF-8 forbids but UTF-8 admits:
+    a raw 0x00 (checked before decoding) and 4-byte sequences (code points
+    >= U+10000 in the result). Whatever the codec decodes whole otherwise is
+    what the loop would return.
+
+    The two MUTF-8-specific forms start with 0xC0 (the encoded U+0000) or
+    0xED (an encoded surrogate), and MUTF-8 reads every 1- to 3-byte UTF-8
+    sequence as UTF-8 does. So where the first undecodable byte is any other,
+    the strict loop would fail too, and the input is rejected at once.
     """
     if b"\x00" not in data:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            pass
-        else:
-            if text.isascii() or max(text) < "\U00010000":
+        text = data.decode("utf-8", "surrogateescape")
+        if text.isascii():
+            return text
+        bad = _ESCAPED.search(text)
+        if bad is None:
+            if max(text) < "\U00010000":
                 return text
+        elif bad.group() not in ("\udcc0", "\udced"):
+            raise DecodeError("malformed byte sequence (not UTF-8, and no MUTF-8 form)")
     return _decode_strict(data)
 
 

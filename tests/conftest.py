@@ -1,8 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from strobe.cli import main
 from strobe.dataset import load_manifest
 from strobe.synth import confounded_preset, control_preset, gen_corpus, stripped_preset
+
+# Property tests draw the same examples on every run and never time out, so
+# the suite stays deterministic on a loaded machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          max_examples=300, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 
 Each of these takes a deliberately different route from the library code it
 checks: the MUTF-8 reference leans on the stdlib UTF-8/UTF-16 codecs, the
+string-table reference reads every entry through a general ULEB128 loop and
+re-encodes every decoded string to check its length, the
 checksum/digest references are textbook reimplementations, the feature
 reference recomputes every metric straight from its definition, the box
 oracle works on an explicitly sorted list, the online ensemble oracle
@@ -21,9 +23,11 @@ import struct
 import numpy as np
 
 from strobe.dataset import Label
-from strobe.errors import EmptyStream
+from strobe.dex import StringEntry
+from strobe.errors import DecodeError, EmptyStream, OffsetOutOfBounds
 from strobe.evaluation import PrequentialResult
 from strobe.learners import _member_terms, online_update
+from strobe.mutf8 import decode_mutf8, utf16_length
 
 _LEAD_LEN = {}
 for _b in range(0x01, 0x80):
@@ -64,6 +68,49 @@ def reference_decode_mutf8(data) -> str | None:
         return b"".join(struct.pack("<H", u) for u in units).decode("utf-16-le")
     except UnicodeDecodeError:
         return None
+
+
+def reference_read_strings(data: bytes, section) -> list[StringEntry]:
+    """Every string_data item of a dex's string_ids table (section), one
+    general read per entry: the string-table reader of parse_dex before it
+    read the common entry inline."""
+    ids = struct.unpack_from(f"<{section.count}I", data, section.offset) if section.count else ()
+    entries: list[StringEntry] = []
+    for i, data_off in enumerate(ids):
+        if data_off >= len(data):
+            raise OffsetOutOfBounds(f"string_data offset 0x{data_off:x} of entry {i} exceeds buffer")
+        entries.append(_reference_read_string_entry(data, i, data_off))
+    return entries
+
+
+def _reference_read_string_entry(data: bytes, index: int, data_off: int) -> StringEntry:
+    text = None
+    try:
+        declared_len, pos = _reference_read_uleb128(data, data_off)
+        terminator = data.find(b"\x00", pos)
+        if terminator != -1:
+            text = decode_mutf8(data[pos:terminator])
+    except DecodeError:
+        pass
+    if text is None or utf16_length(text) != declared_len:
+        return StringEntry(index=index, data_offset=data_off, text="", decode_ok=False)
+    return StringEntry(index=index, data_offset=data_off, text=text, decode_ok=True)
+
+
+def _reference_read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
+    """Decode a ULEB128 value; returns (value, offset past the encoding)."""
+    result = 0
+    shift = 0
+    pos = offset
+    while True:
+        if pos >= len(data) or shift > 28:
+            raise DecodeError("unterminated or oversized ULEB128")
+        byte = data[pos]
+        result |= (byte & 0x7F) << shift
+        pos += 1
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
 
 
 def reference_adler32(data: bytes) -> int:

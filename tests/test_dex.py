@@ -3,10 +3,25 @@ import random
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from strobe.dex import NO_INDEX, SECTION_LAYOUT, classify_strings, parse_dex
+from strobe.apk import list_dex_entries
+from strobe.dex import (
+    ENDIAN_CONSTANT,
+    HEADER_SIZE,
+    NO_INDEX,
+    SECTION_LAYOUT,
+    SectionInfo,
+    StringEntry,
+    classify_strings,
+    parse_dex,
+)
 from strobe.errors import BadMagic, OffsetOutOfBounds, StrictDecodeError, StrobeError, Truncated
+from strobe.mutf8 import encode_mutf8
 from strobe.synth import DexSpec, build_dex
+
+from oracles import reference_read_strings
 
 
 def simple_dex(identifiers=("Lx;", "go"), payload=("hello",), wiring=None):
@@ -209,3 +224,152 @@ def test_sorted_table_with_astral_strings_does_not_warn(caplog):
         dex = parse_dex(blob)
     assert [e.text for e in dex.strings][-2:] == ["\U00010000", "\uffff"]
     assert not any("not sorted" in r.message for r in caplog.records)
+
+
+# --- the string-table reader against the general one-read-per-entry reference
+
+def _uleb(value: int, width: int = 1) -> bytes:
+    """ULEB128 of value, padded with continuation bytes to at least width bytes."""
+    out = bytearray()
+    while True:
+        byte, value = value & 0x7F, value >> 7
+        if value or len(out) + 1 < width:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def strings_only_dex(blob: bytes, offsets) -> bytes:
+    """A dex whose only table is string_ids, followed by blob; each entry
+    points at an offset into blob (or past its end)."""
+    base = HEADER_SIZE + 4 * len(offsets)
+    data = bytearray(base) + blob
+    data[:8] = b"dex\n035\x00"
+    struct.pack_into("<I", data, 32, len(data))
+    struct.pack_into("<I", data, 40, ENDIAN_CONSTANT)
+    struct.pack_into("<2I", data, SECTION_LAYOUT["string_ids"][0], len(offsets), HEADER_SIZE)
+    struct.pack_into(f"<{len(offsets)}I", data, HEADER_SIZE, *(base + o for o in offsets))
+    return bytes(data)
+
+
+def assert_strings_match_reference(blob: bytes) -> None:
+    section = SectionInfo(*struct.unpack_from("<2I", blob, SECTION_LAYOUT["string_ids"][0]))
+    want = tuple(reference_read_strings(blob, section))
+    dex = parse_dex(blob)
+    assert dex.strings == want
+    assert all(type(e) is StringEntry for e in dex.strings)
+    failures = sum(not e.decode_ok for e in want)
+    assert dex.decode_failures == failures
+    if failures:
+        with pytest.raises(StrictDecodeError, match=f"^{failures} string entries"):
+            parse_dex(blob, strict=True)
+    else:
+        assert parse_dex(blob, strict=True) == dex
+
+
+# Raw string_data items: the length prefix, the MUTF-8 payload and its NUL.
+SHORT_ITEMS = {
+    "1-byte length": _uleb(3) + b"abc\x00",
+    "2-byte padded length": _uleb(3, 2) + b"abc\x00",
+    "5-byte padded length": _uleb(3, 5) + b"abc\x00",
+    "6-byte length": _uleb(3, 6) + b"abc\x00",
+    "length too long": _uleb(5) + b"abc\x00",
+    "length too short": _uleb(2) + b"abc\x00",
+    "empty": _uleb(0) + b"\x00",
+    "empty with a length": _uleb(1) + b"\x00",
+    "encoded NUL": _uleb(1) + b"\xc0\x80\x00",
+    "CESU-8 pair": _uleb(2) + encode_mutf8("\U0001F600") + b"\x00",
+    "CESU-8 pair counted as one": _uleb(1) + encode_mutf8("\U0001F600") + b"\x00",
+    "4-byte UTF-8": _uleb(2) + "\U0001F600".encode() + b"\x00",
+    "lone high surrogate": _uleb(1) + b"\xed\xa0\x80\x00",
+    "lone low surrogate": _uleb(1) + b"\xed\xb0\x80\x00",
+    "non-ASCII BMP": _uleb(3) + "Ω€\uffff".encode() + b"\x00",
+    "bad continuation": _uleb(2) + b"\xc3\x41\x00",
+}
+LONG_ITEMS = {
+    "2-byte length": _uleb(200) + b"a" * 200 + b"\x00",
+    "3-byte length": _uleb(20_000) + "Ω".encode() * 20_000 + b"\x00",
+}
+# Items that must end the buffer: no terminator, and a length cut short.
+TAIL_ITEMS = {
+    "missing terminator": _uleb(3) + b"abc",
+    "length at the end of the buffer": b"\x85",
+}
+
+
+@pytest.mark.parametrize("name", [*SHORT_ITEMS, *LONG_ITEMS, *TAIL_ITEMS])
+def test_string_item_reads_as_reference(name):
+    item = {**SHORT_ITEMS, **LONG_ITEMS, **TAIL_ITEMS}[name]
+    assert_strings_match_reference(strings_only_dex(item, [0]))
+
+
+def test_string_table_of_every_item_reads_as_reference():
+    items = [*SHORT_ITEMS.values(), *LONG_ITEMS.values()]
+    offsets = [sum(map(len, items[:i])) for i in range(len(items))]
+    for tail in TAIL_ITEMS.values():
+        blob = b"".join(items) + tail
+        assert_strings_match_reference(strings_only_dex(blob, [*offsets, len(blob) - len(tail)]))
+        assert_strings_match_reference(
+            strings_only_dex(blob, [len(blob) - len(tail), *reversed(offsets)]))
+
+
+def test_unsorted_repeated_and_overlapping_offsets_read_as_reference():
+    # Every byte of the blob starts an entry, so entries overlap and start
+    # inside lengths, payloads and terminators; then the same offsets
+    # reversed, and each one twice.
+    blob = b"".join(SHORT_ITEMS.values()) + TAIL_ITEMS["missing terminator"]
+    offsets = list(range(len(blob)))
+    for order in (offsets, offsets[::-1], [o for o in offsets for _ in range(2)]):
+        assert_strings_match_reference(strings_only_dex(blob, order))
+
+
+def test_string_offset_past_the_buffer_raises_as_reference():
+    blob = strings_only_dex(SHORT_ITEMS["1-byte length"], [0, 10_000])
+    section = SectionInfo(2, HEADER_SIZE)
+    with pytest.raises(OffsetOutOfBounds, match="entry 1"):
+        reference_read_strings(blob, section)
+    with pytest.raises(OffsetOutOfBounds, match="entry 1"):
+        parse_dex(blob)
+
+
+def test_every_dex_of_the_frozen_corpus_reads_as_reference(confounded):
+    n_dex = 0
+    for path in sorted(confounded["dir"].rglob("*.apk")):
+        for _, payload in list_dex_entries(path.read_bytes()):
+            assert_strings_match_reference(payload)
+            n_dex += 1
+    assert n_dex > len(confounded["corpus"].samples)  # multidex apps included
+
+
+_FUZZ_BASE = simple_dex(
+    identifiers=("Lcom/app/Main;", "run", "field0"),
+    payload=("some payload", "Ω€", "\U0001F600 astral", "=" * 200, "a\x00b", ""),
+)
+_FUZZ_IDS = parse_dex(_FUZZ_BASE).section_table["string_ids"]
+# From the first string_data item to the end of the file.
+_FUZZ_DATA = (min(e.data_offset for e in parse_dex(_FUZZ_BASE).strings), len(_FUZZ_BASE))
+
+
+@given(
+    id_edits=st.lists(st.tuples(
+        st.integers(0, _FUZZ_IDS.count - 1),
+        st.one_of(st.integers(*_FUZZ_DATA), st.integers(0, len(_FUZZ_BASE) + 16)),
+    ), max_size=4),
+    byte_edits=st.lists(st.tuples(st.integers(_FUZZ_DATA[0], _FUZZ_DATA[1] - 1),
+                                  st.integers(0, 255)), max_size=8),
+)
+def test_mutated_string_tables_read_as_reference_or_raise_strobe_errors(id_edits, byte_edits):
+    blob = bytearray(_FUZZ_BASE)
+    for i, offset in id_edits:
+        struct.pack_into("<I", blob, _FUZZ_IDS.offset + 4 * i, offset)
+    for pos, value in byte_edits:
+        blob[pos] = value
+    blob = bytes(blob)
+    try:
+        want = reference_read_strings(blob, _FUZZ_IDS)
+    except StrobeError as exc:
+        with pytest.raises(type(exc)):
+            parse_dex(blob)
+        return
+    assert parse_dex(blob).strings == tuple(want)

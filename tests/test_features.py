@@ -2,7 +2,9 @@ import base64
 import math
 import random
 
-from strobe.apk import AppStrings
+import pytest
+
+from strobe.apk import AppStrings, extract_app_strings
 from strobe.features import (
     FeatureVector,
     csv_row,
@@ -113,9 +115,25 @@ def test_csv_row_formats_nine_significant_digits():
     assert row[-2:] == ["2", "2"]
 
 
+def metric_means_hex(strings) -> list[str]:
+    """The means of per_string_metrics over strings, bit for bit (float.hex
+    shows a signed zero that == does not), and the string count."""
+    metrics = [per_string_metrics(s) for s in strings]
+    n = len(metrics)
+    columns = zip(*((m.entropy, m.wordsize, m.length, m.eq_count, m.dash_count,
+                     m.slash_count, m.plus_count, m.repeat_count) for m in metrics))
+    return [(sum(col) / n).hex() for col in columns] + [str(n)]
+
+
+def vector_hex(strings) -> list[str]:
+    fv = feature_vector_from_strings(strings)
+    return [v.hex() for v in fv.as_tuple()] + [str(fv.n_strings)]
+
+
 def test_feature_means_bit_equal_to_per_string_metrics():
-    # The vector is computed over the joined strings; it must equal the plain
-    # means of per_string_metrics exactly, not merely within a tolerance.
+    # The vector is computed over the joined strings, with one Counter per
+    # string; it must equal the plain means of per_string_metrics exactly,
+    # not merely within a tolerance.
     rng = random.Random(31)
     bmp = "abcxyz =/-+Ωé€\uffff"
     astral = bmp + "\U0001F600\U00010000\U0010FFFF"
@@ -123,17 +141,39 @@ def test_feature_means_bit_equal_to_per_string_metrics():
         for _ in range(50):
             strings = ["".join(rng.choice(pool) for _ in range(rng.randrange(0, 30)))
                        for _ in range(rng.randrange(1, 40))]
-            metrics = [per_string_metrics(s) for s in strings]
-            n = len(strings)
-            assert feature_vector_from_strings(strings) == FeatureVector(
-                avg_entropy=sum(m.entropy for m in metrics) / n,
-                avg_wordsize=sum(m.wordsize for m in metrics) / n,
-                avg_length=sum(m.length for m in metrics) / n,
-                avg_eq=sum(m.eq_count for m in metrics) / n,
-                avg_dash=sum(m.dash_count for m in metrics) / n,
-                avg_slash=sum(m.slash_count for m in metrics) / n,
-                avg_plus=sum(m.plus_count for m in metrics) / n,
-                avg_repeat=sum(m.repeat_count for m in metrics) / n,
-                n_strings=n,
-            )
+            assert vector_hex(strings) == metric_means_hex(strings)
     assert feature_vector_from_strings([]) == FeatureVector()
+
+
+def test_feature_means_bit_equal_on_edge_strings():
+    rng = random.Random(32)
+    wide = "".join(map(chr, range(0x21, 0x7F))) + "Ωé€\uffff\U0001F600\U00010000"
+    long_strings = ["".join(rng.choice(wide) for _ in range(n)) for n in (128, 129, 255, 1000)]
+    long_strings.append(base64.b64encode(bytes(range(256))).decode())
+    cases = [[""], ["x"], ["aaaa"], ["", "x", "aaaa"], ["\U0001F600"],
+             ["\U0001F600\U0001F600a", "\U00010000\uffff"], long_strings,
+             long_strings + ["", "aaaa", "\U0001F600"]]
+    for strings in cases:
+        assert vector_hex(strings) == metric_means_hex(strings), strings
+    # A string of one repeated character has entropy -0.0, the negated sum
+    # of one 0.0 term.
+    assert per_string_metrics("aaaa").entropy.hex() == (-0.0).hex()
+
+
+def test_lone_surrogates_fail_as_per_string_metrics_does():
+    # decode_mutf8 never yields a lone surrogate; neither path measures one.
+    for s in ("\ud800", "a\udc00b"):
+        with pytest.raises(UnicodeEncodeError):
+            per_string_metrics(s)
+        with pytest.raises(UnicodeEncodeError):
+            feature_vector_from_strings(["ok", s])
+
+
+def test_feature_means_bit_equal_on_every_app_of_the_frozen_corpus(confounded):
+    n_apps = 0
+    for path in sorted(confounded["dir"].rglob("*.apk")):
+        strings = extract_app_strings(path).non_identifier_strings
+        if strings:
+            assert vector_hex(strings) == metric_means_hex(strings), path.name
+        n_apps += 1
+    assert n_apps == len(confounded["corpus"].samples)

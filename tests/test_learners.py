@@ -7,6 +7,7 @@ from strobe.dataset import Label, Sample
 from strobe.errors import BadConfig, SingleClass, TooSmall
 from strobe.features import FeatureVector
 from strobe.learners import (
+    _COUNT_MAX,
     _POISSON_LAMBDA_MAX,
     BatchModel,
     HingeHyperparams,
@@ -26,6 +27,7 @@ from strobe.learners import (
     online_update,
     predict,
 )
+from strobe.learners import _check_count_room, _prequential_sweep
 
 from oracles import (
     ReplayEnsemble,
@@ -324,6 +326,29 @@ def test_online_init_accepts_the_largest_lambda_numpy_draws():
         model.rng.poisson(model.lam_poisson, size=2)
     with pytest.raises(ValueError, match="lam value too large"):
         model.rng.poisson(math.nextafter(_POISSON_LAMBDA_MAX, math.inf))
+
+
+@pytest.mark.parametrize("feed", [online_fit, _prequential_sweep])
+def test_counts_past_int64_raise_before_any_merge(feed):
+    # Two SE rows at the largest lambda: their summed weights pass int64.
+    X = np.arange(24, dtype=float).reshape(3, 8)
+    model = online_init(k=3, lam_poisson=9.2e18, seed=0)
+    with pytest.raises(BadConfig, match="overflows the int64 count of member 0, class 1"):
+        feed(model, X, np.array([1, 0, 1]))
+    assert not model.counts.any() and not model.mean.any() and not model.m2.any()
+    assert model.n_draws == 9
+
+
+def test_count_check_admits_counts_up_to_the_int64_maximum():
+    model = online_init(k=2, seed=0)
+    W = np.array([[3, 0], [4, 0]])
+    cls = np.array([1, 1])
+    model.counts[:, 1] = [_COUNT_MAX - 7, _COUNT_MAX]
+    _check_count_room(model, W, cls)
+    _check_count_room(model, W, np.array([0, 0]))
+    model.counts[0, 1] += 1
+    with pytest.raises(BadConfig, match="member 0, class 1"):
+        _check_count_room(model, W, cls)
 
 
 def test_cold_model_predicts_not_se():
