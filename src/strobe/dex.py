@@ -24,15 +24,15 @@ HEADER_SIZE = 0x70
 ENDIAN_CONSTANT = 0x12345678
 NO_INDEX = 0xFFFFFFFF
 
-# (count offset, data offset, bytes per entry) positions inside the header;
-# each count is followed by its offset, so the two are read as one pair.
+# (count position inside the header, bytes per entry); each count is
+# followed by its table's offset, so the two are read as one pair.
 SECTION_LAYOUT = {
-    "string_ids": (56, 60, 4),
-    "type_ids": (64, 68, 4),
-    "proto_ids": (72, 76, 12),
-    "field_ids": (80, 84, 8),
-    "method_ids": (88, 92, 8),
-    "class_defs": (96, 100, 32),
+    "string_ids": (56, 4),
+    "type_ids": (64, 4),
+    "proto_ids": (72, 12),
+    "field_ids": (80, 8),
+    "method_ids": (88, 8),
+    "class_defs": (96, 32),
 }
 
 
@@ -105,7 +105,7 @@ def parse_dex(data: bytes, strict: bool = False) -> DexFile:
         raise BadMagic(f"unsupported endian tag 0x{endian_tag:08x}")
 
     sections: dict[str, SectionInfo] = {}
-    for name, (count_pos, _, entry_size) in SECTION_LAYOUT.items():
+    for name, (count_pos, entry_size) in SECTION_LAYOUT.items():
         count, offset = _read_pair(data, count_pos)
         if count > 0 and offset + count * entry_size > len(data):
             raise OffsetOutOfBounds(f"{name} table ({count} entries at 0x{offset:x}) exceeds buffer")
@@ -171,10 +171,10 @@ def _table(data: bytes, section: SectionInfo, words: int = 1) -> tuple[int, ...]
 def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry], int]:
     """Every string_data item in string_ids order, and how many failed to decode.
 
-    The common item, a 1- or 2-byte ULEB128 length, the payload and its NUL,
-    is read inline; any other goes through _read_string_entry, with the same
-    result. An ASCII payload decodes to as many UTF-16 code units as
-    characters, so only non-ASCII text is measured by utf16_length.
+    A 1- or 2-byte ULEB128 length, the common case, is decoded inline and
+    any longer one by _read_uleb128. An ASCII payload decodes to as many
+    UTF-16 code units as characters, so only non-ASCII text is measured by
+    utf16_length.
     """
     decode = decode_mutf8
     find = data.find
@@ -195,10 +195,12 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry],
                 declared_len = declared_len & 0x7F | data[pos] << 7
                 pos += 1
             else:
-                entry = _read_string_entry(data, i, data_off)
-                failures += not entry.decode_ok
-                append(entry)
-                continue
+                try:
+                    declared_len, pos = _read_uleb128(data, data_off)
+                except DecodeError:
+                    failures += 1
+                    append(new(StringEntry, (i, data_off, "", False)))
+                    continue
         text = None
         terminator = find(b"\x00", pos)
         if terminator != -1:
@@ -213,20 +215,6 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry],
             failures += 1
             append(new(StringEntry, (i, data_off, "", False)))
     return entries, failures
-
-
-def _read_string_entry(data: bytes, index: int, data_off: int) -> StringEntry:
-    text = None
-    try:
-        declared_len, pos = _read_uleb128(data, data_off)
-        terminator = data.find(b"\x00", pos)
-        if terminator != -1:
-            text = decode_mutf8(data[pos:terminator])
-    except DecodeError:
-        pass
-    if text is None or utf16_length(text) != declared_len:
-        return StringEntry(index=index, data_offset=data_off, text="", decode_ok=False)
-    return StringEntry(index=index, data_offset=data_off, text=text, decode_ok=True)
 
 
 def _read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
@@ -250,7 +238,8 @@ def _warn_if_unsorted(entries: list[StringEntry]) -> None:
     # violate this, so it is a warning rather than an error. Each decoded
     # string is compared with the next. Strings compare in code-unit order as
     # they are unless the table holds a supplementary character (a surrogate
-    # pair in UTF-16), which code-point order puts after U+E000-U+FFFF.
+    # pair in UTF-16), which code-point order puts after U+E000-U+FFFF. One
+    # UTF-16 encode of the joined table finds one faster than max() over it.
     keys = [e.text for e in entries if e.decode_ok]
     joined = "".join(keys)
     if utf16_length(joined) != len(joined):

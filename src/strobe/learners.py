@@ -398,7 +398,7 @@ def online_fit(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> OnlineMode
         na = model.counts[hit, c]
         n = na + nb
         _chan_merge(model.mean[:, c], model.m2[:, c], hit, mb, m2b,
-                    (nb / n)[:, None], (na * nb / n)[:, None])
+                    (nb / n)[:, None], (na * nb.astype(float) / n)[:, None])
         model.counts[hit, c] = n
     return model
 
@@ -459,7 +459,10 @@ def _chan_merge(mean, m2, hit, mb, m2b, frac, coef) -> None:
     """Merge weighted batches (means mb, M2 m2b) into rows hit of one class's
     running mean and M2, in place, by the pairwise update of Chan, Golub &
     LeVeque (1979); frac is nb / n and coef na * nb / n for na observations
-    before, nb in the batch and n = na + nb after."""
+    before, nb in the batch and n = na + nb after. Callers form na * nb in
+    float64: the int64 product wraps long before the counts do, while for
+    counts below 2**53 the float product is the exact one rounded once, as
+    its conversion to float was."""
     delta = mb - mean[hit]
     mean[hit] += delta * frac
     m2[hit] += m2b + delta ** 2 * coef
@@ -531,7 +534,7 @@ def _prequential_sweep(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> np
             na = before[np.arange(m), :, cb]
             nn = na + Wb
             frac = (Wb / nn)[..., None]
-            coef = (na * Wb / nn)[..., None]
+            coef = (na * Wb.astype(float) / nn)[..., None]
             dof = (nn - 1.0)[..., None]
             cold = ((nn < 2) & (Wb > 0)).any(axis=1)
             full = (Wb > 0).all(axis=1)

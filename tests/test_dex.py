@@ -208,9 +208,7 @@ def test_empty_tables_with_wild_offsets_parse(empty):
     # A table with no entries is never read, whatever its offset says.
     blob = bytearray(simple_dex())
     for name in empty:
-        count_pos, off_pos, _ = SECTION_LAYOUT[name]
-        struct.pack_into("<I", blob, count_pos, 0)
-        struct.pack_into("<I", blob, off_pos, 0xFFFFFFFF)
+        struct.pack_into("<2I", blob, SECTION_LAYOUT[name][0], 0, 0xFFFFFFFF)
     dex = parse_dex(bytes(blob))
     for name in empty:
         assert dex.section_table[name].count == 0

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -337,6 +338,27 @@ def test_counts_past_int64_raise_before_any_merge(feed):
         feed(model, X, np.array([1, 0, 1]))
     assert not model.counts.any() and not model.mean.any() and not model.m2.any()
     assert model.n_draws == 9
+
+
+def _feed_rows_one_at_a_time(model, X, cls):
+    for i in range(len(X)):
+        online_fit(model, X[i:i + 1], cls[i:i + 1])
+
+
+@pytest.mark.parametrize("feed", [_feed_rows_one_at_a_time, _prequential_sweep])
+def test_merge_coefficient_does_not_wrap_at_large_lambda(feed):
+    # At lambda 1e10 the counts fit int64 easily, but na * nb (about 1e20)
+    # does not; M2 must still be the weighted sum of squares.
+    X = np.repeat(np.arange(3.0)[:, None], 8, axis=1)
+    cls = np.array([1, 1, 1])
+    model = online_init(k=2, lam_poisson=1e10, seed=0)
+    W = copy.deepcopy(model.rng).poisson(model.lam_poisson, size=(3, 2)).astype(float)
+    feed(model, X, cls)
+    mean = (W.T @ X) / W.sum(axis=0)[:, None]
+    m2 = np.stack([W[:, j] @ (X - mean[j]) ** 2 for j in range(2)])
+    assert m2.min() > 1e9
+    np.testing.assert_allclose(model.mean[:, 1], mean, rtol=1e-12)
+    np.testing.assert_allclose(model.m2[:, 1], m2, rtol=1e-6)
 
 
 def test_count_check_admits_counts_up_to_the_int64_maximum():
