@@ -36,7 +36,6 @@ class AppStrings:
     non_identifier_strings: tuple[str, ...]
     dex_count: int
     decode_failures: int
-    strict_excluded: bool
 
 
 def list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
@@ -64,13 +63,12 @@ def list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
         return out
 
 
-def extract_app_strings(path: str | Path, strict: bool = False) -> AppStrings:
+def extract_app_strings(path: str | Path) -> AppStrings:
     """Parse every dex in the APK and aggregate its non-identifier strings.
 
     Strings are concatenated across dex files in numeric dex order with no
     cross-file deduplication. decode_failures counts string entries (of any
-    kind) that failed MUTF-8 decoding; with strict=True any failure marks the
-    app for exclusion rather than raising.
+    kind) that failed MUTF-8 decoding.
     """
     path = Path(path)
     archive = path.read_bytes()
@@ -89,5 +87,4 @@ def extract_app_strings(path: str | Path, strict: bool = False) -> AppStrings:
         non_identifier_strings=tuple(strings),
         dex_count=len(entries),
         decode_failures=failures,
-        strict_excluded=strict and failures > 0,
     )

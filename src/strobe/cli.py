@@ -17,6 +17,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 from pathlib import Path
@@ -29,13 +30,14 @@ from .dataset import (
     Sample,
     SplitStrategy,
     family_disjoint_split,
+    feature_corpus,
     load_manifest,
     load_split,
     lofo_splits,
     random_split,
     validate_split,
 )
-from .errors import BadValue, ParseError, StrobeError
+from .errors import BadValue, InvalidConfig, ParseError, StrobeError
 from .evaluation import (
     LearnerKind,
     box_stats,
@@ -219,34 +221,33 @@ def _apk_dir_samples(apk_dir: str, manifest: str | None) -> list[Sample]:
                Label.NOT_SE, path=str(path)) for path in apks]).samples)
 
 
-def _extract_row(task: tuple[Sample, bool]) -> tuple[Sample, int] | None:
-    """The sample with its full-precision features and decode-failure count; None if --strict drops it."""
-    sample, strict = task
-    app = extract_app_strings(sample.path, strict=strict)
-    if app.strict_excluded:
-        return None
-    return replace(sample, features=feature_vector(app), path=None), app.decode_failures
+def _feature_row(sample: Sample) -> list[str]:
+    """The sample's feature-CSV row, from the strings of its APK."""
+    app = extract_app_strings(sample.path)
+    return csv_row(sample.sample_id, sample.family, sample.label.value, feature_vector(app),
+                   app.decode_failures)
 
 
-def _extract_all(samples: list[Sample], strict: bool, jobs: int) -> list[tuple[Sample, int]]:
-    """_extract_row over samples, in their order, without the ones --strict drops."""
-    tasks = [(s, strict) for s in samples]
+def _feature_table(samples: list[Sample], jobs: int) -> list[list[str]]:
+    """The feature-CSV rows of the samples, sorted by sample_id."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_extract_row, tasks, chunksize=32))
+            rows = list(pool.map(_feature_row, samples, chunksize=32))
     else:
-        results = list(map(_extract_row, tasks))
-    return [r for r in results if r is not None]
+        rows = list(map(_feature_row, samples))
+    return sorted(rows, key=itemgetter(0))
 
 
 def _load_feature_corpus(manifest: str, strict: bool = False, jobs: int = 1) -> Corpus:
-    """Load a manifest; if it is path-based, extract features from the APKs."""
+    """Load a manifest, extracting a path manifest's feature table first; with
+    strict, without the samples that have decode failures."""
     manifest_path = Path(manifest)
     corpus = load_manifest(manifest_path)
-    if corpus.X is not None:
-        return corpus
-    rows = _extract_all(_apk_samples(corpus, manifest_path), strict, jobs)
-    return Corpus.from_samples([sample for sample, _ in rows])
+    if corpus.X is None:
+        corpus = feature_corpus(_feature_table(_apk_samples(corpus, manifest_path), jobs))
+    if strict:
+        corpus = Corpus.from_samples([s for s in corpus.samples if not s.decode_failures])
+    return corpus
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -265,38 +266,31 @@ def _write_json(out: str | None, obj) -> None:
 # --------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
-    rows = _extract_all(_apk_dir_samples(args.apk_dir, args.manifest), args.strict, args.jobs)
-    by_id = {s.sample_id: csv_row(s.sample_id, s.family, s.label.value, s.features, failures)
-             for s, failures in rows}
-    table = [CSV_HEADER, *(by_id[sid] for sid in sorted(by_id))]
-    _write_text(args.out, "".join(",".join(row) + "\n" for row in table))
+    rows = _feature_table(_apk_dir_samples(args.apk_dir, args.manifest), args.jobs)
+    if args.strict:
+        rows = [row for row in rows if row[-1] == "0"]  # the decode_failures cell
+    _write_text(args.out, "".join(",".join(row) + "\n" for row in [CSV_HEADER, *rows]))
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     presets = {"confounded": synth.confounded_preset, "control": synth.control_preset,
                "stripped": synth.stripped_preset}
-    cfg = presets[args.preset]() if args.preset else synth.SynthConfig()
+    # The preset, then the --config file, then each flag given, in one merge.
+    fields = (presets[args.preset]() if args.preset else synth.SynthConfig()).to_json()
     if args.config:
-        base = cfg.to_json()
         with open(args.config, encoding="utf-8") as fh:
-            base.update(json.load(fh))
-        cfg = synth.SynthConfig.from_json(base)
-
-    overrides = {}
+            try:
+                fields.update(json.load(fh))
+            except (TypeError, ValueError) as exc:  # not JSON, or not a JSON object
+                raise InvalidConfig(f"{args.config}: {exc}") from None
     for name in ("n_families", "samples_per_family", "skew", "se_family_fraction",
                  "mixed_family_fraction", "fingerprint_strength", "se_string_fraction",
                  "strings_per_app", "identifiers_per_app", "scheme", "seed"):
         value = getattr(args, name)
         if value is not None:
-            overrides[name] = tuple(value) if isinstance(value, list) else value
-    if overrides:
-        merged = cfg.to_json()
-        merged.update(overrides)
-        cfg = synth.SynthConfig.from_json(merged)
-
-    cfg.validate()
-    out_dir, manifest = synth.gen_corpus(cfg, args.out)
+            fields[name] = value
+    out_dir, manifest = synth.gen_corpus(synth.SynthConfig.from_json(fields), args.out)
     print(f"wrote corpus to {out_dir} ({manifest.name})")
     return EXIT_OK
 

@@ -16,6 +16,7 @@ import enum
 import json
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -66,6 +67,7 @@ class Sample:
     label: Label
     features: FeatureVector | None = None
     path: str | None = None
+    decode_failures: int = 0  # string entries of the APK that failed to decode
 
 
 @dataclass(frozen=True)
@@ -196,28 +198,40 @@ def load_manifest(path: str | Path) -> Corpus:
         except StopIteration:
             raise BadHeader("empty manifest") from None
         if header == PATH_HEADER:
-            inline_features = False
-        elif header == FEATURE_HEADER:
-            inline_features = True
-        else:
-            raise BadHeader(f"unrecognized manifest header {header!r}")
+            return Corpus.from_samples(_parse_rows(reader, _path_sample, len(header)))
+        if header == FEATURE_HEADER:
+            return feature_corpus(reader)
+        raise BadHeader(f"unrecognized manifest header {header!r}")
 
-        samples: list[Sample] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise BadHeader(f"row {row_no} has {len(row)} columns, expected {len(header)}")
-            sample_id, family, label_text = row[0], row[1], row[2]
-            label = Label.parse(label_text)
-            if inline_features:
-                values = [_feature_cell(row_no, name, v) for name, v in zip(FEATURE_NAMES, row[3:11])]
-                fv = FeatureVector(*values, n_strings=_count_cell(row_no, "n_strings", row[11]))
-                _count_cell(row_no, "decode_failures", row[12])
-                samples.append(Sample(sample_id, family, label, features=fv))
-            else:
-                samples.append(Sample(sample_id, family, label, path=row[3]))
-    return Corpus.from_samples(samples)
+
+def feature_corpus(rows: Iterable[list[str]]) -> Corpus:
+    """The corpus of feature-CSV rows (FEATURE_HEADER order, no header), parsed
+    as load_manifest parses a feature CSV; row numbers count the header."""
+    return Corpus.from_samples(_parse_rows(rows, _feature_sample, len(FEATURE_HEADER)))
+
+
+def _parse_rows(rows: Iterable[list[str]], parse, width: int) -> list[Sample]:
+    """parse(row_no, row) over the non-blank rows, each checked to be width cells wide."""
+    samples: list[Sample] = []
+    for row_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise BadHeader(f"row {row_no} has {len(row)} columns, expected {width}")
+        samples.append(parse(row_no, row))
+    return samples
+
+
+def _path_sample(row_no: int, row: list[str]) -> Sample:
+    return Sample(row[0], row[1], Label.parse(row[2]), path=row[3])
+
+
+def _feature_sample(row_no: int, row: list[str]) -> Sample:
+    label = Label.parse(row[2])
+    values = [_feature_cell(row_no, name, v) for name, v in zip(FEATURE_NAMES, row[3:11])]
+    fv = FeatureVector(*values, n_strings=_count_cell(row_no, "n_strings", row[11]))
+    return Sample(row[0], row[1], label, features=fv,
+                  decode_failures=_count_cell(row_no, "decode_failures", row[12]))
 
 
 def _feature_cell(row_no: int, column: str, text: str) -> float:

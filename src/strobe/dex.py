@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import gt
 from typing import NamedTuple
 
-from .errors import BadMagic, DecodeError, OffsetOutOfBounds, StrictDecodeError, Truncated
+from .errors import BadMagic, DecodeError, OffsetOutOfBounds, Truncated
 from .mutf8 import decode_mutf8, utf16_length, utf16_sort_key
 
 logger = logging.getLogger(__name__)
@@ -79,13 +79,12 @@ class StringPool:
                 if entries[i].decode_ok]
 
 
-def parse_dex(data: bytes, strict: bool = False) -> DexFile:
+def parse_dex(data: bytes) -> DexFile:
     """Parse a DEX binary.
 
     Entries whose string data fails MUTF-8 decoding are marked
-    decode_ok=False instead of aborting the file; with strict=True any such
-    entry raises StrictDecodeError instead (mirrors dropping undecodable
-    samples from a corpus).
+    decode_ok=False, and counted in decode_failures, instead of aborting
+    the file.
     """
     if len(data) < 8 or data[:4] != b"dex\n" or data[7] != 0x00 \
             or not data[4:7].isdigit():
@@ -112,8 +111,6 @@ def parse_dex(data: bytes, strict: bool = False) -> DexFile:
         sections[name] = SectionInfo(count, offset)
 
     entries, failures = _read_strings(data, sections["string_ids"])
-    if strict and failures:
-        raise StrictDecodeError(f"{failures} string entries failed to decode")
     _warn_if_unsorted(entries)
 
     n_strings = len(entries)

@@ -31,10 +31,6 @@ class DecodeError(ParseError):
     """Malformed MUTF-8 string data."""
 
 
-class StrictDecodeError(DecodeError):
-    """Raised in strict mode when a file contains undecodable string entries."""
-
-
 # --- APK containers --------------------------------------------------------
 
 class NotAZip(ParseError):
@@ -87,7 +83,7 @@ class SingleClass(StrobeError):
 
 
 class BadConfig(StrobeError):
-    """Invalid learner configuration."""
+    """Invalid learner or heuristic configuration."""
 
 
 # --- Evaluation ------------------------------------------------------------

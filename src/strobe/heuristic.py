@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .apk import AppStrings
 from .dataset import Label
+from .errors import BadConfig
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,7 @@ class HeuristicConfig:
 
     def __post_init__(self) -> None:
         if self.max_strings < 0:
-            raise ValueError("max_strings must be >= 0")
+            raise BadConfig("max_strings must be >= 0")
 
 
 def detect_dexguard(app: AppStrings, cfg: HeuristicConfig = HeuristicConfig()) -> Label:

@@ -235,9 +235,12 @@ def batch_train(train: list[Sample], hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
     return model
 
 
-def predict(model: BatchModel, fv: FeatureVector) -> Label:
-    """BatchModel.predict on one sample."""
+def predict(model: BatchModel | OnlineModel, fv: FeatureVector) -> Label:
+    """The model's predict on one sample."""
     return Label.SE if model.predict(np.asarray(fv.as_tuple(), dtype=float)[None, :])[0] else Label.NOT_SE
+
+
+online_predict = predict  # one body for both models; the name stays for callers
 
 
 def default_grid() -> list[HingeHyperparams]:
@@ -484,11 +487,6 @@ def _votes_se(x, mean, var, log_norm, prior, seen, d) -> np.ndarray:
     scores *= -0.5
     scores = np.where(seen, scores + prior, -math.inf)
     return scores[..., 1] > scores[..., 0]
-
-
-def online_predict(model: OnlineModel, fv: FeatureVector) -> Label:
-    """OnlineModel.predict on one sample."""
-    return Label.SE if model.predict(np.asarray(fv.as_tuple(), dtype=float)[None, :])[0] else Label.NOT_SE
 
 
 _SWEEP_BLOCK = 256  # stream rows whose per-row terms are computed together

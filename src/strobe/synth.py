@@ -17,7 +17,7 @@ import math
 import struct
 import zipfile
 import zlib
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -279,12 +279,17 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthConfig":
-        kwargs = dict(obj)
-        for name in ("samples_per_family", "strings_per_app", "identifiers_per_app"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        cfg = cls(**kwargs)
-        cfg.validate()
+        """The validated config of obj; an unknown key or a value of the wrong
+        shape raises InvalidConfig."""
+        try:
+            kwargs = dict(obj)
+            for name in ("samples_per_family", "strings_per_app", "identifiers_per_app"):
+                if name in kwargs:
+                    kwargs[name] = tuple(kwargs[name])
+            cfg = cls(**kwargs)
+            cfg.validate()
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"bad SynthConfig: {exc}") from None
         return cfg
 
     @classmethod
@@ -357,8 +362,6 @@ class _FamilyProfile:
     """Stable per-family string-style traits; all offsets scale with
     fingerprint_strength so strength 0 makes families statistically alike."""
 
-    name: str
-    label_kind: str  # "SE", "NOT_SE", "MIXED"
     alphabet: str
     word_len_mu: float
     extra_words: float
@@ -371,12 +374,10 @@ class _FamilyProfile:
     vocab: list[str] = field(default_factory=list)
 
 
-def _make_profile(name: str, label_kind: str, strength: float, rng: np.random.Generator) -> _FamilyProfile:
+def _make_profile(strength: float, rng: np.random.Generator) -> _FamilyProfile:
     alphabet_size = int(np.clip(round(18 + strength * rng.uniform(-12, 12)), 5, len(_WORD_CHARS)))
     letters = rng.choice(list(_WORD_CHARS), size=alphabet_size, replace=False)
     profile = _FamilyProfile(
-        name=name,
-        label_kind=label_kind,
         alphabet="".join(letters),
         word_len_mu=float(np.clip(8 + strength * rng.uniform(-5, 9), 2.5, 26)),
         extra_words=float(max(0.05, 1.0 + strength * rng.uniform(-1.0, 3.0))),
@@ -411,29 +412,17 @@ def _make_word(profile: _FamilyProfile, rng: np.random.Generator) -> str:
     return "".join(chars)
 
 
-@dataclass
-class _AppStyle:
+def _variant_jitter(family_size: int) -> float:
+    return 0.38 * min(1.0, family_size / 400.0)
+
+
+def _app_style(profile: _FamilyProfile, rng: np.random.Generator, jitter: float) -> _FamilyProfile:
     """Per-app variant of a family profile.
 
     Big malware families ship many variants, so apps from a large family get
     jittered string-style traits; small families stay near-identical. Jitter
     is multiplicative and zero-mean, keeping the family centroid in place.
     """
-
-    vocab: list[str]
-    extra_words: float
-    dash_rate: float
-    slash_rate: float
-    plus_rate: float
-    eq_rate: float
-    unicode_rate: float
-
-
-def _variant_jitter(family_size: int) -> float:
-    return 0.38 * min(1.0, family_size / 400.0)
-
-
-def _app_style(profile: _FamilyProfile, rng: np.random.Generator, jitter: float) -> _AppStyle:
     def nudge(rate: float) -> float:
         return max(0.0, rate * (1.0 + jitter * rng.uniform(-1.0, 1.0)))
 
@@ -441,7 +430,8 @@ def _app_style(profile: _FamilyProfile, rng: np.random.Generator, jitter: float)
     if jitter > 0:
         keep = max(8, int(round(len(vocab) * (1.0 - 0.5 * jitter * rng.random()))))
         vocab = [vocab[i] for i in sorted(rng.choice(len(vocab), size=keep, replace=False))]
-    return _AppStyle(
+    return replace(
+        profile,
         vocab=vocab,
         extra_words=max(0.0, profile.extra_words * (1.0 + 0.6 * jitter * rng.uniform(-1.0, 1.0))),
         dash_rate=nudge(profile.dash_rate),
@@ -452,7 +442,7 @@ def _app_style(profile: _FamilyProfile, rng: np.random.Generator, jitter: float)
     )
 
 
-def _make_payload_string(style: _AppStyle, rng: np.random.Generator) -> str:
+def _make_payload_string(style: _FamilyProfile, rng: np.random.Generator) -> str:
     n_words = 1 + int(rng.poisson(style.extra_words))
     words = [style.vocab[i] for i in rng.integers(0, len(style.vocab), size=n_words)]
     s = " ".join(words)
@@ -498,14 +488,8 @@ def family_sizes(cfg: SynthConfig) -> list[int]:
     return [lo + int(round((hi - lo) * (i + 1) ** (-cfg.skew))) for i in range(cfg.n_families)]
 
 
-@dataclass(frozen=True)
-class _FamilyPlan:
-    kind: str  # "SE", "NOT_SE", "MIXED"
-    n_se: int  # SE samples in this family
-
-
-def _plan_families(cfg: SynthConfig, sizes: list[int], rng: np.random.Generator) -> list[_FamilyPlan]:
-    """Decide each family's class makeup.
+def _plan_families(cfg: SynthConfig, sizes: list[int], rng: np.random.Generator) -> list[int]:
+    """Decide each family's class makeup: how many of its samples are SE.
 
     Mixed families include the largest family (if any are requested) plus
     mid-band ones: a label-pure giant makes whole-family splits collapse into
@@ -525,12 +509,12 @@ def _plan_families(cfg: SynthConfig, sizes: list[int], rng: np.random.Generator)
     if n_mixed:
         mixed.update(int(i) for i in rng.choice(band, size=n_mixed, replace=False))
 
-    plans: dict[int, _FamilyPlan] = {}
+    plans: dict[int, int] = {}
     se_mass = not_mass = 0
     for i in mixed:
         minority = min(sizes[i] - 1, max(1, int(round(rng.uniform(0.3, 0.5) * sizes[i]))))
         n_se = sizes[i] - minority if rng.random() < 0.5 else minority
-        plans[i] = _FamilyPlan(kind="MIXED", n_se=n_se)
+        plans[i] = n_se
         se_mass += n_se
         not_mass += sizes[i] - n_se
 
@@ -553,16 +537,16 @@ def _plan_families(cfg: SynthConfig, sizes: list[int], rng: np.random.Generator)
         if side == "SE":
             se_left -= 1
             se_mass += sizes[i]
-            plans[i] = _FamilyPlan(kind="SE", n_se=sizes[i])
+            plans[i] = sizes[i]
         else:
             not_left -= 1
             not_mass += sizes[i]
-            plans[i] = _FamilyPlan(kind="NOT_SE", n_se=0)
+            plans[i] = 0
     return [plans[i] for i in range(n)]
 
 
-def _sample_labels(plan: _FamilyPlan, size: int, rng: np.random.Generator) -> list[str]:
-    labels = ["SE"] * plan.n_se + ["NOT_SE"] * (size - plan.n_se)
+def _sample_labels(n_se: int, size: int, rng: np.random.Generator) -> list[str]:
+    labels = ["SE"] * n_se + ["NOT_SE"] * (size - n_se)
     order = rng.permutation(size)
     return [labels[order[i]] for i in range(size)]
 
@@ -643,7 +627,7 @@ def gen_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:
     base = cfg.seed & 0xFFFFFFFFFFFFFFFF
     meta_rng = np.random.default_rng(np.random.SeedSequence([base, 0]))
     sizes = family_sizes(cfg)
-    plans = _plan_families(cfg, sizes, meta_rng)
+    se_counts = _plan_families(cfg, sizes, meta_rng)
 
     rows: list[tuple[str, str, str, str]] = []
     for fam_idx in range(cfg.n_families):
@@ -652,8 +636,8 @@ def gen_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:
         # Heavy families get the full fingerprint spread; the light tail stays
         # closer to a common core, like the many me-too families in the wild.
         strength = cfg.fingerprint_strength * (0.45 + 0.55 * min(1.0, sizes[fam_idx] / 250.0))
-        profile = _make_profile(fam_name, plans[fam_idx].kind, strength, fam_rng)
-        labels = _sample_labels(plans[fam_idx], sizes[fam_idx], fam_rng)
+        profile = _make_profile(strength, fam_rng)
+        labels = _sample_labels(se_counts[fam_idx], sizes[fam_idx], fam_rng)
         for s_idx in range(sizes[fam_idx]):
             sample_id = f"{fam_name}_{s_idx:04d}"
             app_rng = np.random.default_rng(np.random.SeedSequence([base, 2, fam_idx, s_idx]))

@@ -123,10 +123,10 @@ def test_extract_stripped_app(tmp_path):
     path.write_bytes(make_zip({"classes.dex": dex_with([])}))
     app = extract_app_strings(path)
     assert app.non_identifier_strings == ()
-    assert not app.strict_excluded
+    assert app.decode_failures == 0
 
 
-def test_strict_exclusion_on_decode_failure(tmp_path):
+def test_decode_failures_counted_per_app(tmp_path):
     blob = bytearray(dex_with(["good", "bad"]))
     from strobe.dex import parse_dex
     victim = next(e for e in parse_dex(bytes(blob)).strings if e.text == "bad")
@@ -134,12 +134,9 @@ def test_strict_exclusion_on_decode_failure(tmp_path):
     path = tmp_path / "dodgy.apk"
     path.write_bytes(make_zip({"classes.dex": bytes(blob)}))
 
-    app = extract_app_strings(path, strict=True)
+    app = extract_app_strings(path)
     assert app.decode_failures == 1
-    assert app.strict_excluded
-    relaxed = extract_app_strings(path, strict=False)
-    assert not relaxed.strict_excluded
-    assert relaxed.decode_failures == 1
+    assert app.non_identifier_strings == ("good",)
 
 
 def test_extract_is_deterministic(tmp_path):

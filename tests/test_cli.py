@@ -1,13 +1,16 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from strobe.apk import list_dex_entries
 from strobe.cli import _build_parser, main
 from strobe.dataset import Split, SplitStrategy, load_manifest
+from strobe.dex import classify_strings, parse_dex
 from strobe.evaluation import LearnerKind, box_stats, train_on_split
 from strobe.learners import model_to_json, online_init
-from strobe.synth import SynthConfig, gen_corpus
+from strobe.synth import SynthConfig, gen_corpus, write_apk
 
 from oracles import reference_prequential_eval
 
@@ -25,6 +28,22 @@ def features_csv(corpus_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_feat") / "features.csv"
     assert main(["extract", "--apk-dir", str(corpus_dir), "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def dodgy_corpus(corpus_dir, tmp_path_factory):
+    """A copy of the CLI corpus in which one string of one APK fails to
+    decode, and that APK's sample_id."""
+    root = tmp_path_factory.mktemp("dodgy") / "corpus"
+    shutil.copytree(corpus_dir, root)
+    apk = sorted(root.rglob("*.apk"))[0]
+    dexes = [payload for _, payload in list_dex_entries(apk.read_bytes())]
+    dex = parse_dex(dexes[0])
+    blob = bytearray(dexes[0])
+    # A lone continuation byte as the first payload byte of a short string.
+    blob[dex.strings[min(classify_strings(dex).non_identifier_indices)].data_offset + 1] = 0x80
+    write_apk(apk, [bytes(blob), *dexes[1:]])
+    return root, apk.stem
 
 
 def test_extract_writes_loadable_feature_csv(features_csv):
@@ -58,6 +77,18 @@ def test_synth_cli_deterministic(tmp_path):
     b = sorted((tmp_path / "b").rglob("*.apk"))
     assert [p.name for p in a] == [p.name for p in b]
     assert all(x.read_bytes() == y.read_bytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("text", [json.dumps({"bogus": 1}), json.dumps({"strings_per_app": 5}),
+                                  "[1, 2]", "{not json"])
+def test_a_bad_synth_config_is_a_typed_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
+    assert not (tmp_path / "c").exists()
 
 
 def test_synth_config_file(tmp_path):
@@ -156,6 +187,55 @@ def test_experiment_extracts_a_path_manifest_with_its_jobs(corpus_dir, tmp_path)
     assert main(args + ["--out", str(serial)]) == 0
     assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+# Each command as run on either manifest form, besides --manifest, --seed and --out.
+MANIFEST_COMMANDS = {
+    "train-batch": ["train", "--learner", "batch"],
+    "train-online": ["train", "--learner", "online"],
+    "experiment": ["experiment", "--strategy", "random", "--learner", "batch", "--reps", "3"],
+    "lofo": ["lofo", "--learner", "online"],
+    "prequential": ["prequential"],
+}
+
+
+@pytest.mark.parametrize("name", MANIFEST_COMMANDS)
+def test_a_path_manifest_gives_the_output_of_its_feature_csv(corpus_dir, features_csv, tmp_path, name):
+    outputs = []
+    for manifest in (corpus_dir / "manifest.csv", features_csv):
+        out = tmp_path / f"{manifest.stem}.json"
+        assert main([*MANIFEST_COMMANDS[name], "--manifest", str(manifest), "--seed", "3",
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_extract_strict_omits_the_row_with_decode_failures(dodgy_corpus, tmp_path):
+    root, dodgy = dodgy_corpus
+    kept, strict = tmp_path / "kept.csv", tmp_path / "strict.csv"
+    assert main(["extract", "--apk-dir", str(root), "--out", str(kept)]) == 0
+    assert main(["extract", "--apk-dir", str(root), "--strict", "--out", str(strict)]) == 0
+    rows = kept.read_text().splitlines()
+    dodgy_row = next(row for row in rows if row.startswith(dodgy + ","))
+    assert dodgy_row.endswith(",1")  # decode_failures
+    assert strict.read_text().splitlines() == [row for row in rows if row != dodgy_row]
+
+
+def test_experiment_strict_drops_decode_failures_in_either_manifest_form(dodgy_corpus, tmp_path):
+    root, dodgy = dodgy_corpus
+    features, clean = tmp_path / "features.csv", tmp_path / "clean.csv"
+    assert main(["extract", "--apk-dir", str(root), "--out", str(features)]) == 0
+    lines = features.read_text().splitlines(keepends=True)
+    clean.write_text("".join(line for line in lines if not line.startswith(dodgy + ",")))
+    args = ["experiment", "--strategy", "random", "--learner", "batch", "--reps", "3", "--seed", "3"]
+    runs = {"path": [root / "manifest.csv", "--strict"], "csv": [features, "--strict"],
+            "clean": [clean], "all": [features]}
+    outputs = {}
+    for name, (manifest, *strict) in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main([*args, "--manifest", str(manifest), *strict, "--out", str(out)]) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["path"] == outputs["csv"] == outputs["clean"] != outputs["all"]
 
 
 def test_prequential_cli(features_csv, tmp_path):
@@ -259,6 +339,16 @@ def test_praguard_check_cli(tmp_path, capsys):
     assert lines[0] == "sample_id,n_strings,verdict"
     assert any(line.endswith(",SE") for line in lines[1:])
     assert "zero-string fraction among flagged: 100.0%" in capsys.readouterr().err
+
+
+def test_praguard_check_rejects_a_negative_threshold(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "verdicts.csv"
+    assert main(["praguard-check", "--apk-dir", str(corpus_dir), "--max-strings", "-1",
+                 "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "BadConfig"
+    assert not out.exists()
 
 
 def test_exit_code_usage_error():

@@ -17,7 +17,7 @@ from strobe.dex import (
     classify_strings,
     parse_dex,
 )
-from strobe.errors import BadMagic, OffsetOutOfBounds, StrictDecodeError, StrobeError, Truncated
+from strobe.errors import BadMagic, OffsetOutOfBounds, StrobeError, Truncated
 from strobe.mutf8 import encode_mutf8
 from strobe.synth import DexSpec, build_dex
 
@@ -134,16 +134,6 @@ def test_decode_failure_marks_entry_not_file():
     assert reparsed.decode_failures == 1
 
 
-def test_strict_mode_raises_on_decode_failure():
-    blob = bytearray(simple_dex(payload=("good", "bad")))
-    dex = parse_dex(bytes(blob))
-    victim = next(e for e in dex.strings if e.text == "bad")
-    blob[victim.data_offset + 1] = 0x80
-    with pytest.raises(StrictDecodeError):
-        parse_dex(bytes(blob), strict=True)
-    parse_dex(bytes(simple_dex()), strict=True)  # clean file passes strict
-
-
 def test_unsorted_string_table_warns_not_errors(caplog):
     blob = bytearray(simple_dex(identifiers=("Lx;",), payload=("aa", "bb")))
     dex = parse_dex(bytes(blob))
@@ -257,13 +247,7 @@ def assert_strings_match_reference(blob: bytes) -> None:
     dex = parse_dex(blob)
     assert dex.strings == want
     assert all(type(e) is StringEntry for e in dex.strings)
-    failures = sum(not e.decode_ok for e in want)
-    assert dex.decode_failures == failures
-    if failures:
-        with pytest.raises(StrictDecodeError, match=f"^{failures} string entries"):
-            parse_dex(blob, strict=True)
-    else:
-        assert parse_dex(blob, strict=True) == dex
+    assert dex.decode_failures == sum(not e.decode_ok for e in want)
 
 
 # Raw string_data items: the length prefix, the MUTF-8 payload and its NUL.

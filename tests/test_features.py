@@ -19,7 +19,7 @@ from oracles import reference_feature_means
 
 def app(strings, app_id="t"):
     return AppStrings(app_id=app_id, non_identifier_strings=tuple(strings),
-                      dex_count=1, decode_failures=0, strict_excluded=False)
+                      dex_count=1, decode_failures=0)
 
 
 def test_entropy_units():

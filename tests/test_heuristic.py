@@ -2,12 +2,13 @@ import pytest
 
 from strobe.apk import AppStrings
 from strobe.dataset import Label
+from strobe.errors import BadConfig
 from strobe.heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
 
 
 def app(n_strings):
     return AppStrings(app_id="a", non_identifier_strings=tuple(f"s{i}" for i in range(n_strings)),
-                      dex_count=1, decode_failures=0, strict_excluded=False)
+                      dex_count=1, decode_failures=0)
 
 
 def test_zero_strings_flagged_se():
@@ -36,7 +37,7 @@ def test_monotone_in_threshold():
 
 
 def test_negative_threshold_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         HeuristicConfig(max_strings=-1)
 
 
