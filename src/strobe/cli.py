@@ -13,10 +13,13 @@ machine-readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -261,6 +264,13 @@ def _write_json(out: str | None, obj) -> None:
     _write_text(out, json.dumps(obj, indent=2) + "\n")
 
 
+def _write_csv(out: str | None, rows) -> None:
+    """Write rows as CSV, quoting only the cells that need it."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _write_text(out, text.getvalue())
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -269,7 +279,7 @@ def cmd_extract(args) -> int:
     rows = _feature_table(_apk_dir_samples(args.apk_dir, args.manifest), args.jobs)
     if args.strict:
         rows = [row for row in rows if row[-1] == "0"]  # the decode_failures cell
-    _write_text(args.out, "".join(",".join(row) + "\n" for row in [CSV_HEADER, *rows]))
+    _write_csv(args.out, [CSV_HEADER, *rows])
     return EXIT_OK
 
 
@@ -340,8 +350,7 @@ def cmd_eval(args) -> int:
     if args.format == "csv":
         keys = ["tp", "fp", "tn", "fn", "accuracy", "precision", "recall", "f1"]
         obj = result.to_json()
-        text = ",".join(keys) + "\n" + ",".join(f"{obj[k]:.9g}" for k in keys) + "\n"
-        _write_text(args.out, text)
+        _write_csv(args.out, [keys, [f"{obj[k]:.9g}" for k in keys]])
     else:
         _write_json(args.out, result.to_json())
     return EXIT_OK
@@ -379,10 +388,8 @@ def cmd_experiment(args) -> int:
     _write_json(args.out, summary.to_json())
     if args.csv:
         keys = ["seed", "retries", "skipped", "accuracy", "precision", "recall", "f1"]
-        lines = [",".join(keys)]
-        for run in summary.to_json()["per_run"]:
-            lines.append(",".join(_csv_cell(run.get(k)) for k in keys))
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [[_csv_cell(run.get(k)) for k in keys] for run in summary.to_json()["per_run"]]
+        _write_csv(args.csv, [keys, *rows])
     if args.gnuplot:
         Path(args.gnuplot).write_text(gnuplot_box_data([summary]), encoding="utf-8")
     return EXIT_OK
@@ -401,7 +408,7 @@ def _csv_cell(value) -> str:
 def cmd_praguard_check(args) -> int:
     samples = sorted(_apk_dir_samples(args.apk_dir, args.manifest), key=lambda s: s.sample_id)
     cfg = HeuristicConfig(max_strings=args.max_strings)
-    lines = ["sample_id,n_strings,verdict"]
+    rows = [["sample_id", "n_strings", "verdict"]]
     flagged = []  # the string count of each app flagged SE
     for sample in samples:
         app = extract_app_strings(sample.path)
@@ -409,8 +416,8 @@ def cmd_praguard_check(args) -> int:
         verdict = detect_dexguard(app, cfg)
         if verdict is Label.SE:
             flagged.append(n_strings)
-        lines.append(f"{sample.sample_id},{n_strings},{verdict.value}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+        rows.append([sample.sample_id, n_strings, verdict.value])
+    _write_csv(args.out, rows)
     frac = flagged.count(0) / len(flagged) if flagged else 0.0
     print(f"flagged SE: {len(flagged)}/{len(samples)}; zero-string fraction among flagged: {frac:.1%}",
           file=sys.stderr)
@@ -419,21 +426,22 @@ def cmd_praguard_check(args) -> int:
 
 def cmd_stats(args) -> int:
     values: list[float] = []
-    with open(args.input, encoding="utf-8") as fh:
-        first = fh.readline()
-        header = first.rstrip("\n").split(",")
+    with open(args.input, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
         if args.column in header:
             idx = header.index(args.column)
-            for line_no, line in enumerate(fh, start=2):
-                cells = line.rstrip("\n").split(",")
-                if len(cells) < len(header) and line.strip():
-                    raise BadValue(f"line {line_no} has {len(cells)} columns, expected {len(header)}")
+            for cells in reader:
+                if len(cells) < len(header) and "".join(cells).strip():
+                    raise BadValue(f"line {reader.line_num} has {len(cells)} columns, "
+                                   f"expected {len(header)}")
                 if len(cells) > idx and cells[idx]:
-                    values.append(_number(cells[idx], line_no))
+                    values.append(_number(cells[idx], reader.line_num))
         else:
-            for line_no, line in enumerate([first, *fh], start=1):
-                if line.strip():
-                    values.append(_number(line.strip(), line_no))
+            for cells in chain([header], reader):
+                cell = ",".join(cells).strip()
+                if cell:
+                    values.append(_number(cell, reader.line_num))
     _write_json(args.out, box_stats(values).to_json())
     return EXIT_OK
 

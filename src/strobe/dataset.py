@@ -163,14 +163,18 @@ class Split:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Split":
-        return cls(
-            train_ids=frozenset(obj["train_ids"]),
-            test_ids=frozenset(obj["test_ids"]),
-            strategy=SplitStrategy(obj["strategy"]),
-            seed=obj["seed"],
-            held_out_family=obj.get("held_out_family"),
-            retries=obj.get("retries", 0),
-        )
+        """The split of a to_json object; a malformed object raises BadValue."""
+        try:
+            return cls(
+                train_ids=frozenset(obj["train_ids"]),
+                test_ids=frozenset(obj["test_ids"]),
+                strategy=SplitStrategy(obj["strategy"]),
+                seed=obj["seed"],
+                held_out_family=obj.get("held_out_family"),
+                retries=obj.get("retries", 0),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadValue(f"malformed split: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -367,4 +371,8 @@ def save_split(split: Split, path: str | Path) -> None:
 
 def load_split(path: str | Path) -> Split:
     with open(path, encoding="utf-8") as fh:
-        return Split.from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise BadValue(f"{path}: not JSON: {exc}") from None
+    return Split.from_json(obj)

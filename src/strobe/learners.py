@@ -588,27 +588,32 @@ def model_to_json(model: BatchModel | OnlineModel) -> dict:
 
 
 def model_from_json(obj: dict) -> BatchModel | OnlineModel:
-    if obj["kind"] == "batch":
-        return BatchModel(
-            weights=np.asarray(obj["weights"], dtype=float),
-            bias=float(obj["bias"]),
-            scaler=Scaler(
-                mean=np.asarray(obj["scaler"]["mean"], dtype=float),
-                std=np.asarray(obj["scaler"]["std"], dtype=float),
-            ),
-            hyperparams=HingeHyperparams(**obj["hyperparams"]),
-        )
-    if obj["kind"] == "online":
-        members = obj["learners"]
-        model = online_init(len(members), float(obj["lam_poisson"]), int(obj["seed"]))
-        model.counts = np.asarray([m["counts"] for m in members], dtype=np.int64)
-        model.mean = np.asarray([m["mean"] for m in members], dtype=float)
-        model.m2 = np.asarray([m["m2"] for m in members], dtype=float)
-        model.n_draws = int(obj["n_draws"])
-        # Redraw the consumed weights so the generator state matches the export.
-        model.rng.poisson(model.lam_poisson, size=model.n_draws)
-        return model
-    raise BadConfig(f"unknown model kind {obj.get('kind')!r}")
+    """The model of a model_to_json object; a malformed object raises BadConfig."""
+    try:
+        kind = obj["kind"]
+        if kind == "batch":
+            return BatchModel(
+                weights=np.asarray(obj["weights"], dtype=float),
+                bias=float(obj["bias"]),
+                scaler=Scaler(
+                    mean=np.asarray(obj["scaler"]["mean"], dtype=float),
+                    std=np.asarray(obj["scaler"]["std"], dtype=float),
+                ),
+                hyperparams=HingeHyperparams(**obj["hyperparams"]),
+            )
+        if kind == "online":
+            members = obj["learners"]
+            model = online_init(len(members), float(obj["lam_poisson"]), int(obj["seed"]))
+            model.counts = np.asarray([m["counts"] for m in members], dtype=np.int64)
+            model.mean = np.asarray([m["mean"] for m in members], dtype=float)
+            model.m2 = np.asarray([m["m2"] for m in members], dtype=float)
+            model.n_draws = int(obj["n_draws"])
+            # Redraw the consumed weights so the generator state matches the export.
+            model.rng.poisson(model.lam_poisson, size=model.n_draws)
+            return model
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadConfig(f"malformed model: {exc!r}") from None
+    raise BadConfig(f"unknown model kind {kind!r}")
 
 
 def save_model(model: BatchModel | OnlineModel, path: str | Path) -> None:
@@ -619,4 +624,8 @@ def save_model(model: BatchModel | OnlineModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> BatchModel | OnlineModel:
     with open(path, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise BadConfig(f"{path}: not JSON: {exc}") from None
+    return model_from_json(obj)

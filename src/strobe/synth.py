@@ -18,24 +18,27 @@ import struct
 import zipfile
 import zlib
 from dataclasses import dataclass, asdict, field, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
+from .dex import ENDIAN_CONSTANT, HEADER_SIZE, NO_INDEX, SECTION_LAYOUT, SectionInfo
 from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge
 from .mutf8 import encode_mutf8, utf16_length, utf16_sort_key
 
-NO_INDEX = 0xFFFFFFFF
-
 TYPE_HEADER_ITEM = 0x0000
-TYPE_STRING_ID_ITEM = 0x0001
-TYPE_TYPE_ID_ITEM = 0x0002
-TYPE_PROTO_ID_ITEM = 0x0003
-TYPE_FIELD_ID_ITEM = 0x0004
-TYPE_METHOD_ID_ITEM = 0x0005
-TYPE_CLASS_DEF_ITEM = 0x0006
 TYPE_MAP_LIST = 0x1000
 TYPE_STRING_DATA_ITEM = 0x2002
+# The map_list item type of each id table of SECTION_LAYOUT.
+SECTION_ITEM_TYPES = {
+    "string_ids": 0x0001,
+    "type_ids": 0x0002,
+    "proto_ids": 0x0003,
+    "field_ids": 0x0004,
+    "method_ids": 0x0005,
+    "class_defs": 0x0006,
+}
 
 WIRING_ROLES = ("type", "method", "field", "source_file")
 
@@ -135,24 +138,15 @@ def build_dex(spec: DexSpec) -> bytes:
     field_names = sorted(roles["field"], key=lambda s: sid[s])
     source_files = roles["source_file"]
 
-    n_str, n_type = len(all_strings), len(type_list)
-    n_proto = 1 if method_names else 0
-    n_field, n_method = len(field_names), len(method_names)
-    n_class = max(1, len(source_files))
-
-    off = 0x70
-    string_ids_off = off
-    off += 4 * n_str
-    type_ids_off = off
-    off += 4 * n_type
-    proto_ids_off = off if n_proto else 0
-    off += 12 * n_proto
-    field_ids_off = off if n_field else 0
-    off += 8 * n_field
-    method_ids_off = off if n_method else 0
-    off += 8 * n_method
-    class_defs_off = off
-    off += 32 * n_class
+    counts = {"string_ids": len(all_strings), "type_ids": len(type_list),
+              "proto_ids": 1 if method_names else 0, "field_ids": len(field_names),
+              "method_ids": len(method_names), "class_defs": max(1, len(source_files))}
+    # The id tables follow the header in layout order; an empty one has offset 0.
+    sections: dict[str, SectionInfo] = {}
+    off = HEADER_SIZE
+    for name, (_, entry_size) in SECTION_LAYOUT.items():
+        sections[name] = SectionInfo(counts[name], off if counts[name] else 0)
+        off += entry_size * counts[name]
     data_off = off
 
     string_data = bytearray()
@@ -166,18 +160,10 @@ def build_dex(spec: DexSpec) -> bytes:
 
     map_items = [
         (TYPE_HEADER_ITEM, 1, 0),
-        (TYPE_STRING_ID_ITEM, n_str, string_ids_off),
-        (TYPE_TYPE_ID_ITEM, n_type, type_ids_off),
+        *((SECTION_ITEM_TYPES[name], *table) for name, table in sections.items() if table.count),
+        (TYPE_STRING_DATA_ITEM, len(all_strings), data_off),
+        (TYPE_MAP_LIST, 1, map_off),
     ]
-    if n_proto:
-        map_items.append((TYPE_PROTO_ID_ITEM, n_proto, proto_ids_off))
-    if n_field:
-        map_items.append((TYPE_FIELD_ID_ITEM, n_field, field_ids_off))
-    if n_method:
-        map_items.append((TYPE_METHOD_ID_ITEM, n_method, method_ids_off))
-    map_items.append((TYPE_CLASS_DEF_ITEM, n_class, class_defs_off))
-    map_items.append((TYPE_STRING_DATA_ITEM, n_str, string_offsets[0] if n_str else data_off))
-    map_items.append((TYPE_MAP_LIST, 1, map_off))
 
     file_size = map_off + 4 + 12 * len(map_items)
     data_size = file_size - data_off
@@ -185,34 +171,29 @@ def build_dex(spec: DexSpec) -> bytes:
     buf = bytearray(file_size)
     buf[0:8] = b"dex\n035\x00"
     struct.pack_into("<I", buf, 32, file_size)
-    struct.pack_into("<I", buf, 36, 0x70)
-    struct.pack_into("<I", buf, 40, 0x12345678)
+    struct.pack_into("<I", buf, 36, HEADER_SIZE)
+    struct.pack_into("<I", buf, 40, ENDIAN_CONSTANT)
     struct.pack_into("<II", buf, 44, 0, 0)  # link
     struct.pack_into("<I", buf, 52, map_off)
-    struct.pack_into("<II", buf, 56, n_str, string_ids_off)
-    struct.pack_into("<II", buf, 64, n_type, type_ids_off)
-    struct.pack_into("<II", buf, 72, n_proto, proto_ids_off)
-    struct.pack_into("<II", buf, 80, n_field, field_ids_off)
-    struct.pack_into("<II", buf, 88, n_method, method_ids_off)
-    struct.pack_into("<II", buf, 96, n_class, class_defs_off)
+    for name, (count_pos, _) in SECTION_LAYOUT.items():
+        struct.pack_into("<II", buf, count_pos, *sections[name])
     struct.pack_into("<II", buf, 104, data_size, data_off)
 
-    for i, s_off in enumerate(string_offsets):
-        struct.pack_into("<I", buf, string_ids_off + 4 * i, s_off)
-    for i, s in enumerate(type_list):
-        struct.pack_into("<I", buf, type_ids_off + 4 * i, sid[s])
-    if n_proto:
+    struct.pack_into(f"<{len(string_offsets)}I", buf, sections["string_ids"].offset, *string_offsets)
+    struct.pack_into(f"<{len(type_list)}I", buf, sections["type_ids"].offset,
+                     *(sid[s] for s in type_list))
+    if method_names:
         # Reuse the first type descriptor string as the shorty; structurally
         # valid and keeps the string set exactly as specified.
-        struct.pack_into("<III", buf, proto_ids_off, sid[type_list[0]], 0, 0)
+        struct.pack_into("<III", buf, sections["proto_ids"].offset, sid[type_list[0]], 0, 0)
     for i, s in enumerate(field_names):
-        struct.pack_into("<HHI", buf, field_ids_off + 8 * i, 0, 0, sid[s])
+        struct.pack_into("<HHI", buf, sections["field_ids"].offset + 8 * i, 0, 0, sid[s])
     for i, s in enumerate(method_names):
-        struct.pack_into("<HHI", buf, method_ids_off + 8 * i, 0, 0, sid[s])
-    for i in range(n_class):
+        struct.pack_into("<HHI", buf, sections["method_ids"].offset + 8 * i, 0, 0, sid[s])
+    for i in range(counts["class_defs"]):
         sf_idx = sid[source_files[i]] if i < len(source_files) else NO_INDEX
         struct.pack_into(
-            "<8I", buf, class_defs_off + 32 * i,
+            "<8I", buf, sections["class_defs"].offset + 32 * i,
             0, 0x1, NO_INDEX, 0, sf_idx, 0, 0, 0,
         )
 
@@ -251,10 +232,20 @@ class SynthConfig:
     seed: int = 42
 
     def validate(self) -> None:
+        for name in ("n_families", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("skew", "se_family_fraction", "mixed_family_fraction",
+                     "fingerprint_strength", "se_string_fraction"):
+            if not _is_real(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.n_families < 2:
             raise InvalidConfig("need at least 2 families")
         for name in ("samples_per_family", "strings_per_app", "identifiers_per_app"):
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
+                raise InvalidConfig(f"{name} must be a pair of integers, got {pair!r}")
+            lo, hi = pair
             if not (0 <= lo <= hi):
                 raise InvalidConfig(f"{name} must satisfy 0 <= min <= max, got ({lo}, {hi})")
         if self.samples_per_family[0] < 1:
@@ -296,6 +287,14 @@ class SynthConfig:
     def from_file(cls, path: str | Path) -> "SynthConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and -math.inf < value < math.inf
 
 
 def confounded_preset() -> SynthConfig:

@@ -1,12 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Each of these takes a deliberately different route from the library code it
-checks: the MUTF-8 reference leans on the stdlib UTF-8/UTF-16 codecs, the
-string-table reference reads every entry through a general ULEB128 loop and
-re-encodes every decoded string to check its length, the
-checksum/digest references are textbook reimplementations, the feature
-reference recomputes every metric straight from its definition, the box
-oracle works on an explicitly sorted list, the online ensemble oracle
+checks: the MUTF-8 decode reference validates one 1-3 byte chunk at a time
+through the stdlib UTF-8/UTF-16 codecs, the MUTF-8 encode reference packs
+the bits of one UTF-16 code unit at a time, the string-table reference
+reads every entry through a general ULEB128 loop and re-encodes every
+decoded string to check its length, the checksum/digest references are
+textbook reimplementations, the feature reference recomputes every metric
+straight from its definition, the box oracle works on an explicitly sorted list, the online ensemble oracle
 replays every sample one Welford step at a time with one scalar Poisson draw
 per sample and member, the online vote oracle scores one sample over every
 member in one broadcast, the prequential oracle votes with it and updates
@@ -68,6 +69,35 @@ def reference_decode_mutf8(data) -> str | None:
         return b"".join(struct.pack("<H", u) for u in units).decode("utf-16-le")
     except UnicodeDecodeError:
         return None
+
+
+def reference_encode_mutf8(text: str) -> bytes:
+    """Encode text as MUTF-8 one UTF-16 code unit at a time: the encoder of
+    mutf8 before it was built on the stdlib codecs."""
+    out = bytearray()
+    for ch in text:
+        cp = ord(ch)
+        if cp >= 0x10000:
+            cp -= 0x10000
+            _reference_encode_unit(out, 0xD800 | (cp >> 10))
+            _reference_encode_unit(out, 0xDC00 | (cp & 0x3FF))
+        else:
+            _reference_encode_unit(out, cp)
+    return bytes(out)
+
+
+def _reference_encode_unit(out: bytearray, u: int) -> None:
+    if u == 0x00:
+        out += b"\xc0\x80"
+    elif u < 0x80:
+        out.append(u)
+    elif u < 0x800:
+        out.append(0xC0 | (u >> 6))
+        out.append(0x80 | (u & 0x3F))
+    else:
+        out.append(0xE0 | (u >> 12))
+        out.append(0x80 | ((u >> 6) & 0x3F))
+        out.append(0x80 | (u & 0x3F))
 
 
 def reference_read_strings(data: bytes, section) -> list[StringEntry]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 
@@ -80,7 +81,14 @@ def test_synth_cli_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("text", [json.dumps({"bogus": 1}), json.dumps({"strings_per_app": 5}),
-                                  "[1, 2]", "{not json"])
+                                  "[1, 2]", "{not json",
+                                  # A value of the wrong type, which passes the range checks.
+                                  json.dumps({"n_families": 2.5}), json.dumps({"seed": "x"}),
+                                  json.dumps({"seed": True}),
+                                  json.dumps({"samples_per_family": [1.5, 3]}),
+                                  json.dumps({"skew": "1"}), json.dumps({"skew": float("nan")}),
+                                  json.dumps({"fingerprint_strength": float("inf")}),
+                                  json.dumps({"scheme": 5})])
 def test_a_bad_synth_config_is_a_typed_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -208,6 +216,30 @@ def test_a_path_manifest_gives_the_output_of_its_feature_csv(corpus_dir, feature
                      "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_a_family_with_a_comma_and_a_quote_reads_back_from_the_feature_csv(corpus_dir, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, root)
+    manifest = root / "manifest.csv"
+    with open(manifest, newline="", encoding="utf-8") as fh:
+        header, first, *rows = csv.reader(fh)
+    renamed = first[1]
+    rows = [[*row[:1], 'fam,"x', *row[2:]] if row[1] == renamed else row for row in [first, *rows]]
+    with open(manifest, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    features = tmp_path / "features.csv"
+    assert main(["extract", "--apk-dir", str(root), "--out", str(features)]) == 0
+    assert 'fam,"x' in {s.family for s in load_manifest(features).samples}
+    commands = [["split", "--strategy", "family-disjoint"],
+                ["experiment", "--strategy", "family-disjoint", "--learner", "batch", "--reps", "3"]]
+    for command in commands:
+        outputs = []
+        for source in (manifest, features):
+            out = tmp_path / f"{command[0]}-{source.stem}.json"
+            assert main([*command, "--manifest", str(source), "--seed", "3", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_extract_strict_omits_the_row_with_decode_failures(dodgy_corpus, tmp_path):
@@ -469,6 +501,42 @@ def test_eval_rejects_a_split_with_unknown_ids(features_csv, tmp_path, capsys):
     assert main(["eval", "--manifest", str(features_csv), "--model", str(model),
                  "--split", str(split), "--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "UnknownId"
+    assert not out.exists()
+
+
+def _without(key):
+    return lambda obj: json.dumps({k: v for k, v in obj.items() if k != key})
+
+
+# Ways to break the --model or --split file of eval, and the error each gives.
+BROKEN_EVAL_INPUTS = {
+    "model-not-json": ("model", lambda obj: "{not json", "BadConfig"),
+    "model-not-an-object": ("model", lambda obj: json.dumps(list(obj)), "BadConfig"),
+    "model-missing-key": ("model", _without("weights"), "BadConfig"),
+    "split-not-json": ("split", lambda obj: "{not json", "BadValue"),
+    "split-not-an-object": ("split", lambda obj: json.dumps(list(obj)), "BadValue"),
+    "split-missing-key": ("split", _without("test_ids"), "BadValue"),
+    "split-unknown-strategy": ("split", lambda obj: json.dumps({**obj, "strategy": "BOGUS"}),
+                               "BadValue"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_EVAL_INPUTS)
+def test_a_broken_eval_input_is_a_typed_error(features_csv, tmp_path, capsys, case):
+    which, broken, error = BROKEN_EVAL_INPUTS[case]
+    files = {"model": tmp_path / "model.json", "split": tmp_path / "split.json"}
+    assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
+                 "--out", str(files["model"])]) == 0
+    assert main(["split", "--manifest", str(features_csv), "--strategy", "random",
+                 "--out", str(files["split"])]) == 0
+    files[which].write_text(broken(json.loads(files[which].read_text())))
+    capsys.readouterr()
+    out = tmp_path / "e.json"
+    assert main(["eval", "--manifest", str(features_csv), "--model", str(files["model"]),
+                 "--split", str(files["split"]), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
     assert not out.exists()
 
 

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strobe.errors import DecodeError
-from strobe.mutf8 import _decode_strict, decode_mutf8, encode_mutf8, utf16_length
+from strobe.mutf8 import decode_mutf8, encode_mutf8, utf16_length
 
-from oracles import reference_decode_mutf8
+from oracles import reference_decode_mutf8, reference_encode_mutf8
 
 
 def test_ascii_identity():
@@ -87,17 +89,17 @@ def test_utf16_length_matches_per_code_point_count():
         assert utf16_length(text) == sum(2 if ord(ch) >= 0x10000 else 1 for ch in text)
 
 
-def _decode_or_none(data, decode=decode_mutf8) -> str | None:
+def _decode_or_none(data) -> str | None:
     try:
-        return decode(data)
+        return decode_mutf8(data)
     except DecodeError:
         return None
 
 
-# ASCII and BMP material, which the UTF-8 fast path decodes, and byte
-# strings it must hand to the strict loop: MUTF-8's encoded NUL and CESU-8
-# pairs, lone and swapped surrogates, a 4-byte UTF-8 sequence, a raw NUL,
-# truncated 2- and 3-byte tails and overlongs.
+# ASCII and BMP material, which is plain UTF-8, and the byte strings where
+# MUTF-8 and UTF-8 part: MUTF-8's encoded NUL and CESU-8 pairs, lone and
+# swapped surrogates, a 4-byte UTF-8 sequence, a raw NUL, truncated 2- and
+# 3-byte tails and overlongs.
 _CLEAN = [b"abc", b"x=y/z+w-v", "Ω".encode("utf-8"), "€".encode("utf-8"),
           "\uffff".encode("utf-8")]
 _ADVERSARIAL = [
@@ -122,25 +124,38 @@ def _random_payload(rng) -> bytes:
     return bytes(data[:size])
 
 
-def _fast_path_applies(data: bytes) -> bool:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return b"\x00" not in data and all(ord(ch) < 0x10000 for ch in text)
-
-
 def test_fast_and_strict_decoders_agree_with_oracle():
     rng = random.Random(2024)
-    fast = 0
     for _ in range(20_000):
         data = _random_payload(rng)
-        got = _decode_or_none(data)
-        assert got == reference_decode_mutf8(data), data.hex()
-        assert _decode_or_none(data, _decode_strict) == got, data.hex()
-        fast += _fast_path_applies(data)
-    # Both paths see a substantial share of the inputs.
-    assert 2000 < fast < 18_000
+        assert _decode_or_none(data) == reference_decode_mutf8(data), data.hex()
+
+
+# Byte fragments where MUTF-8 decoding branches: the encoded NUL, a CESU-8
+# pair and its halves, surrogate (0xED) and 4-byte (0xF0) leads, stray
+# continuation bytes and ASCII.
+_FRAGMENTS = st.sampled_from([
+    b"\xc0\x80", b"\xc0", b"\x80", b"\xed\xa0\xbd", b"\xed\xb8\x80", b"\xed\xa0\x80\xed\xb0\x80",
+    b"\xed", b"\xed\xa0", b"\xf0", b"\xf0\x9f\x98\x80", b"\xe2\x82\xac", b"\xce\xa9", b"a", b"\x00",
+])
+
+
+@given(st.lists(_FRAGMENTS | st.binary(min_size=1, max_size=4), max_size=16)
+       .map(lambda parts: b"".join(parts)[:32]))
+def test_decoder_matches_oracle_and_raises_only_decode_error(data):
+    assert _decode_or_none(data) == reference_decode_mutf8(data)
+
+
+def test_encoder_matches_per_unit_reference():
+    rng = random.Random(11)
+    # NUL, the 1-, 2- and 3-byte BMP bands (surrogates among the 3-byte
+    # ones, drawn alone and as adjacent pairs) and supplementary characters.
+    bands = [(0x00, 0x01), (0x01, 0x80), (0x80, 0x800), (0x800, 0xD800), (0xD800, 0xDC00),
+             (0xDC00, 0xE000), (0xE000, 0x10000), (0x10000, 0x110000)]
+    for _ in range(20_000):
+        text = "".join(chr(rng.randrange(*rng.choice(bands)))
+                       for _ in range(rng.randrange(0, 24)))
+        assert encode_mutf8(text) == reference_encode_mutf8(text), ascii(text)
 
 
 def test_oracle_exhaustive_up_to_two_bytes():
