@@ -12,6 +12,7 @@ from .dataset import (
     SplitStrategy,
     family_disjoint_split,
     load_manifest,
+    lofo_folds,
     lofo_splits,
     random_split,
     validate_split,

@@ -325,17 +325,17 @@ def cmd_train(args) -> int:
     if args.learner == "batch" and (args.k is not None or args.poisson_lambda is not None):
         raise _UsageError("--k and --poisson-lambda need --learner online")
     corpus = _load_feature_corpus(args.manifest)
-    samples = list(corpus.samples)
     if args.learner == "batch":
         if args.grid:
-            hp = grid_search(samples, folds=3 if args.folds is None else args.folds, seed=args.seed)
-            model = batch_train(samples, hp, seed=args.seed)
+            hp = grid_search(list(corpus.samples), folds=3 if args.folds is None else args.folds,
+                             seed=args.seed)
+            model = batch_train(corpus.X, corpus.y, hp, seed=args.seed)
         else:
-            model = batch_train(samples, seed=args.seed)
+            model = batch_train(corpus.X, corpus.y, seed=args.seed)
     else:
         k = DEFAULT_ONLINE_ENSEMBLE if args.k is None else args.k
         lam = DEFAULT_POISSON_LAMBDA if args.poisson_lambda is None else args.poisson_lambda
-        model = online_train(samples, k=k, lam_poisson=lam, seed=args.seed)
+        model = online_train(corpus.X, corpus.y, k=k, lam_poisson=lam, seed=args.seed)
     save_model(model, args.out)
     return EXIT_OK
 

@@ -6,7 +6,8 @@ both sides. Degenerate draws (empty test set, or a side missing a class) are
 rejected and retried with the next derived seed.
 
 A corpus also holds its labels, family codes and feature matrix as arrays
-indexed by row; Corpus.rows turns a split's id sets into rows of them.
+indexed by row; Corpus.rows turns a split's id sets into rows of them, and
+lofo_folds gives the leave-one-family-out sides as rows directly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +35,11 @@ from .errors import (
     UnknownId,
     UnknownLabel,
 )
-from .features import FEATURE_NAMES, FeatureVector
+from .features import CSV_HEADER, FEATURE_NAMES, FeatureVector
 
 MAX_SPLIT_RETRIES = 1000
 
 PATH_HEADER = ["sample_id", "family", "label", "path"]
-FEATURE_HEADER = ["sample_id", "family", "label", *FEATURE_NAMES, "n_strings", "decode_failures"]
 
 
 class Label(enum.Enum):
@@ -203,15 +203,15 @@ def load_manifest(path: str | Path) -> Corpus:
             raise BadHeader("empty manifest") from None
         if header == PATH_HEADER:
             return Corpus.from_samples(_parse_rows(reader, _path_sample, len(header)))
-        if header == FEATURE_HEADER:
+        if tuple(header) == CSV_HEADER:
             return feature_corpus(reader)
         raise BadHeader(f"unrecognized manifest header {header!r}")
 
 
 def feature_corpus(rows: Iterable[list[str]]) -> Corpus:
-    """The corpus of feature-CSV rows (FEATURE_HEADER order, no header), parsed
+    """The corpus of feature-CSV rows (CSV_HEADER order, no header), parsed
     as load_manifest parses a feature CSV; row numbers count the header."""
-    return Corpus.from_samples(_parse_rows(rows, _feature_sample, len(FEATURE_HEADER)))
+    return Corpus.from_samples(_parse_rows(rows, _feature_sample, len(CSV_HEADER)))
 
 
 def _parse_rows(rows: Iterable[list[str]], parse, width: int) -> list[Sample]:
@@ -287,13 +287,13 @@ def family_disjoint_split(corpus: Corpus, seed: int) -> Split:
         raise TooFewFamilies("family-disjoint split needs at least 2 families")
 
     for retry in range(MAX_SPLIT_RETRIES):
-        train = _draw_family_train(corpus, random.Random(seed + retry))
         in_train = np.zeros(len(corpus.samples), dtype=bool)
-        in_train[corpus.rows(train)] = True
+        in_train[_draw_family_train(corpus, random.Random(seed + retry))] = True
         if not in_train.all() and _both_classes(corpus, in_train) and _both_classes(corpus, ~in_train):
+            # id_index holds the ids in row order.
             return Split(
-                train_ids=train,
-                test_ids=frozenset(corpus.id_index) - train,
+                train_ids=frozenset(compress(corpus.id_index, in_train)),
+                test_ids=frozenset(compress(corpus.id_index, ~in_train)),
                 strategy=SplitStrategy.FAMILY_DISJOINT,
                 seed=seed,
                 retries=retry,
@@ -301,9 +301,10 @@ def family_disjoint_split(corpus: Corpus, seed: int) -> Split:
     raise Degenerate(f"no valid family-disjoint split in {MAX_SPLIT_RETRIES} retries")
 
 
-def _draw_family_train(corpus: Corpus, rng) -> frozenset[str]:
+def _draw_family_train(corpus: Corpus, rng) -> list[int]:
     """One pass of the draw loop: pull random whole families into the train
-    side while it holds at most half the samples. rng needs randrange only."""
+    side while it holds at most half the samples; returns the train side's
+    rows in draw order. rng needs randrange only."""
     n = len(corpus.samples)
     remaining = sorted(corpus.family_index)
     train_idx: list[int] = []
@@ -312,7 +313,7 @@ def _draw_family_train(corpus: Corpus, rng) -> frozenset[str]:
             break  # absorbed every family; caller rejects the empty test set
         fam = remaining.pop(rng.randrange(len(remaining)))
         train_idx.extend(corpus.family_index[fam])
-    return frozenset(corpus.samples[i].sample_id for i in train_idx)
+    return train_idx
 
 
 def _both_classes(corpus: Corpus, rows: np.ndarray) -> bool:
@@ -321,23 +322,26 @@ def _both_classes(corpus: Corpus, rows: np.ndarray) -> bool:
     return bool((y > 0).any() and (y < 0).any())
 
 
-def lofo_splits(corpus: Corpus) -> list[Split]:
-    """One split per family: that family is the test set, the rest train."""
+def lofo_folds(corpus: Corpus) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(family, training rows, test rows) per family in families() order:
+    that family is the test side, the rest train."""
     families = corpus.families()
     if len(families) < 2:
         raise TooFewFamilies("leave-one-family-out needs at least 2 families")
-    all_ids = frozenset(corpus.id_index)
-    splits = []
-    for fam in families:
-        test = frozenset(corpus.samples[i].sample_id for i in corpus.family_index[fam])
-        splits.append(Split(
-            train_ids=all_ids - test,
-            test_ids=test,
-            strategy=SplitStrategy.LOFO,
-            seed=0,
-            held_out_family=fam,
-        ))
-    return splits
+    folds = []
+    for code, fam in enumerate(families):
+        held_out = corpus.family_codes == code
+        folds.append((fam, np.flatnonzero(~held_out), np.flatnonzero(held_out)))
+    return folds
+
+
+def lofo_splits(corpus: Corpus) -> list[Split]:
+    """The folds of lofo_folds as splits of sample ids."""
+    ids = [s.sample_id for s in corpus.samples]
+    return [Split(train_ids=frozenset(ids[i] for i in train.tolist()),
+                  test_ids=frozenset(ids[i] for i in test.tolist()),
+                  strategy=SplitStrategy.LOFO, seed=0, held_out_family=fam)
+            for fam, train, test in lofo_folds(corpus)]
 
 
 def validate_split(corpus: Corpus, split: Split) -> ValidationReport:

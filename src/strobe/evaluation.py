@@ -23,7 +23,7 @@ from .dataset import (
     SplitStrategy,
     design_matrix,
     family_disjoint_split,
-    lofo_splits,
+    lofo_folds,
     random_split,
     validate_split,
 )
@@ -39,6 +39,7 @@ from .learners import (
     online_train,
 )
 # bench/tracing.py wraps these evaluation attributes by name.
+from .dataset import lofo_splits  # noqa: F401
 from .learners import online_predict, online_update, predict  # noqa: F401
 
 
@@ -108,12 +109,6 @@ def holdout_eval(model: BatchModel | OnlineModel, X: np.ndarray, y: np.ndarray) 
     return EvalResult.from_confusion(tp, fp, len(y) - tp - fp - fn, fn)
 
 
-def _holdout_side(model: BatchModel | OnlineModel, corpus: Corpus, ids) -> EvalResult:
-    """holdout_eval on the corpus rows of the given ids."""
-    rows = corpus.rows(ids)
-    return holdout_eval(model, corpus.X[rows], corpus.y[rows])
-
-
 def prequential_eval(model: OnlineModel, stream: list[Sample]) -> PrequentialResult:
     """Test-then-train over the stream; the model is mutated in place.
 
@@ -127,8 +122,7 @@ def prequential_eval(model: OnlineModel, stream: list[Sample]) -> PrequentialRes
     for sample in stream:
         if sample.features is None:
             raise BadValue(f"stream sample {sample.sample_id!r} has no features")
-    X, y = design_matrix(stream)
-    correct = _prequential_sweep(model, X, (y > 0).astype(np.int64))
+    correct = _prequential_sweep(model, *design_matrix(stream))
     hits = np.cumsum(correct)
     return PrequentialResult(
         per_sample_correct=tuple(correct.tolist()),
@@ -216,37 +210,35 @@ class ExperimentSummary:
         }
 
 
-def train_on_split(
-    corpus: Corpus,
-    split: Split,
-    learner: LearnerKind,
-    seed: int,
-) -> BatchModel | OnlineModel:
-    """Fit the chosen learner, with its default settings, on the training
-    side of a split."""
-    train = corpus.by_ids(split.train_ids)
+def _features(corpus: Corpus) -> np.ndarray:
+    """The corpus feature matrix; a corpus without one raises BadValue."""
+    if corpus.X is None:
+        raise BadValue("training needs features for every sample; extract them first")
+    return corpus.X
+
+
+def train_on_split(corpus: Corpus, train_rows: np.ndarray, learner: LearnerKind,
+                   seed: int) -> BatchModel | OnlineModel:
+    """Fit the chosen learner, with its default settings, on the corpus rows
+    train_rows (sorted, as Corpus.rows gives them)."""
+    X, y = _features(corpus)[train_rows], corpus.y[train_rows]
     if learner is LearnerKind.BATCH:
-        return batch_train(train, seed=seed)
-    return online_train(train, seed=seed)
+        return batch_train(X, y, seed=seed)
+    return online_train(X, y, seed=seed)
 
 
-def train_on_splits(
-    corpus: Corpus,
-    splits: list[Split],
-    seeds: list[int],
-    learner: LearnerKind,
-    hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
-) -> list[BatchModel | OnlineModel]:
-    """train_on_split for each (split, seed) pair, with identical models.
+def train_on_splits(corpus: Corpus, train_rows_list: list[np.ndarray], seeds: list[int],
+                    learner: LearnerKind, hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
+                    ) -> list[BatchModel | OnlineModel]:
+    """train_on_split for each (training rows, seed) pair, with identical models.
 
     Batch fits all train together in one lockstep hinge_sgd pass over the
-    corpus matrix, each on its split's training rows in corpus order; hp
-    replaces their default hyperparameters.
+    corpus matrix; hp replaces their default hyperparameters.
     """
-    if learner is LearnerKind.ONLINE or not splits:
-        return [train_on_split(corpus, split, learner, seed) for split, seed in zip(splits, seeds)]
-    streams = [(corpus.rows(split.train_ids), seed) for split, seed in zip(splits, seeds)]
-    models = hinge_sgd(corpus.X, corpus.y, streams, [(i, hp) for i in range(len(streams))])
+    if learner is LearnerKind.ONLINE or not train_rows_list:
+        return [train_on_split(corpus, rows, learner, seed) for rows, seed in zip(train_rows_list, seeds)]
+    streams = list(zip(train_rows_list, seeds))
+    models = hinge_sgd(_features(corpus), corpus.y, streams, [(i, hp) for i in range(len(streams))])
     if any(model is None for model in models):
         raise SingleClass("training data contains a single class")
     return models
@@ -271,9 +263,10 @@ def _experiment_runs(
                     raise StrobeError("family-disjoint split produced family overlap")
         except Degenerate:
             continue
-    models = train_on_splits(corpus, list(splits.values()), list(splits), learner)
-    results = {seed: _holdout_side(model, corpus, split.test_ids)
-               for (seed, split), model in zip(splits.items(), models)}
+    sides = [(corpus.rows(s.train_ids), corpus.rows(s.test_ids)) for s in splits.values()]
+    models = train_on_splits(corpus, [train for train, _ in sides], list(splits), learner)
+    results = {seed: holdout_eval(model, corpus.X[test], corpus.y[test])
+               for seed, (_, test), model in zip(splits, sides, models)}
     return [
         RunRecord(seed=seed, retries=splits[seed].retries, result=results[seed])
         if seed in splits
@@ -365,12 +358,12 @@ def run_lofo(
     """Hold out each family in turn (fold i trains with seed base_seed + i);
     aggregate size-weighted accuracy and the pooled confusion over all
     held-out predictions. Batch folds train in lockstep in one pass."""
-    splits = lofo_splits(corpus)
-    models = train_on_splits(corpus, splits, [base_seed + i for i in range(len(splits))], learner)
+    folds = lofo_folds(corpus)
+    models = train_on_splits(corpus, [train for _, train, _ in folds],
+                             [base_seed + i for i in range(len(folds))], learner)
     per_family = [
-        FamilyResult(family=split.held_out_family, n=len(split.test_ids),
-                     result=_holdout_side(model, corpus, split.test_ids))
-        for split, model in zip(splits, models)
+        FamilyResult(family=fam, n=len(test), result=holdout_eval(model, corpus.X[test], corpus.y[test]))
+        for (fam, _, test), model in zip(folds, models)
     ]
     weighted = weighted_family_accuracy(
         (fr.family, fr.n, fr.result.accuracy) for fr in per_family

@@ -15,8 +15,9 @@ per-member means and M2 (_chan_merge, for online_fit and the prequential
 sweep) and casts the members' Gaussian votes (_votes_se, for
 OnlineModel.predict and the sweep). Cold models and exact ties predict NOT_SE.
 
-Both models score a whole feature matrix at once with model.predict(X);
-predict and online_predict are that call on one sample.
+Both learners train on rows of raw features X with labels y (+1 SE, -1
+NOT_SE), and both models score a whole feature matrix at once with
+model.predict(X); predict and online_predict are that call on one sample.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ DEFAULT_POISSON_LAMBDA = 6.0
 _COUNT_MAX = int(np.iinfo(np.int64).max)  # the most an ensemble count can hold
 # The largest lambda numpy's Generator.poisson accepts (its POISSON_LAM_MAX).
 _POISSON_LAMBDA_MAX = float(_COUNT_MAX - np.sqrt(_COUNT_MAX) * 10)
-
-_CLS = {Label.NOT_SE: 0, Label.SE: 1}
 
 
 @dataclass(frozen=True)
@@ -226,9 +225,10 @@ def hinge_sgd(
     return models
 
 
-def batch_train(train: list[Sample], hp: HingeHyperparams = DEFAULT_HYPERPARAMS, seed: int = 0) -> BatchModel:
-    """Stochastic subgradient descent over shuffled epochs; deterministic per seed."""
-    X, y = design_matrix(train)
+def batch_train(X: np.ndarray, y: np.ndarray, hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
+                seed: int = 0) -> BatchModel:
+    """Stochastic subgradient descent over shuffled epochs of the rows X, y;
+    deterministic per seed."""
     (model,) = hinge_sgd(X, y, [(np.arange(len(y)), seed)], [(0, hp)])
     if model is None:
         raise SingleClass("training data contains a single class")
@@ -373,8 +373,8 @@ def online_init(
     )
 
 
-def online_fit(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> OnlineModel:
-    """Feed a stream of samples (rows of X, classes 0/1 in cls) to every member.
+def online_fit(model: OnlineModel, X: np.ndarray, y: np.ndarray) -> OnlineModel:
+    """Feed a stream of samples (rows of X, labels y) to every member.
 
     Sample i gets weight W[i, j] ~ Poisson(lam) in member j. All n * k weights
     come from one draw in sample-major order, which yields the values that
@@ -383,6 +383,7 @@ def online_fit(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> OnlineMode
     of Chan, Golub & LeVeque (1979); this equals replaying sample i W[i, j]
     times up to floating-point rounding.
     """
+    cls = (y > 0).astype(np.int64)  # class index: 0 NOT_SE, 1 SE
     W = model.rng.poisson(model.lam_poisson, size=(len(X), model.k))
     model.n_draws += W.size
     _check_count_room(model, W, cls)
@@ -408,24 +409,18 @@ def online_fit(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> OnlineMode
 
 def online_update(model: OnlineModel, sample: Sample) -> OnlineModel:
     """Feed one sample to every member with a Poisson-drawn weight."""
-    x = np.asarray(sample.features.as_tuple(), dtype=float)
-    return online_fit(model, x[None, :], np.array([_CLS[sample.label]]))
+    return online_fit(model, *design_matrix([sample]))
 
 
-def online_train(
-    train: list[Sample],
-    k: int = DEFAULT_ONLINE_ENSEMBLE,
-    lam_poisson: float = DEFAULT_POISSON_LAMBDA,
-    seed: int = 0,
-) -> OnlineModel:
-    """A fresh ensemble that has seen the training set once, as a stream
-    shuffled by a generator derived from the seed."""
+def online_train(X: np.ndarray, y: np.ndarray, k: int = DEFAULT_ONLINE_ENSEMBLE,
+                 lam_poisson: float = DEFAULT_POISSON_LAMBDA, seed: int = 0) -> OnlineModel:
+    """A fresh ensemble that has seen the training rows X, y once, as a
+    stream shuffled by a generator derived from the seed."""
     model = online_init(k=k, lam_poisson=lam_poisson, seed=seed)
     order = np.random.default_rng(
         np.random.SeedSequence([_np_seed(seed), 1])
-    ).permutation(len(train))
-    X, y = design_matrix(train)
-    return online_fit(model, X[order], (y[order] > 0).astype(np.int64))
+    ).permutation(len(y))
+    return online_fit(model, X[order], y[order])
 
 
 def _check_count_room(model: OnlineModel, W: np.ndarray, cls: np.ndarray) -> None:
@@ -492,9 +487,9 @@ def _votes_se(x, mean, var, log_norm, prior, seen, d) -> np.ndarray:
 _SWEEP_BLOCK = 256  # stream rows whose per-row terms are computed together
 
 
-def _prequential_sweep(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> np.ndarray:
+def _prequential_sweep(model: OnlineModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vote on each row of X, then feed it to the model, in stream order;
-    True where the vote named the row's class (0 NOT_SE, 1 SE in cls).
+    True where the vote named the row's label (+1 SE, -1 NOT_SE in y).
 
     Bit-identical to online_predict then online_update per row: the same
     values in the model, the same n_draws and the same generator state.
@@ -508,6 +503,7 @@ def _prequential_sweep(model: OnlineModel, X: np.ndarray, cls: np.ndarray) -> np
     is left untouched, as online_fit leaves it.
     """
     n, k = len(X), model.k
+    cls = (y > 0).astype(np.int64)  # class index: 0 NOT_SE, 1 SE
     W = model.rng.poisson(model.lam_poisson, size=(n, k))
     model.n_draws += W.size
     _check_count_room(model, W, cls)

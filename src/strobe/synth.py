@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import PATH_HEADER
 from .dex import ENDIAN_CONSTANT, HEADER_SIZE, NO_INDEX, SECTION_LAYOUT, SectionInfo
 from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge
 from .mutf8 import encode_mutf8, utf16_length, utf16_sort_key
@@ -648,6 +649,6 @@ def gen_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:
     manifest_path = out_dir / "manifest.csv"
     with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", "family", "label", "path"])
+        writer.writerow(PATH_HEADER)
         writer.writerows(rows)
     return out_dir, manifest_path

@@ -5,6 +5,8 @@ single PASS/FAIL line (run with -s to see them live). The corpus-level tests
 run on the frozen synthetic corpora from conftest.
 """
 
+import hashlib
+import json
 import multiprocessing
 import os
 import random
@@ -114,14 +116,60 @@ def test_criterion_02_control_corpus(control):
                 summary.strategy, summary.learner, summary.mean_accuracy)
 
 
-def test_criterion_03_lofo(confounded):
+@pytest.fixture(scope="module")
+def confounded_lofo(confounded):
+    """run_lofo on the frozen corpus at BASE_SEED, run once per learner."""
+    runs = {}
+
+    def run(learner):
+        if learner not in runs:
+            runs[learner] = run_lofo(confounded["corpus"], learner, base_seed=BASE_SEED)
+        return runs[learner]
+
+    return run
+
+
+def test_criterion_03_lofo(confounded_lofo):
     with criterion(3, "LOFO: weighted accuracy in [0.40, 0.65], SE F-score <= 0.5, spread >= 0.5"):
         for learner in (LearnerKind.BATCH, LearnerKind.ONLINE):
-            summary = run_lofo(confounded["corpus"], learner, base_seed=BASE_SEED)
+            summary = confounded_lofo(learner)
             assert 0.40 <= summary.weighted_accuracy <= 0.65, (learner, summary.weighted_accuracy)
             assert summary.pooled.f1 <= 0.5, (learner, summary.pooled.f1)
             accs = [fr.result.accuracy for fr in summary.per_family]
             assert max(accs) - min(accs) >= 0.5, (learner, min(accs), max(accs))
+
+
+# SHA-256 of json.dumps(summary.to_json(), sort_keys=True) on the frozen
+# confounded corpus at BASE_SEED. Any change to splitting, training or
+# scoring that moves one bit of the drivers' output changes a digest.
+LOFO_DIGESTS = {
+    LearnerKind.BATCH: "871bb5240ba9fa53771110818ae3c0274e7518a64b90ba0131e59110cdc2bc5d",
+    LearnerKind.ONLINE: "d1ec64ee7978618f5ad3afe78b612de63816b17eabc73482d7dddb8631c85a35",
+}
+EXPERIMENT_DIGESTS = {  # 3 repetitions
+    (SplitStrategy.RANDOM, LearnerKind.BATCH):
+        "0c520feec00b59f4b56c9015c281798e098df65600b79eb27770d9a7d2aac966",
+    (SplitStrategy.RANDOM, LearnerKind.ONLINE):
+        "fb0298d2c06aa89cd225990e21e1313f2473b678f8585135922f86dc4bda26b5",
+    (SplitStrategy.FAMILY_DISJOINT, LearnerKind.BATCH):
+        "fc1395b07ebeeb744106126fb6921c2ff01bc2aba8d08dd25061cbb26556d8a4",
+    (SplitStrategy.FAMILY_DISJOINT, LearnerKind.ONLINE):
+        "bbf207858fb66a06230c18948642478260643d476e2bfb0d7ff430b58133a615",
+}
+
+
+def _json_digest(summary) -> str:
+    return hashlib.sha256(json.dumps(summary.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def test_lofo_outputs_match_pinned_digests(confounded_lofo):
+    for learner, digest in LOFO_DIGESTS.items():
+        assert _json_digest(confounded_lofo(learner)) == digest, learner
+
+
+def test_experiment_outputs_match_pinned_digests(confounded):
+    grid = _experiment_grid(confounded["corpus"], reps=3)
+    assert {key: _json_digest(summary) for key, summary in grid.items()} == EXPERIMENT_DIGESTS
 
 
 def test_criterion_04_heuristic(stripped):
@@ -324,7 +372,7 @@ def test_criterion_11_batch_learner():
                                 features=FeatureVector(avg_entropy=9 + 0.01 * i, n_strings=1)))
             train.append(Sample(f"n{i}", "f", Label.NOT_SE,
                                 features=FeatureVector(avg_entropy=0.01 * i, n_strings=1)))
-        model = batch_train(train, seed=0)
+        model = batch_train(*design_matrix(train), seed=0)
         assert all(predict(model, s.features) is s.label for s in train)
 
         rng = np.random.default_rng(11)
@@ -358,7 +406,7 @@ def test_online_ensemble_matches_replay_oracle(confounded):
     identical votes on every test sample."""
     corpus = confounded["corpus"]
     split = family_disjoint_split(corpus, BASE_SEED)
-    model = train_on_split(corpus, split, LearnerKind.ONLINE, BASE_SEED)
+    model = train_on_split(corpus, corpus.rows(split.train_ids), LearnerKind.ONLINE, BASE_SEED)
 
     train = corpus.by_ids(split.train_ids)
     oracle = ReplayEnsemble(DEFAULT_ONLINE_ENSEMBLE, DEFAULT_POISSON_LAMBDA, BASE_SEED)
@@ -383,7 +431,7 @@ def test_lockstep_lofo_matches_per_sample_loop(confounded):
     seeds = [BASE_SEED + i for i in range(len(splits))]
     for hp, stride in ((HingeHyperparams(epochs=2), 1), (DEFAULT_HYPERPARAMS, len(splits) - 1)):
         chosen = list(range(0, len(splits), stride))
-        models = train_on_splits(corpus, [splits[i] for i in chosen],
+        models = train_on_splits(corpus, [corpus.rows(splits[i].train_ids) for i in chosen],
                                  [seeds[i] for i in chosen], LearnerKind.BATCH, hp)
         for i, model in zip(chosen, models):
             w, b, mean, std = reference_batch_train(
@@ -406,8 +454,8 @@ def test_row_scorers_match_per_sample_predictions(confounded):
     corpus = confounded["corpus"]
     split = family_disjoint_split(corpus, BASE_SEED)
     X, _ = design_matrix(corpus.samples)
-    batch = train_on_split(corpus, split, LearnerKind.BATCH, BASE_SEED)
-    online = train_on_split(corpus, split, LearnerKind.ONLINE, BASE_SEED)
+    batch = train_on_split(corpus, corpus.rows(split.train_ids), LearnerKind.BATCH, BASE_SEED)
+    online = train_on_split(corpus, corpus.rows(split.train_ids), LearnerKind.ONLINE, BASE_SEED)
     assert batch.predict(X).tolist() == \
         [reference_decision(batch, s.features) > 0.0 for s in corpus.samples]
     assert online.predict(X).tolist() == \

@@ -159,7 +159,7 @@ def test_train_online_matches_train_on_split(features_csv, tmp_path):
     corpus = load_manifest(features_csv)
     everything = Split(train_ids=frozenset(s.sample_id for s in corpus.samples),
                        test_ids=frozenset(), strategy=SplitStrategy.RANDOM, seed=4)
-    expected = train_on_split(corpus, everything, LearnerKind.ONLINE, seed=4)
+    expected = train_on_split(corpus, corpus.rows(everything.train_ids), LearnerKind.ONLINE, seed=4)
     assert json.loads(model.read_text()) == json.loads(json.dumps(model_to_json(expected)))
 
 

@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from strobe.dataset import (
@@ -16,6 +17,7 @@ from strobe.dataset import (
     family_disjoint_split,
     load_manifest,
     load_split,
+    lofo_folds,
     lofo_splits,
     random_split,
     save_split,
@@ -192,7 +194,7 @@ def test_draw_trace_c_then_a():
     # |S|/2 = 5. Draw C (5 samples, 5 <= 5 so keep drawing), then A -> 8 > 5.
     corpus = hand_corpus()
     train = _draw_family_train(corpus, ScriptedRng([2, 0]))
-    fams = {corpus.samples[corpus.id_index[i]].family for i in train}
+    fams = {corpus.samples[i].family for i in train}
     assert fams == {"C", "A"}
     assert len(train) == 8
 
@@ -272,6 +274,18 @@ def test_lofo_requires_two_families():
     corpus = make_corpus({"A": ["SE", "NOT_SE"]})
     with pytest.raises(TooFewFamilies):
         lofo_splits(corpus)
+    with pytest.raises(TooFewFamilies):
+        lofo_folds(corpus)
+
+
+def test_lofo_folds_are_the_rows_of_lofo_splits(large_corpus):
+    # Families interleave row by row here, so no fold is a contiguous range.
+    folds = lofo_folds(large_corpus)
+    assert [fam for fam, _, _ in folds] == large_corpus.families()
+    for (fam, train, test), split in zip(folds, lofo_splits(large_corpus), strict=True):
+        assert fam == split.held_out_family
+        assert np.array_equal(train, large_corpus.rows(split.train_ids))
+        assert np.array_equal(test, large_corpus.rows(split.test_ids))
 
 
 # --- validation & serialization ------------------------------------------------

@@ -196,7 +196,7 @@ def test_prequential_sweep_matches_per_sample_loop(k):
 
         def make_model():
             model = online_init(k=k, lam_poisson=lam, seed=seed)
-            return online_fit(model, Xw, cw) if warm else model
+            return online_fit(model, Xw, 2 * cw - 1) if warm else model
 
         assert_prequential_matches_reference(make_model, matrix_stream(X, cls))
 
@@ -209,7 +209,7 @@ def test_prequential_sweep_matches_per_sample_loop_on_confounded_corpus(confound
 
 
 def test_prequential_rejects_sample_without_features_before_touching_model():
-    model = online_fit(online_init(k=4, seed=3), np.arange(16.0).reshape(2, 8), np.array([0, 1]))
+    model = online_fit(online_init(k=4, seed=3), np.arange(16.0).reshape(2, 8), np.array([-1, 1]))
     before = model_state(model)
     stream = [sample("a", "f", "SE", 1.0), Sample("bare", "f", Label.NOT_SE),
               sample("b", "f", "NOT_SE", 2.0)]
@@ -365,6 +365,21 @@ def test_skipped_run_records_every_split_attempt(monkeypatch):
     assert not summary.per_run[0].skipped and not summary.per_run[2].skipped
 
 
+@pytest.mark.parametrize("learner", list(LearnerKind))
+def test_drivers_reject_a_corpus_without_features(learner):
+    # A path manifest's corpus: labels and families, no feature vectors.
+    corpus = Corpus.from_samples([
+        Sample(f"f{f}{label.value}{i}", f"fam{f}", label, path=f"fam{f}/{i}.apk")
+        for f in range(4) for label in Label for i in range(3)
+    ])
+    assert corpus.X is None
+    with pytest.raises(BadValue, match="features"):
+        run_lofo(corpus, learner, base_seed=0)
+    for strategy in (SplitStrategy.RANDOM, SplitStrategy.FAMILY_DISJOINT):
+        with pytest.raises(BadValue, match="features"):
+            run_experiment(corpus, strategy, learner, repetitions=2, base_seed=0)
+
+
 def test_training_ignores_test_side_features():
     corpus = separable_corpus()
     split = random_split(corpus, seed=4)
@@ -374,8 +389,8 @@ def test_training_ignores_test_side_features():
         for s in corpus.samples
     ])
     for learner in (LearnerKind.BATCH, LearnerKind.ONLINE):
-        clean = train_on_split(corpus, split, learner, seed=1)
-        dirty = train_on_split(poisoned, split, learner, seed=1)
+        clean = train_on_split(corpus, corpus.rows(split.train_ids), learner, seed=1)
+        dirty = train_on_split(poisoned, poisoned.rows(split.train_ids), learner, seed=1)
         probe = [fv(0.5), fv(4.4), fv(8.0)]
         if learner is LearnerKind.BATCH:
             assert np.array_equal(clean.weights, dirty.weights)

@@ -105,19 +105,19 @@ def test_scaler_too_small():
 
 def test_batch_fits_separable_toy_exactly():
     train = toy_separable()
-    model = batch_train(train, seed=0)
+    model = batch_train(*design_matrix(train), seed=0)
     assert all(predict(model, s.features) is s.label for s in train)
 
 
 def test_batch_single_class():
     with pytest.raises(SingleClass):
-        batch_train([sample("a", "SE", 1.0), sample("b", "SE", 2.0)], seed=0)
+        batch_train(*design_matrix([sample("a", "SE", 1.0), sample("b", "SE", 2.0)]), seed=0)
 
 
 def test_batch_deterministic():
     train = toy_separable()
-    m1 = batch_train(train, seed=7)
-    m2 = batch_train(train, seed=7)
+    m1 = batch_train(*design_matrix(train), seed=7)
+    m2 = batch_train(*design_matrix(train), seed=7)
     assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
 
 
@@ -224,7 +224,7 @@ def test_hinge_sgd_matches_per_sample_loop(trial):
 
     rows, seed = streams[1]
     hp = fits[-1][1]
-    assert_matches_reference(batch_train([pool[i] for i in rows], hp, seed), [pool[i] for i in rows], hp, seed)
+    assert_matches_reference(batch_train(X[rows], y[rows], hp, seed), [pool[i] for i in rows], hp, seed)
 
 
 def test_hinge_sgd_with_nothing_to_train():
@@ -241,7 +241,7 @@ def test_batch_predict_rows_matches_predict():
     train = random_train(rng, 200)
     X, _ = design_matrix(train)
     for seed in range(3):
-        model = batch_train(train[:150], seed=seed)
+        model = batch_train(*design_matrix(train[:150]), seed=seed)
         assert model.predict(X).tolist() == \
             [reference_decision(model, s.features) > 0.0 for s in train]
         assert [predict(model, s.features) is Label.SE for s in train] == model.predict(X).tolist()
@@ -255,8 +255,8 @@ def test_online_predict_rows_matches_online_predict():
     train = random_train(rng, 200)
     X, _ = design_matrix(train)
     models = [online_init(k=4, seed=1),                    # cold: every vote NOT_SE
-              online_train(train[:3], k=5, seed=2),        # members with one class only
-              online_train(train[:150], k=10, seed=3)]
+              online_train(*design_matrix(train[:3]), k=5, seed=2),  # members with one class only
+              online_train(*design_matrix(train[:150]), k=10, seed=3)]
     for model in models:
         assert model.predict(X).tolist() == \
             [reference_online_predict(model, s.features) is Label.SE for s in train]
@@ -335,14 +335,14 @@ def test_counts_past_int64_raise_before_any_merge(feed):
     X = np.arange(24, dtype=float).reshape(3, 8)
     model = online_init(k=3, lam_poisson=9.2e18, seed=0)
     with pytest.raises(BadConfig, match="overflows the int64 count of member 0, class 1"):
-        feed(model, X, np.array([1, 0, 1]))
+        feed(model, X, np.array([1, -1, 1]))
     assert not model.counts.any() and not model.mean.any() and not model.m2.any()
     assert model.n_draws == 9
 
 
-def _feed_rows_one_at_a_time(model, X, cls):
+def _feed_rows_one_at_a_time(model, X, y):
     for i in range(len(X)):
-        online_fit(model, X[i:i + 1], cls[i:i + 1])
+        online_fit(model, X[i:i + 1], y[i:i + 1])
 
 
 @pytest.mark.parametrize("feed", [_feed_rows_one_at_a_time, _prequential_sweep])
@@ -466,7 +466,7 @@ def test_online_fit_matches_replay_oracle(trial):
     oracle = ReplayEnsemble(k, lam, seed=trial)
     # Half the stream in one bulk fit, the rest one sample at a time.
     half = len(X) // 2
-    online_fit(model, X[:half], cls[:half])
+    online_fit(model, X[:half], 2 * cls[:half] - 1)
     for i in range(half, len(X)):
         online_update(model, Sample(f"s{i}", "fam", Label.SE if cls[i] else Label.NOT_SE,
                                     features=FeatureVector(*X[i], n_strings=1)))
@@ -484,7 +484,7 @@ def test_online_train_matches_replay_oracle():
     X, cls = random_stream(rng, 400)
     train = [Sample(f"s{i}", "fam", Label.SE if c else Label.NOT_SE,
                     features=FeatureVector(*x, n_strings=1)) for i, (x, c) in enumerate(zip(X, cls))]
-    model = online_train(train, k=10, lam_poisson=6.0, seed=31)
+    model = online_train(*design_matrix(train), k=10, lam_poisson=6.0, seed=31)
     oracle = ReplayEnsemble(10, 6.0, seed=31)
     for i in np.random.default_rng(np.random.SeedSequence([31, 1])).permutation(len(train)):
         oracle.update(X[i], int(cls[i]))
@@ -509,7 +509,7 @@ def test_online_separable_stream_holdout():
 # --- persistence ------------------------------------------------------------------
 
 def test_batch_model_json_roundtrip():
-    model = batch_train(toy_separable(), seed=2)
+    model = batch_train(*design_matrix(toy_separable()), seed=2)
     clone = model_from_json(model_to_json(model))
     assert np.array_equal(clone.weights, model.weights)
     assert clone.bias == model.bias
@@ -522,7 +522,7 @@ def test_online_model_json_roundtrip_preserves_rng_stream():
     per_sample = online_init(k=3, lam_poisson=6.0, seed=9)
     for s in stream:
         online_update(per_sample, s)
-    bulk = online_train(stream, k=3, lam_poisson=6.0, seed=9)
+    bulk = online_train(*design_matrix(stream), k=3, lam_poisson=6.0, seed=9)
     for model in (per_sample, bulk):
         clone = model_from_json(model_to_json(model))
         assert clone.n_draws == model.n_draws == 60
