@@ -18,7 +18,7 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain
 from operator import itemgetter
 
@@ -51,7 +51,7 @@ from .evaluation import (
     run_lofo,
 )
 from .features import CSV_HEADER, csv_row, feature_vector
-from .heuristic import HeuristicConfig, detect_dexguard
+from .heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
 from .learners import (
     DEFAULT_ONLINE_ENSEMBLE,
     DEFAULT_POISSON_LAMBDA,
@@ -72,6 +72,11 @@ EXIT_IO = 4
 
 class _UsageError(Exception):
     pass
+
+
+# The argparse settings of a synth flag, by its SynthConfig field's annotation.
+_FIELD_FLAGS = {"int": {"type": int}, "float": {"type": float}, "str": {},
+                "tuple[int, int]": {"type": int, "nargs": 2, "metavar": ("MIN", "MAX")}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,19 +133,11 @@ def _build_parser() -> _Parser:
                    help="drop samples whose string section fails to decode")
 
     p = command("synth", cmd_synth, "generate a synthetic APK corpus", out_required=True)
-    p.add_argument("--seed", type=int, help="corpus seed (default: the seed of --preset / --config)")
-    p.add_argument("--config", help="SynthConfig JSON file")
-    p.add_argument("--preset", choices=("confounded", "control", "stripped"))
-    p.add_argument("--n-families", type=int)
-    p.add_argument("--samples-per-family", type=int, nargs=2, metavar=("MIN", "MAX"))
-    p.add_argument("--skew", type=float)
-    p.add_argument("--se-family-fraction", type=float)
-    p.add_argument("--mixed-family-fraction", type=float)
-    p.add_argument("--fingerprint-strength", type=float)
-    p.add_argument("--se-string-fraction", type=float)
-    p.add_argument("--strings-per-app", type=int, nargs=2, metavar=("MIN", "MAX"))
-    p.add_argument("--identifiers-per-app", type=int, nargs=2, metavar=("MIN", "MAX"))
-    p.add_argument("--scheme", choices=(synth.SCHEME_BASE64_XOR, synth.SCHEME_STRIP_ALL))
+    p.add_argument("--preset", choices=synth.PRESETS, help="start from this config (default: SynthConfig())")
+    p.add_argument("--config", help="SynthConfig JSON file, applied over --preset")
+    for f in fields(synth.SynthConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), choices=f.metadata.get("choices"),
+                       help=f"SynthConfig.{f.name}, applied over --config", **_FIELD_FLAGS[f.type])
 
     p = command("split", cmd_split, "build and export a train/test split", seed=True)
     p.add_argument("--manifest", required=True)
@@ -284,23 +281,18 @@ def cmd_extract(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    presets = {"confounded": synth.confounded_preset, "control": synth.control_preset,
-               "stripped": synth.stripped_preset}
     # The preset, then the --config file, then each flag given, in one merge.
-    fields = (presets[args.preset]() if args.preset else synth.SynthConfig()).to_json()
+    config = (synth.PRESETS[args.preset]() if args.preset else synth.SynthConfig()).to_json()
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
-                fields.update(json.load(fh))
+                config.update(json.load(fh))
             except (TypeError, ValueError) as exc:  # not JSON, or not a JSON object
                 raise InvalidConfig(f"{args.config}: {exc}") from None
-    for name in ("n_families", "samples_per_family", "skew", "se_family_fraction",
-                 "mixed_family_fraction", "fingerprint_strength", "se_string_fraction",
-                 "strings_per_app", "identifiers_per_app", "scheme", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            fields[name] = value
-    out_dir, manifest = synth.gen_corpus(synth.SynthConfig.from_json(fields), args.out)
+    for f in fields(synth.SynthConfig):
+        if getattr(args, f.name) is not None:
+            config[f.name] = getattr(args, f.name)
+    out_dir, manifest = synth.gen_corpus(synth.SynthConfig.from_json(config), args.out)
     print(f"wrote corpus to {out_dir} ({manifest.name})")
     return EXIT_OK
 
@@ -409,18 +401,16 @@ def cmd_praguard_check(args) -> int:
     samples = sorted(_apk_dir_samples(args.apk_dir, args.manifest), key=lambda s: s.sample_id)
     cfg = HeuristicConfig(max_strings=args.max_strings)
     rows = [["sample_id", "n_strings", "verdict"]]
-    flagged = []  # the string count of each app flagged SE
+    flagged = []  # the apps flagged SE, each with at most max_strings strings
     for sample in samples:
         app = extract_app_strings(sample.path)
-        n_strings = len(app.non_identifier_strings)
         verdict = detect_dexguard(app, cfg)
         if verdict is Label.SE:
-            flagged.append(n_strings)
-        rows.append([sample.sample_id, n_strings, verdict.value])
+            flagged.append(app)
+        rows.append([sample.sample_id, len(app.non_identifier_strings), verdict.value])
     _write_csv(args.out, rows)
-    frac = flagged.count(0) / len(flagged) if flagged else 0.0
-    print(f"flagged SE: {len(flagged)}/{len(samples)}; zero-string fraction among flagged: {frac:.1%}",
-          file=sys.stderr)
+    print(f"flagged SE: {len(flagged)}/{len(samples)}; zero-string fraction among flagged: "
+          f"{zero_string_fraction(flagged, cfg):.1%}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -448,9 +438,12 @@ def cmd_stats(args) -> int:
 
 def _number(cell: str, line_no: int) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise BadValue(f"line {line_no}: {cell!r} is not a number") from None
+    if not np.isfinite(value):
+        raise BadValue(f"line {line_no}: {cell!r} is not finite")
+    return value
 
 
 if __name__ == "__main__":

@@ -73,24 +73,27 @@ class Sample:
 @dataclass(frozen=True)
 class Corpus:
     samples: tuple[Sample, ...]
-    family_index: dict[str, list[int]]
-    id_index: dict[str, int]
 
     @classmethod
     def from_samples(cls, samples: list[Sample]) -> "Corpus":
-        family_index: dict[str, list[int]] = {}
-        id_index: dict[str, int] = {}
-        for i, s in enumerate(samples):
-            if s.sample_id in id_index:
-                raise DuplicateId(f"duplicate sample_id {s.sample_id!r}")
-            id_index[s.sample_id] = i
-            family_index.setdefault(s.family, []).append(i)
-        return cls(samples=tuple(samples), family_index=family_index, id_index=id_index)
+        """The corpus of the samples; a repeated sample_id raises DuplicateId."""
+        corpus = cls(samples=tuple(samples))
+        corpus.id_index  # built now, so that a duplicate raises here
+        return corpus
 
     def families(self) -> list[str]:
-        return sorted(self.family_index)
+        return sorted({s.family for s in self.samples})
 
-    # The arrays below are built on first use and kept out of ==.
+    # The indexes and arrays below are built on first use and kept out of ==.
+
+    @cached_property
+    def id_index(self) -> dict[str, int]:
+        """Row of each sample_id."""
+        index: dict[str, int] = {}
+        for i, s in enumerate(self.samples):
+            if index.setdefault(s.sample_id, i) != i:
+                raise DuplicateId(f"duplicate sample_id {s.sample_id!r}")
+        return index
 
     @cached_property
     def y(self) -> np.ndarray:
@@ -100,10 +103,9 @@ class Corpus:
     @cached_property
     def family_codes(self) -> np.ndarray:
         """Family by row, as its position in families()."""
-        codes = np.empty(len(self.samples), dtype=np.intp)
-        for code, fam in enumerate(self.families()):
-            codes[self.family_index[fam]] = code
-        return codes
+        code = {fam: i for i, fam in enumerate(self.families())}
+        return np.fromiter((code[s.family] for s in self.samples), dtype=np.intp,
+                           count=len(self.samples))
 
     @cached_property
     def X(self) -> np.ndarray | None:
@@ -283,12 +285,11 @@ def family_disjoint_split(corpus: Corpus, seed: int) -> Split:
     strand one class on one side; such outcomes are rejected and the split is
     retried with the next derived seed, up to MAX_SPLIT_RETRIES times.
     """
-    if len(corpus.family_index) < 2:
+    if len(corpus.families()) < 2:
         raise TooFewFamilies("family-disjoint split needs at least 2 families")
 
     for retry in range(MAX_SPLIT_RETRIES):
-        in_train = np.zeros(len(corpus.samples), dtype=bool)
-        in_train[_draw_family_train(corpus, random.Random(seed + retry))] = True
+        in_train = _draw_family_train(corpus, random.Random(seed + retry))
         if not in_train.all() and _both_classes(corpus, in_train) and _both_classes(corpus, ~in_train):
             # id_index holds the ids in row order.
             return Split(
@@ -301,19 +302,20 @@ def family_disjoint_split(corpus: Corpus, seed: int) -> Split:
     raise Degenerate(f"no valid family-disjoint split in {MAX_SPLIT_RETRIES} retries")
 
 
-def _draw_family_train(corpus: Corpus, rng) -> list[int]:
+def _draw_family_train(corpus: Corpus, rng) -> np.ndarray:
     """One pass of the draw loop: pull random whole families into the train
-    side while it holds at most half the samples; returns the train side's
-    rows in draw order. rng needs randrange only."""
-    n = len(corpus.samples)
-    remaining = sorted(corpus.family_index)
-    train_idx: list[int] = []
-    while len(train_idx) <= n / 2:
-        if not remaining:
-            break  # absorbed every family; caller rejects the empty test set
-        fam = remaining.pop(rng.randrange(len(remaining)))
-        train_idx.extend(corpus.family_index[fam])
-    return train_idx
+    side while it holds at most half the samples; returns the train side as
+    a row mask. rng needs randrange only."""
+    sizes = np.bincount(corpus.family_codes).tolist()
+    remaining = list(range(len(sizes)))
+    drawn = np.zeros(len(sizes), dtype=bool)
+    n_train = 0
+    # Absorbing every family leaves the test side empty; the caller rejects it.
+    while n_train <= len(corpus.samples) / 2 and remaining:
+        code = remaining.pop(rng.randrange(len(remaining)))
+        drawn[code] = True
+        n_train += sizes[code]
+    return drawn[corpus.family_codes]
 
 
 def _both_classes(corpus: Corpus, rows: np.ndarray) -> bool:
@@ -351,7 +353,7 @@ def validate_split(corpus: Corpus, split: Split) -> ValidationReport:
     hits = np.bincount(np.concatenate([train, test]), minlength=len(corpus.samples))
     # Whether each family has a row on the train side, and on the test side.
     train_families, test_families = (
-        np.bincount(corpus.family_codes[r], minlength=len(corpus.family_index)) > 0 for r in (train, test))
+        np.bincount(corpus.family_codes[r], minlength=len(corpus.families())) > 0 for r in (train, test))
     return ValidationReport(
         partition_ok=bool((hits == 1).all()),
         family_overlap=int(np.count_nonzero(train_families & test_families)),
@@ -365,12 +367,6 @@ def validate_split(corpus: Corpus, split: Split) -> ValidationReport:
 def _class_counts(corpus: Corpus, rows: np.ndarray) -> dict[str, int]:
     se = int(np.count_nonzero(corpus.y[rows] > 0))
     return {Label.SE.value: se, Label.NOT_SE.value: len(rows) - se}
-
-
-def save_split(split: Split, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(split.to_json(), fh, indent=2)
-        fh.write("\n")
 
 
 def load_split(path: str | Path) -> Split:

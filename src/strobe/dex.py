@@ -58,12 +58,8 @@ class DexFile:
     section_table: dict[str, SectionInfo]
     strings: tuple[StringEntry, ...]
     decode_failures: int  # entries with decode_ok False
-    # String indices referenced by each identifier-bearing table.
-    type_descriptor_ids: tuple[int, ...]
-    proto_shorty_ids: tuple[int, ...]
-    field_name_ids: tuple[int, ...]
-    method_name_ids: tuple[int, ...]
-    source_file_ids: tuple[int, ...]
+    # String indices of type descriptors, proto shorties, field and method names, source files.
+    identifier_ids: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -115,10 +111,13 @@ def parse_dex(data: bytes) -> DexFile:
 
     n_strings = len(entries)
     type_ids = _read_index_table(data, sections["type_ids"], n_strings, "type_ids")
-    shorty_ids = _read_proto_ids(data, sections["proto_ids"], n_strings, len(type_ids))
-    field_name_ids = _read_member_ids(data, sections["field_ids"], n_strings, len(type_ids), "field_ids")
-    method_name_ids = _read_member_ids(data, sections["method_ids"], n_strings, len(type_ids), "method_ids")
-    source_file_ids = _read_class_defs(data, sections["class_defs"], n_strings, len(type_ids))
+    identifier_ids = frozenset().union(
+        type_ids,
+        _read_proto_ids(data, sections["proto_ids"], n_strings, len(type_ids)),
+        _read_member_ids(data, sections["field_ids"], n_strings, len(type_ids), "field_ids"),
+        _read_member_ids(data, sections["method_ids"], n_strings, len(type_ids), "method_ids"),
+        _read_class_defs(data, sections["class_defs"], n_strings, len(type_ids)),
+    )
 
     return DexFile(
         version=version,
@@ -127,24 +126,16 @@ def parse_dex(data: bytes) -> DexFile:
         section_table=sections,
         strings=tuple(entries),
         decode_failures=failures,
-        type_descriptor_ids=type_ids,
-        proto_shorty_ids=shorty_ids,
-        field_name_ids=field_name_ids,
-        method_name_ids=method_name_ids,
-        source_file_ids=source_file_ids,
+        identifier_ids=identifier_ids,
     )
 
 
 def classify_strings(dex: DexFile) -> StringPool:
     """Partition the string section into identifier and non-identifier indices."""
-    identifier_indices = frozenset().union(
-        dex.type_descriptor_ids, dex.proto_shorty_ids, dex.field_name_ids,
-        dex.method_name_ids, dex.source_file_ids,
-    )
     return StringPool(
         entries=dex.strings,
-        identifier_indices=identifier_indices,
-        non_identifier_indices=frozenset(range(len(dex.strings))) - identifier_indices,
+        identifier_indices=dex.identifier_ids,
+        non_identifier_indices=frozenset(range(len(dex.strings))) - dex.identifier_ids,
     )
 
 

@@ -102,7 +102,7 @@ class Empty(StrobeError):
 
 class BadValue(StrobeError):
     """An input holds a non-numeric or non-finite value where a number is
-    expected, a non-integer or negative one where a count is expected, a row
+    expected, a non-integer or out-of-range one where a count is expected, a row
     shorter than its header, or a sample without the features its use needs."""
 
 
@@ -117,4 +117,4 @@ class EmptyIdentifiers(StrobeError):
 
 
 class InvalidConfig(StrobeError):
-    """SynthConfig field out of range."""
+    """SynthConfig field or DexSpec blueprint out of range or malformed."""

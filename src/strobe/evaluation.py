@@ -31,7 +31,6 @@ from .errors import BadConfig, BadValue, Degenerate, Empty, EmptyStream, EmptyTe
 from .learners import (
     DEFAULT_HYPERPARAMS,
     BatchModel,
-    HingeHyperparams,
     OnlineModel,
     _prequential_sweep,
     batch_train,
@@ -138,7 +137,7 @@ def weighted_family_accuracy(rows: Iterable[tuple[str, int, float]]) -> float:
         raise Empty("no per-family rows")
     for fam, n, _ in rows:
         if n < 1:
-            raise ValueError(f"family {fam!r} has non-positive count {n}")
+            raise BadValue(f"family {fam!r} has non-positive count {n}")
     total = sum(n for _, n, _ in rows)
     return sum(n * acc for _, n, acc in rows) / total
 
@@ -228,17 +227,16 @@ def train_on_split(corpus: Corpus, train_rows: np.ndarray, learner: LearnerKind,
 
 
 def train_on_splits(corpus: Corpus, train_rows_list: list[np.ndarray], seeds: list[int],
-                    learner: LearnerKind, hp: HingeHyperparams = DEFAULT_HYPERPARAMS,
-                    ) -> list[BatchModel | OnlineModel]:
+                    learner: LearnerKind) -> list[BatchModel | OnlineModel]:
     """train_on_split for each (training rows, seed) pair, with identical models.
 
-    Batch fits all train together in one lockstep hinge_sgd pass over the
-    corpus matrix; hp replaces their default hyperparameters.
+    Batch fits all train together in one lockstep hinge_sgd pass over the corpus matrix.
     """
     if learner is LearnerKind.ONLINE or not train_rows_list:
         return [train_on_split(corpus, rows, learner, seed) for rows, seed in zip(train_rows_list, seeds)]
     streams = list(zip(train_rows_list, seeds))
-    models = hinge_sgd(_features(corpus), corpus.y, streams, [(i, hp) for i in range(len(streams))])
+    models = hinge_sgd(_features(corpus), corpus.y, streams,
+                       [(i, DEFAULT_HYPERPARAMS) for i in range(len(streams))])
     if any(model is None for model in models):
         raise SingleClass("training data contains a single class")
     return models

@@ -49,6 +49,7 @@ DEFAULT_POISSON_LAMBDA = 6.0
 _COUNT_MAX = int(np.iinfo(np.int64).max)  # the most an ensemble count can hold
 # The largest lambda numpy's Generator.poisson accepts (its POISSON_LAM_MAX).
 _POISSON_LAMBDA_MAX = float(_COUNT_MAX - np.sqrt(_COUNT_MAX) * 10)
+_REDRAW_CHUNK = 65_536  # Poisson weights redrawn per call when a model loads
 
 
 @dataclass(frozen=True)
@@ -604,8 +605,11 @@ def model_from_json(obj: dict) -> BatchModel | OnlineModel:
             model.mean = np.asarray([m["mean"] for m in members], dtype=float)
             model.m2 = np.asarray([m["m2"] for m in members], dtype=float)
             model.n_draws = int(obj["n_draws"])
-            # Redraw the consumed weights so the generator state matches the export.
-            model.rng.poisson(model.lam_poisson, size=model.n_draws)
+            if model.n_draws < 0:
+                raise BadConfig(f"malformed model: n_draws {model.n_draws} is negative")
+            # Redraw the consumed weights, a chunk at a time, so the generator state matches the export.
+            for start in range(0, model.n_draws, _REDRAW_CHUNK):
+                model.rng.poisson(model.lam_poisson, size=min(_REDRAW_CHUNK, model.n_draws - start))
             return model
     except (KeyError, TypeError, ValueError) as exc:
         raise BadConfig(f"malformed model: {exc!r}") from None

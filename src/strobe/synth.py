@@ -12,12 +12,11 @@ from __future__ import annotations
 import base64
 import csv
 import hashlib
-import json
 import math
 import struct
 import zipfile
 import zlib
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -45,6 +44,7 @@ WIRING_ROLES = ("type", "method", "field", "source_file")
 
 SCHEME_BASE64_XOR = "BASE64_XOR"
 SCHEME_STRIP_ALL = "STRIP_ALL"
+SCHEMES = (SCHEME_BASE64_XOR, SCHEME_STRIP_ALL)
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,15 @@ class DexSpec:
         ids = set(self.identifier_strings)
         payload = set(self.non_identifier_strings)
         if len(ids) != len(self.identifier_strings) or len(payload) != len(self.non_identifier_strings):
-            raise ValueError("DexSpec string lists must be deduplicated")
+            raise InvalidConfig("DexSpec string lists must be deduplicated")
         if ids & payload:
-            raise ValueError(f"strings cannot be both identifier and payload: {sorted(ids & payload)[:3]}")
+            raise InvalidConfig(f"strings cannot be both identifier and payload: {sorted(ids & payload)[:3]}")
         if self.wiring:
             for name, role in self.wiring.items():
                 if name not in ids:
-                    raise ValueError(f"wiring references unknown identifier {name!r}")
+                    raise InvalidConfig(f"wiring references unknown identifier {name!r}")
                 if role not in WIRING_ROLES:
-                    raise ValueError(f"unknown wiring role {role!r}")
+                    raise InvalidConfig(f"unknown wiring role {role!r}")
 
 
 def _looks_like_type_descriptor(s: str) -> bool:
@@ -220,6 +220,8 @@ def encrypt_string(s: str, key: int) -> str:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings; validate, from_json and `strobe synth` go by each field's annotation."""
+
     n_families: int = 20
     samples_per_family: tuple[int, int] = (10, 200)
     skew: float = 1.0
@@ -229,26 +231,22 @@ class SynthConfig:
     se_string_fraction: float = 0.1
     strings_per_app: tuple[int, int] = (20, 60)
     identifiers_per_app: tuple[int, int] = (8, 20)
-    scheme: str = SCHEME_BASE64_XOR
+    scheme: str = field(default=SCHEME_BASE64_XOR, metadata={"choices": SCHEMES})
     seed: int = 42
 
     def validate(self) -> None:
-        for name in ("n_families", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("skew", "se_family_fraction", "mixed_family_fraction",
-                     "fingerprint_strength", "se_string_fraction"):
-            if not _is_real(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            has_shape, shape = _FIELD_SHAPES[f.type]
+            if not has_shape(value):
+                raise InvalidConfig(f"{f.name} must be {shape}, got {value!r}")
+            choices = f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise InvalidConfig(f"unknown {f.name} {value!r}")
+            if f.type == _PAIR and not 0 <= value[0] <= value[1]:
+                raise InvalidConfig(f"{f.name} must satisfy 0 <= min <= max, got ({value[0]}, {value[1]})")
         if self.n_families < 2:
             raise InvalidConfig("need at least 2 families")
-        for name in ("samples_per_family", "strings_per_app", "identifiers_per_app"):
-            pair = getattr(self, name)
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
-                raise InvalidConfig(f"{name} must be a pair of integers, got {pair!r}")
-            lo, hi = pair
-            if not (0 <= lo <= hi):
-                raise InvalidConfig(f"{name} must satisfy 0 <= min <= max, got ({lo}, {hi})")
         if self.samples_per_family[0] < 1:
             raise InvalidConfig("families need at least one sample")
         if self.identifiers_per_app[0] < 1:
@@ -263,8 +261,6 @@ class SynthConfig:
             raise InvalidConfig("se_string_fraction must lie in (0, 1]")
         if self.fingerprint_strength < 0:
             raise InvalidConfig("fingerprint_strength must be >= 0")
-        if self.scheme not in (SCHEME_BASE64_XOR, SCHEME_STRIP_ALL):
-            raise InvalidConfig(f"unknown scheme {self.scheme!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -273,29 +269,29 @@ class SynthConfig:
     def from_json(cls, obj: dict) -> "SynthConfig":
         """The validated config of obj; an unknown key or a value of the wrong
         shape raises InvalidConfig."""
+        pairs = {f.name for f in fields(cls) if f.type == _PAIR}
         try:
-            kwargs = dict(obj)
-            for name in ("samples_per_family", "strings_per_app", "identifiers_per_app"):
-                if name in kwargs:
-                    kwargs[name] = tuple(kwargs[name])
-            cfg = cls(**kwargs)
+            cfg = cls(**{k: tuple(v) if k in pairs else v for k, v in dict(obj).items()})
             cfg.validate()
         except (TypeError, ValueError) as exc:
             raise InvalidConfig(f"bad SynthConfig: {exc}") from None
         return cfg
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SynthConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and -math.inf < value < math.inf
+_PAIR = "tuple[int, int]"
+# Per SynthConfig annotation: the test a field's value must pass, and what it must be.
+_FIELD_SHAPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: isinstance(v, Real) and not isinstance(v, bool) and -math.inf < v < math.inf,
+              "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    _PAIR: (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_int, v)),
+            "a pair of integers"),
+}
 
 
 def confounded_preset() -> SynthConfig:
@@ -349,6 +345,8 @@ def stripped_preset() -> SynthConfig:
         seed=20260812,
     )
 
+
+PRESETS = {"confounded": confounded_preset, "control": control_preset, "stripped": stripped_preset}
 
 _MEMBER_PREFIXES = ("get", "set", "on", "run", "load", "init", "make", "read", "push", "bind")
 _UNICODE_POOL = "áéíóúüñçøßπλΩжд中文字"

@@ -50,6 +50,7 @@ from strobe.learners import (
     default_grid,
     design_matrix,
     grid_search,
+    hinge_sgd,
     online_init,
     online_predict,
     predict,
@@ -429,11 +430,15 @@ def test_lockstep_lofo_matches_per_sample_loop(confounded):
     corpus = confounded["corpus"]
     splits = lofo_splits(corpus)
     seeds = [BASE_SEED + i for i in range(len(splits))]
-    for hp, stride in ((HingeHyperparams(epochs=2), 1), (DEFAULT_HYPERPARAMS, len(splits) - 1)):
-        chosen = list(range(0, len(splits), stride))
-        models = train_on_splits(corpus, [corpus.rows(splits[i].train_ids) for i in chosen],
-                                 [seeds[i] for i in chosen], LearnerKind.BATCH, hp)
-        for i, model in zip(chosen, models):
+    rows = [corpus.rows(split.train_ids) for split in splits]
+    every_fold = list(range(len(splits)))
+    two_epochs = hinge_sgd(corpus.X, corpus.y, list(zip(rows, seeds)),
+                           [(i, HingeHyperparams(epochs=2)) for i in every_fold])
+    ends = [0, len(splits) - 1]
+    default = train_on_splits(corpus, [rows[i] for i in ends], [seeds[i] for i in ends], LearnerKind.BATCH)
+    for hp, chosen, models in ((HingeHyperparams(epochs=2), every_fold, two_epochs),
+                               (DEFAULT_HYPERPARAMS, ends, default)):
+        for i, model in zip(chosen, models, strict=True):
             w, b, mean, std = reference_batch_train(
                 corpus.by_ids(splits[i].train_ids), hp, seeds[i])
             assert np.array_equal(model.weights, w) and model.bias == b, splits[i].held_out_family
@@ -471,8 +476,8 @@ def test_family_fingerprint_probe(confounded):
     Z = (X - mu) / sd
     rng = np.random.default_rng(1)
     centroids, held_out = {}, []
-    for fam in corpus.families():
-        idx = np.array(corpus.family_index[fam])
+    for code, fam in enumerate(corpus.families()):
+        idx = np.flatnonzero(corpus.family_codes == code)
         if len(idx) < 2:
             continue
         perm = rng.permutation(len(idx))

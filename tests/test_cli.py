@@ -104,7 +104,7 @@ def test_synth_config_file(tmp_path):
     cfg.write_text(json.dumps({"n_families": 3, "samples_per_family": [2, 3], "seed": 5}))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
     corpus = load_manifest(tmp_path / "c" / "manifest.csv")
-    assert len(corpus.family_index) == 3
+    assert len(corpus.families()) == 3
 
 
 def test_split_family_disjoint(features_csv, tmp_path):
@@ -442,13 +442,17 @@ def test_online_train_defaults_equal_the_explicit_flags(features_csv, tmp_path):
 
 
 @pytest.mark.parametrize("text", ["accuracy\nabc\n", "abc\n", "seed,accuracy\n1,0.5\n2,x\n",
-                                  "seed,accuracy\n1,0.5\n2\n"])
+                                  "seed,accuracy\n1,0.5\n2\n",
+                                  "0.5\nnan\n", "accuracy\n0.5\ninf\n", "seed,accuracy\n1,-inf\n"])
 def test_stats_rejects_bad_rows_with_a_typed_error(tmp_path, capsys, text):
     values = tmp_path / "values.csv"
     values.write_text(text)
     out = tmp_path / "box.json"
     assert main(["stats", "--input", str(values), "--out", str(out)]) == 3
-    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "BadValue"
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "BadValue" and error["message"].startswith("line ")
     assert not out.exists()
 
 

@@ -103,7 +103,7 @@ def test_classify_source_file_is_identifier():
     pool = classify_strings(dex)
     texts = {e.index: e.text for e in dex.strings}
     assert {texts[i] for i in pool.non_identifier_indices} == {"data"}
-    assert dex.source_file_ids  # wired through class_defs
+    assert {texts[i] for i in dex.identifier_ids} == {"Lx;", "Main.java"}  # via class_defs
 
 
 def test_partition_property():
@@ -187,7 +187,7 @@ def test_fuzz_random_buffers():
 def test_no_index_source_file_ignored():
     blob = simple_dex()
     dex = parse_dex(blob)
-    assert NO_INDEX not in dex.source_file_ids
+    assert NO_INDEX not in dex.identifier_ids
 
 
 @pytest.mark.parametrize("empty", [

@@ -232,7 +232,7 @@ def test_weighted_family_accuracy_constant():
 def test_weighted_family_accuracy_errors():
     with pytest.raises(Empty):
         weighted_family_accuracy([])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadValue):
         weighted_family_accuracy([("A", 0, 1.0)])
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,6 +516,32 @@ def test_batch_model_json_roundtrip():
     assert clone.bias == model.bias
     assert np.array_equal(clone.scaler.mean, model.scaler.mean)
     assert clone.hyperparams == model.hyperparams
+
+
+@pytest.mark.parametrize("lam", [0.5, 6.0, 50.0, 1e10])
+def test_online_model_load_redraws_in_chunks_to_the_same_rng_state(lam):
+    # Three whole redraw chunks of 65,536 draws and part of a fourth.
+    n_draws = 3 * 65_536 + 123
+    obj = model_to_json(online_init(k=2, lam_poisson=lam, seed=4))
+    obj["n_draws"] = n_draws
+    one_shot = online_init(k=2, lam_poisson=lam, seed=4)
+    one_shot.rng.poisson(lam, size=n_draws)
+    assert model_from_json(obj).rng.bit_generator.state == one_shot.rng.bit_generator.state
+
+
+def test_online_model_load_memory_does_not_grow_with_n_draws():
+    obj = model_to_json(online_init(k=2, seed=4))
+    obj["n_draws"] = 2_000_000  # 16 MB of weights if drawn in one array
+    tracemalloc.start()
+    try:
+        model_from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    obj["n_draws"] = -1
+    with pytest.raises(BadConfig, match="negative"):
+        model_from_json(obj)
 
 
 def test_online_model_json_roundtrip_preserves_rng_stream():
