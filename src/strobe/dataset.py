@@ -165,9 +165,10 @@ class Split:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Split":
-        """The split of a to_json object; a malformed object raises BadValue."""
+        """The split of a to_json object; a malformed object, or one with ids
+        on both sides, raises BadValue. Rows on neither side are allowed."""
         try:
-            return cls(
+            split = cls(
                 train_ids=frozenset(obj["train_ids"]),
                 test_ids=frozenset(obj["test_ids"]),
                 strategy=SplitStrategy(obj["strategy"]),
@@ -177,6 +178,10 @@ class Split:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise BadValue(f"malformed split: {exc!r}") from None
+        shared = len(split.train_ids & split.test_ids)
+        if shared:
+            raise BadValue(f"malformed split: {shared} sample ids are on both sides")
+        return split
 
 
 @dataclass(frozen=True)

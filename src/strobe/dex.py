@@ -160,8 +160,10 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry],
     """Every string_data item in string_ids order, and how many failed to decode.
 
     A 1- or 2-byte ULEB128 length, the common case, is decoded inline and
-    any longer one by _read_uleb128. An ASCII payload decodes to as many
-    UTF-16 code units as characters, so only non-ASCII text is measured by
+    any longer one by _read_uleb128. A payload of ASCII bytes is decoded as
+    ASCII, to one UTF-16 code unit per byte: decode_mutf8 would return the
+    same text, since the payload ends before the first NUL and ASCII holds
+    no C0 80 pair. Only other payloads go through decode_mutf8 and
     utf16_length.
     """
     decode = decode_mutf8
@@ -192,12 +194,18 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry],
         text = None
         terminator = find(b"\x00", pos)
         if terminator != -1:
-            try:
-                text = decode(data[pos:terminator])
-            except DecodeError:
-                pass
-        if text is not None and declared_len == (
-                len(text) if text.isascii() else utf16_length(text)):
+            raw = data[pos:terminator]
+            if raw.isascii():
+                if declared_len == len(raw):
+                    text = raw.decode("ascii")
+            else:
+                try:
+                    text = decode(raw)
+                except DecodeError:
+                    pass
+                if text is not None and declared_len != utf16_length(text):
+                    text = None
+        if text is not None:
             append(new(StringEntry, (i, data_off, text, True)))
         else:
             failures += 1

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import math
 import struct
-import zipfile
 import zlib
 from dataclasses import dataclass, asdict, field, fields, replace
 from numbers import Integral, Real
@@ -22,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .apk import (CENTRAL_HEADER, CENTRAL_MAGIC, END_MAGIC, END_RECORD, LOCAL_HEADER, LOCAL_MAGIC,
+                  STORED)
 from .dataset import PATH_HEADER
 from .dex import ENDIAN_CONSTANT, HEADER_SIZE, NO_INDEX, SECTION_LAYOUT, SectionInfo
 from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge
@@ -210,8 +211,11 @@ def build_dex(spec: DexSpec) -> bytes:
 
 def encrypt_string(s: str, key: int) -> str:
     """XOR the UTF-8 bytes of s with a single-byte key, then base64."""
-    raw = bytes(b ^ (key & 0xFF) for b in s.encode("utf-8"))
-    return base64.b64encode(raw).decode("ascii")
+    raw = s.encode("utf-8")
+    # The key repeated over every byte, XORed in as one integer.
+    mask = (key & 0xFF) * int.from_bytes(b"\x01" * len(raw), "big")
+    xored = (int.from_bytes(raw, "big") ^ mask).to_bytes(len(raw), "big")
+    return base64.b64encode(xored).decode("ascii")
 
 
 # --------------------------------------------------------------------------
@@ -351,6 +355,9 @@ PRESETS = {"confounded": confounded_preset, "control": control_preset, "stripped
 _MEMBER_PREFIXES = ("get", "set", "on", "run", "load", "init", "make", "read", "push", "bind")
 _UNICODE_POOL = "áéíóúüñçøßπλΩжд中文字"
 _MANIFEST_STUB = b"\x03\x00\x08\x00synthetic-manifest-stub"
+_ZIP_VERSION = 20
+_MADE_BY_UNIX = 3 << 8
+_DOS_DATE_1980 = 1 << 5 | 1  # year 1980 (0), month 1, day 1
 
 _WORD_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -466,13 +473,17 @@ def _make_identifiers(profile: _FamilyProfile, rng: np.random.Generator, n_membe
     type_descriptor = f"Lcom/{w1}/{w2.capitalize()}{dex_tag};"
     members: list[str] = []
     seen: set[str] = set()
+    bounds = [len(_MEMBER_PREFIXES), len(profile.vocab)]
     while len(members) < n_members:
-        prefix = _MEMBER_PREFIXES[int(rng.integers(0, len(_MEMBER_PREFIXES)))]
-        word = profile.vocab[int(rng.integers(0, len(profile.vocab)))][:10]
-        name = prefix + word.capitalize()
-        if name not in seen:
-            seen.add(name)
-            members.append(name)
+        # A (prefix, word) draw per missing member, in one call: the same
+        # values, and the same generator state after, as one scalar draw each.
+        # A round adds at most one member per pair, so none is drawn too many.
+        draws = rng.integers(0, bounds * (n_members - len(members))).tolist()
+        for prefix, word in zip(draws[0::2], draws[1::2]):
+            name = _MEMBER_PREFIXES[prefix] + profile.vocab[word][:10].capitalize()
+            if name not in seen:
+                seen.add(name)
+                members.append(name)
     return type_descriptor, members
 
 
@@ -601,15 +612,30 @@ def _build_app_dexes(
 
 
 def write_apk(path: Path, dex_payloads: list[bytes]) -> None:
-    """Write an APK (ZIP) with fixed metadata so output is byte-reproducible."""
+    """Write an APK (ZIP) with fixed metadata so output is byte-reproducible.
+
+    Each entry is stored, needs ZIP 2.0, was made by Unix with mode 0600, and
+    is dated 1980-01-01 00:00, the earliest DOS date.
+    """
+    entries = [("classes.dex" if i == 0 else f"classes{i + 1}.dex", payload)
+               for i, payload in enumerate(dex_payloads)]
+    entries.append(("AndroidManifest.xml", _MANIFEST_STUB))
+    local = bytearray()
+    central = bytearray()
+    for name, payload in entries:
+        raw = name.encode("ascii")
+        crc = zlib.crc32(payload)
+        central += CENTRAL_HEADER.pack(CENTRAL_MAGIC, _ZIP_VERSION | _MADE_BY_UNIX, _ZIP_VERSION, 0,
+                                       STORED, 0, _DOS_DATE_1980, crc, len(payload), len(payload),
+                                       len(raw), 0, 0, 0, 0, 0o600 << 16, len(local))
+        central += raw
+        local += LOCAL_HEADER.pack(LOCAL_MAGIC, _ZIP_VERSION, 0, STORED, 0, _DOS_DATE_1980, crc,
+                                   len(payload), len(payload), len(raw), 0)
+        local += raw
+        local += payload
+    end = END_RECORD.pack(END_MAGIC, 0, 0, len(entries), len(entries), len(central), len(local), 0)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for i, payload in enumerate(dex_payloads):
-            name = "classes.dex" if i == 0 else f"classes{i + 1}.dex"
-            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, payload)
-        info = zipfile.ZipInfo("AndroidManifest.xml", date_time=(1980, 1, 1, 0, 0, 0))
-        zf.writestr(info, _MANIFEST_STUB)
+    path.write_bytes(local + central + end)
 
 
 def gen_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:

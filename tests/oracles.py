@@ -13,22 +13,29 @@ per sample and member, the online vote oracle scores one sample over every
 member in one broadcast, the prequential oracle votes with it and updates
 one sample per library call, the hinge-SGD oracle trains one model at a time
 with the per-sample loop, the decision oracle scores one feature vector with
-a plain dot product, and the split oracles look every sample up by id.
+a plain dot product, the split oracles look every sample up by id, and the
+APK container references read and write through the standard zipfile module.
 """
 
 from __future__ import annotations
 
+import io
+import lzma
 import math
+import re
 import struct
+import zipfile
+import zlib
 
 import numpy as np
 
 from strobe.dataset import Label
 from strobe.dex import StringEntry
-from strobe.errors import DecodeError, EmptyStream, OffsetOutOfBounds
+from strobe.errors import CorruptEntry, DecodeError, EmptyStream, NoDex, NotAZip, OffsetOutOfBounds
 from strobe.evaluation import PrequentialResult
 from strobe.learners import _member_terms, online_update
 from strobe.mutf8 import decode_mutf8, utf16_length
+from strobe.synth import _MANIFEST_STUB
 
 _LEAD_LEN = {}
 for _b in range(0x01, 0x80):
@@ -472,3 +479,53 @@ def reference_validate_split(corpus, split) -> dict:
         "train_family_count": len(train_families),
         "test_family_count": len(test_families),
     }
+
+
+# --------------------------------------------------------------------------
+# APK containers through zipfile
+# --------------------------------------------------------------------------
+
+_DEX_NAME = re.compile(r"^classes([0-9]+)?\.dex$")
+# What zipfile raises on a damaged archive besides BadZipFile: an unsupported
+# feature (NotImplementedError, or RuntimeError for an encrypted entry), a
+# bad offset or name (ValueError), and each decompressor's own error.
+_OPEN_ERRORS = (zipfile.BadZipFile, RuntimeError, ValueError)
+_READ_ERRORS = (zipfile.BadZipFile, RuntimeError, ValueError, EOFError, OSError,
+                zlib.error, lzma.LZMAError)
+
+
+def reference_list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
+    """list_dex_entries through zipfile, which also inflates bzip2 and LZMA
+    entries and, for a repeated name, returns the last entry each time."""
+    try:
+        zf = zipfile.ZipFile(io.BytesIO(archive))
+    except _OPEN_ERRORS as exc:
+        raise NotAZip(str(exc)) from exc
+
+    with zf:
+        matched: list[tuple[int, str]] = []
+        for name in zf.namelist():
+            m = _DEX_NAME.match(name)
+            if m:
+                matched.append((int(m.group(1)) if m.group(1) else 1, name))
+        if not matched:
+            raise NoDex("archive contains no classes*.dex entry")
+        matched.sort()
+        out = []
+        for _, name in matched:
+            try:
+                out.append((name, zf.read(name)))
+            except _READ_ERRORS as exc:
+                raise CorruptEntry(f"{name}: {exc}") from exc
+        return out
+
+
+def reference_write_apk(path, dex_payloads: list[bytes]) -> None:
+    """write_apk through zipfile: stored entries dated 1980-01-01 00:00."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for i, payload in enumerate(dex_payloads):
+            name = "classes.dex" if i == 0 else f"classes{i + 1}.dex"
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, payload)
+        info = zipfile.ZipInfo("AndroidManifest.xml", date_time=(1980, 1, 1, 0, 0, 0))
+        zf.writestr(info, _MANIFEST_STUB)

@@ -4,10 +4,14 @@ import struct
 import zipfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strobe.apk import extract_app_strings, list_dex_entries
 from strobe.errors import CorruptEntry, NoDex, NotAZip, StrobeError
 from strobe.synth import DexSpec, build_dex, write_apk
+
+from oracles import reference_list_dex_entries, reference_write_apk
 
 
 def make_zip(entries: dict[str, bytes]) -> bytes:
@@ -79,6 +83,32 @@ def test_encrypted_entry_is_corrupt_entry():
         list_dex_entries(archive)
 
 
+def _patch_local(offset, value):
+    def patch(archive):
+        patched = bytearray(archive)
+        patched[offset] = value
+        return bytes(patched)
+    return patch
+
+
+def _patch_central_size(archive):
+    patched = bytearray(archive)
+    struct.pack_into("<I", patched, patched.index(b"PK\x01\x02") + 24, 63)
+    return bytes(patched)
+
+
+# Ways for a dex entry to disagree with itself; zipfile rejects each as well.
+@pytest.mark.parametrize("patch", [_patch_local(0, ord("Q")),  # local header signature
+                                   _patch_local(30 + 10, ord("z")),  # local header name
+                                   _patch_central_size])  # declared size
+def test_inconsistent_entry_is_corrupt_entry(patch):
+    archive = patch(make_zip({"classes.dex": b"A" * 64}))
+    with pytest.raises(CorruptEntry):
+        reference_list_dex_entries(archive)
+    with pytest.raises(CorruptEntry):
+        list_dex_entries(archive)
+
+
 def test_fuzz_mutated_archives_raise_only_library_errors():
     rng = random.Random(17)
     bases = []
@@ -89,6 +119,15 @@ def test_fuzz_mutated_archives_raise_only_library_errors():
             zf.writestr("classes.dex", bytes(rng.randrange(256) for _ in range(200)) * 2)
             zf.writestr("classes2.dex", b"payload" * 30)
         bases.append(buf.getvalue())
+    # bzip2 and LZMA entries stop at CorruptEntry before their payload is
+    # read; these bases, with a comment and prepended bytes, reach it.
+    for method in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w", method) as zf:
+            zf.writestr("classes.dex", bytes(rng.randrange(256) for _ in range(200)) * 2)
+            zf.writestr("classes2.dex", b"payload" * 30)
+            zf.comment = b"an archive comment"
+        bases.append(b"prepended stub " + buf.getvalue())
     for _ in range(3000):
         archive = bytearray(rng.choice(bases))
         for _ in range(rng.randrange(1, 4)):
@@ -151,3 +190,91 @@ def test_string_count_matches_per_dex_sum(tmp_path):
     write_apk(path, dexes)
     app = extract_app_strings(path)
     assert len(app.non_identifier_strings) == 1 + 2 + 3
+
+
+@pytest.mark.parametrize("method", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
+def test_bzip2_and_lzma_entries_are_corrupt_entries(method):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", method) as zf:
+        zf.writestr("classes.dex", b"payload" * 30)
+    assert reference_list_dex_entries(buf.getvalue()) == [("classes.dex", b"payload" * 30)]
+    with pytest.raises(CorruptEntry):
+        list_dex_entries(buf.getvalue())
+
+
+def test_zip64_end_record_is_not_a_zip(monkeypatch):
+    # zipfile writes a ZIP64 end record once the entry count passes this limit.
+    monkeypatch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", 0)
+    archive = make_zip({"classes.dex": b"payload"})
+    assert b"PK\x06\x06" in archive
+    assert reference_list_dex_entries(archive) == [("classes.dex", b"payload")]
+    with pytest.raises(NotAZip):
+        list_dex_entries(archive)
+
+
+def test_repeated_dex_name_is_corrupt_entry():
+    buf = io.BytesIO()
+    with pytest.warns(UserWarning, match="Duplicate name"), zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("classes.dex", b"first")
+        zf.writestr("classes.dex", b"second")
+    assert reference_list_dex_entries(buf.getvalue()) == [("classes.dex", b"second")] * 2
+    with pytest.raises(CorruptEntry):
+        list_dex_entries(buf.getvalue())
+
+
+class _Unseekable(io.RawIOBase):
+    """A write-only stream, to which zipfile writes each entry with a data
+    descriptor (flag 0x08) after its payload."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += b
+        return len(b)
+
+
+_ENTRY_NAMES = ["classes.dex", "classes2.dex", "classes3.dex", "classes10.dex", "classes1.dex",
+                "classes.dex\x00.txt", "classes2.dex\x00", "clásses.dex", "classes\u0663.dex",
+                "assets/classes.dex", "res/ünï.png", "AndroidManifest.xml"]
+# Well-formed extra fields: each a header id, a length and that many bytes.
+_EXTRA = st.lists(st.tuples(st.sampled_from([0xCAFE, 0x5455, 0xD935]), st.binary(max_size=8)),
+                  max_size=2).map(lambda fields: b"".join(
+                      struct.pack("<HH", tag, len(data)) + data for tag, data in fields))
+_ENTRY = st.tuples(st.sampled_from(_ENTRY_NAMES), st.binary(max_size=300),
+                   st.sampled_from([zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED]), _EXTRA)
+
+
+@given(entries=st.lists(_ENTRY, max_size=5, unique_by=lambda e: e[0].partition("\x00")[0]),
+       comment=st.binary(max_size=40), prefix=st.binary(max_size=40),
+       descriptors=st.booleans())
+def test_list_dex_entries_matches_zipfile(entries, comment, prefix, descriptors):
+    buf = _Unseekable() if descriptors else io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, payload, method, extra in entries:
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.filename = name  # ZipInfo cuts a name at its first NUL; the archive keeps it
+            info.compress_type = method
+            info.extra = extra
+            zf.writestr(info, payload)
+        zf.comment = comment
+    archive = prefix + bytes(buf.data if descriptors else buf.getvalue())
+
+    def outcome(read):
+        try:
+            return read(archive)
+        except StrobeError as exc:
+            return type(exc)
+
+    assert outcome(list_dex_entries) == outcome(reference_list_dex_entries)
+
+
+@given(st.lists(st.binary(max_size=200), max_size=4))
+def test_write_apk_matches_zipfile(tmp_path_factory, payloads):
+    root = tmp_path_factory.mktemp("apk")
+    write_apk(root / "ours.apk", payloads)
+    reference_write_apk(root / "reference.apk", payloads)
+    assert (root / "ours.apk").read_bytes() == (root / "reference.apk").read_bytes()

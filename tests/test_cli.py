@@ -522,6 +522,9 @@ BROKEN_EVAL_INPUTS = {
     "split-missing-key": ("split", _without("test_ids"), "BadValue"),
     "split-unknown-strategy": ("split", lambda obj: json.dumps({**obj, "strategy": "BOGUS"}),
                                "BadValue"),
+    # Training ids copied onto the test side would be scored as test samples.
+    "split-overlapping-sides": ("split", lambda obj: json.dumps(
+        {**obj, "test_ids": obj["test_ids"] + obj["train_ids"][:3]}), "BadValue"),
 }
 
 
@@ -542,6 +545,22 @@ def test_a_broken_eval_input_is_a_typed_error(features_csv, tmp_path, capsys, ca
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert not out.exists()
+
+
+def test_eval_scores_a_split_that_leaves_rows_out(features_csv, tmp_path):
+    files = {"model": tmp_path / "model.json", "split": tmp_path / "split.json"}
+    assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
+                 "--out", str(files["model"])]) == 0
+    assert main(["split", "--manifest", str(features_csv), "--strategy", "random",
+                 "--out", str(files["split"])]) == 0
+    obj = json.loads(files["split"].read_text())
+    kept = obj["test_ids"][:len(obj["test_ids"]) // 2]
+    files["split"].write_text(json.dumps({**obj, "train_ids": obj["train_ids"][1:], "test_ids": kept}))
+    out = tmp_path / "e.json"
+    assert main(["eval", "--manifest", str(features_csv), "--model", str(files["model"]),
+                 "--split", str(files["split"]), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["tp"] + result["fp"] + result["tn"] + result["fn"] == len(kept)
 
 
 @pytest.mark.parametrize("flags", [["--learner", "online", "--grid", "--out", "MODEL"],
