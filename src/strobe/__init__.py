@@ -17,7 +17,7 @@ from .dataset import (
     random_split,
     validate_split,
 )
-from .dex import DexFile, StringPool, classify_strings, parse_dex
+from .dex import DexFile, classify_strings, parse_dex
 from .evaluation import (
     BoxStats,
     EvalResult,

@@ -188,8 +188,7 @@ def extract_app_strings(path: str | Path) -> AppStrings:
     failures = 0
     for _, payload in entries:
         dex = parse_dex(payload)
-        pool = classify_strings(dex)
-        strings.extend(pool.non_identifier_strings())
+        strings.extend(classify_strings(dex))
         failures += dex.decode_failures
 
     return AppStrings(

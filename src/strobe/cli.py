@@ -69,6 +69,8 @@ EXIT_PARSE = 2
 EXIT_DATASET = 3
 EXIT_IO = 4
 
+_CHUNK = 32  # samples per extraction task handed to a worker
+
 
 class _UsageError(Exception):
     pass
@@ -94,6 +96,8 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
+            raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except _UsageError as exc:
         return _fail(exc, EXIT_USAGE)
@@ -230,9 +234,12 @@ def _feature_row(sample: Sample) -> list[str]:
 
 def _feature_table(samples: list[Sample], jobs: int) -> list[list[str]]:
     """The feature-CSV rows of the samples, sorted by sample_id."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_feature_row, samples, chunksize=32))
+    # Under fork the pool starts every worker at the first submit, so it gets
+    # no more workers than there are chunks to hand out.
+    workers = min(jobs, -(-len(samples) // _CHUNK))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_feature_row, samples, chunksize=_CHUNK))
     else:
         rows = list(map(_feature_row, samples))
     return sorted(rows, key=itemgetter(0))

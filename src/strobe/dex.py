@@ -20,19 +20,44 @@ from .mutf8 import decode_mutf8, utf16_length, utf16_sort_key
 
 logger = logging.getLogger(__name__)
 
-HEADER_SIZE = 0x70
 ENDIAN_CONSTANT = 0x12345678
 NO_INDEX = 0xFFFFFFFF
 
-# (count position inside the header, bytes per entry); each count is
-# followed by its table's offset, so the two are read as one pair.
+# header_item: magic, checksum, SHA-1 signature, then file size, header
+# size, endian tag, link size and offset, map offset, the (count, offset)
+# pair of each id table in SECTION_LAYOUT order, and data size and offset.
+HEADER = struct.Struct("<8sI20s20I")
+# The signature covers every byte from here on; the checksum covers the
+# signature and those bytes.
+SIGNED_FROM = struct.calcsize("<8sI20s")
+
+# The u4 words per entry of each id table, in header order.
 SECTION_LAYOUT = {
-    "string_ids": (56, 4),
-    "type_ids": (64, 4),
-    "proto_ids": (72, 12),
-    "field_ids": (80, 8),
-    "method_ids": (88, 8),
-    "class_defs": (96, 32),
+    "string_ids": 1,
+    "type_ids": 1,
+    "proto_ids": 3,
+    "field_ids": 2,
+    "method_ids": 2,
+    "class_defs": 8,
+}
+
+
+class References(NamedTuple):
+    string: int  # the word of an entry that names an identifier string
+    type: int | None = None  # the word that names a type
+    type_mask: int = 0xFFFFFFFF  # the bits of the type word that hold the type
+    optional: bool = False  # the string word may be NO_INDEX, for no string
+
+
+# Type descriptors, proto shorties, field and method names, and class source
+# files are identifiers. Field and method ids hold their u2 class in the low
+# half of word 0.
+IDENTIFIER_REFERENCES = {
+    "type_ids": References(string=0),
+    "proto_ids": References(string=0, type=1),
+    "field_ids": References(string=1, type=0, type_mask=0xFFFF),
+    "method_ids": References(string=1, type=0, type_mask=0xFFFF),
+    "class_defs": References(string=4, type=0, optional=True),
 }
 
 
@@ -62,19 +87,6 @@ class DexFile:
     identifier_ids: frozenset[int]
 
 
-@dataclass(frozen=True)
-class StringPool:
-    entries: tuple[StringEntry, ...]
-    identifier_indices: frozenset[int]
-    non_identifier_indices: frozenset[int]
-
-    def non_identifier_strings(self) -> list[str]:
-        """Decoded non-identifier strings in string-table order."""
-        entries = self.entries
-        return [entries[i].text for i in sorted(self.non_identifier_indices)
-                if entries[i].decode_ok]
-
-
 def parse_dex(data: bytes) -> DexFile:
     """Parse a DEX binary.
 
@@ -85,75 +97,68 @@ def parse_dex(data: bytes) -> DexFile:
     if len(data) < 8 or data[:4] != b"dex\n" or data[7] != 0x00 \
             or not data[4:7].isdigit():
         raise BadMagic("first 8 bytes are not a dex magic")
-    if len(data) < HEADER_SIZE:
+    if len(data) < HEADER.size:
         raise Truncated(f"buffer of {len(data)} bytes is smaller than a dex header")
 
-    version = int(data[4:7])
-    checksum = _u4(data, 8)
-    file_size = _u4(data, 32)
-    if file_size > len(data):
-        raise Truncated(f"declared size {file_size} exceeds buffer of {len(data)} bytes")
+    _, checksum, _, file_size, _, endian_tag, _, _, _, *pairs, _, _ = HEADER.unpack_from(data)
     if file_size != len(data):
         raise Truncated(f"declared size {file_size} disagrees with buffer of {len(data)} bytes")
-    endian_tag = _u4(data, 40)
     if endian_tag != ENDIAN_CONSTANT:
         raise BadMagic(f"unsupported endian tag 0x{endian_tag:08x}")
 
     sections: dict[str, SectionInfo] = {}
-    for name, (count_pos, entry_size) in SECTION_LAYOUT.items():
-        count, offset = _read_pair(data, count_pos)
-        if count > 0 and offset + count * entry_size > len(data):
+    for (name, words), count, offset in zip(SECTION_LAYOUT.items(), pairs[0::2], pairs[1::2]):
+        if count > 0 and offset + count * 4 * words > len(data):
             raise OffsetOutOfBounds(f"{name} table ({count} entries at 0x{offset:x}) exceeds buffer")
         sections[name] = SectionInfo(count, offset)
 
     entries, failures = _read_strings(data, sections["string_ids"])
     _warn_if_unsorted(entries)
 
+    # Each table is read in one unpack, and its indices are checked one by
+    # one only when the largest is out of range.
     n_strings = len(entries)
-    type_ids = _read_index_table(data, sections["type_ids"], n_strings, "type_ids")
-    identifier_ids = frozenset().union(
-        type_ids,
-        _read_proto_ids(data, sections["proto_ids"], n_strings, len(type_ids)),
-        _read_member_ids(data, sections["field_ids"], n_strings, len(type_ids), "field_ids"),
-        _read_member_ids(data, sections["method_ids"], n_strings, len(type_ids), "method_ids"),
-        _read_class_defs(data, sections["class_defs"], n_strings, len(type_ids)),
-    )
+    n_types = sections["type_ids"].count
+    referenced = []
+    for name, (string_word, type_word, type_mask, optional) in IDENTIFIER_REFERENCES.items():
+        count, offset = sections[name]
+        if not count:
+            continue
+        words = SECTION_LAYOUT[name]
+        table = struct.unpack_from(f"<{count * words}I", data, offset)
+        if type_word is not None:
+            types = table[type_word::words]
+            if max(map(type_mask.__and__, types)) >= n_types:
+                _check_range(name, [t & type_mask for t in types], n_types, "type")
+        strings = table[string_word::words]
+        if max(strings) >= n_strings:
+            _check_range(name, strings, n_strings, "string", NO_INDEX if optional else None)
+            # Only an optional reference's NO_INDEX gets past the check.
+            strings = [s for s in strings if s != NO_INDEX]
+        referenced.append(strings)
 
     return DexFile(
-        version=version,
+        version=int(data[4:7]),
         declared_file_size=file_size,
         checksum=checksum,
         section_table=sections,
         strings=tuple(entries),
         decode_failures=failures,
-        identifier_ids=identifier_ids,
+        identifier_ids=frozenset().union(*referenced),
     )
 
 
-def classify_strings(dex: DexFile) -> StringPool:
-    """Partition the string section into identifier and non-identifier indices."""
-    return StringPool(
-        entries=dex.strings,
-        identifier_indices=dex.identifier_ids,
-        non_identifier_indices=frozenset(range(len(dex.strings))) - dex.identifier_ids,
-    )
+def classify_strings(dex: DexFile) -> list[str]:
+    """The decoded non-identifier strings, in string-table order."""
+    ids = dex.identifier_ids
+    return [text for i, _, text, ok in dex.strings if ok and i not in ids]
 
 
-def _u4(data: bytes, offset: int) -> int:
-    return struct.unpack_from("<I", data, offset)[0]
-
-
-_read_pair = struct.Struct("<2I").unpack_from
-
-
-def _table(data: bytes, section: SectionInfo, words: int = 1) -> tuple[int, ...]:
-    """Every u4 word of an id table of `words` words per entry, in one read.
-
-    A table with no entries may carry any offset and is never read.
-    """
-    if section.count == 0:
-        return ()
-    return struct.unpack_from(f"<{section.count * words}I", data, section.offset)
+def _check_range(name: str, indices, n: int, what: str, allowed: int | None = None) -> None:
+    """Raise OffsetOutOfBounds for the first index of n or more, other than allowed."""
+    for i, idx in enumerate(indices):
+        if idx >= n and idx != allowed:
+            raise OffsetOutOfBounds(f"{name}[{i}] references {what} {idx} of {n}")
 
 
 def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry], int]:
@@ -175,7 +180,9 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry],
     entries: list[StringEntry] = []
     append = entries.append
     failures = 0
-    for i, data_off in enumerate(_table(data, section)):
+    # A table with no entries may carry any offset and is never read.
+    offsets = struct.unpack_from(f"<{section.count}I", data, section.offset) if section.count else ()
+    for i, data_off in enumerate(offsets):
         if data_off >= size:
             raise OffsetOutOfBounds(f"string_data offset 0x{data_off:x} of entry {i} exceeds buffer")
         declared_len = data[data_off]
@@ -234,67 +241,12 @@ def _warn_if_unsorted(entries: list[StringEntry]) -> None:
     # violate this, so it is a warning rather than an error. Each decoded
     # string is compared with the next. Strings compare in code-unit order as
     # they are unless the table holds a supplementary character (a surrogate
-    # pair in UTF-16), which code-point order puts after U+E000-U+FFFF. One
-    # UTF-16 encode of the joined table finds one faster than max() over it.
+    # pair in UTF-16), which code-point order puts after U+E000-U+FFFF. An
+    # ASCII table holds none; otherwise one UTF-16 encode of the joined table
+    # finds one faster than max() over it.
     keys = [e.text for e in entries if e.decode_ok]
     joined = "".join(keys)
-    if utf16_length(joined) != len(joined):
+    if not joined.isascii() and utf16_length(joined) != len(joined):
         keys = list(map(utf16_sort_key, keys))
     if any(map(gt, keys, keys[1:])):
         logger.warning("string table is not sorted by UTF-16 code units")
-
-
-def _read_index_table(data: bytes, section: SectionInfo, n_strings: int, name: str) -> tuple[int, ...]:
-    ids = _table(data, section)
-    for i, idx in enumerate(ids):
-        if idx >= n_strings:
-            raise OffsetOutOfBounds(f"{name}[{i}] references string {idx} of {n_strings}")
-    return ids
-
-
-def _read_proto_ids(
-    data: bytes, section: SectionInfo, n_strings: int, n_types: int
-) -> tuple[int, ...]:
-    # Return types reference type_ids, whose descriptors are already counted
-    # as identifiers; only the shorty string index is collected here.
-    fields = _table(data, section, 3)
-    shorties = fields[0::3]
-    for i, (shorty_idx, return_type_idx) in enumerate(zip(shorties, fields[1::3])):
-        if shorty_idx >= n_strings:
-            raise OffsetOutOfBounds(f"proto_ids[{i}] shorty references string {shorty_idx} of {n_strings}")
-        if return_type_idx >= n_types:
-            raise OffsetOutOfBounds(f"proto_ids[{i}] return type {return_type_idx} of {n_types}")
-    return shorties
-
-
-def _read_member_ids(
-    data: bytes, section: SectionInfo, n_strings: int, n_types: int, name: str
-) -> tuple[int, ...]:
-    # field_id_item and method_id_item share the shape (u2 class, u2 x, u4
-    # name); the class index is the low half of the first little-endian word.
-    fields = _table(data, section, 2)
-    names = fields[1::2]
-    for i, (word, name_idx) in enumerate(zip(fields[0::2], names)):
-        class_idx = word & 0xFFFF
-        if class_idx >= n_types:
-            raise OffsetOutOfBounds(f"{name}[{i}] references type {class_idx} of {n_types}")
-        if name_idx >= n_strings:
-            raise OffsetOutOfBounds(f"{name}[{i}] references string {name_idx} of {n_strings}")
-    return names
-
-
-def _read_class_defs(
-    data: bytes, section: SectionInfo, n_strings: int, n_types: int
-) -> tuple[int, ...]:
-    fields = _table(data, section, 8)
-    source_files = []
-    for i, (class_idx, source_file_idx) in enumerate(zip(fields[0::8], fields[4::8])):
-        if class_idx >= n_types:
-            raise OffsetOutOfBounds(f"class_defs[{i}] references type {class_idx} of {n_types}")
-        if source_file_idx != NO_INDEX:
-            if source_file_idx >= n_strings:
-                raise OffsetOutOfBounds(
-                    f"class_defs[{i}] source file references string {source_file_idx} of {n_strings}"
-                )
-            source_files.append(source_file_idx)
-    return tuple(source_files)

@@ -49,7 +49,6 @@ DEFAULT_POISSON_LAMBDA = 6.0
 _COUNT_MAX = int(np.iinfo(np.int64).max)  # the most an ensemble count can hold
 # The largest lambda numpy's Generator.poisson accepts (its POISSON_LAM_MAX).
 _POISSON_LAMBDA_MAX = float(_COUNT_MAX - np.sqrt(_COUNT_MAX) * 10)
-_REDRAW_CHUNK = 65_536  # Poisson weights redrawn per call when a model loads
 
 
 @dataclass(frozen=True)
@@ -577,6 +576,7 @@ def model_to_json(model: BatchModel | OnlineModel) -> dict:
         "lam_poisson": model.lam_poisson,
         "seed": model.seed,
         "n_draws": model.n_draws,
+        "rng_state": model.rng.bit_generator.state,
         "learners": [
             {"counts": m.counts.tolist(), "mean": m.mean.tolist(), "m2": m.m2.tolist()}
             for m in model.learners
@@ -607,9 +607,14 @@ def model_from_json(obj: dict) -> BatchModel | OnlineModel:
             model.n_draws = int(obj["n_draws"])
             if model.n_draws < 0:
                 raise BadConfig(f"malformed model: n_draws {model.n_draws} is negative")
-            # Redraw the consumed weights, a chunk at a time, so the generator state matches the export.
-            for start in range(0, model.n_draws, _REDRAW_CHUNK):
-                model.rng.poisson(model.lam_poisson, size=min(_REDRAW_CHUNK, model.n_draws - start))
+            # numpy's setter truncates a float and overflows on a negative or oversized integer.
+            state = obj["rng_state"]
+            words = ((state["state"]["state"], 128), (state["state"]["inc"], 128),
+                     (state["has_uint32"], 1), (state["uinteger"], 32))
+            if state["bit_generator"] != "PCG64" or not all(
+                    type(w) is int and 0 <= w < 1 << bits for w, bits in words):
+                raise BadConfig(f"malformed model: rng_state {state!r} is not a PCG64 state")
+            model.rng.bit_generator.state = state
             return model
     except (KeyError, TypeError, ValueError) as exc:
         raise BadConfig(f"malformed model: {exc!r}") from None

@@ -16,6 +16,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, asdict, field, fields, replace
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -24,22 +25,19 @@ import numpy as np
 from .apk import (CENTRAL_HEADER, CENTRAL_MAGIC, END_MAGIC, END_RECORD, LOCAL_HEADER, LOCAL_MAGIC,
                   STORED)
 from .dataset import PATH_HEADER
-from .dex import ENDIAN_CONSTANT, HEADER_SIZE, NO_INDEX, SECTION_LAYOUT, SectionInfo
+from .dex import (ENDIAN_CONSTANT, HEADER, IDENTIFIER_REFERENCES, NO_INDEX, SECTION_LAYOUT,
+                  SIGNED_FROM, SectionInfo)
 from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge
 from .mutf8 import encode_mutf8, utf16_length, utf16_sort_key
 
+DEX_MAGIC = b"dex\n035\x00"
+# The words of each class_def: class 0, public, no superclass, no
+# interfaces, its source file (filled in), no annotations, data or static
+# values. Every other id entry holds 0, type 0, besides its string.
+_CLASS_DEF = (0, 0x1, NO_INDEX, 0, 0, 0, 0, 0)
 TYPE_HEADER_ITEM = 0x0000
 TYPE_MAP_LIST = 0x1000
 TYPE_STRING_DATA_ITEM = 0x2002
-# The map_list item type of each id table of SECTION_LAYOUT.
-SECTION_ITEM_TYPES = {
-    "string_ids": 0x0001,
-    "type_ids": 0x0002,
-    "proto_ids": 0x0003,
-    "field_ids": 0x0004,
-    "method_ids": 0x0005,
-    "class_defs": 0x0006,
-}
 
 WIRING_ROLES = ("type", "method", "field", "source_file")
 
@@ -132,23 +130,25 @@ def build_dex(spec: DexSpec) -> bytes:
         raise SpecTooLarge(f"{len(all_strings)} strings exceed the writer's 16-bit limits")
     sid = {s: i for i, s in enumerate(all_strings)}
 
-    roles = _resolve_wiring(spec)
-    type_list = sorted(roles["type"], key=lambda s: sid[s])
-    if len(type_list) > 0xFFFF:
-        raise SpecTooLarge("too many type descriptors")
-    method_names = sorted(roles["method"], key=lambda s: sid[s])
-    field_names = sorted(roles["field"], key=lambda s: sid[s])
-    source_files = roles["source_file"]
-
-    counts = {"string_ids": len(all_strings), "type_ids": len(type_list),
-              "proto_ids": 1 if method_names else 0, "field_ids": len(field_names),
-              "method_ids": len(method_names), "class_defs": max(1, len(source_files))}
+    # The string that each entry of an id table names. The one proto reuses
+    # the first type descriptor as its shorty, which keeps the string set
+    # exactly as specified; a dex with no source file has one class.
+    roles = {role: [sid[s] for s in names] for role, names in _resolve_wiring(spec).items()}
+    types = sorted(roles["type"])
+    named = {
+        "type_ids": types,
+        "proto_ids": types[:1] if roles["method"] else [],
+        "field_ids": sorted(roles["field"]),
+        "method_ids": sorted(roles["method"]),
+        "class_defs": roles["source_file"] or [NO_INDEX],
+    }
     # The id tables follow the header in layout order; an empty one has offset 0.
     sections: dict[str, SectionInfo] = {}
-    off = HEADER_SIZE
-    for name, (_, entry_size) in SECTION_LAYOUT.items():
-        sections[name] = SectionInfo(counts[name], off if counts[name] else 0)
-        off += entry_size * counts[name]
+    off = HEADER.size
+    for name, words in SECTION_LAYOUT.items():
+        count = len(named[name]) if name in named else len(all_strings)
+        sections[name] = SectionInfo(count, off if count else 0)
+        off += 4 * words * count
     data_off = off
 
     string_data = bytearray()
@@ -160,52 +160,37 @@ def build_dex(spec: DexSpec) -> bytes:
         string_data.append(0)
     map_off = data_off + len(string_data)
 
+    # The map_list item type of an id table is its place in SECTION_LAYOUT, from 0x0001.
     map_items = [
         (TYPE_HEADER_ITEM, 1, 0),
-        *((SECTION_ITEM_TYPES[name], *table) for name, table in sections.items() if table.count),
+        *((item_type, *table) for item_type, table in enumerate(sections.values(), 1) if table.count),
         (TYPE_STRING_DATA_ITEM, len(all_strings), data_off),
         (TYPE_MAP_LIST, 1, map_off),
     ]
 
     file_size = map_off + 4 + 12 * len(map_items)
-    data_size = file_size - data_off
-
+    # The header after the signature: no link section, and the data from the strings on.
+    header = (file_size, HEADER.size, ENDIAN_CONSTANT, 0, 0, map_off,
+              *chain.from_iterable(sections.values()), file_size - data_off, data_off)
     buf = bytearray(file_size)
-    buf[0:8] = b"dex\n035\x00"
-    struct.pack_into("<I", buf, 32, file_size)
-    struct.pack_into("<I", buf, 36, HEADER_SIZE)
-    struct.pack_into("<I", buf, 40, ENDIAN_CONSTANT)
-    struct.pack_into("<II", buf, 44, 0, 0)  # link
-    struct.pack_into("<I", buf, 52, map_off)
-    for name, (count_pos, _) in SECTION_LAYOUT.items():
-        struct.pack_into("<II", buf, count_pos, *sections[name])
-    struct.pack_into("<II", buf, 104, data_size, data_off)
+    HEADER.pack_into(buf, 0, DEX_MAGIC, 0, b"", *header)
 
     struct.pack_into(f"<{len(string_offsets)}I", buf, sections["string_ids"].offset, *string_offsets)
-    struct.pack_into(f"<{len(type_list)}I", buf, sections["type_ids"].offset,
-                     *(sid[s] for s in type_list))
-    if method_names:
-        # Reuse the first type descriptor string as the shorty; structurally
-        # valid and keeps the string set exactly as specified.
-        struct.pack_into("<III", buf, sections["proto_ids"].offset, sid[type_list[0]], 0, 0)
-    for i, s in enumerate(field_names):
-        struct.pack_into("<HHI", buf, sections["field_ids"].offset + 8 * i, 0, 0, sid[s])
-    for i, s in enumerate(method_names):
-        struct.pack_into("<HHI", buf, sections["method_ids"].offset + 8 * i, 0, 0, sid[s])
-    for i in range(counts["class_defs"]):
-        sf_idx = sid[source_files[i]] if i < len(source_files) else NO_INDEX
-        struct.pack_into(
-            "<8I", buf, sections["class_defs"].offset + 32 * i,
-            0, 0x1, NO_INDEX, 0, sf_idx, 0, 0, 0,
-        )
+    for name, ids in named.items():
+        # Each entry holds its string in the word parse_dex reads it from.
+        words = SECTION_LAYOUT[name]
+        table = list(_CLASS_DEF if name == "class_defs" else (0,) * words) * len(ids)
+        table[IDENTIFIER_REFERENCES[name].string::words] = ids
+        struct.pack_into(f"<{len(table)}I", buf, sections[name].offset, *table)
 
     buf[data_off:map_off] = string_data
     struct.pack_into("<I", buf, map_off, len(map_items))
     for i, (item_type, count, item_off) in enumerate(map_items):
         struct.pack_into("<HHII", buf, map_off + 4 + 12 * i, item_type, 0, count, item_off)
 
-    buf[12:32] = hashlib.sha1(buf[32:]).digest()
-    struct.pack_into("<I", buf, 8, zlib.adler32(bytes(buf[12:])))
+    signed = bytes(buf[SIGNED_FROM:])
+    signature = hashlib.sha1(signed).digest()
+    HEADER.pack_into(buf, 0, DEX_MAGIC, zlib.adler32(signature + signed), signature, *header)
     return bytes(buf)
 
 

@@ -5,7 +5,8 @@ checks: the MUTF-8 decode reference validates one 1-3 byte chunk at a time
 through the stdlib UTF-8/UTF-16 codecs, the MUTF-8 encode reference packs
 the bits of one UTF-16 code unit at a time, the string-table reference
 reads every entry through a general ULEB128 loop and re-encodes every
-decoded string to check its length, the checksum/digest references are
+decoded string to check its length, the identifier reference reads the
+header at its literal positions with one reader per id table, the checksum/digest references are
 textbook reimplementations, the feature reference recomputes every metric
 straight from its definition, the box oracle works on an explicitly sorted list, the online ensemble oracle
 replays every sample one Welford step at a time with one scalar Poisson draw
@@ -30,7 +31,7 @@ import zlib
 import numpy as np
 
 from strobe.dataset import Label
-from strobe.dex import StringEntry
+from strobe.dex import SectionInfo, StringEntry
 from strobe.errors import CorruptEntry, DecodeError, EmptyStream, NoDex, NotAZip, OffsetOutOfBounds
 from strobe.evaluation import PrequentialResult
 from strobe.learners import _member_terms, online_update
@@ -148,6 +149,98 @@ def _reference_read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
+
+
+# (count position inside the header, bytes per entry) of each id table; each
+# count is followed by its table's offset.
+_REFERENCE_SECTIONS = {
+    "string_ids": (56, 4),
+    "type_ids": (64, 4),
+    "proto_ids": (72, 12),
+    "field_ids": (80, 8),
+    "method_ids": (88, 8),
+    "class_defs": (96, 32),
+}
+_NO_INDEX = 0xFFFFFFFF
+
+
+def reference_identifier_ids(data: bytes) -> frozenset[int]:
+    """The identifier string indices of a dex whose magic, size and endian
+    tag are valid, read at the header's literal positions with one reader
+    per id table: the identifier reader of parse_dex before it was driven
+    by one table of references."""
+    sections = {}
+    for name, (count_pos, entry_size) in _REFERENCE_SECTIONS.items():
+        count, offset = struct.unpack_from("<2I", data, count_pos)
+        if count > 0 and offset + count * entry_size > len(data):
+            raise OffsetOutOfBounds(f"{name} table ({count} entries at 0x{offset:x}) exceeds buffer")
+        sections[name] = SectionInfo(count, offset)
+    n_strings = len(reference_read_strings(data, sections["string_ids"]))
+    type_ids = _reference_index_table(data, sections["type_ids"], n_strings, "type_ids")
+    return frozenset().union(
+        type_ids,
+        _reference_proto_ids(data, sections["proto_ids"], n_strings, len(type_ids)),
+        _reference_member_ids(data, sections["field_ids"], n_strings, len(type_ids), "field_ids"),
+        _reference_member_ids(data, sections["method_ids"], n_strings, len(type_ids), "method_ids"),
+        _reference_class_defs(data, sections["class_defs"], n_strings, len(type_ids)),
+    )
+
+
+def _reference_table(data: bytes, section, words: int = 1) -> tuple[int, ...]:
+    if section.count == 0:
+        return ()
+    return struct.unpack_from(f"<{section.count * words}I", data, section.offset)
+
+
+def _reference_index_table(data: bytes, section, n_strings: int, name: str) -> tuple[int, ...]:
+    ids = _reference_table(data, section)
+    for i, idx in enumerate(ids):
+        if idx >= n_strings:
+            raise OffsetOutOfBounds(f"{name}[{i}] references string {idx} of {n_strings}")
+    return ids
+
+
+def _reference_proto_ids(data: bytes, section, n_strings: int, n_types: int) -> tuple[int, ...]:
+    # Return types reference type_ids, whose descriptors are already counted
+    # as identifiers; only the shorty string index is collected here.
+    fields = _reference_table(data, section, 3)
+    shorties = fields[0::3]
+    for i, (shorty_idx, return_type_idx) in enumerate(zip(shorties, fields[1::3])):
+        if shorty_idx >= n_strings:
+            raise OffsetOutOfBounds(f"proto_ids[{i}] shorty references string {shorty_idx} of {n_strings}")
+        if return_type_idx >= n_types:
+            raise OffsetOutOfBounds(f"proto_ids[{i}] return type {return_type_idx} of {n_types}")
+    return shorties
+
+
+def _reference_member_ids(data: bytes, section, n_strings: int, n_types: int,
+                          name: str) -> tuple[int, ...]:
+    # field_id_item and method_id_item share the shape (u2 class, u2 x, u4
+    # name); the class index is the low half of the first little-endian word.
+    fields = _reference_table(data, section, 2)
+    names = fields[1::2]
+    for i, (word, name_idx) in enumerate(zip(fields[0::2], names)):
+        class_idx = word & 0xFFFF
+        if class_idx >= n_types:
+            raise OffsetOutOfBounds(f"{name}[{i}] references type {class_idx} of {n_types}")
+        if name_idx >= n_strings:
+            raise OffsetOutOfBounds(f"{name}[{i}] references string {name_idx} of {n_strings}")
+    return names
+
+
+def _reference_class_defs(data: bytes, section, n_strings: int, n_types: int) -> tuple[int, ...]:
+    fields = _reference_table(data, section, 8)
+    source_files = []
+    for i, (class_idx, source_file_idx) in enumerate(zip(fields[0::8], fields[4::8])):
+        if class_idx >= n_types:
+            raise OffsetOutOfBounds(f"class_defs[{i}] references type {class_idx} of {n_types}")
+        if source_file_idx != _NO_INDEX:
+            if source_file_idx >= n_strings:
+                raise OffsetOutOfBounds(
+                    f"class_defs[{i}] source file references string {source_file_idx} of {n_strings}"
+                )
+            source_files.append(source_file_idx)
+    return tuple(source_files)
 
 
 def reference_adler32(data: bytes) -> int:

@@ -206,10 +206,9 @@ def test_criterion_05_dex_roundtrip():
                        for _ in range(rng.randrange(0, 15))} - ids
             blob = build_dex(DexSpec(tuple(sorted(ids)), tuple(sorted(payload))))
             dex = parse_dex(blob)
-            recovered = classify_strings(dex)
             texts = {e.index: e.text for e in dex.strings}
-            assert {texts[i] for i in recovered.identifier_indices} == ids
-            assert {texts[i] for i in recovered.non_identifier_indices} == payload
+            assert {texts[i] for i in dex.identifier_ids} == ids
+            assert set(classify_strings(dex)) == payload
             assert sorted(e.text for e in dex.strings) == sorted(ids | payload)
             assert struct.unpack_from("<I", blob, 8)[0] == reference_adler32(blob[12:])
             assert blob[12:32] == reference_sha1(blob[32:])

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from strobe.apk import list_dex_entries
+from strobe import cli
 from strobe.cli import _build_parser, main
 from strobe.dataset import Split, SplitStrategy, load_manifest
-from strobe.dex import classify_strings, parse_dex
+from strobe.dex import parse_dex
 from strobe.evaluation import LearnerKind, box_stats, train_on_split
 from strobe.learners import model_to_json, online_init
 from strobe.synth import SynthConfig, gen_corpus, write_apk
@@ -42,7 +43,8 @@ def dodgy_corpus(corpus_dir, tmp_path_factory):
     dex = parse_dex(dexes[0])
     blob = bytearray(dexes[0])
     # A lone continuation byte as the first payload byte of a short string.
-    blob[dex.strings[min(classify_strings(dex).non_identifier_indices)].data_offset + 1] = 0x80
+    victim = next(e for e in dex.strings if e.index not in dex.identifier_ids)
+    blob[victim.data_offset + 1] = 0x80
     write_apk(apk, [bytes(blob), *dexes[1:]])
     return root, apk.stem
 
@@ -61,12 +63,69 @@ def test_extract_deterministic(corpus_dir, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_extract_parallel_matches_serial(corpus_dir, tmp_path):
+@pytest.fixture(scope="module")
+def wide_corpus_dir(tmp_path_factory):
+    """A corpus of more than two 32-sample extraction chunks."""
+    cfg = SynthConfig(n_families=7, samples_per_family=(10, 12), strings_per_app=(8, 14), seed=56)
+    out, _ = gen_corpus(cfg, tmp_path_factory.mktemp("cli_wide") / "corpus")
+    assert 64 < len(list(out.rglob("*.apk"))) <= 96  # three chunks
+    return out
+
+
+def test_extract_parallel_matches_serial(wide_corpus_dir, tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    main(["extract", "--apk-dir", str(corpus_dir), "--out", str(serial)])
-    main(["extract", "--apk-dir", str(corpus_dir), "--jobs", "3", "--out", str(parallel)])
+    main(["extract", "--apk-dir", str(wide_corpus_dir), "--out", str(serial)])
+    main(["extract", "--apk-dir", str(wide_corpus_dir), "--jobs", "3", "--out", str(parallel)])
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor, mapping in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("fixture, jobs, workers", [
+    ("wide_corpus_dir", "100000", [3]),
+    ("wide_corpus_dir", "2", [2]),
+    ("corpus_dir", "100000", []),  # one chunk is read in this process
+])
+def test_extract_starts_no_more_workers_than_chunks(request, monkeypatch, tmp_path,
+                                                     fixture, jobs, workers):
+    corpus = request.getfixturevalue(fixture)
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return _InlinePool()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    serial, capped = tmp_path / "serial.csv", tmp_path / "capped.csv"
+    assert main(["extract", "--apk-dir", str(corpus), "--out", str(serial)]) == 0
+    assert main(["extract", "--apk-dir", str(corpus), "--jobs", jobs, "--out", str(capped)]) == 0
+    assert sizes == workers
+    assert serial.read_bytes() == capped.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["extract", "experiment"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(corpus_dir, features_csv, tmp_path, capsys, command, jobs):
+    out = tmp_path / "out"
+    args = {"extract": ["--apk-dir", str(corpus_dir)],
+            "experiment": ["--manifest", str(features_csv), "--strategy", "random",
+                           "--learner", "batch", "--reps", "2"]}[command]
+    assert main([command, *args, "--jobs", jobs, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 1
+    assert not out.exists()
 
 
 def test_synth_cli_deterministic(tmp_path):

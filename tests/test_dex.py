@@ -3,13 +3,13 @@ import random
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from strobe.apk import list_dex_entries
 from strobe.dex import (
     ENDIAN_CONSTANT,
-    HEADER_SIZE,
+    HEADER,
     NO_INDEX,
     SECTION_LAYOUT,
     SectionInfo,
@@ -21,7 +21,12 @@ from strobe.errors import BadMagic, OffsetOutOfBounds, StrobeError, Truncated
 from strobe.mutf8 import encode_mutf8
 from strobe.synth import DexSpec, build_dex
 
-from oracles import reference_read_strings
+from oracles import reference_identifier_ids, reference_read_strings
+
+
+def _count_field(name):
+    """The position of a table's count among the header's fields; its offset follows."""
+    return 9 + 2 * list(SECTION_LAYOUT).index(name)
 
 
 def simple_dex(identifiers=("Lx;", "go"), payload=("hello",), wiring=None):
@@ -36,8 +41,7 @@ def test_parse_roundtrip_two_strings():
     blob = build_dex(DexSpec(identifier_strings=("Lt;",), non_identifier_strings=("a", "b")))
     dex = parse_dex(blob)
     assert sorted(e.text for e in dex.strings) == ["Lt;", "a", "b"]
-    pool = classify_strings(dex)
-    assert sorted(pool.non_identifier_strings()) == ["a", "b"]
+    assert classify_strings(dex) == ["a", "b"]
 
 
 def test_bad_magic_on_random_bytes():
@@ -79,18 +83,17 @@ def test_header_fields():
 def test_classify_identifiers_and_payload():
     blob = simple_dex(identifiers=("Lcom/x;", "doIt"), payload=("hello world",))
     dex = parse_dex(blob)
-    pool = classify_strings(dex)
     texts = {e.index: e.text for e in dex.strings}
-    non_ids = {texts[i] for i in pool.non_identifier_indices}
-    assert non_ids == {"hello world"}
-    assert {texts[i] for i in pool.identifier_indices} == {"Lcom/x;", "doIt"}
+    assert classify_strings(dex) == ["hello world"]
+    assert {texts[i] for i in dex.identifier_ids} == {"Lcom/x;", "doIt"}
 
 
 def test_classify_all_identifiers():
     # Models stripped output: every string referenced as an identifier.
     blob = simple_dex(identifiers=("Lx;", "go", "fld"), payload=())
-    pool = classify_strings(parse_dex(blob))
-    assert pool.non_identifier_indices == frozenset()
+    dex = parse_dex(blob)
+    assert classify_strings(dex) == []
+    assert dex.identifier_ids == frozenset(range(len(dex.strings)))
 
 
 def test_classify_source_file_is_identifier():
@@ -100,9 +103,8 @@ def test_classify_source_file_is_identifier():
         wiring={"Main.java": "source_file"},
     )
     dex = parse_dex(blob)
-    pool = classify_strings(dex)
     texts = {e.index: e.text for e in dex.strings}
-    assert {texts[i] for i in pool.non_identifier_indices} == {"data"}
+    assert classify_strings(dex) == ["data"]
     assert {texts[i] for i in dex.identifier_ids} == {"Lx;", "Main.java"}  # via class_defs
 
 
@@ -113,10 +115,12 @@ def test_partition_property():
         n_payload = rng.randrange(0, 8)
         ids = tuple(f"Lcom/t{i};" if i % 2 else f"member{i}" for i in range(n_ids))
         payload = tuple(f"payload {i} {rng.randrange(100)}" for i in range(n_payload))
-        pool = classify_strings(parse_dex(simple_dex(ids, payload)))
-        universe = frozenset(range(len(pool.entries)))
-        assert pool.identifier_indices | pool.non_identifier_indices == universe
-        assert not pool.identifier_indices & pool.non_identifier_indices
+        dex = parse_dex(simple_dex(ids, payload))
+        texts = [e.text for e in dex.strings]
+        assert {texts[i] for i in dex.identifier_ids} == set(ids)
+        # Every string not named as an identifier, in string-table order.
+        assert classify_strings(dex) == [t for i, t in enumerate(texts) if i not in dex.identifier_ids]
+        assert sorted(classify_strings(dex)) == sorted(payload)
 
 
 def test_decode_failure_marks_entry_not_file():
@@ -197,8 +201,10 @@ def test_no_index_source_file_ignored():
 def test_empty_tables_with_wild_offsets_parse(empty):
     # A table with no entries is never read, whatever its offset says.
     blob = bytearray(simple_dex())
+    header = list(HEADER.unpack_from(blob))
     for name in empty:
-        struct.pack_into("<2I", blob, SECTION_LAYOUT[name][0], 0, 0xFFFFFFFF)
+        header[_count_field(name):_count_field(name) + 2] = 0, 0xFFFFFFFF
+    HEADER.pack_into(blob, 0, *header)
     dex = parse_dex(bytes(blob))
     for name in empty:
         assert dex.section_table[name].count == 0
@@ -231,18 +237,19 @@ def _uleb(value: int, width: int = 1) -> bytes:
 def strings_only_dex(blob: bytes, offsets) -> bytes:
     """A dex whose only table is string_ids, followed by blob; each entry
     points at an offset into blob (or past its end)."""
-    base = HEADER_SIZE + 4 * len(offsets)
+    base = HEADER.size + 4 * len(offsets)
     data = bytearray(base) + blob
-    data[:8] = b"dex\n035\x00"
-    struct.pack_into("<I", data, 32, len(data))
-    struct.pack_into("<I", data, 40, ENDIAN_CONSTANT)
-    struct.pack_into("<2I", data, SECTION_LAYOUT["string_ids"][0], len(offsets), HEADER_SIZE)
-    struct.pack_into(f"<{len(offsets)}I", data, HEADER_SIZE, *(base + o for o in offsets))
+    pairs = [0] * 2 * len(SECTION_LAYOUT)
+    pairs[:2] = len(offsets), HEADER.size
+    HEADER.pack_into(data, 0, b"dex\n035\x00", 0, b"", len(data), HEADER.size, ENDIAN_CONSTANT,
+                     0, 0, 0, *pairs, 0, 0)
+    struct.pack_into(f"<{len(offsets)}I", data, HEADER.size, *(base + o for o in offsets))
     return bytes(data)
 
 
 def assert_strings_match_reference(blob: bytes) -> None:
-    section = SectionInfo(*struct.unpack_from("<2I", blob, SECTION_LAYOUT["string_ids"][0]))
+    at = _count_field("string_ids")
+    section = SectionInfo(*HEADER.unpack_from(blob)[at:at + 2])
     want = tuple(reference_read_strings(blob, section))
     dex = parse_dex(blob)
     assert dex.strings == want
@@ -308,7 +315,7 @@ def test_unsorted_repeated_and_overlapping_offsets_read_as_reference():
 
 def test_string_offset_past_the_buffer_raises_as_reference():
     blob = strings_only_dex(SHORT_ITEMS["1-byte length"], [0, 10_000])
-    section = SectionInfo(2, HEADER_SIZE)
+    section = SectionInfo(2, HEADER.size)
     with pytest.raises(OffsetOutOfBounds, match="entry 1"):
         reference_read_strings(blob, section)
     with pytest.raises(OffsetOutOfBounds, match="entry 1"):
@@ -355,3 +362,65 @@ def test_mutated_string_tables_read_as_reference_or_raise_strobe_errors(id_edits
             parse_dex(blob)
         return
     assert parse_dex(blob).strings == tuple(want)
+
+
+# --- the table-driven identifier reader against one reader per id table
+
+_REF_BASE = simple_dex(
+    identifiers=("Lcom/app/Main;", "Lcom/app/Util;", "run", "stop", "field0", "Main.java"),
+    payload=("payload", "more data"),
+    wiring={"run": "method", "stop": "method", "field0": "field", "Main.java": "source_file"},
+)
+_REF_DEX = parse_dex(_REF_BASE)
+_REF_COUNTS = {name: section.count for name, section in _REF_DEX.section_table.items()}
+# In and just out of range of either index, the absent index, and the u2
+# class of a member word.
+_REF_VALUES = st.one_of(
+    st.sampled_from([NO_INDEX, len(_REF_DEX.strings) - 1, len(_REF_DEX.strings),
+                     _REF_COUNTS["type_ids"] - 1, _REF_COUNTS["type_ids"], 0xFFFF, 0x10000,
+                     0x10000 + _REF_COUNTS["type_ids"]]),
+    st.integers(0, len(_REF_DEX.strings) + 2),
+    st.integers(0, 0xFFFFFFFF),
+)
+
+
+def test_identifier_base_dex_fills_every_table():
+    assert all(_REF_COUNTS.values())
+    assert _REF_COUNTS["method_ids"] == 2 and _REF_COUNTS["field_ids"] == 1
+    texts = [e.text for e in _REF_DEX.strings]
+    assert {texts[i] for i in _REF_DEX.identifier_ids} >= {"Main.java", "stop", "field0"}
+    assert _REF_DEX.identifier_ids == reference_identifier_ids(_REF_BASE)
+
+
+@example(word_edits=[("class_defs", 4, NO_INDEX)], count_edits=[])
+@example(word_edits=[("type_ids", 0, NO_INDEX)], count_edits=[])
+@example(word_edits=[("field_ids", 0, 0x10000), ("method_ids", 2, 0x10001)], count_edits=[])
+@example(word_edits=[("method_ids", 1, len(_REF_DEX.strings))], count_edits=[])
+@example(word_edits=[("proto_ids", 1, _REF_COUNTS["type_ids"])], count_edits=[])
+@given(
+    # (table, word of the table, modulo its length; new value)
+    word_edits=st.lists(st.tuples(st.sampled_from(list(SECTION_LAYOUT)), st.integers(0, 63),
+                                  _REF_VALUES), max_size=4),
+    # Counts up to the one that would fit a table of one-byte entries.
+    count_edits=st.lists(st.tuples(st.sampled_from(list(SECTION_LAYOUT)),
+                                   st.one_of(st.integers(0, len(_REF_BASE)),
+                                             st.integers(0, 0xFFFFFFFF))),
+                         max_size=2),
+)
+def test_mutated_id_tables_read_as_reference_or_raise_strobe_errors(word_edits, count_edits):
+    blob = bytearray(_REF_BASE)
+    for name, word, value in word_edits:
+        words = _REF_COUNTS[name] * SECTION_LAYOUT[name]
+        struct.pack_into("<I", blob, _REF_DEX.section_table[name].offset + 4 * (word % words), value)
+    header = list(HEADER.unpack_from(blob))
+    for name, count in count_edits:
+        header[_count_field(name)] = count
+    HEADER.pack_into(blob, 0, *header)
+    blob = bytes(blob)
+    try:
+        want = reference_identifier_ids(blob)
+    except StrobeError as exc:
+        with pytest.raises(type(exc)):
+            parse_dex(blob)
+        return
+    assert parse_dex(blob).identifier_ids == want

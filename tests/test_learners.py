@@ -519,14 +519,47 @@ def test_batch_model_json_roundtrip():
 
 
 @pytest.mark.parametrize("lam", [0.5, 6.0, 50.0, 1e10])
-def test_online_model_load_redraws_in_chunks_to_the_same_rng_state(lam):
-    # Three whole redraw chunks of 65,536 draws and part of a fourth.
-    n_draws = 3 * 65_536 + 123
-    obj = model_to_json(online_init(k=2, lam_poisson=lam, seed=4))
-    obj["n_draws"] = n_draws
-    one_shot = online_init(k=2, lam_poisson=lam, seed=4)
-    one_shot.rng.poisson(lam, size=n_draws)
-    assert model_from_json(obj).rng.bit_generator.state == one_shot.rng.bit_generator.state
+def test_online_model_load_restores_the_saved_rng_state_whatever_n_draws_says(lam):
+    # The generator moves on without n_draws counting it, so the file's
+    # n_draws (0) says nothing of the state.
+    model = online_init(k=2, lam_poisson=lam, seed=4)
+    model.rng.poisson(lam, size=3 * 65_536 + 123)
+    obj = model_to_json(model)
+    for n_draws in (0, obj["n_draws"] + 1, 10**12):
+        obj["n_draws"] = n_draws
+        clone = model_from_json(obj)
+        assert clone.rng.bit_generator.state == model.rng.bit_generator.state
+        assert clone.n_draws == n_draws
+
+
+def _with_state(edit):
+    def broken(obj):
+        state = copy.deepcopy(obj["rng_state"])
+        edit(state)
+        return {**obj, "rng_state": state}
+    return broken
+
+
+# Ways to break the saved generator state of an online model.
+BROKEN_RNG_STATES = {
+    "missing": lambda obj: {k: v for k, v in obj.items() if k != "rng_state"},
+    "not-an-object": lambda obj: {**obj, "rng_state": 7},
+    "wrong-generator": _with_state(lambda s: s.update(bit_generator="MT19937")),
+    "missing-inc": _with_state(lambda s: s["state"].pop("inc")),
+    "negative": _with_state(lambda s: s["state"].update(state=-1)),
+    "oversized": _with_state(lambda s: s["state"].update(inc=2**200)),
+    "non-integer": _with_state(lambda s: s["state"].update(state=1.5)),
+    "bool": _with_state(lambda s: s["state"].update(state=True)),
+    "has-uint32-out-of-range": _with_state(lambda s: s.update(has_uint32=7)),
+    "uinteger-negative": _with_state(lambda s: s.update(uinteger=-1)),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_RNG_STATES)
+def test_online_model_with_a_broken_rng_state_is_bad_config(case):
+    obj = model_to_json(online_init(k=2, seed=4))
+    with pytest.raises(BadConfig, match="malformed model"):
+        model_from_json(BROKEN_RNG_STATES[case](obj))
 
 
 def test_online_model_load_memory_does_not_grow_with_n_draws():

@@ -30,13 +30,11 @@ def spec(identifiers=("Lx;", "go"), payload=("hello",), wiring=None):
 # --- dex writer -------------------------------------------------------------
 
 def test_writer_roundtrip_example():
-    pool = classify_strings(parse_dex(build_dex(spec())))
-    assert pool.non_identifier_strings() == ["hello"]
+    assert classify_strings(parse_dex(build_dex(spec()))) == ["hello"]
 
 
 def test_writer_empty_payload():
-    pool = classify_strings(parse_dex(build_dex(spec(payload=()))))
-    assert pool.non_identifier_strings() == []
+    assert classify_strings(parse_dex(build_dex(spec(payload=())))) == []
 
 
 def test_writer_checksum_and_signature_against_references():
@@ -82,10 +80,9 @@ def test_writer_roundtrip_seeded_specs():
                    for _ in range(rng.randrange(0, 12))} - ids
         s = spec(tuple(sorted(ids)), tuple(sorted(payload)))
         dex = parse_dex(build_dex(s))
-        recovered = classify_strings(dex)
         texts = {e.index: e.text for e in dex.strings}
-        assert {texts[i] for i in recovered.identifier_indices} == ids
-        assert {texts[i] for i in recovered.non_identifier_indices} == payload
+        assert {texts[i] for i in dex.identifier_ids} == ids
+        assert set(classify_strings(dex)) == payload
 
 
 def test_writer_string_table_is_sorted():
