@@ -343,7 +343,7 @@ def cmd_eval(args) -> int:
     corpus = _load_feature_corpus(args.manifest)
     model = load_model(args.model)
     split = load_split(args.split)
-    validate_split(corpus, split)
+    validate_split(corpus, split)  # an unknown id on the side not scored is an error too
     rows = corpus.rows(split.test_ids if args.side == "test" else split.train_ids)
     result = holdout_eval(model, corpus.X[rows], corpus.y[rows])
     if args.format == "csv":

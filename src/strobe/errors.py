@@ -113,7 +113,7 @@ class SpecTooLarge(StrobeError):
 
 
 class EmptyIdentifiers(StrobeError):
-    """A dex needs at least one identifier string."""
+    """A DexSpec names no type descriptor; a dex needs at least one."""
 
 
 class InvalidConfig(StrobeError):

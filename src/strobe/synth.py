@@ -39,71 +39,35 @@ TYPE_HEADER_ITEM = 0x0000
 TYPE_MAP_LIST = 0x1000
 TYPE_STRING_DATA_ITEM = 0x2002
 
-WIRING_ROLES = ("type", "method", "field", "source_file")
-
 SCHEME_BASE64_XOR = "BASE64_XOR"
 SCHEME_STRIP_ALL = "STRIP_ALL"
 SCHEMES = (SCHEME_BASE64_XOR, SCHEME_STRIP_ALL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DexSpec:
-    """Blueprint for one dex: which strings exist and how identifiers wire up.
+    """Blueprint for one dex: each identifier under the id table that names it.
 
-    wiring maps an identifier string to one of "type", "method", "field" or
-    "source_file"; identifiers left unmapped (or all of them when wiring is
-    None) are assigned by shape: type-descriptor lookalikes become type
-    descriptors, the rest alternate between method and field names.
+    types become the type descriptors (at least one), methods and fields the
+    member names, and each source file the source file of one class;
+    non_identifier_strings are named by no table. The writer infers nothing.
     """
 
-    identifier_strings: tuple[str, ...]
-    non_identifier_strings: tuple[str, ...]
-    wiring: dict[str, str] | None = None
+    types: tuple[str, ...] = ()
+    methods: tuple[str, ...] = ()
+    fields: tuple[str, ...] = ()
+    source_files: tuple[str, ...] = ()
+    non_identifier_strings: tuple[str, ...] = ()
 
     def validate(self) -> None:
-        if not self.identifier_strings:
-            raise EmptyIdentifiers("a dex needs at least one identifier string")
-        ids = set(self.identifier_strings)
-        payload = set(self.non_identifier_strings)
-        if len(ids) != len(self.identifier_strings) or len(payload) != len(self.non_identifier_strings):
-            raise InvalidConfig("DexSpec string lists must be deduplicated")
-        if ids & payload:
-            raise InvalidConfig(f"strings cannot be both identifier and payload: {sorted(ids & payload)[:3]}")
-        if self.wiring:
-            for name, role in self.wiring.items():
-                if name not in ids:
-                    raise InvalidConfig(f"wiring references unknown identifier {name!r}")
-                if role not in WIRING_ROLES:
-                    raise InvalidConfig(f"unknown wiring role {role!r}")
-
-
-def _looks_like_type_descriptor(s: str) -> bool:
-    core = s.lstrip("[")
-    return core in "VZBSCIJFD" and len(core) == 1 or (
-        core.startswith("L") and core.endswith(";") and len(core) > 2
-    )
-
-
-def _resolve_wiring(spec: DexSpec) -> dict[str, list[str]]:
-    roles: dict[str, list[str]] = {r: [] for r in WIRING_ROLES}
-    wiring = spec.wiring or {}
-    flip = 0
-    for s in spec.identifier_strings:
-        role = wiring.get(s)
-        if role is None:
-            if _looks_like_type_descriptor(s):
-                role = "type"
-            else:
-                role = "method" if flip % 2 == 0 else "field"
-                flip += 1
-        roles[role].append(s)
-    if not roles["type"]:
-        # A dex needs at least one type; promote the first identifier.
-        for role in ("method", "field", "source_file"):
-            if roles[role]:
-                roles["type"].append(roles[role].pop(0))
-                break
-    return roles
+        if not self.types:
+            raise EmptyIdentifiers("a dex needs at least one type descriptor")
+        ids = self.types + self.methods + self.fields + self.source_files
+        payload = self.non_identifier_strings
+        if len(set(ids)) != len(ids) or len(set(payload)) != len(payload):
+            raise InvalidConfig("DexSpec names a string twice")
+        if overlap := set(ids) & set(payload):
+            raise InvalidConfig(f"strings cannot be both identifier and payload: {sorted(overlap)[:3]}")
 
 
 def _uleb128(value: int) -> bytes:
@@ -122,10 +86,8 @@ def build_dex(spec: DexSpec) -> bytes:
     """Emit a minimal structurally valid dex for the given string blueprint."""
     spec.validate()
 
-    all_strings = sorted(
-        set(spec.identifier_strings) | set(spec.non_identifier_strings),
-        key=utf16_sort_key,
-    )
+    all_strings = sorted(spec.types + spec.methods + spec.fields + spec.source_files
+                         + spec.non_identifier_strings, key=utf16_sort_key)
     if len(all_strings) > 0xFFFF:
         raise SpecTooLarge(f"{len(all_strings)} strings exceed the writer's 16-bit limits")
     sid = {s: i for i, s in enumerate(all_strings)}
@@ -133,14 +95,13 @@ def build_dex(spec: DexSpec) -> bytes:
     # The string that each entry of an id table names. The one proto reuses
     # the first type descriptor as its shorty, which keeps the string set
     # exactly as specified; a dex with no source file has one class.
-    roles = {role: [sid[s] for s in names] for role, names in _resolve_wiring(spec).items()}
-    types = sorted(roles["type"])
+    types = sorted(sid[s] for s in spec.types)
     named = {
         "type_ids": types,
-        "proto_ids": types[:1] if roles["method"] else [],
-        "field_ids": sorted(roles["field"]),
-        "method_ids": sorted(roles["method"]),
-        "class_defs": roles["source_file"] or [NO_INDEX],
+        "proto_ids": types[:1] if spec.methods else [],
+        "field_ids": sorted(sid[s] for s in spec.fields),
+        "method_ids": sorted(sid[s] for s in spec.methods),
+        "class_defs": [sid[s] for s in spec.source_files] or [NO_INDEX],
     }
     # The id tables follow the header in layout order; an empty one has offset 0.
     sections: dict[str, SectionInfo] = {}
@@ -345,6 +306,7 @@ _MADE_BY_UNIX = 3 << 8
 _DOS_DATE_1980 = 1 << 5 | 1  # year 1980 (0), month 1, day 1
 
 _WORD_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
+_VOCAB_SIZE = 48  # distinct words per family
 
 
 @dataclass
@@ -382,15 +344,11 @@ def _make_profile(strength: float, rng: np.random.Generator) -> _FamilyProfile:
     return profile
 
 
-def _make_vocab(profile: _FamilyProfile, rng: np.random.Generator, size: int = 48) -> list[str]:
-    vocab: list[str] = []
-    seen: set[str] = set()
-    while len(vocab) < size:
-        word = _make_word(profile, rng)
-        if word not in seen:
-            seen.add(word)
-            vocab.append(word)
-    return vocab
+def _make_vocab(profile: _FamilyProfile, rng: np.random.Generator) -> list[str]:
+    vocab: dict[str, None] = {}  # distinct words, in draw order
+    while len(vocab) < _VOCAB_SIZE:
+        vocab[_make_word(profile, rng)] = None
+    return list(vocab)
 
 
 def _make_word(profile: _FamilyProfile, rng: np.random.Generator) -> str:
@@ -456,8 +414,7 @@ def _make_identifiers(profile: _FamilyProfile, rng: np.random.Generator, n_membe
     w1 = profile.vocab[int(rng.integers(0, len(profile.vocab)))][:8]
     w2 = profile.vocab[int(rng.integers(0, len(profile.vocab)))][:10]
     type_descriptor = f"Lcom/{w1}/{w2.capitalize()}{dex_tag};"
-    members: list[str] = []
-    seen: set[str] = set()
+    members: dict[str, None] = {}  # distinct names, in draw order
     bounds = [len(_MEMBER_PREFIXES), len(profile.vocab)]
     while len(members) < n_members:
         # A (prefix, word) draw per missing member, in one call: the same
@@ -465,11 +422,8 @@ def _make_identifiers(profile: _FamilyProfile, rng: np.random.Generator, n_membe
         # A round adds at most one member per pair, so none is drawn too many.
         draws = rng.integers(0, bounds * (n_members - len(members))).tolist()
         for prefix, word in zip(draws[0::2], draws[1::2]):
-            name = _MEMBER_PREFIXES[prefix] + profile.vocab[word][:10].capitalize()
-            if name not in seen:
-                seen.add(name)
-                members.append(name)
-    return type_descriptor, members
+            members[_MEMBER_PREFIXES[prefix] + profile.vocab[word][:10].capitalize()] = None
+    return type_descriptor, list(members)
 
 
 def family_sizes(cfg: SynthConfig) -> list[int]:
@@ -550,18 +504,16 @@ def _build_app_dexes(
     profile: _FamilyProfile,
     label: str,
     rng: np.random.Generator,
-    family_size: int = 1,
+    family_size: int,
 ) -> list[bytes]:
     style = _app_style(profile, rng, _variant_jitter(family_size))
     lo, hi = cfg.strings_per_app
     n_strings = int(rng.integers(lo, hi + 1))
-    payload: list[str] = []
-    seen: set[str] = set()
-    while len(payload) < n_strings:
-        s = _make_payload_string(style, rng)
-        if s and s not in seen:
-            seen.add(s)
-            payload.append(s)
+    drawn: dict[str, None] = {}  # distinct non-empty strings, in draw order
+    while len(drawn) < n_strings:
+        if s := _make_payload_string(style, rng):
+            drawn[s] = None
+    payload = list(drawn)
 
     if label == "SE":
         if cfg.scheme == SCHEME_STRIP_ALL:
@@ -585,14 +537,11 @@ def _build_app_dexes(
         members_share = n_members_total // n_dex + (1 if d < n_members_total % n_dex else 0)
         tag = "" if d == 0 else str(d + 1)
         type_descriptor, members = _make_identifiers(profile, rng, members_share, tag)
-        identifiers = [type_descriptor] + members
-        id_set = set(identifiers)
-        chunk = [s for s in chunk if s not in id_set]
-        spec = DexSpec(
-            identifier_strings=tuple(identifiers),
-            non_identifier_strings=tuple(chunk),
-        )
-        dexes.append(build_dex(spec))
+        # A one-word payload string can equal a member name.
+        named = {type_descriptor, *members}
+        dexes.append(build_dex(DexSpec(
+            types=(type_descriptor,), methods=tuple(members[0::2]), fields=tuple(members[1::2]),
+            non_identifier_strings=tuple(s for s in chunk if s not in named))))
     return dexes
 
 

@@ -204,7 +204,11 @@ def test_criterion_05_dex_roundtrip():
                    for i in range(rng.randrange(1, 7))}
             payload = {"".join(rng.choice(pool) for _ in range(rng.randrange(1, 30)))
                        for _ in range(rng.randrange(0, 15))} - ids
-            blob = build_dex(DexSpec(tuple(sorted(ids)), tuple(sorted(payload))))
+            # The first id names the type, the rest alternate method and field.
+            first, *rest = sorted(ids)
+            blob = build_dex(DexSpec(types=(first,), methods=tuple(rest[0::2]),
+                                     fields=tuple(rest[1::2]),
+                                     non_identifier_strings=tuple(sorted(payload))))
             dex = parse_dex(blob)
             texts = {e.index: e.text for e in dex.strings}
             assert {texts[i] for i in dex.identifier_ids} == ids

@@ -22,9 +22,8 @@ def make_zip(entries: dict[str, bytes]) -> bytes:
     return buf.getvalue()
 
 
-def dex_with(payload, identifiers=("Lx;", "go")):
-    return build_dex(DexSpec(identifier_strings=tuple(identifiers),
-                             non_identifier_strings=tuple(payload)))
+def dex_with(payload, types=("Lx;",), methods=("go",)):
+    return build_dex(DexSpec(types=types, methods=methods, non_identifier_strings=tuple(payload)))
 
 
 def test_numeric_multidex_ordering():
@@ -140,7 +139,7 @@ def test_fuzz_mutated_archives_raise_only_library_errors():
 
 def test_payload_roundtrip(tmp_path):
     d1 = dex_with(["alpha"])
-    d2 = dex_with(["beta", "gamma"], identifiers=("Ly;", "run"))
+    d2 = dex_with(["beta", "gamma"], types=("Ly;",), methods=("run",))
     archive = make_zip({"classes.dex": d1, "classes2.dex": d2})
     out = [payload for _, payload in list_dex_entries(archive)]
     assert out == [d1, d2]

@@ -1,6 +1,9 @@
 import csv
 import json
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,16 +558,18 @@ def test_eval_rejects_a_split_with_unknown_ids(features_csv, tmp_path, capsys):
     model = tmp_path / "m.json"
     assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
                  "--out", str(model)]) == 0
-    known = load_manifest(features_csv).samples[0].sample_id
+    known = frozenset({load_manifest(features_csv).samples[0].sample_id})
+    ghosts = frozenset({"ghost1", "ghost2"})
     split = tmp_path / "s.json"
-    unknown = Split(train_ids=frozenset(), test_ids=frozenset({known, "ghost1", "ghost2"}),
-                    strategy=SplitStrategy.RANDOM, seed=0)
-    split.write_text(json.dumps(unknown.to_json()))
     out = tmp_path / "e.json"
-    assert main(["eval", "--manifest", str(features_csv), "--model", str(model),
-                 "--split", str(split), "--out", str(out)]) == 3
-    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "UnknownId"
-    assert not out.exists()
+    # Ghosts on the scored side, then on the side that the default --side test does not score.
+    for train_ids, test_ids in ((frozenset(), known | ghosts), (ghosts, known)):
+        unknown = Split(train_ids=train_ids, test_ids=test_ids, strategy=SplitStrategy.RANDOM, seed=0)
+        split.write_text(json.dumps(unknown.to_json()))
+        assert main(["eval", "--manifest", str(features_csv), "--model", str(model),
+                     "--split", str(split), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "UnknownId"
+        assert not out.exists()
 
 
 def _without(key):
@@ -711,3 +716,18 @@ def test_seedless_runs_use_seed_42(valid_commands, tmp_path, name):
     assert main(valid_commands[name] + ["--out", str(seedless)]) == 0
     assert main(valid_commands[name] + ["--seed", "42", "--out", str(seeded)]) == 0
     assert seedless.read_bytes() == seeded.read_bytes()
+
+
+def test_every_readme_command_parses():
+    # Every `strobe ...` line of the README's sh blocks, continuations joined
+    # and comments dropped: the docs name no flag or subcommand the CLI lacks.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["strobe"]:
+                commands.append(words[1:])
+    assert len(commands) == 13
+    for argv in commands:
+        assert _build_parser().parse_args(argv).subcommand == argv[0]

@@ -29,16 +29,13 @@ def _count_field(name):
     return 9 + 2 * list(SECTION_LAYOUT).index(name)
 
 
-def simple_dex(identifiers=("Lx;", "go"), payload=("hello",), wiring=None):
-    return build_dex(DexSpec(
-        identifier_strings=tuple(identifiers),
-        non_identifier_strings=tuple(payload),
-        wiring=wiring,
-    ))
+def simple_dex(types=("Lx;",), methods=("go",), fields=(), source_files=(), payload=("hello",)):
+    return build_dex(DexSpec(types=types, methods=methods, fields=fields,
+                             source_files=source_files, non_identifier_strings=payload))
 
 
 def test_parse_roundtrip_two_strings():
-    blob = build_dex(DexSpec(identifier_strings=("Lt;",), non_identifier_strings=("a", "b")))
+    blob = build_dex(DexSpec(types=("Lt;",), non_identifier_strings=("a", "b")))
     dex = parse_dex(blob)
     assert sorted(e.text for e in dex.strings) == ["Lt;", "a", "b"]
     assert classify_strings(dex) == ["a", "b"]
@@ -81,7 +78,7 @@ def test_header_fields():
 
 
 def test_classify_identifiers_and_payload():
-    blob = simple_dex(identifiers=("Lcom/x;", "doIt"), payload=("hello world",))
+    blob = simple_dex(types=("Lcom/x;",), methods=("doIt",), payload=("hello world",))
     dex = parse_dex(blob)
     texts = {e.index: e.text for e in dex.strings}
     assert classify_strings(dex) == ["hello world"]
@@ -90,18 +87,14 @@ def test_classify_identifiers_and_payload():
 
 def test_classify_all_identifiers():
     # Models stripped output: every string referenced as an identifier.
-    blob = simple_dex(identifiers=("Lx;", "go", "fld"), payload=())
+    blob = simple_dex(fields=("fld",), payload=())
     dex = parse_dex(blob)
     assert classify_strings(dex) == []
     assert dex.identifier_ids == frozenset(range(len(dex.strings)))
 
 
 def test_classify_source_file_is_identifier():
-    blob = simple_dex(
-        identifiers=("Lx;", "Main.java"),
-        payload=("data",),
-        wiring={"Main.java": "source_file"},
-    )
+    blob = simple_dex(methods=(), source_files=("Main.java",), payload=("data",))
     dex = parse_dex(blob)
     texts = {e.index: e.text for e in dex.strings}
     assert classify_strings(dex) == ["data"]
@@ -113,9 +106,11 @@ def test_partition_property():
     for _ in range(40):
         n_ids = rng.randrange(1, 6)
         n_payload = rng.randrange(0, 8)
-        ids = tuple(f"Lcom/t{i};" if i % 2 else f"member{i}" for i in range(n_ids))
+        types = tuple(f"Lcom/t{i};" for i in range(0, n_ids, 2))
+        members = tuple(f"member{i}" for i in range(1, n_ids, 2))
+        ids = types + members
         payload = tuple(f"payload {i} {rng.randrange(100)}" for i in range(n_payload))
-        dex = parse_dex(simple_dex(ids, payload))
+        dex = parse_dex(simple_dex(types, members[0::2], members[1::2], payload=payload))
         texts = [e.text for e in dex.strings]
         assert {texts[i] for i in dex.identifier_ids} == set(ids)
         # Every string not named as an identifier, in string-table order.
@@ -139,7 +134,7 @@ def test_decode_failure_marks_entry_not_file():
 
 
 def test_unsorted_string_table_warns_not_errors(caplog):
-    blob = bytearray(simple_dex(identifiers=("Lx;",), payload=("aa", "bb")))
+    blob = bytearray(simple_dex(methods=(), payload=("aa", "bb")))
     dex = parse_dex(bytes(blob))
     # Swap two string_id slots so decoded order violates the sort rule.
     off = dex.section_table["string_ids"].offset
@@ -153,7 +148,7 @@ def test_unsorted_string_table_warns_not_errors(caplog):
 
 
 def test_member_index_out_of_range():
-    blob = bytearray(simple_dex(identifiers=("Lx;", "go"), payload=("p",)))
+    blob = bytearray(simple_dex(payload=("p",)))
     dex = parse_dex(bytes(blob))
     off = dex.section_table["method_ids"].offset
     struct.pack_into("<I", blob, off + 4, 99)  # name_idx beyond string table
@@ -163,10 +158,8 @@ def test_member_index_out_of_range():
 
 def test_fuzz_mutations_raise_only_library_errors():
     rng = random.Random(11)
-    base = simple_dex(
-        identifiers=("Lcom/app/Main;", "run", "field0"),
-        payload=("some payload", "more data Ω"),
-    )
+    base = simple_dex(types=("Lcom/app/Main;",), methods=("run",), fields=("field0",),
+                      payload=("some payload", "more data Ω"))
     for _ in range(400):
         blob = bytearray(base)
         for _ in range(rng.randrange(1, 6)):
@@ -213,7 +206,7 @@ def test_empty_tables_with_wild_offsets_parse(empty):
 
 def test_sorted_table_with_astral_strings_does_not_warn(caplog):
     # U+10000 sorts before U+FFFF in UTF-16 code units, after it in code points.
-    blob = simple_dex(identifiers=("Lx;",), payload=("\uffff", "\U00010000"))
+    blob = simple_dex(methods=(), payload=("\uffff", "\U00010000"))
     with caplog.at_level(logging.WARNING, logger="strobe.dex"):
         dex = parse_dex(blob)
     assert [e.text for e in dex.strings][-2:] == ["\U00010000", "\uffff"]
@@ -332,7 +325,7 @@ def test_every_dex_of_the_frozen_corpus_reads_as_reference(confounded):
 
 
 _FUZZ_BASE = simple_dex(
-    identifiers=("Lcom/app/Main;", "run", "field0"),
+    types=("Lcom/app/Main;",), methods=("run",), fields=("field0",),
     payload=("some payload", "Ω€", "\U0001F600 astral", "=" * 200, "a\x00b", ""),
 )
 _FUZZ_IDS = parse_dex(_FUZZ_BASE).section_table["string_ids"]
@@ -367,9 +360,8 @@ def test_mutated_string_tables_read_as_reference_or_raise_strobe_errors(id_edits
 # --- the table-driven identifier reader against one reader per id table
 
 _REF_BASE = simple_dex(
-    identifiers=("Lcom/app/Main;", "Lcom/app/Util;", "run", "stop", "field0", "Main.java"),
-    payload=("payload", "more data"),
-    wiring={"run": "method", "stop": "method", "field0": "field", "Main.java": "source_file"},
+    types=("Lcom/app/Main;", "Lcom/app/Util;"), methods=("run", "stop"), fields=("field0",),
+    source_files=("Main.java",), payload=("payload", "more data"),
 )
 _REF_DEX = parse_dex(_REF_BASE)
 _REF_COUNTS = {name: section.count for name, section in _REF_DEX.section_table.items()}

@@ -22,9 +22,8 @@ from strobe.synth import (
 from oracles import reference_adler32, reference_sha1
 
 
-def spec(identifiers=("Lx;", "go"), payload=("hello",), wiring=None):
-    return DexSpec(identifier_strings=tuple(identifiers),
-                   non_identifier_strings=tuple(payload), wiring=wiring)
+def spec(types=("Lx;",), methods=("go",), fields=(), payload=("hello",)):
+    return DexSpec(types=types, methods=methods, fields=fields, non_identifier_strings=payload)
 
 
 # --- dex writer -------------------------------------------------------------
@@ -46,21 +45,30 @@ def test_writer_checksum_and_signature_against_references():
 
 def test_writer_requires_identifier():
     with pytest.raises(EmptyIdentifiers):
-        build_dex(spec(identifiers=()))
+        build_dex(spec(types=(), methods=()))
+    # Nothing is promoted: methods and fields without a type are no dex.
+    with pytest.raises(EmptyIdentifiers):
+        build_dex(spec(types=(), methods=("go",), fields=("fld",)))
 
 
 def test_writer_rejects_duplicates_and_overlap():
     with pytest.raises(InvalidConfig):
-        build_dex(spec(identifiers=("go", "go")))
+        build_dex(spec(methods=("go", "go")))
     with pytest.raises(InvalidConfig):
-        build_dex(spec(identifiers=("Lx;", "go"), payload=("go",)))
+        build_dex(spec(payload=("hello", "hello")))
+    with pytest.raises(InvalidConfig):
+        build_dex(spec(payload=("go",)))
 
 
-def test_writer_rejects_bad_wiring():
+@pytest.mark.parametrize("roles", [
+    {"types": ("Lx;", "go")},
+    {"fields": ("go",)},
+    {"types": ("Lx;", "Ly;"), "fields": ("Ly;",)},
+    {"source_files": ("go",)},
+])
+def test_writer_rejects_one_name_under_two_roles(roles):
     with pytest.raises(InvalidConfig):
-        build_dex(spec(wiring={"nonexistent": "type"}))
-    with pytest.raises(InvalidConfig):
-        build_dex(spec(wiring={"go": "mystery"}))
+        build_dex(DexSpec(**{"types": ("Lx;",), "methods": ("go",), **roles}))
 
 
 def test_writer_too_large():
@@ -78,7 +86,9 @@ def test_writer_roundtrip_seeded_specs():
                for i in range(rng.randrange(1, 8))}
         payload = {"".join(rng.choice(pool) for _ in range(rng.randrange(1, 25)))
                    for _ in range(rng.randrange(0, 12))} - ids
-        s = spec(tuple(sorted(ids)), tuple(sorted(payload)))
+        types = tuple(sorted(i for i in ids if i.startswith("L")))
+        members = tuple(sorted(ids - set(types)))
+        s = spec(types, members[0::2], members[1::2], tuple(sorted(payload)))
         dex = parse_dex(build_dex(s))
         texts = {e.index: e.text for e in dex.strings}
         assert {texts[i] for i in dex.identifier_ids} == ids
@@ -164,14 +174,34 @@ def test_gen_corpus_deterministic(tmp_path):
         assert apk.read_bytes() == twin.read_bytes()
 
 
-def test_gen_corpus_bytes_are_pinned(tmp_path):
-    # Every file of the corpus, path and bytes, in path order: a change to the
-    # generator that moves one RNG draw or one written byte changes this.
-    out, _ = gen_corpus(SMALL, tmp_path / "c")
+def _tree_sha256(out):
+    """Every file under out, path and bytes, in path order: a change to the
+    generator that moves one RNG draw or one written byte changes this."""
     digest = hashlib.sha256()
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == "99f1803f0d7be73477e83fe4e1bd8896be16311492cd028de534f32b45e9d811"
+    return digest.hexdigest()
+
+
+def test_gen_corpus_bytes_are_pinned(tmp_path):
+    out, _ = gen_corpus(SMALL, tmp_path / "c")
+    assert _tree_sha256(out) == "99f1803f0d7be73477e83fe4e1bd8896be16311492cd028de534f32b45e9d811"
+
+
+# Per preset fixture: its number of APKs and the digest of its corpus directory.
+PRESET_CORPORA = {
+    "confounded": (5027, "695cb18b5d29fec89a943b2b12157d24187b34f15fba9cf12cdc5c517d46ee6f"),
+    "control": (1200, "a3df904ab0fc2786995ee4c8bbf739955a486fc3b45ecd24bfc57e9765f45d59"),
+    "stripped": (400, "4dfa5ee3137f5cb86ae356437cc7614b8525029aee7acda9482f367e744acf83"),
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_CORPORA)
+def test_preset_corpus_bytes_are_pinned(request, preset):
+    n_apks, sha256 = PRESET_CORPORA[preset]
+    out = request.getfixturevalue(preset)["dir"]
+    assert sum(1 for _ in out.rglob("*.apk")) == n_apks
+    assert _tree_sha256(out) == sha256
 
 
 def test_gen_corpus_manifest_loads_and_matches_layout(tmp_path):
