@@ -4,9 +4,10 @@ Batch: a linear max-margin classifier trained by stochastic subgradient
 descent on the regularized hinge loss, with leakage-safe standardization
 fitted on training data only and a grid search capped at 200 configurations.
 One engine, hinge_sgd, trains any number of fits in lockstep (each step moves
-every fit by its own next sample) with weights bit-identical to training
-each fit alone; batch_train is one fit, grid_search every (grid point, fold)
-pair, and run_lofo and run_experiment every fold or repetition of a run.
+every fit by its own next sample [y * x, y] in four numpy calls, exact since
+y = +-1) with weights bit-identical to training each fit alone; batch_train
+is one fit, grid_search every (grid point, fold) pair, and run_lofo and
+run_experiment every fold or repetition of a run.
 
 Online: an ensemble of incremental Gaussian class-conditional models where
 each arriving sample enters each ensemble member with a Poisson-drawn weight
@@ -93,8 +94,8 @@ def fit_scaler(X: np.ndarray) -> Scaler:
     return Scaler(mean=X.mean(axis=0), std=np.maximum(X.std(axis=0), STD_FLOOR))
 
 
-# Rows are gathered and standardized for a block of lockstep steps at a time;
-# a block holds about this many values per (steps, fits, features) array.
+# Rows [x, y] are gathered, standardized and made [y * x, y] a block of steps
+# at a time; a block holds about this many values per (steps, fits, 9) array.
 _BLOCK_VALUES = 16384
 
 
@@ -139,11 +140,14 @@ def hinge_sgd(
     Step t moves every fit with more than t updates to make by its own t-th
     sample, so the Python loop runs max(n * epochs) times, not the sum. Fits
     are ordered by update count, largest first, so the live fits are always a
-    prefix of the weight matrix. Each operation is the per-sample loop's
-    elementwise operation on a stack of fits: margins come from a stacked
-    matmul (the dot kernel of w @ x, where einsum or a row sum would round
-    differently), and a mask leaves the weights of fits whose margin is at
-    least 1 untouched, where adding zero could flip a signed zero.
+    prefix of the weight matrix. Row i of W holds fit i's [w, b]; a sample
+    enters as z = [y * x, y] (x standardized) and u = lr * z, and a step
+    makes four calls on the stack of fits: the margin as a stacked matmul of
+    W with z, the test margin < 1, the shrink, and the add of u where the
+    test holds (adding zero could flip a signed zero). As y is +-1 and
+    rounding is symmetric in sign, u is the loop's (lr * y) * x, and the dot
+    kernel of w @ x (einsum or a row sum would round differently) gives its
+    y * (w @ x + b) bit for bit, but for the sign of a zero margin.
     """
     scalers: list[Scaler | None] = []
     for rows, _ in streams:
@@ -152,29 +156,29 @@ def hinge_sgd(
     steps = [len(streams[s][0]) * hp.epochs if scalers[s] is not None else 0 for s, hp in fits]
     live = sorted((f for f in range(len(fits)) if steps[f] > 0), key=lambda f: -steps[f])
 
-    n_live = len(live)
+    n_live, width = len(live), N_FEATURES + 1
     sid = np.array([fits[f][0] for f in live], dtype=np.intp)
     T = np.array([steps[f] for f in live], dtype=np.int64)
-    lr = np.array([fits[f][1].lr for f in live])
-    mean = np.array([scalers[s].mean for s in sid]).reshape(-1, N_FEATURES)
-    std = np.array([scalers[s].std for s in sid]).reshape(-1, N_FEATURES)
-    # Row i holds fit i's weights and, in the last column, its bias, so that
-    # one shrink and one masked add update both; the bias shrinks by 1.0,
-    # which leaves it exactly as it is.
-    W = np.zeros((n_live, N_FEATURES + 1))
+    lr = np.array([fits[f][1].lr for f in live])[:, None]
+    # Each fit's scaler, extended by (0, 1), keeps y as it is.
+    XY = np.column_stack([X, y])
+    mean = np.array([np.append(scalers[s].mean, 0.0) for s in sid]).reshape(-1, width)
+    std = np.array([np.append(scalers[s].std, 1.0) for s in sid]).reshape(-1, width)
+    # The bias shrinks by 1.0, which leaves it exactly as it is.
+    W = np.zeros((n_live, width))
     shrink = np.ones_like(W)
     shrink[:, :N_FEATURES] = np.array([1.0 - 2.0 * fits[f][1].lr * fits[f][1].lam for f in live])[:, None]
+    ones = np.ones(n_live)
 
     used = sorted(set(sid.tolist()))
     state = {s: _Stream(*streams[s]) for s in used}
     stream_steps = {s: int(T[sid == s].max()) for s in used}
     # Steps per block, and buffers reused by every block so that the pass
     # allocates nothing per block.
-    cap = max(16, _BLOCK_VALUES // (N_FEATURES * max(n_live, 1)))
+    cap = max(16, _BLOCK_VALUES // (width * max(n_live, 1)))
     G = np.zeros((cap, len(streams)), dtype=np.intp)
-    xbuf = np.empty(cap * n_live * N_FEATURES)
-    ubuf = np.empty(cap * n_live * (N_FEATURES + 1))
-    ybuf = np.empty(cap * n_live)
+    zbuf, ubuf = np.empty((2, cap * n_live * width))
+    matmul, less, multiply, add = np.matmul, np.less, np.multiply, np.add
     t0 = 0
     while n_live and t0 < T[0]:
         L = int(np.count_nonzero(T > t0))
@@ -183,33 +187,24 @@ def hinge_sgd(
         for s in used:
             if stream_steps[s] > t0:
                 state[s].take(G[:min(t1, stream_steps[s]) - t0, s])
-        rows = G[:c, sid[:L]]
-        Xb = xbuf[:c * L * N_FEATURES].reshape(c, L, N_FEATURES)
-        Yb = ybuf[:c * L].reshape(c, L)
-        Ub = ubuf[:c * L * (N_FEATURES + 1)].reshape(c, L, N_FEATURES + 1)
+        Z = zbuf[:c * L * width].reshape(c, L, width)
+        U = ubuf[:c * L * width].reshape(c, L, width)
         # Every index is valid; mode="clip" lets take write straight into
         # the buffer, where the default mode would stage a temporary.
-        np.take(X, rows, axis=0, out=Xb, mode="clip")
-        np.subtract(Xb, mean[:L], out=Xb)
-        np.divide(Xb, std[:L], out=Xb)
-        np.take(y, rows, out=Yb, mode="clip")
-        # The update (lr * y) * x, and lr * y for the bias.
-        np.multiply(lr[:L], Yb, out=Ub[..., N_FEATURES])
-        np.multiply(Ub[..., N_FEATURES:], Xb, out=Ub[..., :N_FEATURES])
+        np.take(XY, G[:c, sid[:L]], axis=0, out=Z, mode="clip")
+        np.subtract(Z, mean[:L], out=Z)
+        np.divide(Z, std[:L], out=Z)
+        np.multiply(Z[..., :N_FEATURES], Z[..., N_FEATURES:], out=Z[..., :N_FEATURES])
+        np.multiply(lr[:L], Z, out=U)
 
-        Wl, Sl = W[:L], shrink[:L]
-        W3, Bl = Wl[:, None, :N_FEATURES], Wl[:, N_FEATURES]
-        dots = np.empty((L, 1, 1))
-        margin = dots.reshape(L)
-        active = np.empty((L, 1), dtype=bool)
-        active1 = active.reshape(L)
-        for x, yt, u in zip(Xb[..., None], Yb, Ub):
-            np.matmul(W3, x, out=dots)
-            np.add(margin, Bl, out=margin)
-            np.multiply(margin, yt, out=margin)
-            np.less(margin, 1.0, out=active1)
-            np.multiply(Wl, Sl, out=Wl)
-            np.add(Wl, u, out=Wl, where=active)
+        Wl, W3, Sl, one = W[:L], W[:L, None], shrink[:L], ones[:L]
+        dots, active = np.empty((L, 1, 1)), np.empty((L, 1), dtype=bool)
+        margin, active1 = dots.reshape(L), active.reshape(L)
+        for z, u in zip(Z[..., None], U):
+            matmul(W3, z, dots)
+            less(margin, one, active1)
+            multiply(Wl, Sl, Wl)
+            add(Wl, u, Wl, where=active)
         t0 = t1
 
     slot = {f: i for i, f in enumerate(live)}

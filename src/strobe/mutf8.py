@@ -5,9 +5,9 @@ pair 0xC0 0x80 (so a raw 0x00 never occurs inside string data), supplementary
 code points are stored as a CESU-8 style surrogate pair of two 3-byte
 sequences, and 4-byte sequences do not exist.
 
-Both directions are compositions of the C UTF-8 and UTF-16 codecs: with the
-surrogatepass handler the UTF-8 codec reads and writes each surrogate as one
-3-byte sequence, which is how MUTF-8 stores the halves of a pair.
+Both directions go through the C UTF-8 codec, whose surrogatepass handler
+reads and writes a surrogate as the 3-byte sequence MUTF-8 stores for each
+half of a pair, and a regex substitution that joins or splits the halves.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import DecodeError
 
 _SUPPLEMENTARY = re.compile("[\U00010000-\U0010ffff]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 def decode_mutf8(data: bytes) -> str:
@@ -41,12 +42,16 @@ def decode_mutf8(data: bytes) -> str:
         return text
     if _SUPPLEMENTARY.search(text):
         raise DecodeError("4-byte sequence in string data")
-    if not _SURROGATE.search(text):
-        return text
-    try:
-        return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le")
-    except UnicodeDecodeError:
-        raise DecodeError("unpaired surrogate in string data") from None
+    if _SURROGATE.search(text):
+        text = _PAIR.sub(_join_pair, text)
+        if _SURROGATE.search(text):
+            raise DecodeError("unpaired surrogate in string data")
+    return text
+
+
+def _join_pair(match: re.Match) -> str:
+    high, low = match.group()
+    return chr(0x10000 + (ord(high) - 0xD800 << 10 | ord(low) - 0xDC00))
 
 
 def _surrogate_pair(match: re.Match) -> str:

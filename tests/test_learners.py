@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strobe.dataset import Label, Sample
 from strobe.errors import BadConfig, SingleClass, TooSmall
@@ -10,6 +12,7 @@ from strobe.features import FeatureVector
 from strobe.learners import (
     _COUNT_MAX,
     _POISSON_LAMBDA_MAX,
+    DEFAULT_HYPERPARAMS,
     BatchModel,
     HingeHyperparams,
     Scaler,
@@ -225,6 +228,60 @@ def test_hinge_sgd_matches_per_sample_loop(trial):
     rows, seed = streams[1]
     hp = fits[-1][1]
     assert_matches_reference(batch_train(X[rows], y[rows], hp, seed), [pool[i] for i in rows], hp, seed)
+
+
+# Finite doubles with +-0, subnormals and magnitudes up to 1e300 (products
+# up to 1e600 overflow).
+_TERMS = st.floats(min_value=-1e300, max_value=1e300)
+_MARGIN_ROWS = st.lists(st.tuples(st.lists(_TERMS, min_size=9, max_size=9),
+                                  st.lists(_TERMS, min_size=8, max_size=8),
+                                  st.sampled_from([1.0, -1.0])), min_size=1, max_size=4)
+
+
+@given(_MARGIN_ROWS)
+def test_folded_margin_is_the_per_sample_margin_bit_for_bit(rows):
+    """hinge_sgd's margin, the stacked matmul of [w, b] with [y * x, y], is
+    the per-sample loop's y * (w @ x + b) bit for bit, signbit included,
+    since y is +-1 and the dot kernel adds b * y after the same eight terms.
+    An exact zero is the one exception: the kernel sums from +0, so it may
+    come out +0 where y * (w @ x + b) is -0, which margin < 1 does not see."""
+    W = np.array([wb for wb, _, _ in rows])
+    X = np.array([x for _, x, _ in rows])
+    y = np.array([label for _, _, label in rows])
+    Z = np.column_stack([y[:, None] * X, y])
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded = np.matmul(W[:, None, :], Z[..., None]).reshape(len(rows))
+        plain_margins = [y[i] * (W[i, :8] @ X[i] + W[i, 8]) for i in range(len(rows))]
+    for i, plain in enumerate(plain_margins):
+        if plain == 0.0:
+            assert folded[i] == 0.0
+        else:
+            assert folded[i].tobytes() == plain.tobytes(), (folded[i], plain)
+        assert (folded[i] < 1.0) == (plain < 1.0)
+
+
+@given(scales=st.lists(st.integers(-12, 12), min_size=8, max_size=8),
+       constant=st.integers(0, 7), n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       epochs=st.sampled_from([0, 1, 5]))
+def test_hinge_sgd_matches_per_sample_loop_on_drawn_streams(scales, constant, n, seed, epochs):
+    """Raw feature scales from 1e-12 to 1e12, a constant column (its std is
+    the floor), duplicated rows, a two-row stream and every negative-shrink
+    grid point, against the per-sample loop."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 8)) * 10.0 ** np.array(scales)
+    X[:, constant] = X[0, constant]
+    X[n // 2:] = X[:n - n // 2]  # the second half repeats the first
+    labels = rng.random(n) < 0.5
+    pool = [Sample(f"s{i}", "fam", Label.SE if c else Label.NOT_SE,
+                   features=FeatureVector(*x, n_strings=1)) for i, (x, c) in enumerate(zip(X, labels))]
+    X, y = design_matrix(pool)
+    streams = [(np.arange(n), seed), (rng.choice(n, 2, replace=False), seed + 1)]
+    grid = NEGATIVE_SHRINK + [DEFAULT_HYPERPARAMS]
+    fits = [(s, HingeHyperparams(lam=hp.lam, lr=hp.lr, epochs=epochs))
+            for s in range(len(streams)) for hp in grid]
+    for (s, hp), model in zip(fits, hinge_sgd(X, y, streams, fits)):
+        rows, stream_seed = streams[s]
+        assert_matches_reference(model, [pool[i] for i in rows], hp, stream_seed)
 
 
 def test_hinge_sgd_with_nothing_to_train():

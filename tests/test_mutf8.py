@@ -52,6 +52,26 @@ def test_dangling_surrogate_rejected():
         decode_mutf8(b"\xed\xb0\x80")  # lone low surrogate
 
 
+_HIGH, _LOW = b"\xed\xa0\xbd", b"\xed\xb8\x80"  # the halves of U+1F600
+
+
+@pytest.mark.parametrize("data, expected", [
+    (_HIGH + _LOW + b"ab", "\U0001F600ab"),  # a pair at the start
+    (b"ab" + _HIGH + _LOW, "ab\U0001F600"),  # a pair at the end
+    (_HIGH + _LOW + _HIGH + _LOW, "\U0001F600\U0001F600"),
+    (_HIGH + _HIGH + _LOW, None),  # high-high-low: the first high is unpaired
+    (_HIGH + _LOW + _LOW, None),  # high-low-low: the second low is unpaired
+    (_LOW + _HIGH, None),  # low-high: swapped halves pair with nothing
+])
+def test_surrogates_pair_high_then_low_and_nothing_else(data, expected):
+    if expected is None:
+        with pytest.raises(DecodeError, match="unpaired surrogate"):
+            decode_mutf8(data)
+    else:
+        assert decode_mutf8(data) == expected
+    assert reference_decode_mutf8(data) == expected
+
+
 def test_four_byte_lead_rejected():
     with pytest.raises(DecodeError):
         decode_mutf8(b"\xf0\x9f\x98\x80")
