@@ -2,8 +2,8 @@
 
 Subcommands compose the pipeline: synth (generate a corpus), extract
 (APKs -> feature CSV), split / train / eval / prequential / lofo /
-experiment (the evaluation protocols), praguard-check (the stripped-string
-heuristic), and stats (box statistics over per-run results).
+experiment (the evaluation protocols) and praguard-check (the
+stripped-string heuristic).
 
 Exit codes: 0 success, 1 usage error, 2 parse/extraction error,
 3 dataset/split/learner error, 4 I/O error. Failures print one
@@ -19,7 +19,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -38,12 +37,10 @@ from .dataset import (
     load_split,
     lofo_splits,
     random_split,
-    validate_split,
 )
-from .errors import BadValue, InvalidConfig, ParseError, StrobeError
+from .errors import InvalidConfig, ParseError, StrobeError
 from .evaluation import (
     LearnerKind,
-    box_stats,
     gnuplot_box_data,
     holdout_eval,
     prequential_eval,
@@ -53,6 +50,7 @@ from .evaluation import (
 from .features import CSV_HEADER, csv_row, feature_vector
 from .heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
 from .learners import (
+    DEFAULT_HYPERPARAMS,
     DEFAULT_ONLINE_ENSEMBLE,
     DEFAULT_POISSON_LAMBDA,
     batch_train,
@@ -190,10 +188,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest")
     p.add_argument("--max-strings", type=int, default=0)
 
-    p = command("stats", cmd_stats, "box statistics over a value column")
-    p.add_argument("--input", required=True, help="CSV with header, or one number per line")
-    p.add_argument("--column", default="accuracy")
-
     return parser
 
 
@@ -325,12 +319,11 @@ def cmd_train(args) -> int:
         raise _UsageError("--k and --poisson-lambda need --learner online")
     corpus = _load_feature_corpus(args.manifest)
     if args.learner == "batch":
+        hp = DEFAULT_HYPERPARAMS
         if args.grid:
             hp = grid_search(list(corpus.samples), folds=3 if args.folds is None else args.folds,
                              seed=args.seed)
-            model = batch_train(corpus.X, corpus.y, hp, seed=args.seed)
-        else:
-            model = batch_train(corpus.X, corpus.y, seed=args.seed)
+        model = batch_train(corpus.X, corpus.y, hp, seed=args.seed)
     else:
         k = DEFAULT_ONLINE_ENSEMBLE if args.k is None else args.k
         lam = DEFAULT_POISSON_LAMBDA if args.poisson_lambda is None else args.poisson_lambda
@@ -343,15 +336,14 @@ def cmd_eval(args) -> int:
     corpus = _load_feature_corpus(args.manifest)
     model = load_model(args.model)
     split = load_split(args.split)
-    validate_split(corpus, split)  # an unknown id on the side not scored is an error too
-    rows = corpus.rows(split.test_ids if args.side == "test" else split.train_ids)
-    result = holdout_eval(model, corpus.X[rows], corpus.y[rows])
+    # Both sides resolve, so an unknown id on the side not scored is an error too.
+    train, test = corpus.rows(split.train_ids), corpus.rows(split.test_ids)
+    rows = test if args.side == "test" else train
+    result = holdout_eval(model, corpus.X[rows], corpus.y[rows]).to_json()
     if args.format == "csv":
-        keys = ["tp", "fp", "tn", "fn", "accuracy", "precision", "recall", "f1"]
-        obj = result.to_json()
-        _write_csv(args.out, [keys, [f"{obj[k]:.9g}" for k in keys]])
+        _write_csv(args.out, [list(result), [f"{v:.9g}" for v in result.values()]])
     else:
-        _write_json(args.out, result.to_json())
+        _write_json(args.out, result)
     return EXIT_OK
 
 
@@ -419,38 +411,6 @@ def cmd_praguard_check(args) -> int:
     print(f"flagged SE: {len(flagged)}/{len(samples)}; zero-string fraction among flagged: "
           f"{zero_string_fraction(flagged, cfg):.1%}", file=sys.stderr)
     return EXIT_OK
-
-
-def cmd_stats(args) -> int:
-    values: list[float] = []
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if args.column in header:
-            idx = header.index(args.column)
-            for cells in reader:
-                if len(cells) < len(header) and "".join(cells).strip():
-                    raise BadValue(f"line {reader.line_num} has {len(cells)} columns, "
-                                   f"expected {len(header)}")
-                if len(cells) > idx and cells[idx]:
-                    values.append(_number(cells[idx], reader.line_num))
-        else:
-            for cells in chain([header], reader):
-                cell = ",".join(cells).strip()
-                if cell:
-                    values.append(_number(cell, reader.line_num))
-    _write_json(args.out, box_stats(values).to_json())
-    return EXIT_OK
-
-
-def _number(cell: str, line_no: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise BadValue(f"line {line_no}: {cell!r} is not a number") from None
-    if not np.isfinite(value):
-        raise BadValue(f"line {line_no}: {cell!r} is not finite")
-    return value
 
 
 if __name__ == "__main__":

@@ -168,16 +168,16 @@ class Split:
         """The split of a to_json object; a malformed object, or one with ids
         on both sides, raises BadValue. Rows on neither side are allowed."""
         try:
-            split = cls(
-                train_ids=frozenset(obj["train_ids"]),
-                test_ids=frozenset(obj["test_ids"]),
-                strategy=SplitStrategy(obj["strategy"]),
-                seed=obj["seed"],
-                held_out_family=obj.get("held_out_family"),
-                retries=obj.get("retries", 0),
-            )
+            sides, strategy = (obj["train_ids"], obj["test_ids"]), SplitStrategy(obj["strategy"])
+            seed, retries, family = obj["seed"], obj.get("retries", 0), obj.get("held_out_family")
         except (KeyError, TypeError, ValueError) as exc:
             raise BadValue(f"malformed split: {exc!r}") from None
+        # A string is not a list of its characters, nor a bool an integer.
+        if not (all(type(side) is list and all(type(i) is str for i in side) for side in sides)
+                and type(seed) is int and type(retries) is int and (family is None or type(family) is str)):
+            raise BadValue("malformed split: the ids must be lists of strings, seed and retries "
+                           "integers, and held_out_family a string or null")
+        split = cls(frozenset(sides[0]), frozenset(sides[1]), strategy, seed, family, retries)
         shared = len(split.train_ids & split.test_ids)
         if shared:
             raise BadValue(f"malformed split: {shared} sample ids are on both sides")

@@ -579,26 +579,39 @@ def model_to_json(model: BatchModel | OnlineModel) -> dict:
     }
 
 
+def _finite_array(values, shape: tuple[int, ...], name: str, dtype=float) -> np.ndarray:
+    """values as an array of the given shape and finite entries, else BadConfig."""
+    array = np.asarray(values, dtype=dtype)
+    if array.shape != shape or not np.isfinite(array).all():
+        raise BadConfig(f"malformed model: {name} is not {shape} finite values")
+    return array
+
+
 def model_from_json(obj: dict) -> BatchModel | OnlineModel:
-    """The model of a model_to_json object; a malformed object raises BadConfig."""
+    """The model of a model_to_json object; a malformed object, or one whose
+    arrays have the wrong shape or hold a non-finite value, raises BadConfig."""
     try:
         kind = obj["kind"]
         if kind == "batch":
+            mean, std = (_finite_array(obj["scaler"][key], (N_FEATURES,), f"scaler {key}")
+                         for key in ("mean", "std"))
+            if not (std > 0.0).all():
+                raise BadConfig("malformed model: a scaler std is not positive")
             return BatchModel(
-                weights=np.asarray(obj["weights"], dtype=float),
-                bias=float(obj["bias"]),
-                scaler=Scaler(
-                    mean=np.asarray(obj["scaler"]["mean"], dtype=float),
-                    std=np.asarray(obj["scaler"]["std"], dtype=float),
-                ),
+                weights=_finite_array(obj["weights"], (N_FEATURES,), "weights"),
+                bias=float(_finite_array(obj["bias"], (), "bias")),
+                scaler=Scaler(mean, std),
                 hyperparams=HingeHyperparams(**obj["hyperparams"]),
             )
         if kind == "online":
             members = obj["learners"]
-            model = online_init(len(members), float(obj["lam_poisson"]), int(obj["seed"]))
-            model.counts = np.asarray([m["counts"] for m in members], dtype=np.int64)
-            model.mean = np.asarray([m["mean"] for m in members], dtype=float)
-            model.m2 = np.asarray([m["m2"] for m in members], dtype=float)
+            k = len(members)
+            model = online_init(k, float(obj["lam_poisson"]), int(obj["seed"]))
+            model.counts = _finite_array([m["counts"] for m in members], (k, 2), "counts", np.int64)
+            if (model.counts < 0).any():
+                raise BadConfig("malformed model: a count is negative")
+            model.mean = _finite_array([m["mean"] for m in members], (k, 2, N_FEATURES), "mean")
+            model.m2 = _finite_array([m["m2"] for m in members], (k, 2, N_FEATURES), "m2")
             model.n_draws = int(obj["n_draws"])
             if model.n_draws < 0:
                 raise BadConfig(f"malformed model: n_draws {model.n_draws} is negative")
@@ -611,7 +624,7 @@ def model_from_json(obj: dict) -> BatchModel | OnlineModel:
                 raise BadConfig(f"malformed model: rng_state {state!r} is not a PCG64 state")
             model.rng.bit_generator.state = state
             return model
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadConfig(f"malformed model: {exc!r}") from None
     raise BadConfig(f"unknown model kind {kind!r}")
 

@@ -13,7 +13,7 @@ from strobe import cli
 from strobe.cli import _build_parser, main
 from strobe.dataset import Split, SplitStrategy, load_manifest
 from strobe.dex import parse_dex
-from strobe.evaluation import LearnerKind, box_stats, train_on_split
+from strobe.evaluation import LearnerKind, train_on_split
 from strobe.learners import model_to_json, online_init
 from strobe.synth import SynthConfig, gen_corpus, write_apk
 
@@ -411,18 +411,6 @@ def test_experiment_deterministic(features_csv, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_stats_cli(features_csv, tmp_path):
-    per_run = tmp_path / "runs.csv"
-    main(["experiment", "--manifest", str(features_csv), "--strategy", "random",
-          "--learner", "batch", "--reps", "4", "--seed", "6",
-          "--out", str(tmp_path / "x.json"), "--csv", str(per_run)])
-    out = tmp_path / "box.json"
-    assert main(["stats", "--input", str(per_run), "--column", "accuracy",
-                 "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["q1"] <= payload["median"] <= payload["q3"]
-
-
 def test_praguard_check_cli(tmp_path, capsys):
     cfg = SynthConfig(n_families=4, samples_per_family=(3, 5), scheme="STRIP_ALL",
                       mixed_family_fraction=0.0, strings_per_app=(10, 14), seed=31)
@@ -448,6 +436,7 @@ def test_praguard_check_rejects_a_negative_threshold(corpus_dir, tmp_path, capsy
 def test_exit_code_usage_error():
     assert main(["extract", "--no-such-flag"]) == 1
     assert main(["synth"]) == 1  # missing --out
+    assert main(["stats", "--input", "runs.csv"]) == 1  # box statistics are in experiment's JSON
 
 
 def test_exit_code_parse_error(tmp_path):
@@ -477,23 +466,6 @@ def test_error_line_is_machine_readable(tmp_path, capsys):
     assert payload["exit_code"] == 4 and "message" in payload
 
 
-def test_stats_finds_the_last_header_column(features_csv, tmp_path):
-    per_run = tmp_path / "runs.csv"
-    assert main(["experiment", "--manifest", str(features_csv), "--strategy", "random",
-                 "--learner", "batch", "--reps", "3", "--seed", "6",
-                 "--out", str(tmp_path / "x.json"), "--csv", str(per_run)]) == 0
-    header, *rows = per_run.read_text().splitlines()
-    assert header.endswith(",f1")
-    out = tmp_path / "f1.json"
-    assert main(["stats", "--input", str(per_run), "--column", "f1", "--out", str(out)]) == 0
-    f1 = [float(row.split(",")[-1]) for row in rows]
-    assert json.loads(out.read_text()) == json.loads(json.dumps(box_stats(f1).to_json()))
-    one_column = tmp_path / "acc.csv"
-    one_column.write_text("accuracy\n0.5\n0.75\n")
-    assert main(["stats", "--input", str(one_column), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["median"] == 0.625
-
-
 def test_online_train_defaults_equal_the_explicit_flags(features_csv, tmp_path):
     default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
     assert main(["train", "--manifest", str(features_csv), "--learner", "online",
@@ -501,21 +473,6 @@ def test_online_train_defaults_equal_the_explicit_flags(features_csv, tmp_path):
     assert main(["train", "--manifest", str(features_csv), "--learner", "online",
                  "--k", "10", "--poisson-lambda", "6.0", "--out", str(explicit)]) == 0
     assert default.read_bytes() == explicit.read_bytes()
-
-
-@pytest.mark.parametrize("text", ["accuracy\nabc\n", "abc\n", "seed,accuracy\n1,0.5\n2,x\n",
-                                  "seed,accuracy\n1,0.5\n2\n",
-                                  "0.5\nnan\n", "accuracy\n0.5\ninf\n", "seed,accuracy\n1,-inf\n"])
-def test_stats_rejects_bad_rows_with_a_typed_error(tmp_path, capsys, text):
-    values = tmp_path / "values.csv"
-    values.write_text(text)
-    out = tmp_path / "box.json"
-    assert main(["stats", "--input", str(values), "--out", str(out)]) == 3
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    error = json.loads(lines[0])
-    assert error["error"] == "BadValue" and error["message"].startswith("line ")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -533,13 +490,6 @@ def test_bad_learner_settings_are_a_typed_error(features_csv, tmp_path, capsys, 
     error = json.loads(lines[0])
     assert (error["error"], error["exit_code"]) == ("BadConfig", 3)
     assert captured.out == "" and not out.exists()
-
-
-def test_stats_skips_blank_lines(tmp_path):
-    values, out = tmp_path / "values.csv", tmp_path / "box.json"
-    values.write_text("seed,accuracy\n1,0.5\n\n2,0.75\n\n")
-    assert main(["stats", "--input", str(values), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["median"] == 0.625
 
 
 def test_extract_without_manifest_rejects_repeated_file_names(corpus_dir, tmp_path, capsys):
@@ -576,11 +526,26 @@ def _without(key):
     return lambda obj: json.dumps({k: v for k, v in obj.items() if k != key})
 
 
+def _narrow_online_model(obj):
+    """An online model whose members' mean and m2 rows are 3 features wide."""
+    online = model_to_json(online_init(k=2, seed=0))
+    for member in online["learners"]:
+        member["mean"], member["m2"] = ([row[:3] for row in member[key]] for key in ("mean", "m2"))
+    return json.dumps(online)
+
+
 # Ways to break the --model or --split file of eval, and the error each gives.
 BROKEN_EVAL_INPUTS = {
     "model-not-json": ("model", lambda obj: "{not json", "BadConfig"),
     "model-not-an-object": ("model", lambda obj: json.dumps(list(obj)), "BadConfig"),
     "model-missing-key": ("model", _without("weights"), "BadConfig"),
+    "model-short-weights": ("model", lambda obj: json.dumps({**obj, "weights": obj["weights"][:3]}),
+                            "BadConfig"),
+    "model-zero-std": ("model", lambda obj: json.dumps(
+        {**obj, "scaler": {**obj["scaler"], "std": [0.0, *obj["scaler"]["std"][1:]]}}), "BadConfig"),
+    "model-narrow-online-means": ("model", _narrow_online_model, "BadConfig"),
+    # An integer literal too large for a double overflows where 1e400 would read as inf.
+    "model-bias-out-of-range": ("model", lambda obj: json.dumps({**obj, "bias": 10**400}), "BadConfig"),
     "split-not-json": ("split", lambda obj: "{not json", "BadValue"),
     "split-not-an-object": ("split", lambda obj: json.dumps(list(obj)), "BadValue"),
     "split-missing-key": ("split", _without("test_ids"), "BadValue"),
@@ -589,6 +554,15 @@ BROKEN_EVAL_INPUTS = {
     # Training ids copied onto the test side would be scored as test samples.
     "split-overlapping-sides": ("split", lambda obj: json.dumps(
         {**obj, "test_ids": obj["test_ids"] + obj["train_ids"][:3]}), "BadValue"),
+    # A string of ids would be read as the set of its characters.
+    "split-ids-a-string": ("split", lambda obj: json.dumps({**obj, "test_ids": obj["test_ids"][0]}),
+                           "BadValue"),
+    "split-id-not-a-string": ("split", lambda obj: json.dumps({**obj, "test_ids": [*obj["test_ids"], 7]}),
+                              "BadValue"),
+    "split-seed-not-an-integer": ("split", lambda obj: json.dumps({**obj, "seed": "x"}), "BadValue"),
+    "split-retries-a-bool": ("split", lambda obj: json.dumps({**obj, "retries": True}), "BadValue"),
+    "split-family-not-a-string": ("split", lambda obj: json.dumps({**obj, "held_out_family": 3}),
+                                  "BadValue"),
 }
 
 
@@ -656,7 +630,6 @@ KEPT_OPTIONS = {
     "experiment": {"--manifest", "--strategy", "--learner", "--reps", "--strict", "--csv",
                    "--gnuplot", "--seed", "--jobs", "--out"},
     "praguard-check": {"--apk-dir", "--manifest", "--max-strings", "--out"},
-    "stats": {"--input", "--column", "--out"},
 }
 
 SHARED_FLAGS = {"--seed": "3", "--jobs": "2", "--format": "json"}
@@ -678,12 +651,11 @@ def test_each_subcommand_takes_exactly_its_options():
 def valid_commands(corpus_dir, features_csv, tmp_path_factory):
     """A working command line per subcommand, without its --out."""
     root = tmp_path_factory.mktemp("commands")
-    model, split, values = root / "model.json", root / "split.json", root / "values.csv"
+    model, split = root / "model.json", root / "split.json"
     assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
                  "--out", str(model)]) == 0
     assert main(["split", "--manifest", str(features_csv), "--strategy", "random",
                  "--out", str(split)]) == 0
-    values.write_text("accuracy\n0.5\n0.75\n")
     feat = ["--manifest", str(features_csv)]
     return {
         "extract": ["extract", "--apk-dir", str(corpus_dir)],
@@ -697,7 +669,6 @@ def valid_commands(corpus_dir, features_csv, tmp_path_factory):
         "experiment": ["experiment", *feat, "--strategy", "random", "--learner", "batch",
                        "--reps", "2"],
         "praguard-check": ["praguard-check", "--apk-dir", str(corpus_dir)],
-        "stats": ["stats", "--input", str(values)],
     }
 
 
@@ -728,6 +699,6 @@ def test_every_readme_command_parses():
             words = shlex.split(line, comments=True)
             if words[:1] == ["strobe"]:
                 commands.append(words[1:])
-    assert len(commands) == 13
+    assert len(commands) == 12
     for argv in commands:
         assert _build_parser().parse_args(argv).subcommand == argv[0]

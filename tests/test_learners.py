@@ -284,6 +284,22 @@ def test_hinge_sgd_matches_per_sample_loop_on_drawn_streams(scales, constant, n,
         assert_matches_reference(model, [pool[i] for i in rows], hp, stream_seed)
 
 
+def test_a_margin_of_exactly_one_makes_no_update():
+    """The hinge test is margin < 1, not <=. Standardized rows +-1 with
+    lr 0.5 and lam 0 (shrink 1) reach w0 = 1, b = 0 after the first epoch in
+    either order, so every later margin is exactly 1.0 and moves nothing."""
+    train = [Sample(sid, "fam", label, features=FeatureVector(x0, *[0.0] * 7, n_strings=1))
+             for sid, label, x0 in (("a", Label.SE, 1.0), ("b", Label.NOT_SE, -1.0))]
+    X, y = design_matrix(train)
+    seeds = range(4)
+    fits = [(s, HingeHyperparams(lam=0.0, lr=0.5, epochs=epochs)) for s in seeds for epochs in (1, 2, 5)]
+    models = hinge_sgd(X, y, [(np.arange(2), seed) for seed in seeds], fits)
+    for (s, hp), model in zip(fits, models):
+        assert_matches_reference(model, train, hp, seeds[s])
+        assert model.weights[0] == 1.0 and model.bias == 0.0
+    assert_matches_reference(batch_train(X, y, fits[-1][1], 3), train, fits[-1][1], 3)
+
+
 def test_hinge_sgd_with_nothing_to_train():
     X, y = design_matrix(toy_separable())
     assert hinge_sgd(X, y, [], []) == []
