@@ -27,7 +27,6 @@ from .evaluation import (
     prequential_eval,
     run_experiment,
     run_lofo,
-    weighted_family_accuracy,
 )
 from .features import FeatureVector, feature_vector, per_string_metrics, shannon_entropy
 from .heuristic import HeuristicConfig, detect_dexguard

@@ -141,7 +141,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--" + f.name.replace("_", "-"), choices=f.metadata.get("choices"),
                        help=f"SynthConfig.{f.name}, applied over --config", **_FIELD_FLAGS[f.type])
 
-    p = command("split", cmd_split, "build and export a train/test split", seed=True)
+    p = command("split", cmd_split, "build and export a train/test split")
+    p.add_argument("--seed", type=int, help="base seed (default 42; random and family-disjoint only)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", required=True, choices=("random", "family-disjoint", "lofo"))
 
@@ -299,11 +300,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
+    if args.strategy == "lofo" and args.seed is not None:
+        raise _UsageError("--seed needs --strategy random or family-disjoint")
+    seed = 42 if args.seed is None else args.seed
     corpus = load_manifest(args.manifest)
     if args.strategy == "random":
-        payload = random_split(corpus, args.seed).to_json()
+        payload = random_split(corpus, seed).to_json()
     elif args.strategy == "family-disjoint":
-        payload = family_disjoint_split(corpus, args.seed).to_json()
+        payload = family_disjoint_split(corpus, seed).to_json()
     else:
         payload = [s.to_json() for s in lofo_splits(corpus)]
     _write_json(args.out, payload)

@@ -95,17 +95,22 @@ class BoxStats:
         return {**asdict(self), "outliers": list(self.outliers)}
 
 
+def _confusions(decision: np.ndarray, y: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """(n_groups, 4) counts of tp, fp, tn and fn per group: row i is in group
+    groups[i], is SE where y[i] > 0 and predicts SE where decision[i] > 0, so
+    a zero, a NaN and an ensemble tie predict NOT_SE."""
+    predicted, actual = decision > 0, y > 0
+    cell = 2 * ~predicted + (predicted != actual)  # tp 0, fp 1, tn 2, fn 3
+    return np.bincount(4 * groups + cell, minlength=4 * n_groups).reshape(n_groups, 4)
+
+
 def holdout_eval(model: BatchModel | OnlineModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
     """Confusion counts of a frozen model over test rows X (raw features)
     with labels y (+1 SE, -1 NOT_SE), SE positive."""
     if len(y) == 0:
         raise EmptyTest("holdout evaluation needs a non-empty test set")
-    predicted = model.predict(X)
-    actual = y > 0
-    tp = int(np.count_nonzero(predicted & actual))
-    fp = int(np.count_nonzero(predicted & ~actual))
-    fn = int(np.count_nonzero(~predicted & actual))
-    return EvalResult.from_confusion(tp, fp, len(y) - tp - fp - fn, fn)
+    (counts,) = _confusions(model.decision(X), y, np.zeros(len(y), dtype=np.intp), 1)
+    return EvalResult.from_confusion(*counts.tolist())
 
 
 def prequential_eval(model: OnlineModel, stream: list[Sample]) -> PrequentialResult:
@@ -128,18 +133,6 @@ def prequential_eval(model: OnlineModel, stream: list[Sample]) -> PrequentialRes
         running_accuracy=tuple((hits / np.arange(1, len(stream) + 1)).tolist()),
         final_accuracy=int(hits[-1]) / len(stream),
     )
-
-
-def weighted_family_accuracy(rows: Iterable[tuple[str, int, float]]) -> float:
-    """Sum(n_i * acc_i) / Sum(n_i) over per-family results."""
-    rows = list(rows)
-    if not rows:
-        raise Empty("no per-family rows")
-    for fam, n, _ in rows:
-        if n < 1:
-            raise BadValue(f"family {fam!r} has non-positive count {n}")
-    total = sum(n for _, n, _ in rows)
-    return sum(n * acc for _, n, acc in rows) / total
 
 
 def box_stats(values: Iterable[float]) -> BoxStats:
@@ -355,28 +348,26 @@ def run_lofo(
 ) -> LofoSummary:
     """Hold out each family in turn (fold i trains with seed base_seed + i);
     aggregate size-weighted accuracy and the pooled confusion over all
-    held-out predictions. Batch folds train in lockstep in one pass."""
+    held-out predictions. Batch folds train in lockstep in one pass; the test
+    sides partition the corpus, so one bincount of row decisions counts all."""
     folds = lofo_folds(corpus)
     models = train_on_splits(corpus, [train for _, train, _ in folds],
                              [base_seed + i for i in range(len(folds))], learner)
+    decision = np.empty(len(corpus.y))
+    for (_, _, test), model in zip(folds, models):
+        decision[test] = model.decision(corpus.X[test])
+    counts = _confusions(decision, corpus.y, corpus.family_codes, len(folds))
     per_family = [
-        FamilyResult(family=fam, n=len(test), result=holdout_eval(model, corpus.X[test], corpus.y[test]))
-        for (fam, _, test), model in zip(folds, models)
+        FamilyResult(family=fam, n=sum(row), result=EvalResult.from_confusion(*row))
+        for (fam, _, _), row in zip(folds, counts.tolist())
     ]
-    weighted = weighted_family_accuracy(
-        (fr.family, fr.n, fr.result.accuracy) for fr in per_family
-    )
     return LofoSummary(
         learner=learner,
         base_seed=base_seed,
         per_family=tuple(per_family),
-        weighted_accuracy=weighted,
-        pooled=EvalResult.from_confusion(
-            tp=sum(fr.result.tp for fr in per_family),
-            fp=sum(fr.result.fp for fr in per_family),
-            tn=sum(fr.result.tn for fr in per_family),
-            fn=sum(fr.result.fn for fr in per_family),
-        ),
+        # In family order; pooled.accuracy can differ from it in the last bit.
+        weighted_accuracy=sum(fr.n * fr.result.accuracy for fr in per_family) / len(corpus.y),
+        pooled=EvalResult.from_confusion(*counts.sum(axis=0).tolist()),
     )
 
 

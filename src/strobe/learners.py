@@ -14,11 +14,11 @@ each arriving sample enters each ensemble member with a Poisson-drawn weight
 (online leveraging bagging). One body each merges a weighted batch into the
 per-member means and M2 (_chan_merge, for online_fit and the prequential
 sweep) and casts the members' Gaussian votes (_votes_se, for
-OnlineModel.predict and the sweep). Cold models and exact ties predict NOT_SE.
+OnlineModel.decision and the sweep). Cold models and exact ties predict NOT_SE.
 
 Both learners train on rows of raw features X with labels y (+1 SE, -1
 NOT_SE), and both models score a whole feature matrix at once with
-model.predict(X); predict and online_predict are that call on one sample.
+model.decision(X), SE where > 0; predict and online_predict apply it to one row.
 """
 
 from __future__ import annotations
@@ -78,13 +78,13 @@ class BatchModel:
     scaler: Scaler
     hyperparams: HingeHyperparams
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """The sign rule on every row of raw features X: True where SE; a
-        margin of exactly zero predicts NOT_SE. The stacked matmul runs the
-        dot kernel of w @ x, so each row's margin is bit-identical to it."""
+    def decision(self, X: np.ndarray) -> np.ndarray:
+        """The margin w . x + b on every row of raw features X (x
+        standardized). The stacked matmul runs the dot kernel of w @ x, so
+        each row's margin is bit-identical to it."""
         Xs = self.scaler.transform(X)
         margins = np.matmul(self.weights[None, None, :], Xs[:, :, None]).reshape(len(Xs))
-        return margins + self.bias > 0.0
+        return margins + self.bias
 
 
 def fit_scaler(X: np.ndarray) -> Scaler:
@@ -231,8 +231,8 @@ def batch_train(X: np.ndarray, y: np.ndarray, hp: HingeHyperparams = DEFAULT_HYP
 
 
 def predict(model: BatchModel | OnlineModel, fv: FeatureVector) -> Label:
-    """The model's predict on one sample."""
-    return Label.SE if model.predict(np.asarray(fv.as_tuple(), dtype=float)[None, :])[0] else Label.NOT_SE
+    """SE where the model's decision on one sample is > 0; a zero or a tie is NOT_SE."""
+    return Label.SE if model.decision(np.asarray([fv.as_tuple()], dtype=float))[0] > 0 else Label.NOT_SE
 
 
 online_predict = predict  # one body for both models; the name stays for callers
@@ -288,7 +288,7 @@ def grid_search(
             model = models[gi * folds + f]
             if model is None:
                 continue
-            correct = int(np.count_nonzero(model.predict(X[chunk]) == (y[chunk] > 0)))
+            correct = int(np.count_nonzero((model.decision(X[chunk]) > 0) == (y[chunk] > 0)))
             accs.append(correct / len(chunk))
         if not accs:
             continue
@@ -334,11 +334,11 @@ class OnlineModel:
         return [GaussianBaseLearner(self.counts[j], self.mean[j], self.m2[j])
                 for j in range(self.k)]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority vote of the members on every row of raw features X: True
-        where SE; overall ties predict NOT_SE. Members are scored one at a
-        time, in place: a (rows, members, 2, 8) temporary would dominate peak
-        memory on large test sets.
+    def decision(self, X: np.ndarray) -> np.ndarray:
+        """The members' SE votes minus their NOT_SE votes, 2 * votes_se - k,
+        on every row of raw features X; a tie is 0. Members are scored one at
+        a time, in place: a (rows, members, 2, 8) temporary would dominate
+        peak memory on large test sets.
         """
         var, log_norm, prior = _member_terms(self)
         votes_se = np.zeros(len(X), dtype=np.int64)
@@ -346,7 +346,7 @@ class OnlineModel:
         for j in range(self.k):
             votes_se += _votes_se(X[:, None, :], self.mean[j], var[j], log_norm[j],
                                   prior[j], self.counts[j] > 0, d)
-        return 2 * votes_se > self.k
+        return 2 * votes_se - self.k
 
 
 def online_init(
@@ -597,19 +597,24 @@ def model_from_json(obj: dict) -> BatchModel | OnlineModel:
                          for key in ("mean", "std"))
             if not (std > 0.0).all():
                 raise BadConfig("malformed model: a scaler std is not positive")
+            hp = HingeHyperparams(**obj["hyperparams"])
+            if not (all(type(v) in (int, float) and math.isfinite(v) for v in (hp.lam, hp.lr))
+                    and type(hp.epochs) is int and hp.epochs >= 0):  # type() keeps bools out
+                raise BadConfig(f"malformed model: hyperparams {obj['hyperparams']!r}")
             return BatchModel(
                 weights=_finite_array(obj["weights"], (N_FEATURES,), "weights"),
                 bias=float(_finite_array(obj["bias"], (), "bias")),
                 scaler=Scaler(mean, std),
-                hyperparams=HingeHyperparams(**obj["hyperparams"]),
+                hyperparams=hp,
             )
         if kind == "online":
             members = obj["learners"]
             k = len(members)
             model = online_init(k, float(obj["lam_poisson"]), int(obj["seed"]))
+            # int64 would truncate a float count and take a bool or a numeric string.
+            if not all(type(c) is int and c >= 0 for m in members for c in m["counts"]):
+                raise BadConfig("malformed model: a count is not a non-negative integer")
             model.counts = _finite_array([m["counts"] for m in members], (k, 2), "counts", np.int64)
-            if (model.counts < 0).any():
-                raise BadConfig("malformed model: a count is negative")
             model.mean = _finite_array([m["mean"] for m in members], (k, 2, N_FEATURES), "mean")
             model.m2 = _finite_array([m["m2"] for m in members], (k, 2, N_FEATURES), "m2")
             model.n_draws = int(obj["n_draws"])

@@ -14,8 +14,10 @@ per sample and member, the online vote oracle scores one sample over every
 member in one broadcast, the prequential oracle votes with it and updates
 one sample per library call, the hinge-SGD oracle trains one model at a time
 with the per-sample loop, the decision oracle scores one feature vector with
-a plain dot product, the split oracles look every sample up by id, and the
-APK container references read and write through the standard zipfile module.
+a plain dot product, the holdout oracle counts one sample's prediction at a
+time with the decision and vote oracles, the split oracles look every sample
+up by id, and the APK container references read and write through the
+standard zipfile module.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import numpy as np
 
 from strobe.dataset import Label
 from strobe.dex import SectionInfo, StringEntry
-from strobe.errors import CorruptEntry, DecodeError, EmptyStream, NoDex, NotAZip, OffsetOutOfBounds
-from strobe.evaluation import PrequentialResult
-from strobe.learners import _member_terms, online_update
+from strobe.errors import CorruptEntry, DecodeError, EmptyStream, EmptyTest, NoDex, NotAZip, OffsetOutOfBounds
+from strobe.evaluation import EvalResult, PrequentialResult
+from strobe.learners import BatchModel, _member_terms, online_update
 from strobe.mutf8 import decode_mutf8, utf16_length
 from strobe.synth import _MANIFEST_STUB
 
@@ -537,6 +539,26 @@ def reference_decision(model, fv) -> float:
     """A batch model's margin on one feature vector; SE where it is > 0."""
     x = model.scaler.transform(np.asarray(fv.as_tuple(), dtype=float))
     return float(model.weights @ x + model.bias)
+
+
+def reference_holdout_eval(model, samples) -> EvalResult:
+    """Confusion counts over the samples one at a time, SE positive: a batch
+    model predicts SE where reference_decision is > 0, an online model where
+    reference_online_predict says SE."""
+    if not samples:
+        raise EmptyTest("holdout evaluation needs a non-empty test set")
+    tp = fp = tn = fn = 0
+    for sample in samples:
+        if isinstance(model, BatchModel):
+            predicted_se = reference_decision(model, sample.features) > 0.0
+        else:
+            predicted_se = reference_online_predict(model, sample.features) is Label.SE
+        actual_se = sample.label is Label.SE
+        tp += predicted_se and actual_se
+        fp += predicted_se and not actual_se
+        tn += not predicted_se and not actual_se
+        fn += not predicted_se and actual_se
+    return EvalResult.from_confusion(tp, fp, tn, fn)
 
 
 # --------------------------------------------------------------------------

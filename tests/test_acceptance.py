@@ -24,6 +24,7 @@ from strobe.dataset import (
     SplitStrategy,
     Corpus,
     family_disjoint_split,
+    lofo_folds,
     lofo_splits,
     random_split,
     validate_split,
@@ -31,8 +32,10 @@ from strobe.dataset import (
 from strobe.dex import classify_strings, parse_dex
 from strobe.errors import DecodeError
 from strobe.evaluation import (
+    EvalResult,
     LearnerKind,
     box_stats,
+    holdout_eval,
     prequential_eval,
     run_experiment,
     run_lofo,
@@ -69,6 +72,7 @@ from oracles import (
     reference_decode_mutf8,
     reference_feature_means,
     reference_grid_search,
+    reference_holdout_eval,
     reference_online_predict,
     reference_sha1,
 )
@@ -464,10 +468,35 @@ def test_row_scorers_match_per_sample_predictions(confounded):
     X, _ = design_matrix(corpus.samples)
     batch = train_on_split(corpus, corpus.rows(split.train_ids), LearnerKind.BATCH, BASE_SEED)
     online = train_on_split(corpus, corpus.rows(split.train_ids), LearnerKind.ONLINE, BASE_SEED)
-    assert batch.predict(X).tolist() == \
+    assert (batch.decision(X) > 0).tolist() == \
         [reference_decision(batch, s.features) > 0.0 for s in corpus.samples]
-    assert online.predict(X).tolist() == \
+    assert (online.decision(X) > 0).tolist() == \
         [reference_online_predict(online, s.features) is Label.SE for s in corpus.samples]
+
+
+@pytest.mark.parametrize("learner", list(LearnerKind))
+def test_confusion_counts_match_per_sample_holdout(confounded, learner):
+    """holdout_eval on a family-disjoint split, and every LOFO fold and the
+    pooled counts of run_lofo, against counting one sample at a time."""
+    corpus = confounded["corpus"]
+    split = family_disjoint_split(corpus, BASE_SEED)
+    model = train_on_split(corpus, corpus.rows(split.train_ids), learner, BASE_SEED)
+    rows = corpus.rows(split.test_ids)
+    assert holdout_eval(model, corpus.X[rows], corpus.y[rows]) == \
+        reference_holdout_eval(model, corpus.by_ids(split.test_ids))
+
+    folds = lofo_folds(corpus)
+    models = train_on_splits(corpus, [train for _, train, _ in folds],
+                             [BASE_SEED + i for i in range(len(folds))], learner)
+    expected = [reference_holdout_eval(model, [corpus.samples[i] for i in test.tolist()])
+                for (_, _, test), model in zip(folds, models)]
+    summary = run_lofo(corpus, learner, BASE_SEED)
+    assert [(fr.family, fr.n, fr.result) for fr in summary.per_family] == \
+        [(fam, len(test), result) for (fam, _, test), result in zip(folds, expected)]
+    assert summary.pooled == EvalResult.from_confusion(
+        *(sum(getattr(r, cell) for r in expected) for cell in ("tp", "fp", "tn", "fn")))
+    assert summary.weighted_accuracy == \
+        sum(len(test) * r.accuracy for (_, _, test), r in zip(folds, expected)) / len(corpus.samples)
 
 
 def test_family_fingerprint_probe(confounded):

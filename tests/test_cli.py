@@ -186,6 +186,15 @@ def test_split_lofo_writes_list(features_csv, tmp_path):
     assert isinstance(payload, list) and len(payload) == 4
 
 
+@pytest.mark.parametrize("seed", ["9", "42"])
+def test_split_lofo_rejects_seed(features_csv, tmp_path, capsys, seed):
+    # LOFO folds draw nothing at random, so a seed would be read and ignored.
+    out = tmp_path / "lofo.json"
+    assert main(["split", "--manifest", str(features_csv), "--strategy", "lofo",
+                 "--seed", seed, "--out", str(out)]) == 1
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
 def test_train_eval_pipeline(features_csv, tmp_path):
     model = tmp_path / "model.json"
     split = tmp_path / "split.json"
@@ -534,6 +543,13 @@ def _narrow_online_model(obj):
     return json.dumps(online)
 
 
+def _online_model_with_float_counts(obj):
+    """An online model whose first member's counts are not integers."""
+    online = model_to_json(online_init(k=2, seed=0))
+    online["learners"][0]["counts"] = [1.7, 2.2]
+    return json.dumps(online)
+
+
 # Ways to break the --model or --split file of eval, and the error each gives.
 BROKEN_EVAL_INPUTS = {
     "model-not-json": ("model", lambda obj: "{not json", "BadConfig"),
@@ -544,6 +560,10 @@ BROKEN_EVAL_INPUTS = {
     "model-zero-std": ("model", lambda obj: json.dumps(
         {**obj, "scaler": {**obj["scaler"], "std": [0.0, *obj["scaler"]["std"][1:]]}}), "BadConfig"),
     "model-narrow-online-means": ("model", _narrow_online_model, "BadConfig"),
+    # The int64 conversion would truncate them to [1, 2].
+    "model-online-float-counts": ("model", _online_model_with_float_counts, "BadConfig"),
+    "model-epochs-a-string": ("model", lambda obj: json.dumps(
+        {**obj, "hyperparams": {**obj["hyperparams"], "epochs": "x"}}), "BadConfig"),
     # An integer literal too large for a double overflows where 1e400 would read as inf.
     "model-bias-out-of-range": ("model", lambda obj: json.dumps({**obj, "bias": 10**400}), "BadConfig"),
     "split-not-json": ("split", lambda obj: "{not json", "BadValue"),
@@ -702,3 +722,15 @@ def test_every_readme_command_parses():
     assert len(commands) == 12
     for argv in commands:
         assert _build_parser().parse_args(argv).subcommand == argv[0]
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    # The README's Python block, run where `strobe extract` has written the
+    # features.csv of the corpus the block generates.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## Library use\n\n```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    out, _ = gen_corpus(SynthConfig(n_families=10, seed=1), "corpus")
+    assert main(["extract", "--apk-dir", str(out), "--out", "features.csv"]) == 0
+    exec(compile(block, "README.md", "exec"), {})
+    assert "EvalResult(" in capsys.readouterr().out

@@ -1,7 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strobe import evaluation
 from strobe.dataset import MAX_SPLIT_RETRIES, Corpus, Label, Sample, SplitStrategy, random_split
@@ -16,7 +19,6 @@ from strobe.evaluation import (
     run_experiment,
     run_lofo,
     train_on_split,
-    weighted_family_accuracy,
 )
 from strobe.features import FeatureVector
 from strobe.learners import (
@@ -96,6 +98,28 @@ def test_confusion_arithmetic():
 def test_holdout_empty():
     with pytest.raises(EmptyTest):
         holdout_eval(constant_model(Label.SE), *design_matrix([]))
+
+
+# Decisions at and around the threshold: a zero of either sign and a NaN predict NOT_SE.
+_DECISIONS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                       st.floats(allow_nan=True, allow_infinity=True))
+_CONFUSION_ROWS = st.lists(st.tuples(_DECISIONS, st.sampled_from([1.0, -1.0]), st.integers(0, 5)),
+                           max_size=40)
+
+
+@given(_CONFUSION_ROWS, st.integers(0, 3))
+def test_confusions_match_a_per_group_loop(rows, extra_groups):
+    """The bincount of confusion cells against counting row by row; groups
+    no row falls in, the extra ones included, count zero."""
+    n_groups = 6 + extra_groups
+    expected = [[0, 0, 0, 0] for _ in range(n_groups)]  # tp, fp, tn, fn
+    for d, label, group in rows:
+        predicted_se, actual_se = d > 0, label > 0
+        cell = (0 if actual_se else 1) if predicted_se else (3 if actual_se else 2)
+        expected[group][cell] += 1
+    decision, y, groups = (np.array([row[i] for row in rows], dtype=dtype)
+                           for i, dtype in enumerate((float, float, np.intp)))
+    assert evaluation._confusions(decision, y, groups, n_groups).tolist() == expected
 
 
 # --- prequential -------------------------------------------------------------
@@ -219,22 +243,6 @@ def test_prequential_rejects_sample_without_features_before_touching_model():
 
 
 # --- aggregate metrics ---------------------------------------------------------
-
-def test_weighted_family_accuracy_arithmetic():
-    assert weighted_family_accuracy([("A", 10, 1.0), ("B", 30, 0.5)]) == 0.625
-
-
-def test_weighted_family_accuracy_constant():
-    rows = [(f"f{i}", i + 1, 0.7) for i in range(20)]
-    assert weighted_family_accuracy(rows) == pytest.approx(0.7)
-
-
-def test_weighted_family_accuracy_errors():
-    with pytest.raises(Empty):
-        weighted_family_accuracy([])
-    with pytest.raises(BadValue):
-        weighted_family_accuracy([("A", 0, 1.0)])
-
 
 def test_weighted_equals_pooled_accuracy():
     corpus = separable_corpus()

@@ -315,12 +315,12 @@ def test_batch_predict_rows_matches_predict():
     X, _ = design_matrix(train)
     for seed in range(3):
         model = batch_train(*design_matrix(train[:150]), seed=seed)
-        assert model.predict(X).tolist() == \
+        assert (model.decision(X) > 0).tolist() == \
             [reference_decision(model, s.features) > 0.0 for s in train]
-        assert [predict(model, s.features) is Label.SE for s in train] == model.predict(X).tolist()
+        assert [predict(model, s.features) is Label.SE for s in train] == (model.decision(X) > 0).tolist()
     tie = BatchModel(weights=np.zeros(8), bias=0.0, scaler=Scaler(np.zeros(8), np.ones(8)),
                      hyperparams=HingeHyperparams())
-    assert not tie.predict(X).any()
+    assert not (tie.decision(X) > 0).any()
 
 
 def test_online_predict_rows_matches_online_predict():
@@ -331,7 +331,7 @@ def test_online_predict_rows_matches_online_predict():
               online_train(*design_matrix(train[:3]), k=5, seed=2),  # members with one class only
               online_train(*design_matrix(train[:150]), k=10, seed=3)]
     for model in models:
-        assert model.predict(X).tolist() == \
+        assert (model.decision(X) > 0).tolist() == \
             [reference_online_predict(model, s.features) is Label.SE for s in train]
 
 
