@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -579,47 +580,64 @@ def model_to_json(model: BatchModel | OnlineModel) -> dict:
     }
 
 
-def _finite_array(values, shape: tuple[int, ...], name: str, dtype=float) -> np.ndarray:
-    """values as an array of the given shape and finite entries, else BadConfig."""
-    array = np.asarray(values, dtype=dtype)
-    if array.shape != shape or not np.isfinite(array).all():
-        raise BadConfig(f"malformed model: {name} is not {shape} finite values")
+# What each number of a model file must be. Only JSON numbers pass: float()
+# and numpy would take a bool or a numeric string, and int64 truncates a float.
+_NUMBER = "a finite number"
+_INTEGER = "an integer"
+_COUNT = "an integer >= 0"
+_KIND_TESTS = {
+    _NUMBER: lambda v: isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v),
+    _INTEGER: lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+    _COUNT: lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0,
+}
+
+
+def _read(values, shape: tuple[int, ...], name: str, kind: str = _NUMBER):
+    """values, numbers nested in lists to the given shape, each of the given
+    kind: as an array (int64 for integers), or for shape () the number
+    itself. Anything else raises BadConfig."""
+    entries = [values]
+    for _ in shape:
+        entries = [x for row in entries for x in row]
+    if not all(map(_KIND_TESTS[kind], entries)):
+        raise BadConfig(f"malformed model: {name} holds a value that is not {kind}")
+    if not shape:
+        return values
+    array = np.asarray(values, dtype=float if kind == _NUMBER else np.int64)
+    if array.shape != shape:
+        raise BadConfig(f"malformed model: {name} is not of shape {shape}")
     return array
 
 
 def model_from_json(obj: dict) -> BatchModel | OnlineModel:
     """The model of a model_to_json object; a malformed object, or one whose
-    arrays have the wrong shape or hold a non-finite value, raises BadConfig."""
+    fields have the wrong shape or hold a value of the wrong kind, raises
+    BadConfig."""
     try:
         kind = obj["kind"]
         if kind == "batch":
-            mean, std = (_finite_array(obj["scaler"][key], (N_FEATURES,), f"scaler {key}")
+            mean, std = (_read(obj["scaler"][key], (N_FEATURES,), f"scaler {key}")
                          for key in ("mean", "std"))
             if not (std > 0.0).all():
                 raise BadConfig("malformed model: a scaler std is not positive")
             hp = HingeHyperparams(**obj["hyperparams"])
-            if not (all(type(v) in (int, float) and math.isfinite(v) for v in (hp.lam, hp.lr))
-                    and type(hp.epochs) is int and hp.epochs >= 0):  # type() keeps bools out
-                raise BadConfig(f"malformed model: hyperparams {obj['hyperparams']!r}")
+            for key, number in (("lam", _NUMBER), ("lr", _NUMBER), ("epochs", _COUNT)):
+                _read(getattr(hp, key), (), f"hyperparams {key}", number)
             return BatchModel(
-                weights=_finite_array(obj["weights"], (N_FEATURES,), "weights"),
-                bias=float(_finite_array(obj["bias"], (), "bias")),
+                weights=_read(obj["weights"], (N_FEATURES,), "weights"),
+                bias=float(_read(obj["bias"], (), "bias")),
                 scaler=Scaler(mean, std),
                 hyperparams=hp,
             )
         if kind == "online":
             members = obj["learners"]
             k = len(members)
-            model = online_init(k, float(obj["lam_poisson"]), int(obj["seed"]))
-            # int64 would truncate a float count and take a bool or a numeric string.
-            if not all(type(c) is int and c >= 0 for m in members for c in m["counts"]):
-                raise BadConfig("malformed model: a count is not a non-negative integer")
-            model.counts = _finite_array([m["counts"] for m in members], (k, 2), "counts", np.int64)
-            model.mean = _finite_array([m["mean"] for m in members], (k, 2, N_FEATURES), "mean")
-            model.m2 = _finite_array([m["m2"] for m in members], (k, 2, N_FEATURES), "m2")
-            model.n_draws = int(obj["n_draws"])
-            if model.n_draws < 0:
-                raise BadConfig(f"malformed model: n_draws {model.n_draws} is negative")
+            model = online_init(k, float(_read(obj["lam_poisson"], (), "poisson lambda")),
+                                int(_read(obj["seed"], (), "seed", _INTEGER)))
+            model.counts = _read([m["counts"] for m in members], (k, 2), "counts", _COUNT)
+            model.mean = _read([m["mean"] for m in members], (k, 2, N_FEATURES), "mean")
+            model.m2 = _read([m["m2"] for m in members], (k, 2, N_FEATURES), "m2")
+            model.n_draws = int(_read(obj["n_draws"], (), "n_draws", _COUNT))
             # numpy's setter truncates a float and overflows on a negative or oversized integer.
             state = obj["rng_state"]
             words = ((state["state"]["state"], 128), (state["state"]["inc"], 128),

@@ -2,9 +2,11 @@
 
 Contains the minimal DEX writer (the round-trip counterpart of the parser),
 the XOR+base64 string scrambler used to simulate string encryption, and a
-seeded generator that emits whole labeled corpora of APK files. Families get
-stable random "fingerprints" (string length, alphabet size, punctuation
-rates), which is the nuisance signal a leaky evaluation can memorize.
+seeded generator that emits whole labeled corpora of APK files. Each family
+gets a stable random style, one record of three traits: a vocabulary (its
+alphabet and word lengths), a mean word count, and one rate per class of
+inserted character. Apps jitter their family's style. It is the nuisance
+signal a leaky evaluation can memorize.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import hashlib
 import math
 import struct
 import zlib
-from dataclasses import dataclass, asdict, field, fields, replace
+from dataclasses import dataclass, asdict, field, fields
 from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -307,122 +310,92 @@ _DOS_DATE_1980 = 1 << 5 | 1  # year 1980 (0), month 1, day 1
 
 _WORD_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 _VOCAB_SIZE = 48  # distinct words per family
+# The classes of character that payload strings insert, one rate each in a
+# style: four punctuation marks, then one character drawn from a pool.
+_INSERTED = ("-", "/", "+", "=", _UNICODE_POOL)
 
 
-@dataclass
-class _FamilyProfile:
-    """Stable per-family string-style traits; all offsets scale with
-    fingerprint_strength so strength 0 makes families statistically alike."""
+class _Style(NamedTuple):
+    """The string style of a family, or one app's variant of it: the words
+    its strings are made of, the mean number of words after the first, and
+    per class of _INSERTED the mean number inserted into a string. Every
+    trait scales with fingerprint_strength, so strength 0 makes families
+    statistically alike."""
 
-    alphabet: str
-    word_len_mu: float
+    vocab: list[str]
     extra_words: float
-    dash_rate: float
-    slash_rate: float
-    plus_rate: float
-    eq_rate: float
-    doubling: float
-    unicode_rate: float
-    vocab: list[str] = field(default_factory=list)
+    rates: list[float]
 
 
-def _make_profile(strength: float, rng: np.random.Generator) -> _FamilyProfile:
+def _family_style(strength: float, rng: np.random.Generator) -> _Style:
     alphabet_size = int(np.clip(round(18 + strength * rng.uniform(-12, 12)), 5, len(_WORD_CHARS)))
-    letters = rng.choice(list(_WORD_CHARS), size=alphabet_size, replace=False)
-    profile = _FamilyProfile(
-        alphabet="".join(letters),
-        word_len_mu=float(np.clip(8 + strength * rng.uniform(-5, 9), 2.5, 26)),
-        extra_words=float(max(0.05, 1.0 + strength * rng.uniform(-1.0, 3.0))),
-        dash_rate=strength * rng.uniform(0, 1.5),
-        slash_rate=strength * rng.uniform(0, 1.5),
-        plus_rate=strength * rng.uniform(0, 0.6),
-        eq_rate=strength * rng.uniform(0, 0.6),
-        doubling=strength * rng.uniform(0, 0.35),
-        unicode_rate=strength * rng.uniform(0, 0.4),
-    )
-    profile.vocab = _make_vocab(profile, rng)
-    return profile
+    alphabet = rng.choice(list(_WORD_CHARS), size=alphabet_size, replace=False).tolist()
+    word_len_mu = float(np.clip(8 + strength * rng.uniform(-5, 9), 2.5, 26))
+    extra_words = float(max(0.05, 1.0 + strength * rng.uniform(-1.0, 3.0)))
+    # The rates of "-", "/", "+" and "=", the doubling chance, then the unicode
+    # rate: one draw, the same values and generator state as six scalar ones.
+    rates = (strength * rng.uniform(0, (1.5, 1.5, 0.6, 0.6, 0.35, 0.4))).tolist()
+    doubling = rates.pop(4)
 
-
-def _make_vocab(profile: _FamilyProfile, rng: np.random.Generator) -> list[str]:
     vocab: dict[str, None] = {}  # distinct words, in draw order
     while len(vocab) < _VOCAB_SIZE:
-        vocab[_make_word(profile, rng)] = None
-    return list(vocab)
-
-
-def _make_word(profile: _FamilyProfile, rng: np.random.Generator) -> str:
-    length = max(2, int(round(rng.normal(profile.word_len_mu, 1.5))))
-    chars = [profile.alphabet[i] for i in rng.integers(0, len(profile.alphabet), size=length)]
-    if rng.random() < profile.doubling:
-        pos = int(rng.integers(0, len(chars)))
-        chars.insert(pos, chars[pos])
-    return "".join(chars)
+        length = max(2, int(round(rng.normal(word_len_mu, 1.5))))
+        chars = [alphabet[i] for i in rng.integers(0, len(alphabet), size=length)]
+        if rng.random() < doubling:
+            pos = int(rng.integers(0, len(chars)))
+            chars.insert(pos, chars[pos])
+        vocab["".join(chars)] = None
+    return _Style(list(vocab), extra_words, rates)
 
 
 def _variant_jitter(family_size: int) -> float:
     return 0.38 * min(1.0, family_size / 400.0)
 
 
-def _app_style(profile: _FamilyProfile, rng: np.random.Generator, jitter: float) -> _FamilyProfile:
-    """Per-app variant of a family profile.
+def _app_style(family: _Style, rng: np.random.Generator, jitter: float) -> _Style:
+    """Per-app variant of a family style.
 
     Big malware families ship many variants, so apps from a large family get
     jittered string-style traits; small families stay near-identical. Jitter
     is multiplicative and zero-mean, keeping the family centroid in place.
     """
-    def nudge(rate: float) -> float:
-        return max(0.0, rate * (1.0 + jitter * rng.uniform(-1.0, 1.0)))
-
-    vocab = profile.vocab
+    vocab = family.vocab
     if jitter > 0:
         keep = max(8, int(round(len(vocab) * (1.0 - 0.5 * jitter * rng.random()))))
         vocab = [vocab[i] for i in sorted(rng.choice(len(vocab), size=keep, replace=False))]
-    return replace(
-        profile,
-        vocab=vocab,
-        extra_words=max(0.0, profile.extra_words * (1.0 + 0.6 * jitter * rng.uniform(-1.0, 1.0))),
-        dash_rate=nudge(profile.dash_rate),
-        slash_rate=nudge(profile.slash_rate),
-        plus_rate=nudge(profile.plus_rate),
-        eq_rate=nudge(profile.eq_rate),
-        unicode_rate=nudge(profile.unicode_rate),
-    )
+    extra_words = max(0.0, family.extra_words * (1.0 + 0.6 * jitter * rng.uniform(-1.0, 1.0)))
+    nudges = rng.uniform(-1.0, 1.0, len(family.rates)).tolist()
+    return _Style(vocab, extra_words,
+                  [max(0.0, rate * (1.0 + jitter * u)) for rate, u in zip(family.rates, nudges)])
 
 
-def _make_payload_string(style: _FamilyProfile, rng: np.random.Generator) -> str:
+def _make_payload_string(style: _Style, rng: np.random.Generator) -> str:
     n_words = 1 + int(rng.poisson(style.extra_words))
     words = [style.vocab[i] for i in rng.integers(0, len(style.vocab), size=n_words)]
     s = " ".join(words)
-    for ch, rate in (
-        ("-", style.dash_rate),
-        ("/", style.slash_rate),
-        ("+", style.plus_rate),
-        ("=", style.eq_rate),
-    ):
+    for chars, rate in zip(_INSERTED, style.rates):
         for _ in range(int(rng.poisson(rate))):
             pos = int(rng.integers(0, len(s) + 1))
+            # A pool's character is drawn after the position: the pinned
+            # corpora depend on that order.
+            ch = chars if len(chars) == 1 else chars[int(rng.integers(0, len(chars)))]
             s = s[:pos] + ch + s[pos:]
-    for _ in range(int(rng.poisson(style.unicode_rate))):
-        pos = int(rng.integers(0, len(s) + 1))
-        ch = _UNICODE_POOL[int(rng.integers(0, len(_UNICODE_POOL)))]
-        s = s[:pos] + ch + s[pos:]
     return s
 
 
-def _make_identifiers(profile: _FamilyProfile, rng: np.random.Generator, n_members: int, dex_tag: str) -> tuple[str, list[str]]:
-    w1 = profile.vocab[int(rng.integers(0, len(profile.vocab)))][:8]
-    w2 = profile.vocab[int(rng.integers(0, len(profile.vocab)))][:10]
+def _make_identifiers(vocab: list[str], rng: np.random.Generator, n_members: int, dex_tag: str) -> tuple[str, list[str]]:
+    w1 = vocab[int(rng.integers(0, len(vocab)))][:8]
+    w2 = vocab[int(rng.integers(0, len(vocab)))][:10]
     type_descriptor = f"Lcom/{w1}/{w2.capitalize()}{dex_tag};"
     members: dict[str, None] = {}  # distinct names, in draw order
-    bounds = [len(_MEMBER_PREFIXES), len(profile.vocab)]
+    bounds = [len(_MEMBER_PREFIXES), len(vocab)]
     while len(members) < n_members:
         # A (prefix, word) draw per missing member, in one call: the same
         # values, and the same generator state after, as one scalar draw each.
         # A round adds at most one member per pair, so none is drawn too many.
         draws = rng.integers(0, bounds * (n_members - len(members))).tolist()
         for prefix, word in zip(draws[0::2], draws[1::2]):
-            members[_MEMBER_PREFIXES[prefix] + profile.vocab[word][:10].capitalize()] = None
+            members[_MEMBER_PREFIXES[prefix] + vocab[word][:10].capitalize()] = None
     return type_descriptor, list(members)
 
 
@@ -439,12 +412,15 @@ def family_sizes(cfg: SynthConfig) -> list[int]:
 def _plan_families(cfg: SynthConfig, sizes: list[int], rng: np.random.Generator) -> list[int]:
     """Decide each family's class makeup: how many of its samples are SE.
 
-    Mixed families include the largest family (if any are requested) plus
-    mid-band ones: a label-pure giant makes whole-family splits collapse into
-    one class, which no evaluation protocol survives. Mixed families carry a
-    12-30% minority share. Pure families are then labeled greedily down the
-    size ranking so both classes end with comparable sample mass, not just a
-    comparable family count.
+    round(mixed_family_fraction * n_families) families, at most the size of
+    the band, are mixed. They are drawn from the size ranks n//6 up to
+    n//2 (at least one rank), so the band holds the largest family only when
+    n_families < 6. Each mixed family gives a 30-50% minority share, at
+    least one sample and at most all but one, to the side a coin picks. The
+    pure families are then labeled greedily down the size ranking, until
+    round(se_family_fraction * pure families) are SE: each takes the side
+    that brings the SE share of samples closer to one half, so both classes
+    end with comparable sample mass, not just a comparable family count.
     """
     n = cfg.n_families
     by_size = sorted(range(n), key=lambda i: (-sizes[i], i))
@@ -459,6 +435,9 @@ def _plan_families(cfg: SynthConfig, sizes: list[int], rng: np.random.Generator)
 
     plans: dict[int, int] = {}
     se_mass = not_mass = 0
+    # The set's own iteration order, which is neither the draw order nor
+    # sorted ([33, 11, 13, ...] at the confounded seed). The pinned corpora
+    # depend on it: sorting it would change them.
     for i in mixed:
         minority = min(sizes[i] - 1, max(1, int(round(rng.uniform(0.3, 0.5) * sizes[i]))))
         n_se = sizes[i] - minority if rng.random() < 0.5 else minority
@@ -470,19 +449,17 @@ def _plan_families(cfg: SynthConfig, sizes: list[int], rng: np.random.Generator)
     n_se_fams = int(round(cfg.se_family_fraction * len(pure)))
     se_left, not_left = n_se_fams, len(pure) - n_se_fams
     for i in pure:
-        if se_left == 0:
-            side = "NOT_SE"
-        elif not_left == 0:
-            side = "SE"
+        if not (se_left and not_left):
+            is_se = se_left > 0
         else:
             total = se_mass + not_mass + sizes[i]
             gap_se = abs((se_mass + sizes[i]) / total - 0.5)
             gap_not = abs(se_mass / total - 0.5)
             if math.isclose(gap_se, gap_not, rel_tol=0.0, abs_tol=1e-12):
-                side = "SE" if rng.random() < 0.5 else "NOT_SE"
+                is_se = rng.random() < 0.5
             else:
-                side = "SE" if gap_se < gap_not else "NOT_SE"
-        if side == "SE":
+                is_se = gap_se < gap_not
+        if is_se:
             se_left -= 1
             se_mass += sizes[i]
             plans[i] = sizes[i]
@@ -495,18 +472,17 @@ def _plan_families(cfg: SynthConfig, sizes: list[int], rng: np.random.Generator)
 
 def _sample_labels(n_se: int, size: int, rng: np.random.Generator) -> list[str]:
     labels = ["SE"] * n_se + ["NOT_SE"] * (size - n_se)
-    order = rng.permutation(size)
-    return [labels[order[i]] for i in range(size)]
+    return [labels[i] for i in rng.permutation(size).tolist()]
 
 
 def _build_app_dexes(
     cfg: SynthConfig,
-    profile: _FamilyProfile,
+    family: _Style,
     label: str,
     rng: np.random.Generator,
     family_size: int,
 ) -> list[bytes]:
-    style = _app_style(profile, rng, _variant_jitter(family_size))
+    style = _app_style(family, rng, _variant_jitter(family_size))
     lo, hi = cfg.strings_per_app
     n_strings = int(rng.integers(lo, hi + 1))
     drawn: dict[str, None] = {}  # distinct non-empty strings, in draw order
@@ -536,7 +512,7 @@ def _build_app_dexes(
         chunk = payload[d::n_dex]
         members_share = n_members_total // n_dex + (1 if d < n_members_total % n_dex else 0)
         tag = "" if d == 0 else str(d + 1)
-        type_descriptor, members = _make_identifiers(profile, rng, members_share, tag)
+        type_descriptor, members = _make_identifiers(family.vocab, rng, members_share, tag)
         # A one-word payload string can equal a member name.
         named = {type_descriptor, *members}
         dexes.append(build_dex(DexSpec(
@@ -594,12 +570,12 @@ def gen_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:
         # Heavy families get the full fingerprint spread; the light tail stays
         # closer to a common core, like the many me-too families in the wild.
         strength = cfg.fingerprint_strength * (0.45 + 0.55 * min(1.0, sizes[fam_idx] / 250.0))
-        profile = _make_profile(strength, fam_rng)
+        family = _family_style(strength, fam_rng)
         labels = _sample_labels(se_counts[fam_idx], sizes[fam_idx], fam_rng)
         for s_idx in range(sizes[fam_idx]):
             sample_id = f"{fam_name}_{s_idx:04d}"
             app_rng = np.random.default_rng(np.random.SeedSequence([base, 2, fam_idx, s_idx]))
-            dexes = _build_app_dexes(cfg, profile, labels[s_idx], app_rng, sizes[fam_idx])
+            dexes = _build_app_dexes(cfg, family, labels[s_idx], app_rng, sizes[fam_idx])
             rel_path = f"{fam_name}/{sample_id}.apk"
             write_apk(out_dir / rel_path, dexes)
             rows.append((sample_id, fam_name, labels[s_idx], rel_path))

@@ -550,6 +550,11 @@ def _online_model_with_float_counts(obj):
     return json.dumps(online)
 
 
+def _online_model_with(key, value):
+    """An online model whose field key holds value."""
+    return lambda obj: json.dumps({**model_to_json(online_init(k=2, seed=0)), key: value})
+
+
 # Ways to break the --model or --split file of eval, and the error each gives.
 BROKEN_EVAL_INPUTS = {
     "model-not-json": ("model", lambda obj: "{not json", "BadConfig"),
@@ -566,6 +571,18 @@ BROKEN_EVAL_INPUTS = {
         {**obj, "hyperparams": {**obj["hyperparams"], "epochs": "x"}}), "BadConfig"),
     # An integer literal too large for a double overflows where 1e400 would read as inf.
     "model-bias-out-of-range": ("model", lambda obj: json.dumps({**obj, "bias": 10**400}), "BadConfig"),
+    # float() and numpy would convert each of these, or truncate it.
+    "model-weights-strings": ("model", lambda obj: json.dumps(
+        {**obj, "weights": [str(w) for w in obj["weights"]]}), "BadConfig"),
+    "model-weights-bools": ("model", lambda obj: json.dumps({**obj, "weights": [True] * 8}),
+                            "BadConfig"),
+    "model-scaler-mean-bools": ("model", lambda obj: json.dumps(
+        {**obj, "scaler": {**obj["scaler"], "mean": [True] * 8}}), "BadConfig"),
+    "model-bias-a-bool": ("model", lambda obj: json.dumps({**obj, "bias": True}), "BadConfig"),
+    "model-bias-a-string": ("model", lambda obj: json.dumps({**obj, "bias": "0.5"}), "BadConfig"),
+    "model-online-float-seed": ("model", _online_model_with("seed", 1.7), "BadConfig"),
+    "model-online-n_draws-a-string": ("model", _online_model_with("n_draws", "40"), "BadConfig"),
+    "model-online-lambda-a-bool": ("model", _online_model_with("lam_poisson", True), "BadConfig"),
     "split-not-json": ("split", lambda obj: "{not json", "BadValue"),
     "split-not-an-object": ("split", lambda obj: json.dumps(list(obj)), "BadValue"),
     "split-missing-key": ("split", _without("test_ids"), "BadValue"),

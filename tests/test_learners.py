@@ -612,7 +612,7 @@ def _with_state(edit):
     return broken
 
 
-# Ways to break a saved online model: its generator state or its draw count.
+# Ways to break a saved online model: its generator state, draw count, seed or lambda.
 BROKEN_ONLINE_MODELS = {
     "missing": lambda obj: {k: v for k, v in obj.items() if k != "rng_state"},
     "not-an-object": lambda obj: {**obj, "rng_state": 7},
@@ -625,6 +625,12 @@ BROKEN_ONLINE_MODELS = {
     "has-uint32-out-of-range": _with_state(lambda s: s.update(has_uint32=7)),
     "uinteger-negative": _with_state(lambda s: s.update(uinteger=-1)),
     "negative-n_draws": lambda obj: {**obj, "n_draws": -1},
+    # Numbers that int() or float() would truncate or convert.
+    "float-n_draws": lambda obj: {**obj, "n_draws": 2.9},
+    "bool-n_draws": lambda obj: {**obj, "n_draws": True},
+    "string-seed": lambda obj: {**obj, "seed": "12"},
+    "bool-seed": lambda obj: {**obj, "seed": True},
+    "string-lambda": lambda obj: {**obj, "lam_poisson": "6.0"},
 }
 
 

@@ -273,3 +273,20 @@ def test_se_apps_show_encryption_artifacts(tmp_path):
         n = len(app.non_identifier_strings)
         eq[s.label].append(sum(t.count("=") for t in app.non_identifier_strings) / n)
     assert min(eq[Label.SE]) > max(eq[Label.NOT_SE])
+
+
+def test_strength_zero_inserts_no_styled_characters(tmp_path):
+    """At fingerprint_strength 0 every insertion rate is 0, so no plaintext
+    string holds a punctuation mark or a unicode character; at strength 1
+    some do, so the check can fail."""
+    marked = {}
+    for strength in (0.0, 1.0):
+        cfg = SynthConfig(n_families=4, samples_per_family=(6, 10), mixed_family_fraction=0.0,
+                          fingerprint_strength=strength, strings_per_app=(20, 30), seed=12)
+        out, manifest = gen_corpus(cfg, tmp_path / str(strength))
+        marked[strength] = sum(
+            1 for s in load_manifest(manifest).samples if s.label is Label.NOT_SE
+            for t in extract_app_strings(out / s.path).non_identifier_strings
+            if not t.isascii() or set(t) & set("-/+="))
+    assert marked[0.0] == 0
+    assert marked[1.0] > 0
