@@ -4,7 +4,7 @@ Batch: a linear max-margin classifier trained by stochastic subgradient
 descent on the regularized hinge loss, with leakage-safe standardization
 fitted on training data only and a grid search capped at 200 configurations.
 One engine, hinge_sgd, trains any number of fits in lockstep (each step moves
-every fit by its own next sample [y * x, y] in four numpy calls, exact since
+every fit by its own next sample [y * x, y] in five numpy calls, exact since
 y = +-1) with weights bit-identical to training each fit alone; batch_train
 is one fit, grid_search every (grid point, fold) pair, and run_lofo and
 run_experiment every fold or repetition of a run.
@@ -81,11 +81,9 @@ class BatchModel:
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         """The margin w . x + b on every row of raw features X (x
-        standardized). The stacked matmul runs the dot kernel of w @ x, so
-        each row's margin is bit-identical to it."""
-        Xs = self.scaler.transform(X)
-        margins = np.matmul(self.weights[None, None, :], Xs[:, :, None]).reshape(len(Xs))
-        return margins + self.bias
+        standardized). np.vecdot runs the dot kernel of w @ x, the one
+        hinge_sgd's step uses, so each row's margin is bit-identical to it."""
+        return np.vecdot(self.scaler.transform(X), self.weights) + self.bias
 
 
 def fit_scaler(X: np.ndarray) -> Scaler:
@@ -143,12 +141,15 @@ def hinge_sgd(
     are ordered by update count, largest first, so the live fits are always a
     prefix of the weight matrix. Row i of W holds fit i's [w, b]; a sample
     enters as z = [y * x, y] (x standardized) and u = lr * z, and a step
-    makes four calls on the stack of fits: the margin as a stacked matmul of
-    W with z, the test margin < 1, the shrink, and the add of u where the
-    test holds (adding zero could flip a signed zero). As y is +-1 and
-    rounding is symmetric in sign, u is the loop's (lr * y) * x, and the dot
-    kernel of w @ x (einsum or a row sum would round differently) gives its
-    y * (w @ x + b) bit for bit, but for the sign of a zero margin.
+    makes five calls on the stack of fits: the margins as np.vecdot of W with
+    z, the test margin < 1, the shrink, W + u into a scratch array, and a
+    copy of that back into W where the test holds. The copy is masked, not
+    an add of u times the test, because adding zero could flip a signed zero
+    (-0 + 0 is +0) that a negative shrink left. As y is +-1 and rounding is
+    symmetric in sign, u is the loop's (lr * y) * x, and vecdot runs the dot
+    kernel of w @ x (einsum or a row sum would round differently), so it
+    gives the loop's y * (w @ x + b) bit for bit, but for the sign of a zero
+    margin.
     """
     scalers: list[Scaler | None] = []
     for rows, _ in streams:
@@ -179,7 +180,7 @@ def hinge_sgd(
     cap = max(16, _BLOCK_VALUES // (width * max(n_live, 1)))
     G = np.zeros((cap, len(streams)), dtype=np.intp)
     zbuf, ubuf = np.empty((2, cap * n_live * width))
-    matmul, less, multiply, add = np.matmul, np.less, np.multiply, np.add
+    vecdot, less, multiply, add, copyto = np.vecdot, np.less, np.multiply, np.add, np.copyto
     t0 = 0
     while n_live and t0 < T[0]:
         L = int(np.count_nonzero(T > t0))
@@ -198,14 +199,16 @@ def hinge_sgd(
         np.multiply(Z[..., :N_FEATURES], Z[..., N_FEATURES:], out=Z[..., :N_FEATURES])
         np.multiply(lr[:L], Z, out=U)
 
-        Wl, W3, Sl, one = W[:L], W[:L, None], shrink[:L], ones[:L]
-        dots, active = np.empty((L, 1, 1)), np.empty((L, 1), dtype=bool)
-        margin, active1 = dots.reshape(L), active.reshape(L)
-        for z, u in zip(Z[..., None], U):
-            matmul(W3, z, dots)
+        Wl, Sl, one = W[:L], shrink[:L], ones[:L]
+        margin, nxt = np.empty(L), np.empty((L, width))
+        active = np.empty((L, 1), dtype=bool)
+        active1 = active.reshape(L)
+        for z, u in zip(Z, U):
+            vecdot(Wl, z, margin)
             less(margin, one, active1)
             multiply(Wl, Sl, Wl)
-            add(Wl, u, Wl, where=active)
+            add(Wl, u, nxt)
+            copyto(Wl, nxt, where=active)
         t0 = t1
 
     slot = {f: i for i, f in enumerate(live)}
@@ -620,9 +623,12 @@ def model_from_json(obj: dict) -> BatchModel | OnlineModel:
                          for key in ("mean", "std"))
             if not (std > 0.0).all():
                 raise BadConfig("malformed model: a scaler std is not positive")
-            hp = HingeHyperparams(**obj["hyperparams"])
-            for key, number in (("lam", _NUMBER), ("lr", _NUMBER), ("epochs", _COUNT)):
-                _read(getattr(hp, key), (), f"hyperparams {key}", number)
+            # A missing key is an error, not the training default.
+            given = obj["hyperparams"]
+            if set(given) != {"lam", "lr", "epochs"}:
+                raise BadConfig("malformed model: hyperparams are not exactly lam, lr and epochs")
+            hp = HingeHyperparams(**{key: _read(given[key], (), f"hyperparams {key}", kind)
+                                     for key, kind in (("lam", _NUMBER), ("lr", _NUMBER), ("epochs", _COUNT))})
             return BatchModel(
                 weights=_read(obj["weights"], (N_FEATURES,), "weights"),
                 bias=float(_read(obj["bias"], (), "bias")),

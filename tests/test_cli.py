@@ -569,6 +569,11 @@ BROKEN_EVAL_INPUTS = {
     "model-online-float-counts": ("model", _online_model_with_float_counts, "BadConfig"),
     "model-epochs-a-string": ("model", lambda obj: json.dumps(
         {**obj, "hyperparams": {**obj["hyperparams"], "epochs": "x"}}), "BadConfig"),
+    # A missing hyperparameter would load as its training default.
+    "model-hyperparams-empty": ("model", lambda obj: json.dumps({**obj, "hyperparams": {}}), "BadConfig"),
+    "model-hyperparams-no-epochs": ("model", lambda obj: json.dumps(
+        {**obj, "hyperparams": {k: v for k, v in obj["hyperparams"].items() if k != "epochs"}}),
+                                    "BadConfig"),
     # An integer literal too large for a double overflows where 1e400 would read as inf.
     "model-bias-out-of-range": ("model", lambda obj: json.dumps({**obj, "bias": 10**400}), "BadConfig"),
     # float() and numpy would convert each of these, or truncate it.

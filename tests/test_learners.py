@@ -240,24 +240,26 @@ _MARGIN_ROWS = st.lists(st.tuples(st.lists(_TERMS, min_size=9, max_size=9),
 
 @given(_MARGIN_ROWS)
 def test_folded_margin_is_the_per_sample_margin_bit_for_bit(rows):
-    """hinge_sgd's margin, the stacked matmul of [w, b] with [y * x, y], is
-    the per-sample loop's y * (w @ x + b) bit for bit, signbit included,
-    since y is +-1 and the dot kernel adds b * y after the same eight terms.
-    An exact zero is the one exception: the kernel sums from +0, so it may
-    come out +0 where y * (w @ x + b) is -0, which margin < 1 does not see."""
+    """hinge_sgd's margin, np.vecdot of [w, b] with [y * x, y], is the
+    per-sample loop's y * (w @ x + b) bit for bit, signbit included, since y
+    is +-1 and the dot kernel adds b * y after the same eight terms; so is
+    the stacked matmul the step used before. An exact zero is the one
+    exception: the kernel sums from +0, so it may come out +0 where
+    y * (w @ x + b) is -0, which margin < 1 does not see."""
     W = np.array([wb for wb, _, _ in rows])
     X = np.array([x for _, x, _ in rows])
     y = np.array([label for _, _, label in rows])
     Z = np.column_stack([y[:, None] * X, y])
     with np.errstate(over="ignore", invalid="ignore"):
-        folded = np.matmul(W[:, None, :], Z[..., None]).reshape(len(rows))
+        kernels = [np.vecdot(W, Z), np.matmul(W[:, None, :], Z[..., None]).reshape(len(rows))]
         plain_margins = [y[i] * (W[i, :8] @ X[i] + W[i, 8]) for i in range(len(rows))]
-    for i, plain in enumerate(plain_margins):
-        if plain == 0.0:
-            assert folded[i] == 0.0
-        else:
-            assert folded[i].tobytes() == plain.tobytes(), (folded[i], plain)
-        assert (folded[i] < 1.0) == (plain < 1.0)
+    for folded in kernels:
+        for i, plain in enumerate(plain_margins):
+            if plain == 0.0:
+                assert folded[i] == 0.0
+            else:
+                assert folded[i].tobytes() == plain.tobytes(), (folded[i], plain)
+            assert (folded[i] < 1.0) == (plain < 1.0)
 
 
 @given(scales=st.lists(st.integers(-12, 12), min_size=8, max_size=8),
@@ -315,8 +317,8 @@ def test_batch_predict_rows_matches_predict():
     X, _ = design_matrix(train)
     for seed in range(3):
         model = batch_train(*design_matrix(train[:150]), seed=seed)
-        assert (model.decision(X) > 0).tolist() == \
-            [reference_decision(model, s.features) > 0.0 for s in train]
+        assert model.decision(X).tobytes() == \
+            np.array([reference_decision(model, s.features) for s in train]).tobytes()
         assert [predict(model, s.features) is Label.SE for s in train] == (model.decision(X) > 0).tolist()
     tie = BatchModel(weights=np.zeros(8), bias=0.0, scaler=Scaler(np.zeros(8), np.ones(8)),
                      hyperparams=HingeHyperparams())
