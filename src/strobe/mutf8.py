@@ -65,6 +65,24 @@ def encode_mutf8(text: str) -> bytes:
     return units.encode("utf-8", "surrogatepass").replace(b"\x00", b"\xc0\x80")
 
 
+def mutf8_is_utf8(text: str) -> bool:
+    """Whether text holds no NUL, no surrogate and no supplementary code point.
+
+    Such text encodes as plain UTF-8, has len(text) UTF-16 code units, and
+    sorts in UTF-16 code-unit order by plain string comparison. The strict
+    UTF-16 codec rejects a lone surrogate and gives a supplementary code
+    point two units.
+    """
+    if "\x00" in text:
+        return False
+    if text.isascii():
+        return True
+    try:
+        return len(text.encode("utf-16-le")) == 2 * len(text)
+    except UnicodeEncodeError:
+        return False
+
+
 def utf16_length(text: str) -> int:
     """Length of text in UTF-16 code units, the unit of dex string lengths."""
     return len(text.encode("utf-16-le", "surrogatepass")) >> 1

@@ -31,7 +31,7 @@ from .dataset import PATH_HEADER
 from .dex import (ENDIAN_CONSTANT, HEADER, IDENTIFIER_REFERENCES, NO_INDEX, SECTION_LAYOUT,
                   SIGNED_FROM, SectionInfo)
 from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge
-from .mutf8 import encode_mutf8, utf16_length, utf16_sort_key
+from .mutf8 import encode_mutf8, mutf8_is_utf8, utf16_length, utf16_sort_key
 
 DEX_MAGIC = b"dex\n035\x00"
 # The words of each class_def: class 0, public, no superclass, no
@@ -86,76 +86,89 @@ def _uleb128(value: int) -> bytes:
 
 
 def build_dex(spec: DexSpec) -> bytes:
-    """Emit a minimal structurally valid dex for the given string blueprint."""
+    """Emit a minimal structurally valid dex for the given string blueprint.
+
+    A string set with no NUL, no surrogate and no supplementary code point
+    takes the UTF-8 route: its code-point order is its UTF-16 order, each
+    UTF-16 length is len(s) and each MUTF-8 encoding is the UTF-8 one. Any
+    other set is sorted, measured and encoded through mutf8.
+    """
     spec.validate()
 
-    all_strings = sorted(spec.types + spec.methods + spec.fields + spec.source_files
-                         + spec.non_identifier_strings, key=utf16_sort_key)
+    all_strings = (spec.types + spec.methods + spec.fields + spec.source_files
+                   + spec.non_identifier_strings)
     if len(all_strings) > 0xFFFF:
         raise SpecTooLarge(f"{len(all_strings)} strings exceed the writer's 16-bit limits")
+    if mutf8_is_utf8("".join(all_strings)):
+        all_strings = sorted(all_strings)
+        lengths = list(map(len, all_strings))
+        encoded = list(map(str.encode, all_strings))
+    else:
+        all_strings = sorted(all_strings, key=utf16_sort_key)
+        lengths = list(map(utf16_length, all_strings))
+        encoded = list(map(encode_mutf8, all_strings))
     sid = {s: i for i, s in enumerate(all_strings)}
 
     # The string that each entry of an id table names. The one proto reuses
     # the first type descriptor as its shorty, which keeps the string set
     # exactly as specified; a dex with no source file has one class.
-    types = sorted(sid[s] for s in spec.types)
+    types = sorted(map(sid.__getitem__, spec.types))
     named = {
         "type_ids": types,
         "proto_ids": types[:1] if spec.methods else [],
-        "field_ids": sorted(sid[s] for s in spec.fields),
-        "method_ids": sorted(sid[s] for s in spec.methods),
-        "class_defs": [sid[s] for s in spec.source_files] or [NO_INDEX],
+        "field_ids": sorted(map(sid.__getitem__, spec.fields)),
+        "method_ids": sorted(map(sid.__getitem__, spec.methods)),
+        "class_defs": list(map(sid.__getitem__, spec.source_files)) or [NO_INDEX],
     }
-    # The id tables follow the header in layout order; an empty one has offset 0.
-    sections: dict[str, SectionInfo] = {}
-    off = HEADER.size
-    for name, words in SECTION_LAYOUT.items():
-        count = len(named[name]) if name in named else len(all_strings)
-        sections[name] = SectionInfo(count, off if count else 0)
-        off += 4 * words * count
-    data_off = off
+    # The id tables follow the header in SECTION_LAYOUT order, as one run of
+    # words from the string_ids (filled in below) on; an empty table has offset 0.
+    sections = [SectionInfo(len(all_strings), HEADER.size)]
+    words = [0] * len(all_strings)
+    for name, width in SECTION_LAYOUT.items():
+        if name == "string_ids":
+            continue
+        # Each entry holds its string in the word parse_dex reads it from.
+        ids, start = named[name], len(words)
+        words += (_CLASS_DEF if name == "class_defs" else (0,) * width) * len(ids)
+        words[start + IDENTIFIER_REFERENCES[name].string::width] = ids
+        sections.append(SectionInfo(len(ids), HEADER.size + 4 * start if ids else 0))
+    data_off = HEADER.size + 4 * len(words)
 
+    # Each string_data item: its UTF-16 length as ULEB128, its bytes, a NUL.
     string_data = bytearray()
-    string_offsets = []
-    for s in all_strings:
-        string_offsets.append(data_off + len(string_data))
-        string_data += _uleb128(utf16_length(s)) + encode_mutf8(s) + b"\x00"
-    while (data_off + len(string_data)) % 4:
+    for i, (length, raw) in enumerate(zip(lengths, encoded)):
+        words[i] = data_off + len(string_data)
+        if length < 0x80:
+            string_data.append(length)
+        else:
+            string_data += _uleb128(length)
+        string_data += raw
         string_data.append(0)
+    string_data += bytes(-(data_off + len(string_data)) % 4)
     map_off = data_off + len(string_data)
 
-    # The map_list item type of an id table is its place in SECTION_LAYOUT, from 0x0001.
+    # Each map_list item: its type, an unused half-word, a count and an offset.
+    # The item type of an id table is its place in SECTION_LAYOUT, from 0x0001.
     map_items = [
-        (TYPE_HEADER_ITEM, 1, 0),
-        *((item_type, *table) for item_type, table in enumerate(sections.values(), 1) if table.count),
-        (TYPE_STRING_DATA_ITEM, len(all_strings), data_off),
-        (TYPE_MAP_LIST, 1, map_off),
+        (TYPE_HEADER_ITEM, 0, 1, 0),
+        *((item_type, 0, *table) for item_type, table in enumerate(sections, 1) if table.count),
+        (TYPE_STRING_DATA_ITEM, 0, len(all_strings), data_off),
+        (TYPE_MAP_LIST, 0, 1, map_off),
     ]
 
     file_size = map_off + 4 + 12 * len(map_items)
     # The header after the signature: no link section, and the data from the strings on.
     header = (file_size, HEADER.size, ENDIAN_CONSTANT, 0, 0, map_off,
-              *chain.from_iterable(sections.values()), file_size - data_off, data_off)
-    buf = bytearray(file_size)
-    HEADER.pack_into(buf, 0, DEX_MAGIC, 0, b"", *header)
-
-    struct.pack_into(f"<{len(string_offsets)}I", buf, sections["string_ids"].offset, *string_offsets)
-    for name, ids in named.items():
-        # Each entry holds its string in the word parse_dex reads it from.
-        words = SECTION_LAYOUT[name]
-        table = list(_CLASS_DEF if name == "class_defs" else (0,) * words) * len(ids)
-        table[IDENTIFIER_REFERENCES[name].string::words] = ids
-        struct.pack_into(f"<{len(table)}I", buf, sections[name].offset, *table)
-
-    buf[data_off:map_off] = string_data
-    struct.pack_into("<I", buf, map_off, len(map_items))
-    for i, (item_type, count, item_off) in enumerate(map_items):
-        struct.pack_into("<HHII", buf, map_off + 4 + 12 * i, item_type, 0, count, item_off)
-
-    signed = bytes(buf[SIGNED_FROM:])
+              *chain.from_iterable(sections), file_size - data_off, data_off)
+    signed = b"".join((
+        HEADER.pack(DEX_MAGIC, 0, b"", *header)[SIGNED_FROM:],
+        struct.pack(f"<{len(words)}I", *words),
+        string_data,
+        struct.pack(f"<I{'HHII' * len(map_items)}", len(map_items), *chain.from_iterable(map_items)),
+    ))
     signature = hashlib.sha1(signed).digest()
-    HEADER.pack_into(buf, 0, DEX_MAGIC, zlib.adler32(signature + signed), signature, *header)
-    return bytes(buf)
+    checksum = zlib.adler32(signature + signed)
+    return HEADER.pack(DEX_MAGIC, checksum, signature, *header)[:SIGNED_FROM] + signed
 
 
 def encrypt_string(s: str, key: int) -> str:
@@ -204,6 +217,10 @@ class SynthConfig:
             raise InvalidConfig("families need at least one sample")
         if self.identifiers_per_app[0] < 1:
             raise InvalidConfig("apps need at least one identifier per dex")
+        # One type descriptor, and each member name a prefix and a family word.
+        if self.identifiers_per_app[1] > len(_MEMBER_PREFIXES) * _VOCAB_SIZE + 1:
+            raise InvalidConfig(f"identifiers_per_app must be at most "
+                                f"{len(_MEMBER_PREFIXES) * _VOCAB_SIZE + 1}")
         if self.skew < 0:
             raise InvalidConfig("skew must be >= 0")
         for name in ("se_family_fraction", "mixed_family_fraction"):
@@ -362,41 +379,56 @@ def _app_style(family: _Style, rng: np.random.Generator, jitter: float) -> _Styl
     vocab = family.vocab
     if jitter > 0:
         keep = max(8, int(round(len(vocab) * (1.0 - 0.5 * jitter * rng.random()))))
-        vocab = [vocab[i] for i in sorted(rng.choice(len(vocab), size=keep, replace=False))]
-    extra_words = max(0.0, family.extra_words * (1.0 + 0.6 * jitter * rng.uniform(-1.0, 1.0)))
-    nudges = rng.uniform(-1.0, 1.0, len(family.rates)).tolist()
+        vocab = [vocab[i] for i in sorted(rng.choice(len(vocab), size=keep, replace=False).tolist())]
+    # The word-count nudge, then one per rate: one draw, the same values and
+    # generator state as a scalar draw and then an array of the rest.
+    words_nudge, *nudges = rng.uniform(-1.0, 1.0, 1 + len(family.rates)).tolist()
+    extra_words = max(0.0, family.extra_words * (1.0 + 0.6 * jitter * words_nudge))
     return _Style(vocab, extra_words,
                   [max(0.0, rate * (1.0 + jitter * u)) for rate, u in zip(family.rates, nudges)])
 
 
 def _make_payload_string(style: _Style, rng: np.random.Generator) -> str:
-    n_words = 1 + int(rng.poisson(style.extra_words))
-    words = [style.vocab[i] for i in rng.integers(0, len(style.vocab), size=n_words)]
-    s = " ".join(words)
+    poisson, integers = rng.poisson, rng.integers
+    vocab = style.vocab
+    n_words = 1 + poisson(style.extra_words)
+    s = " ".join(map(vocab.__getitem__, integers(0, len(vocab), size=n_words).tolist()))
     for chars, rate in zip(_INSERTED, style.rates):
-        for _ in range(int(rng.poisson(rate))):
-            pos = int(rng.integers(0, len(s) + 1))
+        n = poisson(rate)  # a class inserts nothing in most strings
+        while n:
+            n -= 1
+            pos = int(integers(0, len(s) + 1))
             # A pool's character is drawn after the position: the pinned
             # corpora depend on that order.
-            ch = chars if len(chars) == 1 else chars[int(rng.integers(0, len(chars)))]
+            ch = chars if len(chars) == 1 else chars[integers(0, len(chars))]
             s = s[:pos] + ch + s[pos:]
     return s
 
 
-def _make_identifiers(vocab: list[str], rng: np.random.Generator, n_members: int, dex_tag: str) -> tuple[str, list[str]]:
-    w1 = vocab[int(rng.integers(0, len(vocab)))][:8]
-    w2 = vocab[int(rng.integers(0, len(vocab)))][:10]
-    type_descriptor = f"Lcom/{w1}/{w2.capitalize()}{dex_tag};"
-    members: dict[str, None] = {}  # distinct names, in draw order
+def _name_words(vocab: list[str]) -> list[str]:
+    """The form each family word takes in a type or member name."""
+    return [word[:10].capitalize() for word in vocab]
+
+
+def _make_identifiers(vocab: list[str], names: list[str], rng: np.random.Generator, n_members: int,
+                      dex_tag: str) -> tuple[str, list[str]]:
+    """A type descriptor and n_members distinct member names. names is
+    _name_words(vocab); with the prefixes it must give n_members distinct
+    names, or this never returns."""
+    # The type descriptor's two words, then a (prefix, word) pair per member,
+    # in one call: the same values, and the same generator state after, as
+    # one scalar draw each.
     bounds = [len(_MEMBER_PREFIXES), len(vocab)]
-    while len(members) < n_members:
-        # A (prefix, word) draw per missing member, in one call: the same
-        # values, and the same generator state after, as one scalar draw each.
+    w1, w2, *draws = rng.integers(0, [len(vocab)] * 2 + bounds * n_members).tolist()
+    type_descriptor = f"Lcom/{vocab[w1][:8]}/{names[w2]}{dex_tag};"
+    members: dict[str, None] = {}  # distinct names, in draw order
+    while True:
+        for prefix, word in zip(draws[0::2], draws[1::2]):
+            members[_MEMBER_PREFIXES[prefix] + names[word]] = None
+        if len(members) == n_members:
+            return type_descriptor, list(members)
         # A round adds at most one member per pair, so none is drawn too many.
         draws = rng.integers(0, bounds * (n_members - len(members))).tolist()
-        for prefix, word in zip(draws[0::2], draws[1::2]):
-            members[_MEMBER_PREFIXES[prefix] + vocab[word][:10].capitalize()] = None
-    return type_descriptor, list(members)
 
 
 def family_sizes(cfg: SynthConfig) -> list[int]:
@@ -478,11 +510,12 @@ def _sample_labels(n_se: int, size: int, rng: np.random.Generator) -> list[str]:
 def _build_app_dexes(
     cfg: SynthConfig,
     family: _Style,
+    names: list[str],
+    jitter: float,
     label: str,
     rng: np.random.Generator,
-    family_size: int,
 ) -> list[bytes]:
-    style = _app_style(family, rng, _variant_jitter(family_size))
+    style = _app_style(family, rng, jitter)
     lo, hi = cfg.strings_per_app
     n_strings = int(rng.integers(lo, hi + 1))
     drawn: dict[str, None] = {}  # distinct non-empty strings, in draw order
@@ -495,9 +528,9 @@ def _build_app_dexes(
         if cfg.scheme == SCHEME_STRIP_ALL:
             payload = []
         else:
-            k = int(np.ceil(cfg.se_string_fraction * len(payload)))
+            k = math.ceil(cfg.se_string_fraction * len(payload))
             key = int(rng.integers(1, 256))
-            picks = set(int(i) for i in rng.choice(len(payload), size=k, replace=False))
+            picks = set(rng.choice(len(payload), size=k, replace=False).tolist())
             payload = [encrypt_string(s, key) if i in picks else s for i, s in enumerate(payload)]
             # Re-deduplicate: encryption could in principle collide.
             payload = list(dict.fromkeys(payload))
@@ -512,7 +545,7 @@ def _build_app_dexes(
         chunk = payload[d::n_dex]
         members_share = n_members_total // n_dex + (1 if d < n_members_total % n_dex else 0)
         tag = "" if d == 0 else str(d + 1)
-        type_descriptor, members = _make_identifiers(family.vocab, rng, members_share, tag)
+        type_descriptor, members = _make_identifiers(family.vocab, names, rng, members_share, tag)
         # A one-word payload string can equal a member name.
         named = {type_descriptor, *members}
         dexes.append(build_dex(DexSpec(
@@ -544,8 +577,14 @@ def write_apk(path: Path, dex_payloads: list[bytes]) -> None:
         local += raw
         local += payload
     end = END_RECORD.pack(END_MAGIC, 0, 0, len(entries), len(entries), len(central), len(local), 0)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(local + central + end)
+    # One open per APK; the directory is made only for the first APK in it.
+    try:
+        fh = open(path, "wb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "wb")
+    with fh:
+        fh.write(local + central + end)
 
 
 def gen_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:
@@ -571,11 +610,18 @@ def gen_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:
         # closer to a common core, like the many me-too families in the wild.
         strength = cfg.fingerprint_strength * (0.45 + 0.55 * min(1.0, sizes[fam_idx] / 250.0))
         family = _family_style(strength, fam_rng)
+        # A dex takes up to identifiers_per_app - 1 member names: one prefix
+        # and one distinct name word each.
+        names = _name_words(family.vocab)
+        if cfg.identifiers_per_app[1] - 1 > len(_MEMBER_PREFIXES) * len(set(names)):
+            raise InvalidConfig(f"identifiers_per_app up to {cfg.identifiers_per_app[1]} asks for more "
+                                f"member names than {fam_name}'s vocabulary gives")
+        jitter = _variant_jitter(sizes[fam_idx])
         labels = _sample_labels(se_counts[fam_idx], sizes[fam_idx], fam_rng)
         for s_idx in range(sizes[fam_idx]):
             sample_id = f"{fam_name}_{s_idx:04d}"
             app_rng = np.random.default_rng(np.random.SeedSequence([base, 2, fam_idx, s_idx]))
-            dexes = _build_app_dexes(cfg, family, labels[s_idx], app_rng, sizes[fam_idx])
+            dexes = _build_app_dexes(cfg, family, names, jitter, labels[s_idx], app_rng)
             rel_path = f"{fam_name}/{sample_id}.apk"
             write_apk(out_dir / rel_path, dexes)
             rows.append((sample_id, fam_name, labels[s_idx], rel_path))

@@ -17,11 +17,15 @@ with the per-sample loop, the decision oracle scores one feature vector with
 a plain dot product, the holdout oracle counts one sample's prediction at a
 time with the decision and vote oracles, the split oracles look every sample
 up by id, and the APK container references read and write through the
-standard zipfile module.
+standard zipfile module. The dex writer reference sorts, measures and
+encodes every string through the UTF-16 codec and the per-unit MUTF-8
+encoder, and packs each id table and map item on its own: the writer of
+synth before it took a UTF-8 route.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import lzma
 import math
@@ -33,12 +37,14 @@ import zlib
 import numpy as np
 
 from strobe.dataset import Label
-from strobe.dex import SectionInfo, StringEntry
+from strobe.dex import (ENDIAN_CONSTANT, HEADER, IDENTIFIER_REFERENCES, NO_INDEX, SECTION_LAYOUT,
+                        SIGNED_FROM, SectionInfo, StringEntry)
 from strobe.errors import CorruptEntry, DecodeError, EmptyStream, EmptyTest, NoDex, NotAZip, OffsetOutOfBounds
 from strobe.evaluation import EvalResult, PrequentialResult
 from strobe.learners import BatchModel, _member_terms, online_update
 from strobe.mutf8 import decode_mutf8, utf16_length
-from strobe.synth import _MANIFEST_STUB
+from strobe.synth import (_CLASS_DEF, _MANIFEST_STUB, DEX_MAGIC, TYPE_HEADER_ITEM, TYPE_MAP_LIST,
+                          TYPE_STRING_DATA_ITEM, DexSpec)
 
 _LEAD_LEN = {}
 for _b in range(0x01, 0x80):
@@ -644,3 +650,84 @@ def reference_write_apk(path, dex_payloads: list[bytes]) -> None:
             zf.writestr(info, payload)
         info = zipfile.ZipInfo("AndroidManifest.xml", date_time=(1980, 1, 1, 0, 0, 0))
         zf.writestr(info, _MANIFEST_STUB)
+
+
+def _reference_uleb128(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def reference_build_dex(spec: DexSpec) -> bytes:
+    """build_dex one string at a time through the UTF-16 codec and the
+    per-unit MUTF-8 encoder, whatever the strings hold."""
+    spec.validate()
+
+    def utf16(s: str) -> bytes:
+        return s.encode("utf-16-be", "surrogatepass")
+
+    all_strings = sorted(spec.types + spec.methods + spec.fields + spec.source_files
+                         + spec.non_identifier_strings, key=utf16)
+    sid = {s: i for i, s in enumerate(all_strings)}
+
+    types = sorted(sid[s] for s in spec.types)
+    named = {
+        "type_ids": types,
+        "proto_ids": types[:1] if spec.methods else [],
+        "field_ids": sorted(sid[s] for s in spec.fields),
+        "method_ids": sorted(sid[s] for s in spec.methods),
+        "class_defs": [sid[s] for s in spec.source_files] or [NO_INDEX],
+    }
+    sections: dict[str, SectionInfo] = {}
+    off = HEADER.size
+    for name, words in SECTION_LAYOUT.items():
+        count = len(named[name]) if name in named else len(all_strings)
+        sections[name] = SectionInfo(count, off if count else 0)
+        off += 4 * words * count
+    data_off = off
+
+    string_data = bytearray()
+    string_offsets = []
+    for s in all_strings:
+        string_offsets.append(data_off + len(string_data))
+        string_data += (_reference_uleb128(len(utf16(s)) // 2) + reference_encode_mutf8(s)
+                        + b"\x00")
+    while (data_off + len(string_data)) % 4:
+        string_data.append(0)
+    map_off = data_off + len(string_data)
+
+    map_items = [
+        (TYPE_HEADER_ITEM, 1, 0),
+        *((item_type, *table) for item_type, table in enumerate(sections.values(), 1) if table.count),
+        (TYPE_STRING_DATA_ITEM, len(all_strings), data_off),
+        (TYPE_MAP_LIST, 1, map_off),
+    ]
+
+    file_size = map_off + 4 + 12 * len(map_items)
+    header = (file_size, HEADER.size, ENDIAN_CONSTANT, 0, 0, map_off,
+              *(v for table in sections.values() for v in table), file_size - data_off, data_off)
+    buf = bytearray(file_size)
+    HEADER.pack_into(buf, 0, DEX_MAGIC, 0, b"", *header)
+
+    struct.pack_into(f"<{len(string_offsets)}I", buf, sections["string_ids"].offset, *string_offsets)
+    for name, ids in named.items():
+        words = SECTION_LAYOUT[name]
+        table = list(_CLASS_DEF if name == "class_defs" else (0,) * words) * len(ids)
+        table[IDENTIFIER_REFERENCES[name].string::words] = ids
+        struct.pack_into(f"<{len(table)}I", buf, sections[name].offset, *table)
+
+    buf[data_off:map_off] = string_data
+    struct.pack_into("<I", buf, map_off, len(map_items))
+    for i, (item_type, count, item_off) in enumerate(map_items):
+        struct.pack_into("<HHII", buf, map_off + 4 + 12 * i, item_type, 0, count, item_off)
+
+    signed = bytes(buf[SIGNED_FROM:])
+    signature = hashlib.sha1(signed).digest()
+    HEADER.pack_into(buf, 0, DEX_MAGIC, zlib.adler32(signature + signed), signature, *header)
+    return bytes(buf)

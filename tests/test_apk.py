@@ -271,9 +271,16 @@ def test_list_dex_entries_matches_zipfile(entries, comment, prefix, descriptors)
     assert outcome(list_dex_entries) == outcome(reference_list_dex_entries)
 
 
-@given(st.lists(st.binary(max_size=200), max_size=4))
-def test_write_apk_matches_zipfile(tmp_path_factory, payloads):
+# Where write_apk writes: depth missing directories above the APK, or over
+# an existing longer file.
+@given(payloads=st.lists(st.binary(max_size=200), max_size=4), depth=st.integers(0, 2),
+       overwrite=st.booleans())
+def test_write_apk_matches_zipfile(tmp_path_factory, payloads, depth, overwrite):
     root = tmp_path_factory.mktemp("apk")
-    write_apk(root / "ours.apk", payloads)
+    ours = root.joinpath(*["sub"] * depth, "ours.apk")
+    if overwrite:
+        ours.parent.mkdir(parents=True, exist_ok=True)
+        ours.write_bytes(b"stale" * 400)
+    write_apk(ours, payloads)
     reference_write_apk(root / "reference.apk", payloads)
-    assert (root / "ours.apk").read_bytes() == (root / "reference.apk").read_bytes()
+    assert ours.read_bytes() == (root / "reference.apk").read_bytes()

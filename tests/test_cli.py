@@ -13,6 +13,7 @@ from strobe import cli
 from strobe.cli import _build_parser, main
 from strobe.dataset import Split, SplitStrategy, load_manifest
 from strobe.dex import parse_dex
+from strobe.errors import InvalidConfig
 from strobe.evaluation import LearnerKind, train_on_split
 from strobe.learners import model_to_json, online_init
 from strobe.synth import SynthConfig, gen_corpus, write_apk
@@ -159,6 +160,20 @@ def test_a_bad_synth_config_is_a_typed_error(tmp_path, capsys, text):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "InvalidConfig"
     assert not (tmp_path / "c").exists()
+
+
+def test_synth_with_more_identifiers_than_names_is_a_typed_error(tmp_path, capsys):
+    # Without the bound this config passes validate and generation never
+    # ends, so the CLI runs only once validate is seen to reject it.
+    bounds = (600, 600)
+    with pytest.raises(InvalidConfig):
+        SynthConfig(n_families=2, samples_per_family=(1, 1), identifiers_per_app=bounds, seed=1).validate()
+    out = tmp_path / "c"
+    assert main(["synth", "--n-families", "2", "--samples-per-family", "1", "1", "--seed", "1",
+                 "--identifiers-per-app", *map(str, bounds), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidConfig"
+    assert not (out / "manifest.csv").exists()
 
 
 def test_synth_config_file(tmp_path):

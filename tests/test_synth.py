@@ -2,14 +2,18 @@ import hashlib
 import json
 import random
 import struct
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from strobe.apk import extract_app_strings, list_dex_entries
 from strobe.dataset import Label, load_manifest
 from strobe.dex import classify_strings, parse_dex
 from strobe.errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge
 from strobe.features import shannon_entropy
+from strobe import synth
 from strobe.synth import (
     DexSpec,
     SynthConfig,
@@ -19,7 +23,7 @@ from strobe.synth import (
     gen_corpus,
 )
 
-from oracles import reference_adler32, reference_sha1
+from oracles import reference_adler32, reference_build_dex, reference_sha1
 
 
 def spec(types=("Lx;",), methods=("go",), fields=(), payload=("hello",)):
@@ -102,6 +106,45 @@ def test_writer_string_table_is_sorted():
     assert keys == sorted(keys)
 
 
+_ASCII = st.characters(max_codepoint=0x7F, exclude_characters="\x00")
+# Per alphabet, ASCII mixed with one class of character. Only the first two
+# are plain UTF-8 throughout; the rest reach the MUTF-8 route, except that
+# text above U+DFFF in the BMP still sorts in code-point order.
+_ALPHABETS = [
+    _ASCII,
+    _ASCII | st.characters(min_codepoint=0x80, max_codepoint=0xD7FF),
+    _ASCII | st.characters(min_codepoint=0xE000, max_codepoint=0xFFFF),
+    _ASCII | st.characters(min_codepoint=0x10000),
+    _ASCII | st.just("\x00"),
+    _ASCII | st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+]
+
+
+@st.composite
+def dex_specs(draw):
+    """A DexSpec of distinct strings over one or two alphabets, some of them
+    128 or more UTF-16 units long (a two-byte ULEB128 length)."""
+    chars = st.one_of(*draw(st.lists(st.sampled_from(_ALPHABETS), min_size=1, max_size=2)))
+    short = st.text(chars, max_size=10)
+    text = short | st.builds(lambda t, n: t * n, short.filter(bool), st.integers(128, 140))
+    strings = draw(st.lists(text, min_size=1, max_size=12, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(1, len(strings)), min_size=4, max_size=4)))
+    types, methods, fields, sources, payload = (
+        tuple(strings[a:b]) for a, b in zip([0, *cuts], [*cuts, len(strings)]))
+    return DexSpec(types=types, methods=methods, fields=fields, source_files=sources,
+                   non_identifier_strings=payload)
+
+
+@given(dex_specs())
+@example(spec(payload=("plain", "ümlaut", "中文")))
+@example(spec(payload=("\uffff", "\U0001F600")))  # code-point and UTF-16 order disagree
+@example(spec(payload=("a\x00b", "\U0010FFFF")))
+@example(spec(payload=("\ud800", "\udfff x")))
+@example(spec(payload=("é" * 130, "x" * 200, "\U0001F600" * 70)))
+def test_build_dex_matches_the_per_string_reference(spec):
+    assert build_dex(spec) == reference_build_dex(spec)
+
+
 # --- encryption -------------------------------------------------------------
 
 def test_encrypt_empty():
@@ -142,6 +185,31 @@ def test_config_validation():
     with pytest.raises(InvalidConfig):
         SynthConfig(scheme="ROT13").validate()
     SynthConfig().validate()
+
+
+# One type descriptor, and each member a prefix and one of 48 family words.
+MAX_IDENTIFIERS = 10 * 48 + 1
+
+
+def test_identifiers_per_app_is_bounded_by_the_names_a_family_has():
+    SynthConfig(identifiers_per_app=(8, MAX_IDENTIFIERS)).validate()
+    for bounds in ((8, MAX_IDENTIFIERS + 1), (600, 600)):
+        with pytest.raises(InvalidConfig, match="identifiers_per_app"):
+            SynthConfig(n_families=2, samples_per_family=(1, 1), identifiers_per_app=bounds,
+                        seed=1).validate()
+
+
+def test_a_family_whose_words_name_too_few_members_is_invalid(monkeypatch, tmp_path):
+    # Every word of this family has the same first ten characters, so its
+    # dexes can name only 10 members.
+    words = [f"abcdefghij{i}" for i in range(48)]
+    assert len(set(synth._name_words(words))) == 1
+    monkeypatch.setattr(synth, "_family_style", lambda strength, rng: synth._Style(words, 1.0, [0.0] * 5))
+    cfg = SynthConfig(n_families=2, samples_per_family=(1, 1), identifiers_per_app=(8, 12), seed=1)
+    with pytest.raises(InvalidConfig, match="fam000"):
+        gen_corpus(cfg, tmp_path / "c")
+    assert not (tmp_path / "c" / "manifest.csv").exists()
+    gen_corpus(replace(cfg, identifiers_per_app=(8, 11)), tmp_path / "ok")
 
 
 def test_config_json_roundtrip():
