@@ -1,7 +1,7 @@
 """APK (ZIP) container handling and per-app string aggregation.
 
-Reads only entries listed in the central directory, pulls out every
-classes*.dex payload in numeric order, and concatenates their non-identifier
+Reads only entries listed in the central directory, pulls out every entry
+named exactly classes.dex or classesN.dex in numeric order, and concatenates their non-identifier
 strings without cross-dex deduplication.
 
 The container is read and written through the three record layouts below,
@@ -41,7 +41,9 @@ FLAG_UTF8_NAME = 0x800
 # Encrypted (bit 0), compressed patched data (bit 5), strong encryption (bit 6).
 _UNREADABLE_FLAGS = 0x61
 
-_DEX_NAME = re.compile(rb"^classes([0-9]+)?\.dex$")
+# Matched with fullmatch: "$" would also match before a trailing newline, and
+# Android loads no entry named "classes.dex\n".
+_DEX_NAME = re.compile(rb"classes([0-9]+)?\.dex")
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
         # and code page 437 both decode byte for byte, so it is matched, and
         # decoded, as bytes.
         name = entry[0].partition(b"\x00")[0]
-        m = _DEX_NAME.match(name)
+        m = _DEX_NAME.fullmatch(name)
         if m:
             matched.append((int(m.group(1)) if m.group(1) else 1, name.decode("ascii"), entry))
     if not matched:

@@ -7,22 +7,31 @@ and '+', and repeated-character count (length minus distinct characters).
 An app with zero strings gets an all-zero vector — itself a strong signal
 for stripped apps — rather than NaNs.
 
-feature_vector_from_strings counts each string's characters once, in one
-Counter: its values, in order of first appearance, give the entropy terms,
-and its size the distinct-character count. The integer metrics are counted
-over the joined strings. Summation order is the invariant that keeps the
-means equal, bit for bit, to those of per_string_metrics: within a string
-the entropy terms are summed in first-appearance order, and across strings
-the entropies are summed in string order, each with the builtin sum.
+feature_vector_from_strings counts each string's characters once, into one
+dict: its values, in order of first appearance, pick the entropy terms, and
+its size gives the distinct-character count. The integer metrics are counted
+over the joined strings. The entropy term p * log2(p) of a character that
+occurs c times in a string of length n depends only on the pair (c, n), so
+it is computed once per pair, as (c / n) * log2(c / n), the expression
+shannon_entropy uses, and kept in the module's memo, _TERMS. Two invariants
+keep the means equal, bit for bit, to those of per_string_metrics: each term
+is the same float shannon_entropy computes, and the terms are summed in the
+same order with the builtin sum, within a string in first-appearance order
+and across strings in string order.
+
+The memo holds one entry per (count, length) pair met in a string longer
+than one character. Row n holds at most n entries, and a string of length n
+adds at most sqrt(2n) of them, since its distinct counts sum to at most n;
+the memo never outgrows the characters measured (the 5,027-app confounded
+corpus fills 5,317 entries in 252 rows). Threads that fill the same entry at
+once are harmless: under the GIL each stores the same value.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Collection
+from collections import Counter, _count_elements
 from dataclasses import dataclass
-from operator import mul
 
 from .apk import AppStrings
 
@@ -85,13 +94,30 @@ def shannon_entropy(s: str) -> float:
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
 
 
-def _entropy(counts: Collection[int], n: int) -> float:
-    """shannon_entropy of a string of length n from its code-point counts in
-    first-appearance order, with the same terms summed in the same order."""
-    if n <= 1:
-        return 0.0
-    p = [c / n for c in counts]
-    return -sum(map(mul, p, map(math.log2, p)))
+class _TermRow(dict):
+    """The entropy terms of one string length n, keyed by count."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, c: int) -> float:
+        n = self.n
+        term = self[c] = (c / n) * math.log2(c / n)
+        return term
+
+
+class _TermTable(dict):
+    """The rows of the entropy-term memo, keyed by string length."""
+
+    def __missing__(self, n: int) -> _TermRow:
+        row = self[n] = _TermRow(n)
+        return row
+
+
+_TERMS = _TermTable()
 
 
 def per_string_metrics(s: str) -> PerStringMetrics:
@@ -120,9 +146,15 @@ def feature_vector_from_strings(strings: tuple[str, ...] | list[str]) -> Feature
     entropies = []
     distinct = 0
     for s in strings:
-        counts = Counter(s).values()
+        # What Counter(s) holds, without the Counter: _count_elements is the
+        # C helper that Counter.update calls.
+        counts: dict[str, int] = {}
+        _count_elements(counts, s)
         distinct += len(counts)
-        entropies.append(_entropy(counts, len(s)))
+        if len(s) > 1:
+            entropies.append(-sum(map(_TERMS[len(s)].__getitem__, counts.values())))
+        else:
+            entropies.append(0.0)
     joined = "".join(strings)
     length = len(joined)
     return FeatureVector(

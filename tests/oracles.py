@@ -606,7 +606,7 @@ def reference_validate_split(corpus, split) -> dict:
 # APK containers through zipfile
 # --------------------------------------------------------------------------
 
-_DEX_NAME = re.compile(r"^classes([0-9]+)?\.dex$")
+_DEX_NAME = re.compile(r"classes([0-9]+)?\.dex")
 # What zipfile raises on a damaged archive besides BadZipFile: an unsupported
 # feature (NotImplementedError, or RuntimeError for an encrypted entry), a
 # bad offset or name (ValueError), and each decompressor's own error.
@@ -626,7 +626,7 @@ def reference_list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
     with zf:
         matched: list[tuple[int, str]] = []
         for name in zf.namelist():
-            m = _DEX_NAME.match(name)
+            m = _DEX_NAME.fullmatch(name)
             if m:
                 matched.append((int(m.group(1)) if m.group(1) else 1, name))
         if not matched:

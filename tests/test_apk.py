@@ -42,6 +42,14 @@ def test_nested_dex_names_ignored():
     assert [n for n, _ in list_dex_entries(archive)] == ["classes.dex"]
 
 
+def test_dex_name_with_a_trailing_newline_is_not_a_dex():
+    # A pattern ending in "$" also matches before a trailing newline.
+    archive = make_zip({"classes.dex": b"y", "classes.dex\n": b"x"})
+    assert list_dex_entries(archive) == [("classes.dex", b"y")]
+    with pytest.raises(NoDex):
+        list_dex_entries(make_zip({"classes2.dex\n": b"x"}))
+
+
 def test_no_dex_entries():
     with pytest.raises(NoDex):
         list_dex_entries(make_zip({"res/a.txt": b"hi"}))
@@ -237,8 +245,8 @@ class _Unseekable(io.RawIOBase):
 
 
 _ENTRY_NAMES = ["classes.dex", "classes2.dex", "classes3.dex", "classes10.dex", "classes1.dex",
-                "classes.dex\x00.txt", "classes2.dex\x00", "clásses.dex", "classes\u0663.dex",
-                "assets/classes.dex", "res/ünï.png", "AndroidManifest.xml"]
+                "classes.dex\x00.txt", "classes2.dex\x00", "classes.dex\n", "clásses.dex",
+                "classes\u0663.dex", "assets/classes.dex", "res/ünï.png", "AndroidManifest.xml"]
 # Well-formed extra fields: each a header id, a length and that many bytes.
 _EXTRA = st.lists(st.tuples(st.sampled_from([0xCAFE, 0x5455, 0xD935]), st.binary(max_size=8)),
                   max_size=2).map(lambda fields: b"".join(

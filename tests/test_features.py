@@ -1,9 +1,13 @@
 import base64
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from strobe import features
 from strobe.apk import AppStrings, extract_app_strings
 from strobe.features import (
     FeatureVector,
@@ -177,3 +181,31 @@ def test_feature_means_bit_equal_on_every_app_of_the_frozen_corpus(confounded):
             assert vector_hex(strings) == metric_means_hex(strings), path.name
         n_apps += 1
     assert n_apps == len(confounded["corpus"].samples)
+
+
+# ASCII, the rest of the BMP and astral characters, but no lone surrogate,
+# which decode_mutf8 never yields. Most characters come from a small pool, so
+# that counts above one, and so many (count, length) pairs, are common.
+_CHAR = (st.characters(max_codepoint=0x7F)
+         | st.characters(min_codepoint=0x80, max_codepoint=0xFFFF, exclude_categories=("Cs",))
+         | st.characters(min_codepoint=0x10000))
+_STRING_LISTS = st.lists(_CHAR, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.text(st.sampled_from(pool) | _CHAR, max_size=300),
+                          min_size=1, max_size=12))
+
+
+def memo_pairs() -> set[tuple[int, int]]:
+    return {(c, n) for n, row in features._TERMS.items() for c in row}
+
+
+@given(strings=_STRING_LISTS)
+def test_memoized_entropy_terms_bit_equal_to_per_string_metrics(strings):
+    want = metric_means_hex(strings)
+    features._TERMS.clear()
+    assert vector_hex(strings) == want
+    assert memo_pairs() == {(c, len(s)) for s in strings if len(s) > 1
+                            for c in Counter(s).values()}
+    assert vector_hex(strings) == want
+    features._TERMS.clear()
+    vector_hex(strings[::-1])
+    assert vector_hex(strings) == want
