@@ -452,6 +452,39 @@ def test_lockstep_lofo_matches_per_sample_loop(confounded):
             assert np.array_equal(model.scaler.mean, mean) and np.array_equal(model.scaler.std, std)
 
 
+def test_lockstep_lofo_matches_per_sample_loop_on_control(control, monkeypatch):
+    """Every LOFO fold of the control corpus, trained together with the
+    default hyperparameters (30 epochs) as run_lofo trains them, against the
+    per-sample loop bit for bit, signed zeros included. About 1% of these
+    lockstep steps update a fold, so hinge_sgd takes most of them in batches
+    from the shrink-only trajectory: fewer than a tenth of the steps compute
+    their margins one step at a time, as np.vecdot of the (folds, 9) weights."""
+    corpus = control["corpus"]
+    splits = lofo_splits(corpus)
+    seeds = [BASE_SEED + i for i in range(len(splits))]
+    rows = [corpus.rows(split.train_ids) for split in splits]
+    one_step = []
+    vecdot = np.vecdot
+
+    def counting_vecdot(a, b, out):
+        if a.ndim == 2:
+            one_step.append(len(a))
+        return vecdot(a, b, out)
+
+    monkeypatch.setattr(np, "vecdot", counting_vecdot)
+    models = hinge_sgd(corpus.X, corpus.y, list(zip(rows, seeds)),
+                       [(i, DEFAULT_HYPERPARAMS) for i in range(len(splits))])
+    monkeypatch.undo()
+    assert 0 < len(one_step) < max(map(len, rows)) * DEFAULT_HYPERPARAMS.epochs / 10
+    for i, model in enumerate(models):
+        w, b, mean, std = reference_batch_train(
+            corpus.by_ids(splits[i].train_ids), DEFAULT_HYPERPARAMS, seeds[i])
+        assert np.array_equal(model.weights, w) and model.bias == b, splits[i].held_out_family
+        assert np.array_equal(np.signbit(model.weights), np.signbit(w))
+        assert np.signbit(model.bias) == np.signbit(b)
+        assert np.array_equal(model.scaler.mean, mean) and np.array_equal(model.scaler.std, std)
+
+
 def test_lockstep_grid_search_matches_reference_loop(confounded):
     """The grid point chosen on a 300-sample slice of the frozen corpus
     equals the one-fit-at-a-time grid loop's, negative-shrink points included."""

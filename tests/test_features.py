@@ -135,9 +135,10 @@ def vector_hex(strings) -> list[str]:
 
 
 def test_feature_means_bit_equal_to_per_string_metrics():
-    # The vector is computed over the joined strings, with one Counter per
-    # string; it must equal the plain means of per_string_metrics exactly,
-    # not merely within a tolerance.
+    # The vector is computed over the joined strings, with one count dict
+    # per string and entropy terms read from the _TERMS memo; it must equal
+    # the plain means of per_string_metrics exactly, not merely within a
+    # tolerance.
     rng = random.Random(31)
     bmp = "abcxyz =/-+Ωé€\uffff"
     astral = bmp + "\U0001F600\U00010000\U0010FFFF"

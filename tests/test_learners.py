@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,15 +244,21 @@ def test_folded_margin_is_the_per_sample_margin_bit_for_bit(rows):
     """hinge_sgd's margin, np.vecdot of [w, b] with [y * x, y], is the
     per-sample loop's y * (w @ x + b) bit for bit, signbit included, since y
     is +-1 and the dot kernel adds b * y after the same eight terms; so is
-    the stacked matmul the step used before. An exact zero is the one
+    the stacked matmul the step used before, and so is np.vecdot over a
+    stacked (R, L, 9) window, as hinge_sgd takes the margins of skipped
+    steps (here slab i holds the rows rolled by i). An exact zero is the one
     exception: the kernel sums from +0, so it may come out +0 where
     y * (w @ x + b) is -0, which margin < 1 does not see."""
     W = np.array([wb for wb, _, _ in rows])
     X = np.array([x for _, x, _ in rows])
     y = np.array([label for _, _, label in rows])
     Z = np.column_stack([y[:, None] * X, y])
+    window = range(3)
     with np.errstate(over="ignore", invalid="ignore"):
         kernels = [np.vecdot(W, Z), np.matmul(W[:, None, :], Z[..., None]).reshape(len(rows))]
+        stacked = np.vecdot(np.stack([np.roll(W, i, axis=0) for i in window]),
+                            np.stack([np.roll(Z, i, axis=0) for i in window]))
+        kernels += [np.roll(stacked[i], -i) for i in window]
         plain_margins = [y[i] * (W[i, :8] @ X[i] + W[i, 8]) for i in range(len(rows))]
     for folded in kernels:
         for i, plain in enumerate(plain_margins):
@@ -284,6 +291,52 @@ def test_hinge_sgd_matches_per_sample_loop_on_drawn_streams(scales, constant, n,
     for (s, hp), model in zip(fits, hinge_sgd(X, y, streams, fits)):
         rows, stream_seed = streams[s]
         assert_matches_reference(model, [pool[i] for i in rows], hp, stream_seed)
+
+
+# Hyperparameters whose shrink 1 - 2 * lr * lam is about 1, exactly 0,
+# negative (-0.4), below -1 (-2), and about -1e12: a fit of the last kind
+# overflows within a few dozen steps, in speculated rows as in the loop.
+SHRINK_CASES = [DEFAULT_HYPERPARAMS, HingeHyperparams(lam=1.0, lr=0.5),
+                HingeHyperparams(lam=7.0, lr=0.1), HingeHyperparams(lam=1.5, lr=1.0),
+                HingeHyperparams(lam=5e11, lr=1.0)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_sep=st.integers(2, 24), n_noisy=st.integers(2, 40),
+       drawn=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(SHRINK_CASES),
+                                st.sampled_from([0, 1, 30])), min_size=1, max_size=6))
+def test_skipped_steps_match_per_sample_loop(seed, n_sep, n_noisy, drawn):
+    """Steps taken in batches from the shrink-only trajectory, against the
+    per-sample loop with signed zeros. One call mixes two streams of
+    well-separated clusters, whose fits soon stop updating (long skipped
+    runs), with a noisy stream whose fits update on most steps (the fallback
+    to one step at a time and its backoff); step counts end inside a 32-step
+    window; epochs 0, 1 and 30; shrink about 1, exactly 0, negative and below
+    -1, where rows speculated past an update grow and may overflow. The call
+    raises no RuntimeWarning when the per-sample loops raise none."""
+    rng = np.random.default_rng(seed)
+    n = n_sep + n_noisy
+    se = np.zeros(n, dtype=bool)
+    se[:n_sep:2] = True
+    se[n_sep:] = rng.random(n_noisy) < 0.5
+    se[n_sep:n_sep + 2] = (True, False)
+    X = rng.normal(size=(n, 8))
+    X[:n_sep] = 0.1 * X[:n_sep] + np.where(se[:n_sep, None], 5.0, -5.0)
+    pool = [Sample(f"s{i}", "fam", Label.SE if c else Label.NOT_SE,
+                   features=FeatureVector(*x, n_strings=1)) for i, (x, c) in enumerate(zip(X, se))]
+    X, y = design_matrix(pool)
+    separated, noisy = np.arange(n_sep), np.arange(n_sep, n)
+    streams = [(separated, seed), (noisy, seed + 1), (separated, seed + 2)]
+    fits = [(s, HingeHyperparams(lam=hp.lam, lr=hp.lr, epochs=epochs)) for s, hp, epochs in drawn]
+    with warnings.catch_warnings(record=True) as lockstep_warnings:
+        warnings.simplefilter("always")
+        models = hinge_sgd(X, y, streams, fits)
+    with warnings.catch_warnings(record=True) as loop_warnings:
+        warnings.simplefilter("always")
+        for (s, hp), model in zip(fits, models, strict=True):
+            rows, stream_seed = streams[s]
+            assert_matches_reference(model, [pool[i] for i in rows], hp, stream_seed)
+    if not loop_warnings:
+        assert not lockstep_warnings, [str(w.message) for w in lockstep_warnings]
 
 
 def test_a_margin_of_exactly_one_makes_no_update():
@@ -638,6 +691,9 @@ BROKEN_ONLINE_MODELS = {
 
 @pytest.mark.parametrize("case", BROKEN_ONLINE_MODELS)
 def test_online_model_with_a_broken_rng_state_is_bad_config(case):
+    """A saved online model with a broken field is BadConfig: its rng_state,
+    and also a seed, poisson lambda (lam_poisson) or n_draws of the wrong
+    kind or out of range."""
     obj = model_to_json(online_init(k=2, seed=4))
     with pytest.raises(BadConfig, match="malformed model"):
         model_from_json(BROKEN_ONLINE_MODELS[case](obj))
