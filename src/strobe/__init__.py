@@ -29,7 +29,7 @@ from .evaluation import (
     run_lofo,
 )
 from .features import FeatureVector, feature_vector, per_string_metrics, shannon_entropy
-from .heuristic import HeuristicConfig, detect_dexguard
+from .heuristic import detect_dexguard
 from .learners import (
     BatchModel,
     HingeHyperparams,

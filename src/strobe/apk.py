@@ -73,7 +73,8 @@ def list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
         name = entry[0].partition(b"\x00")[0]
         m = _DEX_NAME.fullmatch(name)
         if m:
-            matched.append((int(m.group(1)) if m.group(1) else 1, name.decode("ascii"), entry))
+            digits = (m.group(1) or b"1").lstrip(b"0")  # int() refuses over 4,300 digits
+            matched.append(((len(digits), digits), name.decode("ascii"), entry))
     if not matched:
         raise NoDex("archive contains no classes*.dex entry")
     matched.sort(key=lambda dex: dex[:2])

@@ -38,7 +38,7 @@ from .dataset import (
     lofo_splits,
     random_split,
 )
-from .errors import InvalidConfig, ParseError, StrobeError
+from .errors import InvalidConfig, ParseError, StrobeError, read_json
 from .evaluation import (
     LearnerKind,
     gnuplot_box_data,
@@ -48,7 +48,7 @@ from .evaluation import (
     run_lofo,
 )
 from .features import CSV_HEADER, csv_row, feature_vector
-from .heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
+from .heuristic import detect_dexguard, zero_string_fraction
 from .learners import (
     DEFAULT_HYPERPARAMS,
     DEFAULT_ONLINE_ENSEMBLE,
@@ -286,11 +286,7 @@ def cmd_synth(args) -> int:
     # The preset, then the --config file, then each flag given, in one merge.
     config = (synth.PRESETS[args.preset]() if args.preset else synth.SynthConfig()).to_json()
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                config.update(json.load(fh))
-            except (TypeError, ValueError) as exc:  # not JSON, or not a JSON object
-                raise InvalidConfig(f"{args.config}: {exc}") from None
+        config.update(read_json(args.config, InvalidConfig))
     for f in fields(synth.SynthConfig):
         if getattr(args, f.name) is not None:
             config[f.name] = getattr(args, f.name)
@@ -402,18 +398,18 @@ def _csv_cell(value) -> str:
 
 def cmd_praguard_check(args) -> int:
     samples = sorted(_apk_dir_samples(args.apk_dir, args.manifest), key=lambda s: s.sample_id)
-    cfg = HeuristicConfig(max_strings=args.max_strings)
     rows = [["sample_id", "n_strings", "verdict"]]
     flagged = []  # the apps flagged SE, each with at most max_strings strings
     for sample in samples:
         app = extract_app_strings(sample.path)
-        verdict = detect_dexguard(app, cfg)
+        verdict = detect_dexguard(app, args.max_strings)
         if verdict is Label.SE:
             flagged.append(app)
         rows.append([sample.sample_id, len(app.non_identifier_strings), verdict.value])
+    fraction = zero_string_fraction(flagged, args.max_strings)  # checks max_strings before writing
     _write_csv(args.out, rows)
     print(f"flagged SE: {len(flagged)}/{len(samples)}; zero-string fraction among flagged: "
-          f"{zero_string_fraction(flagged, cfg):.1%}", file=sys.stderr)
+          f"{fraction:.1%}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 import random
 from collections.abc import Iterable
@@ -34,6 +33,7 @@ from .errors import (
     TooSmall,
     UnknownId,
     UnknownLabel,
+    read_json,
 )
 from .features import CSV_HEADER, FEATURE_NAMES, FeatureVector
 
@@ -199,20 +199,23 @@ def load_manifest(path: str | Path) -> Corpus:
 
     Two layouts are accepted: sample_id,family,label,path (features to be
     extracted later from the referenced APKs) and the feature CSV written by
-    the extractor (features inline).
+    the extractor (features inline). A file csv cannot read raises BadValue.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BadHeader("empty manifest") from None
-        if header == PATH_HEADER:
-            return Corpus.from_samples(_parse_rows(reader, _path_sample, len(header)))
-        if tuple(header) == CSV_HEADER:
-            return feature_corpus(reader)
-        raise BadHeader(f"unrecognized manifest header {header!r}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise BadHeader("empty manifest") from None
+            if header == PATH_HEADER:
+                return Corpus.from_samples(_parse_rows(reader, _path_sample, len(header)))
+            if tuple(header) == CSV_HEADER:
+                return feature_corpus(reader)
+            raise BadHeader(f"unrecognized manifest header {header!r}")
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field over csv's size limit
+        raise BadValue(f"{path}: unreadable CSV: {exc}") from None
 
 
 def feature_corpus(rows: Iterable[list[str]]) -> Corpus:
@@ -375,9 +378,4 @@ def _class_counts(corpus: Corpus, rows: np.ndarray) -> dict[str, int]:
 
 
 def load_split(path: str | Path) -> Split:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise BadValue(f"{path}: not JSON: {exc}") from None
-    return Split.from_json(obj)
+    return Split.from_json(read_json(path, BadValue))

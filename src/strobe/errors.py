@@ -4,6 +4,8 @@ Every error the library raises deliberately derives from StrobeError so
 callers (and the CLI) can distinguish "rejected input" from genuine bugs.
 """
 
+import json
+
 
 class StrobeError(Exception):
     """Base class for all errors raised by this package."""
@@ -118,3 +120,15 @@ class EmptyIdentifiers(StrobeError):
 
 class InvalidConfig(StrobeError):
     """SynthConfig field or DexSpec blueprint out of range or malformed."""
+
+
+def read_json(path, error: type[StrobeError]) -> dict:
+    """The JSON object in the UTF-8 file at path; anything else raises error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise error(f"{path}: not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{path}: not a JSON object")
+    return obj

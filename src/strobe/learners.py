@@ -13,10 +13,10 @@ fold) pair, and run_lofo and run_experiment every fold or repetition of a run.
 
 Online: an ensemble of incremental Gaussian class-conditional models where
 each arriving sample enters each ensemble member with a Poisson-drawn weight
-(online leveraging bagging). One body each merges a weighted batch into the
-per-member means and M2 (_chan_merge, for online_fit and the prequential
-sweep) and casts the members' Gaussian votes (_votes_se, for
-OnlineModel.decision and the sweep). Cold models and exact ties predict NOT_SE.
+(online leveraging bagging). One body each draws the weights (_draw_weights)
+and merges weighted batches into the members' means and M2 (_chan_merge), for
+online_fit and the prequential sweep, and casts the Gaussian votes (_votes_se,
+for OnlineModel.decision and the sweep). Cold models and exact ties predict NOT_SE.
 
 Both learners train on rows of raw features X with labels y (+1 SE, -1
 NOT_SE), and both models score a whole feature matrix at once with
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Label, Sample, design_matrix
-from .errors import BadConfig, SingleClass, TooSmall
+from .errors import BadConfig, SingleClass, TooSmall, read_json
 from .features import FeatureVector
 
 N_FEATURES = 8
@@ -461,17 +461,12 @@ def online_init(
 def online_fit(model: OnlineModel, X: np.ndarray, y: np.ndarray) -> OnlineModel:
     """Feed a stream of samples (rows of X, labels y) to every member.
 
-    Sample i gets weight W[i, j] ~ Poisson(lam) in member j. All n * k weights
-    come from one draw in sample-major order, which yields the values that
-    one scalar draw per sample and member would. Each class's weighted batch
-    is merged into each member's running mean and M2 with the pairwise update
-    of Chan, Golub & LeVeque (1979); this equals replaying sample i W[i, j]
-    times up to floating-point rounding.
+    Sample i gets weight W[i, j] in member j, from _draw_weights. Each
+    class's weighted batch is merged into each member's running mean and M2
+    with the pairwise update of Chan, Golub & LeVeque (1979); this equals
+    replaying sample i W[i, j] times up to floating-point rounding.
     """
-    cls = (y > 0).astype(np.int64)  # class index: 0 NOT_SE, 1 SE
-    W = model.rng.poisson(model.lam_poisson, size=(len(X), model.k))
-    model.n_draws += W.size
-    _check_count_room(model, W, cls)
+    cls, W = _draw_weights(model, y)
     for c in (0, 1):
         rows = cls == c
         Wc = W[rows]
@@ -508,22 +503,28 @@ def online_train(X: np.ndarray, y: np.ndarray, k: int = DEFAULT_ONLINE_ENSEMBLE,
     return online_fit(model, X[order], y[order])
 
 
-def _check_count_room(model: OnlineModel, W: np.ndarray, cls: np.ndarray) -> None:
-    """Raise BadConfig, before any merge, if feeding rows of classes cls
-    with weights W would take a member's int64 count past its maximum.
+def _draw_weights(model: OnlineModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each label's class index (0 NOT_SE, 1 SE) and the weights W[i, j] ~
+    Poisson(lam) of row i in member j: one sample-major draw, which yields the
+    values one scalar draw per row and member would, counted in n_draws.
 
-    Counts only grow, so the final ones bound every count on the way. The
-    sums are exact: Python integers, where the cheap bound does not hold.
+    Raises BadConfig, before any merge, if the weights would take a member's
+    int64 count past its maximum. Counts only grow, so the final ones bound
+    every count on the way. The sums are exact: Python integers, where the
+    cheap bound does not hold.
     """
-    if int(model.counts.max()) + len(W) * int(W.max(initial=0)) <= _COUNT_MAX:
-        return
-    for c in (0, 1):
-        totals = model.counts[:, c].astype(object) + W[cls == c].astype(object).sum(axis=0)
-        for j, total in enumerate(totals):
-            if total > _COUNT_MAX:
-                raise BadConfig(
-                    f"poisson lambda {model.lam_poisson:.10g} overflows the int64 count "
-                    f"of member {j}, class {c}: {total} weighted observations")
+    cls = (y > 0).astype(np.int64)
+    W = model.rng.poisson(model.lam_poisson, size=(len(y), model.k))
+    model.n_draws += W.size
+    if int(model.counts.max()) + len(W) * int(W.max(initial=0)) > _COUNT_MAX:
+        for c in (0, 1):
+            totals = model.counts[:, c].astype(object) + W[cls == c].astype(object).sum(axis=0)
+            for j, total in enumerate(totals):
+                if total > _COUNT_MAX:
+                    raise BadConfig(
+                        f"poisson lambda {model.lam_poisson:.10g} overflows the int64 count "
+                        f"of member {j}, class {c}: {total} weighted observations")
+    return cls, W
 
 
 def _member_terms(model: OnlineModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -578,7 +579,7 @@ def _prequential_sweep(model: OnlineModel, X: np.ndarray, y: np.ndarray) -> np.n
 
     Bit-identical to online_predict then online_update per row: the same
     values in the model, the same n_draws and the same generator state.
-    All n * k weights come from one draw, as in online_fit. The counts
+    The weights come from _draw_weights, as in online_fit. The counts
     depend on the weights and classes alone, so for a block of rows integer
     cumulative sums give every row's counts, and with them its log priors
     and merge coefficients; each row's weighted batch mean (w * x) / w and
@@ -588,10 +589,7 @@ def _prequential_sweep(model: OnlineModel, X: np.ndarray, y: np.ndarray) -> np.n
     is left untouched, as online_fit leaves it.
     """
     n, k = len(X), model.k
-    cls = (y > 0).astype(np.int64)  # class index: 0 NOT_SE, 1 SE
-    W = model.rng.poisson(model.lam_poisson, size=(n, k))
-    model.n_draws += W.size
-    _check_count_room(model, W, cls)
+    cls, W = _draw_weights(model, y)
     var, log_norm, _ = _member_terms(model)
     correct = np.empty(n, dtype=bool)
     d = np.empty_like(model.mean)
@@ -751,9 +749,4 @@ def save_model(model: BatchModel | OnlineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BatchModel | OnlineModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise BadConfig(f"{path}: not JSON: {exc}") from None
-    return model_from_json(obj)
+    return model_from_json(read_json(path, BadConfig))

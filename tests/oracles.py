@@ -628,7 +628,8 @@ def reference_list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
         for name in zf.namelist():
             m = _DEX_NAME.fullmatch(name)
             if m:
-                matched.append((int(m.group(1)) if m.group(1) else 1, name))
+                digits = (m.group(1) or "1").lstrip("0")  # int() refuses over 4,300 digits
+                matched.append(((len(digits), digits), name))
         if not matched:
             raise NoDex("archive contains no classes*.dex entry")
         matched.sort()

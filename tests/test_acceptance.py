@@ -43,7 +43,7 @@ from strobe.evaluation import (
     train_on_splits,
 )
 from strobe.features import FeatureVector, feature_vector_from_strings, shannon_entropy
-from strobe.heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
+from strobe.heuristic import detect_dexguard, zero_string_fraction
 from strobe.learners import (
     DEFAULT_HYPERPARAMS,
     DEFAULT_ONLINE_ENSEMBLE,
@@ -180,13 +180,12 @@ def test_experiment_outputs_match_pinned_digests(confounded):
 def test_criterion_04_heuristic(stripped):
     with criterion(4, "stripped-corpus heuristic: recall 1.0, zero false positives, 100% zero-string"):
         corpus, base = stripped["corpus"], stripped["dir"]
-        cfg = HeuristicConfig()
         apps = []
         tp = fn = fp = tn = 0
         for s in corpus.samples:
             app = extract_app_strings(base / s.path)
             apps.append(app)
-            verdict = detect_dexguard(app, cfg)
+            verdict = detect_dexguard(app)
             if s.label is Label.SE:
                 tp += verdict is Label.SE
                 fn += verdict is not Label.SE
@@ -196,7 +195,7 @@ def test_criterion_04_heuristic(stripped):
                 tn += verdict is not Label.SE
         assert tp and tp / (tp + fn) == 1.0
         assert fp == 0
-        assert zero_string_fraction(apps, cfg) == 1.0
+        assert zero_string_fraction(apps) == 1.0
 
 
 def test_criterion_05_dex_roundtrip():

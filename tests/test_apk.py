@@ -37,6 +37,16 @@ def test_numeric_multidex_ordering():
     assert names == ["classes.dex", "classes2.dex", "classes3.dex"]
 
 
+def test_dex_entries_are_in_numeric_order_whatever_the_number_of_digits():
+    # int() refuses a string of more than 4,300 digits.
+    long_name = "classes" + "7" * 5000 + ".dex"
+    names = [long_name, "classes10.dex", "classes2.dex", "classes1.dex", "classes01.dex", "classes.dex"]
+    archive = make_zip({name: name.encode() for name in names})
+    expected = ["classes.dex", "classes01.dex", "classes1.dex", "classes2.dex", "classes10.dex", long_name]
+    assert [n for n, _ in list_dex_entries(archive)] == expected
+    assert list_dex_entries(archive) == reference_list_dex_entries(archive)
+
+
 def test_nested_dex_names_ignored():
     archive = make_zip({"assets/classes.dex": b"x", "classes.dex": b"y"})
     assert [n for n, _ in list_dex_entries(archive)] == ["classes.dex"]
@@ -245,6 +255,7 @@ class _Unseekable(io.RawIOBase):
 
 
 _ENTRY_NAMES = ["classes.dex", "classes2.dex", "classes3.dex", "classes10.dex", "classes1.dex",
+                "classes" + "9" * 5000 + ".dex",
                 "classes.dex\x00.txt", "classes2.dex\x00", "classes.dex\n", "clásses.dex",
                 "classes\u0663.dex", "assets/classes.dex", "res/ünï.png", "AndroidManifest.xml"]
 # Well-formed extra fields: each a header id, a length and that many bytes.

@@ -151,7 +151,13 @@ def test_synth_cli_deterministic(tmp_path):
                                   json.dumps({"samples_per_family": [1.5, 3]}),
                                   json.dumps({"skew": "1"}), json.dumps({"skew": float("nan")}),
                                   json.dumps({"fingerprint_strength": float("inf")}),
-                                  json.dumps({"scheme": 5})])
+                                  json.dumps({"scheme": 5}),
+                                  # A value of the right type, out of its range.
+                                  json.dumps({"samples_per_family": [0, 3]}),
+                                  json.dumps({"identifiers_per_app": [0, 5]}),
+                                  json.dumps({"skew": -0.5}),
+                                  json.dumps({"mixed_family_fraction": 1.5}),
+                                  json.dumps({"fingerprint_strength": -1.0})])
 def test_a_bad_synth_config_is_a_typed_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -490,6 +496,61 @@ def test_error_line_is_machine_readable(tmp_path, capsys):
     assert payload["exit_code"] == 4 and "message" in payload
 
 
+def _feature_rows(keep):
+    """A feature CSV of the header and the rows of the CLI corpus that keep(row_no, row) keeps."""
+    return lambda features: b"".join(line for i, line in enumerate(features.splitlines(keepends=True))
+                                     if i == 0 or keep(i, line))
+
+
+_PATH_MANIFEST = b"sample_id,family,label,path\n"
+# Ways to break the manifest a command reads: the command's flags (MANIFEST,
+# APKS and EMPTY stand for the manifest, the CLI corpus and an empty
+# directory), the manifest's bytes from the CLI feature CSV's, the error and
+# the exit code.
+BROKEN_MANIFESTS = {
+    "split-row-not-utf8": (["split", "--manifest", "MANIFEST", "--strategy", "random"],
+                           lambda f: _PATH_MANIFEST + b"s1,fam\xff,SE,x.apk\n", "BadValue", 3),
+    "split-header-not-utf8": (["split", "--manifest", "MANIFEST", "--strategy", "random"],
+                              lambda f: b"sample_id,fam\xffily,label,path\ns1,f,SE,x.apk\n",
+                              "BadValue", 3),
+    "extract-manifest-not-utf8": (["extract", "--apk-dir", "APKS", "--manifest", "MANIFEST"],
+                                  lambda f: _PATH_MANIFEST + b"s1,fam\xff,SE,x.apk\n", "BadValue", 3),
+    "experiment-features-not-utf8": (["experiment", "--manifest", "MANIFEST", "--strategy", "random",
+                                      "--learner", "batch", "--reps", "2"],
+                                     lambda f: f.replace(b",fam0", b",f\xffm0", 1), "BadValue", 3),
+    "split-field-too-large": (["split", "--manifest", "MANIFEST", "--strategy", "random"],
+                              lambda f: _PATH_MANIFEST + b"s1," + b"f" * 200_000 + b",SE,x.apk\n",
+                              "BadValue", 3),
+    "split-empty-file": (["split", "--manifest", "MANIFEST", "--strategy", "random"],
+                         lambda f: b"", "BadHeader", 3),
+    "split-short-row": (["split", "--manifest", "MANIFEST", "--strategy", "random"],
+                        lambda f: _PATH_MANIFEST + b"s1,fam,SE\n", "BadHeader", 3),
+    "train-grid-more-folds-than-rows": (["train", "--manifest", "MANIFEST", "--learner", "batch",
+                                         "--grid", "--folds", "3"],
+                                        _feature_rows(lambda i, row: i <= 2), "TooSmall", 3),
+    "train-grid-one-class": (["train", "--manifest", "MANIFEST", "--learner", "batch", "--grid"],
+                             _feature_rows(lambda i, row: b",NOT_SE," not in row), "SingleClass", 3),
+    "extract-feature-manifest": (["extract", "--apk-dir", "APKS", "--manifest", "MANIFEST"],
+                                 lambda f: f, "_UsageError", 1),
+    "extract-no-apks": (["extract", "--apk-dir", "EMPTY"], lambda f: f, "_UsageError", 1),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_MANIFESTS)
+def test_a_broken_manifest_is_a_typed_error(corpus_dir, features_csv, tmp_path, capsys, case):
+    flags, manifest_bytes, error, code = BROKEN_MANIFESTS[case]
+    manifest, empty, out = tmp_path / "m.csv", tmp_path / "empty", tmp_path / "out"
+    manifest.write_bytes(manifest_bytes(features_csv.read_bytes()))
+    empty.mkdir()
+    places = {"MANIFEST": str(manifest), "APKS": str(corpus_dir), "EMPTY": str(empty)}
+    assert main([places.get(flag, flag) for flag in flags] + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert (json.loads(lines[0])["error"], json.loads(lines[0])["exit_code"]) == (error, code)
+    assert captured.out == "" and not out.exists()
+
+
 def test_online_train_defaults_equal_the_explicit_flags(features_csv, tmp_path):
     default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
     assert main(["train", "--manifest", str(features_csv), "--learner", "online",
@@ -603,6 +664,7 @@ BROKEN_EVAL_INPUTS = {
     "model-online-float-seed": ("model", _online_model_with("seed", 1.7), "BadConfig"),
     "model-online-n_draws-a-string": ("model", _online_model_with("n_draws", "40"), "BadConfig"),
     "model-online-lambda-a-bool": ("model", _online_model_with("lam_poisson", True), "BadConfig"),
+    "model-unknown-kind": ("model", lambda obj: json.dumps({**obj, "kind": "forest"}), "BadConfig"),
     "split-not-json": ("split", lambda obj: "{not json", "BadValue"),
     "split-not-an-object": ("split", lambda obj: json.dumps(list(obj)), "BadValue"),
     "split-missing-key": ("split", _without("test_ids"), "BadValue"),

@@ -32,7 +32,7 @@ from strobe.errors import (
     UnknownId,
     UnknownLabel,
 )
-from strobe.features import FeatureVector
+from strobe.features import CSV_HEADER, FeatureVector
 
 from oracles import reference_both_classes, reference_validate_split
 
@@ -121,6 +121,21 @@ def test_bad_header(tmp_path):
     p = tmp_path / "m.csv"
     write_manifest(p, ["s1,famA,SE"], header="id,family,label")
     with pytest.raises(BadHeader):
+        load_manifest(p)
+
+
+@pytest.mark.parametrize("text", [
+    b"sample_id,family,label,path\ns1,fam\xffA,SE,x.apk\n",
+    b"sample_id,fam\xffily,label,path\ns1,famA,SE,x.apk\n",
+    ",".join(CSV_HEADER).encode() + b"\ns1,famA,SE,1.5,10,9.5,0.1,0,0,0.2,3,12,0\n"
+    + b"s2,fam\xffA,SE,1.5,10,9.5,0.1,0,0,0.2,3,12,0\n",
+    # A field past csv's default limit of 131,072 characters.
+    b"sample_id,family,label,path\ns1," + b"f" * 200_000 + b",SE,x.apk\n",
+], ids=["path-row", "header", "feature-row", "huge-field"])
+def test_an_unreadable_manifest_is_bad_value(tmp_path, text):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text)
+    with pytest.raises(BadValue, match=r"m\.csv: unreadable CSV"):
         load_manifest(p)
 
 

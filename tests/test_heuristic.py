@@ -3,7 +3,7 @@ import pytest
 from strobe.apk import AppStrings
 from strobe.dataset import Label
 from strobe.errors import BadConfig
-from strobe.heuristic import HeuristicConfig, detect_dexguard, zero_string_fraction
+from strobe.heuristic import detect_dexguard, zero_string_fraction
 
 
 def app(n_strings):
@@ -20,17 +20,15 @@ def test_many_strings_not_se():
 
 
 def test_threshold_boundary():
-    cfg2 = HeuristicConfig(max_strings=2)
-    cfg1 = HeuristicConfig(max_strings=1)
-    assert detect_dexguard(app(2), cfg2) is Label.SE
-    assert detect_dexguard(app(2), cfg1) is Label.NOT_SE
+    assert detect_dexguard(app(2), max_strings=2) is Label.SE
+    assert detect_dexguard(app(2), max_strings=1) is Label.NOT_SE
 
 
 def test_monotone_in_threshold():
     for n in range(0, 12):
         previous = None
         for t in range(0, 12):
-            verdict = detect_dexguard(app(n), HeuristicConfig(max_strings=t))
+            verdict = detect_dexguard(app(n), max_strings=t)
             if previous is Label.SE:
                 assert verdict is Label.SE  # raising the threshold never un-flags
             previous = verdict
@@ -38,7 +36,10 @@ def test_monotone_in_threshold():
 
 def test_negative_threshold_rejected():
     with pytest.raises(BadConfig):
-        HeuristicConfig(max_strings=-1)
+        detect_dexguard(app(0), max_strings=-1)
+    # Even with no app to judge.
+    with pytest.raises(BadConfig):
+        zero_string_fraction([], max_strings=-1)
 
 
 def test_zero_string_fraction_default_config():
@@ -48,7 +49,7 @@ def test_zero_string_fraction_default_config():
 
 def test_zero_string_fraction_loose_threshold():
     apps = [app(0), app(2), app(9)]
-    assert zero_string_fraction(apps, HeuristicConfig(max_strings=2)) == 0.5
+    assert zero_string_fraction(apps, max_strings=2) == 0.5
 
 
 def test_zero_string_fraction_nothing_flagged():

@@ -32,7 +32,7 @@ from strobe.learners import (
     online_update,
     predict,
 )
-from strobe.learners import _check_count_room, _prequential_sweep
+from strobe.learners import _draw_weights, _prequential_sweep
 
 from oracles import (
     ReplayEnsemble,
@@ -491,14 +491,15 @@ def test_merge_coefficient_does_not_wrap_at_large_lambda(feed):
 
 def test_count_check_admits_counts_up_to_the_int64_maximum():
     model = online_init(k=2, seed=0)
-    W = np.array([[3, 0], [4, 0]])
-    cls = np.array([1, 1])
+    se, not_se = np.array([1.0, 1.0]), np.array([-1.0, -1.0])
     model.counts[:, 1] = [_COUNT_MAX - 7, _COUNT_MAX]
-    _check_count_room(model, W, cls)
-    _check_count_room(model, W, np.array([0, 0]))
+    for y in (se, not_se):
+        model.rng = FakePoisson([3, 0, 4, 0])  # member 0 draws 3 and 4, member 1 nothing
+        _draw_weights(model, y)
     model.counts[0, 1] += 1
+    model.rng = FakePoisson([3, 0, 4, 0])
     with pytest.raises(BadConfig, match="member 0, class 1"):
-        _check_count_room(model, W, cls)
+        _draw_weights(model, se)
 
 
 def test_cold_model_predicts_not_se():
