@@ -7,6 +7,12 @@ gets a stable random style, one record of three traits: a vocabulary (its
 alphabet and word lengths), a mean word count, and one rate per class of
 inserted character. Apps jitter their family's style. It is the nuisance
 signal a leaky evaluation can memorize.
+
+Three rules save time without changing an output byte or the generator
+state: a style leaves out each class of rate 0 (poisson(0.0) draws
+nothing), a string of up to _SCALAR_WORDS words draws them one scalar draw
+each (the same values and generator state as one sized draw), and
+encryption XORs through a 256-byte table per key.
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ import csv
 import hashlib
 import math
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, asdict, field, fields
+from functools import cache
 from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
@@ -171,13 +179,16 @@ def build_dex(spec: DexSpec) -> bytes:
     return HEADER.pack(DEX_MAGIC, checksum, signature, *header)[:SIGNED_FROM] + signed
 
 
+@cache
+def _xor_table(key: int) -> bytes:
+    """The bytes.translate table that XORs every byte with key (0-255),
+    made on the key's first use so that importing synth builds none."""
+    return bytes(b ^ key for b in range(256))
+
+
 def encrypt_string(s: str, key: int) -> str:
     """XOR the UTF-8 bytes of s with a single-byte key, then base64."""
-    raw = s.encode("utf-8")
-    # The key repeated over every byte, XORed in as one integer.
-    mask = (key & 0xFF) * int.from_bytes(b"\x01" * len(raw), "big")
-    xored = (int.from_bytes(raw, "big") ^ mask).to_bytes(len(raw), "big")
-    return base64.b64encode(xored).decode("ascii")
+    return base64.b64encode(s.encode("utf-8").translate(_xor_table(key & 0xFF))).decode("ascii")
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +267,9 @@ _PAIR = "tuple[int, int]"
 # Per SynthConfig annotation: the test a field's value must pass, and what it must be.
 _FIELD_SHAPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: isinstance(v, Real) and not isinstance(v, bool) and -math.inf < v < math.inf,
+    # abs(v) compares a JSON integer exactly, so one too large for a float
+    # fails here, as NaN and the infinities do.
+    "float": (lambda v: isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
               "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     _PAIR: (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_int, v)),
@@ -330,18 +343,31 @@ _VOCAB_SIZE = 48  # distinct words per family
 # The classes of character that payload strings insert, one rate each in a
 # style: four punctuation marks, then one character drawn from a pool.
 _INSERTED = ("-", "/", "+", "=", _UNICODE_POOL)
+# Up to this many words, a payload string draws its words one scalar draw
+# each; a longer one draws them in one sized draw. Both give the same values
+# and generator state, but with numpy 2.4 a sized integers(0, 48, size=k)
+# costs about 2.5 us for any k up to 6 (np.prod in its size handling), and a
+# scalar one 0.73 us.
+_SCALAR_WORDS = 3
 
 
 class _Style(NamedTuple):
     """The string style of a family, or one app's variant of it: the words
     its strings are made of, the mean number of words after the first, and
-    per class of _INSERTED the mean number inserted into a string. Every
-    trait scales with fingerprint_strength, so strength 0 makes families
-    statistically alike."""
+    (class of _INSERTED, mean number inserted into a string) for each class
+    whose mean is above 0, in _INSERTED order. Every trait scales with
+    fingerprint_strength, so strength 0 makes families statistically alike."""
 
     vocab: list[str]
     extra_words: float
-    rates: list[float]
+    inserts: list[tuple[str, float]]
+
+
+def _inserts(pairs) -> list[tuple[str, float]]:
+    """The (class, rate) pairs whose rate is above 0. A class of rate 0
+    inserts nothing, and poisson(0.0) draws nothing from the generator, so
+    leaving it out changes no string and no later draw."""
+    return [(chars, rate) for chars, rate in pairs if rate > 0]
 
 
 def _family_style(strength: float, rng: np.random.Generator) -> _Style:
@@ -362,7 +388,7 @@ def _family_style(strength: float, rng: np.random.Generator) -> _Style:
             pos = int(rng.integers(0, len(chars)))
             chars.insert(pos, chars[pos])
         vocab["".join(chars)] = None
-    return _Style(list(vocab), extra_words, rates)
+    return _Style(list(vocab), extra_words, _inserts(zip(_INSERTED, rates)))
 
 
 def _variant_jitter(family_size: int) -> float:
@@ -380,20 +406,26 @@ def _app_style(family: _Style, rng: np.random.Generator, jitter: float) -> _Styl
     if jitter > 0:
         keep = max(8, int(round(len(vocab) * (1.0 - 0.5 * jitter * rng.random()))))
         vocab = [vocab[i] for i in sorted(rng.choice(len(vocab), size=keep, replace=False).tolist())]
-    # The word-count nudge, then one per rate: one draw, the same values and
-    # generator state as a scalar draw and then an array of the rest.
-    words_nudge, *nudges = rng.uniform(-1.0, 1.0, 1 + len(family.rates)).tolist()
+    # The word-count nudge, then one per class of _INSERTED, also those the
+    # family leaves out: one draw, the same values and generator state as a
+    # scalar draw and then an array of the rest.
+    words_nudge, *nudges = rng.uniform(-1.0, 1.0, 1 + len(_INSERTED)).tolist()
     extra_words = max(0.0, family.extra_words * (1.0 + 0.6 * jitter * words_nudge))
-    return _Style(vocab, extra_words,
-                  [max(0.0, rate * (1.0 + jitter * u)) for rate, u in zip(family.rates, nudges)])
+    nudge = dict(zip(_INSERTED, nudges))
+    return _Style(vocab, extra_words, _inserts(
+        (chars, rate * (1.0 + jitter * nudge[chars])) for chars, rate in family.inserts))
 
 
 def _make_payload_string(style: _Style, rng: np.random.Generator) -> str:
     poisson, integers = rng.poisson, rng.integers
     vocab = style.vocab
+    n_vocab = len(vocab)
     n_words = 1 + poisson(style.extra_words)
-    s = " ".join(map(vocab.__getitem__, integers(0, len(vocab), size=n_words).tolist()))
-    for chars, rate in zip(_INSERTED, style.rates):
+    if n_words <= _SCALAR_WORDS:
+        s = " ".join([vocab[integers(0, n_vocab)] for _ in range(n_words)])
+    else:
+        s = " ".join(map(vocab.__getitem__, integers(0, n_vocab, size=n_words).tolist()))
+    for chars, rate in style.inserts:
         n = poisson(rate)  # a class inserts nothing in most strings
         while n:
             n -= 1

@@ -20,11 +20,17 @@ up by id, and the APK container references read and write through the
 standard zipfile module. The dex writer reference sorts, measures and
 encodes every string through the UTF-16 codec and the per-unit MUTF-8
 encoder, and packs each id table and map item on its own: the writer of
-synth before it took a UTF-8 route.
+synth before it took a UTF-8 route. The payload-string reference makes one
+Poisson draw per class of inserted character, rate 0 or not, and draws its
+words in one sized draw however few there are, and the encryption reference
+XORs the whole string as one big integer: synth's generator before it
+skipped zero rates, drew short strings' words one at a time and XORed
+through a byte table.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import io
 import lzma
@@ -33,6 +39,7 @@ import re
 import struct
 import zipfile
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +50,8 @@ from strobe.errors import CorruptEntry, DecodeError, EmptyStream, EmptyTest, NoD
 from strobe.evaluation import EvalResult, PrequentialResult
 from strobe.learners import BatchModel, _member_terms, online_update
 from strobe.mutf8 import decode_mutf8, utf16_length
-from strobe.synth import (_CLASS_DEF, _MANIFEST_STUB, DEX_MAGIC, TYPE_HEADER_ITEM, TYPE_MAP_LIST,
-                          TYPE_STRING_DATA_ITEM, DexSpec)
+from strobe.synth import (_CLASS_DEF, _INSERTED, _MANIFEST_STUB, DEX_MAGIC, TYPE_HEADER_ITEM,
+                          TYPE_MAP_LIST, TYPE_STRING_DATA_ITEM, DexSpec)
 
 _LEAD_LEN = {}
 for _b in range(0x01, 0x80):
@@ -732,3 +739,42 @@ def reference_build_dex(spec: DexSpec) -> bytes:
     signature = hashlib.sha1(signed).digest()
     HEADER.pack_into(buf, 0, DEX_MAGIC, zlib.adler32(signature + signed), signature, *header)
     return bytes(buf)
+
+
+# --------------------------------------------------------------------------
+# Payload strings and their encryption
+# --------------------------------------------------------------------------
+
+class ReferenceStyle(NamedTuple):
+    """A style as reference_make_payload_string reads it: one rate per class
+    of _INSERTED, in its order, zero rates included."""
+
+    vocab: list[str]
+    extra_words: float
+    rates: list[float]
+
+
+def reference_make_payload_string(style: ReferenceStyle, rng: np.random.Generator) -> str:
+    poisson, integers = rng.poisson, rng.integers
+    vocab = style.vocab
+    n_words = 1 + poisson(style.extra_words)
+    s = " ".join(map(vocab.__getitem__, integers(0, len(vocab), size=n_words).tolist()))
+    for chars, rate in zip(_INSERTED, style.rates):
+        n = poisson(rate)  # a class inserts nothing in most strings
+        while n:
+            n -= 1
+            pos = int(integers(0, len(s) + 1))
+            # A pool's character is drawn after the position: the pinned
+            # corpora depend on that order.
+            ch = chars if len(chars) == 1 else chars[integers(0, len(chars))]
+            s = s[:pos] + ch + s[pos:]
+    return s
+
+
+def reference_encrypt_string(s: str, key: int) -> str:
+    """XOR the UTF-8 bytes of s with a single-byte key, then base64."""
+    raw = s.encode("utf-8")
+    # The key repeated over every byte, XORed in as one integer.
+    mask = (key & 0xFF) * int.from_bytes(b"\x01" * len(raw), "big")
+    xored = (int.from_bytes(raw, "big") ^ mask).to_bytes(len(raw), "big")
+    return base64.b64encode(xored).decode("ascii")

@@ -157,7 +157,12 @@ def test_synth_cli_deterministic(tmp_path):
                                   json.dumps({"identifiers_per_app": [0, 5]}),
                                   json.dumps({"skew": -0.5}),
                                   json.dumps({"mixed_family_fraction": 1.5}),
-                                  json.dumps({"fingerprint_strength": -1.0})])
+                                  json.dumps({"fingerprint_strength": -1.0}),
+                                  # An integer too large for a float, which passed as finite.
+                                  pytest.param('{"skew": 1%s, "n_families": 2, "samples_per_family": [1, 2]}'
+                                               % ("0" * 400), id="skew-too-large-for-a-float"),
+                                  pytest.param('{"fingerprint_strength": 1%s}' % ("0" * 400),
+                                               id="fingerprint_strength-too-large-for-a-float")])
 def test_a_bad_synth_config_is_a_typed_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

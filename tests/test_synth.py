@@ -4,6 +4,7 @@ import random
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -23,7 +24,8 @@ from strobe.synth import (
     gen_corpus,
 )
 
-from oracles import reference_adler32, reference_build_dex, reference_sha1
+from oracles import (ReferenceStyle, reference_adler32, reference_build_dex, reference_encrypt_string,
+                     reference_make_payload_string, reference_sha1)
 
 
 def spec(types=("Lx;",), methods=("go",), fields=(), payload=("hello",)):
@@ -173,6 +175,21 @@ def test_encrypt_raises_corpus_entropy():
     assert enc > plain
 
 
+# Keys below 0, in 0..255 and from 256 on: only key & 0xFF counts.
+_KEYS = st.integers(-300, -1) | st.integers(0, 255) | st.integers(256, 600)
+
+
+@given(st.text(_ALPHABETS[0] | _ALPHABETS[1] | _ALPHABETS[2] | _ALPHABETS[3], max_size=40), _KEYS)
+@example("", -5)
+@example("", 0)
+@example("plain ascii", 0x5A)
+@example("ümlaut 中文", 255)
+@example("\U0001F600 astral", 256)
+@example("\U0010FFFF", -1)
+def test_encrypt_matches_the_integer_xor_reference(s, key):
+    assert encrypt_string(s, key) == reference_encrypt_string(s, key)
+
+
 # --- config -----------------------------------------------------------------
 
 def test_config_validation():
@@ -184,6 +201,11 @@ def test_config_validation():
         SynthConfig(se_string_fraction=0.0).validate()
     with pytest.raises(InvalidConfig):
         SynthConfig(scheme="ROT13").validate()
+    # A JSON integer too large for a float is no finite number.
+    for name in ("skew", "fingerprint_strength"):
+        with pytest.raises(InvalidConfig, match=name):
+            SynthConfig(**{name: 10 ** 400}).validate()
+    SynthConfig(skew=10 ** 300, fingerprint_strength=10 ** 300).validate()
     SynthConfig().validate()
 
 
@@ -204,7 +226,7 @@ def test_a_family_whose_words_name_too_few_members_is_invalid(monkeypatch, tmp_p
     # dexes can name only 10 members.
     words = [f"abcdefghij{i}" for i in range(48)]
     assert len(set(synth._name_words(words))) == 1
-    monkeypatch.setattr(synth, "_family_style", lambda strength, rng: synth._Style(words, 1.0, [0.0] * 5))
+    monkeypatch.setattr(synth, "_family_style", lambda strength, rng: synth._Style(words, 1.0, []))
     cfg = SynthConfig(n_families=2, samples_per_family=(1, 1), identifiers_per_app=(8, 12), seed=1)
     with pytest.raises(InvalidConfig, match="fam000"):
         gen_corpus(cfg, tmp_path / "c")
@@ -358,3 +380,29 @@ def test_strength_zero_inserts_no_styled_characters(tmp_path):
             if not t.isascii() or set(t) & set("-/+="))
     assert marked[0.0] == 0
     assert marked[1.0] > 0
+
+
+# --- payload strings ----------------------------------------------------------
+
+# A rate is exactly 0 (no draw), small, or high enough that most strings get
+# an insertion of its class.
+_RATES = st.just(0.0) | st.floats(1e-3, 3.0)
+
+
+@given(vocab=st.lists(st.text("abcdefghij", min_size=1, max_size=8), min_size=8, max_size=48,
+                      unique=True),
+       extra_words=st.floats(0.0, 6.0), rates=st.lists(_RATES, min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(vocab=[f"w{i}" for i in range(8)], extra_words=0.0, rates=[0.0] * 5, seed=0)
+@example(vocab=[f"w{i}" for i in range(48)], extra_words=6.0, rates=[0.0, 2.0, 0.0, 0.5, 3.0], seed=1)
+def test_payload_strings_and_draws_match_the_reference(vocab, extra_words, rates, seed):
+    """Leaving out the classes of rate 0 and drawing the words of a short
+    string one at a time give the same strings and leave the generator in
+    the same state after every string."""
+    style = synth._Style(vocab, extra_words, synth._inserts(zip(synth._INSERTED, rates)))
+    reference = ReferenceStyle(vocab, extra_words, rates)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert (synth._make_payload_string(style, rng)
+                == reference_make_payload_string(reference, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
