@@ -8,8 +8,11 @@ bit-identical to training each fit alone. A step in which some fit updates
 moves every fit by its own next sample [y * x, y] in five numpy calls, exact
 since y = +-1; a run of steps in which no fit updates is taken in one batch
 from the exact shrink-only trajectory, as long as the share of steps with an
-update stays low. batch_train is one fit, grid_search every (grid point,
-fold) pair, and run_lofo and run_experiment every fold or repetition of a run.
+update stays low. Rows come from each stream in runs of several blocks, and
+the per-step row views are built once per count of live fits: neither
+changes an operand or the order of a numpy call, so neither changes a bit.
+batch_train is one fit, grid_search every (grid point, fold) pair, and
+run_lofo and run_experiment every fold or repetition of a run.
 
 Online: an ensemble of incremental Gaussian class-conditional models where
 each arriving sample enters each ensemble member with a Poisson-drawn weight
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -98,14 +102,18 @@ def fit_scaler(X: np.ndarray) -> Scaler:
 # Rows [x, y] are gathered, standardized and made [y * x, y] a block of steps
 # at a time; a block holds about this many values per (steps, fits, 9) array.
 _BLOCK_VALUES = 16384
+# Each stream's rows are drawn for a run of this many blocks at once, so its
+# take runs once per run, not once per block.
+_RUN_BLOCKS = 4
 # Skipping steps with no update (see hinge_sgd): a window speculates this
 # many steps of the shrink-only trajectory. Its 31 multiplies and one stacked
-# vecdot cost about 12 us at 20 fits, a fifth of 32 steps taken one at a time.
+# vecdot cost 8-11 us at 1-20 fits, a fifth of 32 steps taken one at a time.
 _SKIP_ROWS = 32
 # Speculating pays while at most one step in this many updates a fit: a
-# window then advances about 8 steps for what 8 single steps (1.6-2.1 us
+# window then advances about 8 steps for what 6-7 single steps (1.3-1.6 us
 # each) cost. Past that (hits * 8 > steps + _SKIP_ROWS), steps are taken
-# one at a time.
+# one at a time. Values from 5 to 10 train the lofo and leakage benchmark
+# inputs in the same time.
 _SKIP_SHARE = 8
 # Steps taken one at a time before skipping is tried again, doubling on each
 # fallback up to _SKIP_BACKOFF_MAX; a speculative stretch of this many steps
@@ -183,6 +191,18 @@ def hinge_sgd(
     run goes unreported. The weights are the per-step loop's, whatever the
     policy below decides.
 
+    Rows enter a block at a time: gathered from X into Z, standardized, made
+    [y * x, y], and scaled into U. Each stream's take fills the row-index
+    buffer G for a run of up to 4 blocks at once, so it runs once per run,
+    not once per block. A stream's take hands out its permutations in order,
+    however long the request, so every fit sees the rows it would see alone.
+    The row views that steps and windows read (Z[t], U[t], T[i]) are built
+    once for each number L of live fits, which changes only when a fit
+    finishes; a run ends there too. Taking a listed view instead of making
+    one per step changes no operand, order or kernel of any numpy call, so
+    the weights stay bit for bit the same; it saves only Python work, about
+    5 us in each 32-row window at 1-20 fits.
+
     Skipping pays only while few steps update: a window that stops at step k
     has paid for 32 rows. So the loop watches the share of steps in which
     some fit updates, a property of the input. It is 1.2% for batch LOFO on
@@ -216,10 +236,11 @@ def hinge_sgd(
     used = sorted(set(sid.tolist()))
     state = {s: _Stream(*streams[s]) for s in used}
     stream_steps = {s: int(n_steps[sid == s].max()) for s in used}
-    # Steps per block, and buffers reused by every block so that the pass
-    # allocates nothing per block.
-    cap = max(16, _BLOCK_VALUES // (width * max(n_live, 1)))
-    G = np.zeros((cap, len(streams)), dtype=np.intp)
+    # Steps per block, never more than the lockstep takes, and buffers reused
+    # by every block so that the pass allocates nothing per block; G holds a
+    # run of blocks.
+    cap = min(max(16, _BLOCK_VALUES // (width * max(n_live, 1))), int(n_steps.max(initial=0)))
+    G = np.zeros((_RUN_BLOCKS * cap, len(streams)), dtype=np.intp)
     zbuf, ubuf = np.empty((2, cap * n_live * width))
     rows = min(_SKIP_ROWS, cap)
     tbuf = np.empty(rows * n_live * width)
@@ -229,32 +250,44 @@ def hinge_sgd(
     # and updates seen since skipping last (re)started.
     wait, backoff, seen, hits = 0, _SKIP_STRETCH, 0, 0
     vecdot, less, multiply, add, copyto = np.vecdot, np.less, np.multiply, np.add, np.copyto
-    t0 = 0
+    # G holds the stream rows of steps r0 to r1; the views below are of L live fits.
+    t0 = r0 = r1 = L = 0
     while n_live and t0 < n_steps[0]:
-        L = int(np.count_nonzero(n_steps > t0))
-        t1 = min(t0 + cap, int(n_steps[L - 1]))
+        if not L or n_steps[L - 1] <= t0:  # the first block, or a fit has finished
+            L = int(np.count_nonzero(n_steps > t0))
+            Wl, Sl, one = W[:L], shrink[:L], ones[:L]
+            sid_l, mean_l, std_l, lr_l = sid[:L], mean[:L], std[:L], lr[:L]
+            margin, nxt = np.empty(L), np.empty((L, width))
+            active = np.empty((L, 1), dtype=bool)
+            active1 = active.reshape(L)
+            Z = zbuf[:cap * L * width].reshape(cap, L, width)
+            U = ubuf[:cap * L * width].reshape(cap, L, width)
+            T = tbuf[:rows * L * width].reshape(rows, L, width)
+            M = mbuf[:rows * L].reshape(rows, L)
+            A_flat = abuf[:rows * L]
+            A = A_flat.reshape(rows, L)
+            # The row views that steps and windows read, listed once.
+            ZU = list(zip(Z, U))
+            T_rows = list(T)
+            T_pairs = list(zip(T_rows, T_rows[1:]))
+        if t0 == r1:
+            # The next run: each live stream's take fills its column with
+            # up to _RUN_BLOCKS blocks of rows at once, ending where a fit
+            # does, which every live stream's fits outlast.
+            r0, r1 = t0, min(t0 + len(G), int(n_steps[L - 1]))
+            for s in used:
+                if stream_steps[s] > r0:
+                    state[s].take(G[:r1 - r0, s])
+        t1 = min(t0 + cap, r1)
         c = t1 - t0
-        for s in used:
-            if stream_steps[s] > t0:
-                state[s].take(G[:min(t1, stream_steps[s]) - t0, s])
-        Z = zbuf[:c * L * width].reshape(c, L, width)
-        U = ubuf[:c * L * width].reshape(c, L, width)
+        Zc = Z[:c]
         # Every index is valid; mode="clip" lets take write straight into
         # the buffer, where the default mode would stage a temporary.
-        np.take(XY, G[:c, sid[:L]], axis=0, out=Z, mode="clip")
-        np.subtract(Z, mean[:L], out=Z)
-        np.divide(Z, std[:L], out=Z)
-        np.multiply(Z[..., :N_FEATURES], Z[..., N_FEATURES:], out=Z[..., :N_FEATURES])
-        np.multiply(lr[:L], Z, out=U)
-
-        Wl, Sl, one = W[:L], shrink[:L], ones[:L]
-        margin, nxt = np.empty(L), np.empty((L, width))
-        active = np.empty((L, 1), dtype=bool)
-        active1 = active.reshape(L)
-        T = tbuf[:rows * L * width].reshape(rows, L, width)
-        M = mbuf[:rows * L].reshape(rows, L)
-        A_flat = abuf[:rows * L]
-        A = A_flat.reshape(rows, L)
+        np.take(XY, G[t0 - r0:t1 - r0, sid_l], axis=0, out=Zc, mode="clip")
+        np.subtract(Zc, mean_l, out=Zc)
+        np.divide(Zc, std_l, out=Zc)
+        np.multiply(Zc[..., :N_FEATURES], Zc[..., N_FEATURES:], out=Zc[..., :N_FEATURES])
+        np.multiply(lr_l, Zc, out=U[:c])
 
         j = 0
         while j < c:
@@ -267,20 +300,20 @@ def hinge_sgd(
                 # and may overflow where |shrink| > 1, so overflow is not
                 # reported here.
                 r = min(rows, c - j)
-                copyto(T[0], Wl)
+                copyto(T_rows[0], Wl)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for i in range(1, r):
-                        multiply(T[i - 1], Sl, T[i])
+                    for prev, cur in T_pairs[:r - 1]:
+                        multiply(prev, Sl, cur)
                     vecdot(T[:r], Z[j:j + r], M[:r])
                 less(M[:r], one, A[:r])
                 first = int(A_flat[:r * L].argmax())
                 if A_flat[first]:  # step j + k updates a fit: take it below
                     k = first // L
-                    copyto(Wl, T[k])
+                    copyto(Wl, T_rows[k])
                     seen, hits = seen + k + 1, hits + 1
                     j, e = j + k, j + k + 1
                 else:
-                    multiply(T[r - 1], Sl, Wl)
+                    multiply(T_rows[r - 1], Sl, Wl)
                     seen += r
                     j = e = j + r
                 if hits * _SKIP_SHARE > seen + _SKIP_ROWS:
@@ -288,7 +321,7 @@ def hinge_sgd(
                     seen = hits = 0
                 elif seen >= _SKIP_STRETCH:
                     backoff, seen, hits = _SKIP_STRETCH, 0, 0
-            for z, u in zip(Z[j:e], U[j:e]):
+            for z, u in ZU[j:e]:
                 vecdot(Wl, z, margin)
                 less(margin, one, active1)
                 multiply(Wl, Sl, Wl)
@@ -669,13 +702,15 @@ def model_to_json(model: BatchModel | OnlineModel) -> dict:
 
 # What each number of a model file must be. Only JSON numbers pass: float()
 # and numpy would take a bool or a numeric string, and int64 truncates a float.
+# abs(v) compares a JSON integer exactly, so one too large for a float fails
+# the finite-number test, as NaN and the infinities do; a count must fit int64.
 _NUMBER = "a finite number"
 _INTEGER = "an integer"
-_COUNT = "an integer >= 0"
+_COUNT = "an integer from 0 to 2**63 - 1"
 _KIND_TESTS = {
-    _NUMBER: lambda v: isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v),
+    _NUMBER: lambda v: isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
     _INTEGER: lambda v: isinstance(v, Integral) and not isinstance(v, bool),
-    _COUNT: lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0,
+    _COUNT: lambda v: isinstance(v, Integral) and not isinstance(v, bool) and 0 <= v <= _COUNT_MAX,
 }
 
 
@@ -737,7 +772,7 @@ def model_from_json(obj: dict) -> BatchModel | OnlineModel:
                 raise BadConfig(f"malformed model: rng_state {state!r} is not a PCG64 state")
             model.rng.bit_generator.state = state
             return model
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadConfig(f"malformed model: {exc!r}") from None
     raise BadConfig(f"unknown model kind {kind!r}")
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from strobe.learners import (
     online_update,
     predict,
 )
+from strobe import learners
 from strobe.learners import _draw_weights, _prequential_sweep
 
 from oracles import (
@@ -200,10 +202,27 @@ def test_default_grid_has_negative_shrink_points():
     assert len(NEGATIVE_SHRINK) == 4
 
 
-@pytest.mark.parametrize("trial", range(6))
-def test_hinge_sgd_matches_per_sample_loop(trial):
+# The smallest block geometry: 16-step blocks (the floor) in runs of two
+# blocks, the shortest run of stream rows that spans a block boundary. Runs
+# then cross epochs and blocks, a block reads from either half of its run,
+# and the live-fit count drops between blocks.
+SMALL_BLOCKS = {"_BLOCK_VALUES": 0, "_RUN_BLOCKS": 2}
+
+
+def small_blocks(patch):
+    """Set hinge_sgd's block and run budgets to SMALL_BLOCKS with patch."""
+    for name, value in SMALL_BLOCKS.items():
+        patch.setattr(learners, name, value)
+
+
+@pytest.mark.parametrize("trial, small", [*(pytest.param(t, False, id=str(t)) for t in range(6)),
+                                          pytest.param(6, True, id="small-blocks")])
+def test_hinge_sgd_matches_per_sample_loop(trial, small, monkeypatch):
     """Random mixes of fits: ragged training sets, repeated seeds, a
-    single-class stream, epochs 0, 1, 20 and 50, negative-shrink grid points."""
+    single-class stream, epochs 0, 1, 20 and 50, negative-shrink grid points;
+    at the default block geometry and at the smallest."""
+    if small:
+        small_blocks(monkeypatch)
     rng = np.random.default_rng(100 + trial)
     pool = random_train(rng, 90)
     X, y = design_matrix(pool)
@@ -303,16 +322,18 @@ SHRINK_CASES = [DEFAULT_HYPERPARAMS, HingeHyperparams(lam=1.0, lr=0.5),
 
 @given(seed=st.integers(0, 2**32 - 1), n_sep=st.integers(2, 24), n_noisy=st.integers(2, 40),
        drawn=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(SHRINK_CASES),
-                                st.sampled_from([0, 1, 30])), min_size=1, max_size=6))
-def test_skipped_steps_match_per_sample_loop(seed, n_sep, n_noisy, drawn):
+                                st.sampled_from([0, 1, 30])), min_size=1, max_size=6),
+       small=st.booleans())
+def test_skipped_steps_match_per_sample_loop(seed, n_sep, n_noisy, drawn, small):
     """Steps taken in batches from the shrink-only trajectory, against the
     per-sample loop with signed zeros. One call mixes two streams of
     well-separated clusters, whose fits soon stop updating (long skipped
     runs), with a noisy stream whose fits update on most steps (the fallback
     to one step at a time and its backoff); step counts end inside a 32-step
     window; epochs 0, 1 and 30; shrink about 1, exactly 0, negative and below
-    -1, where rows speculated past an update grow and may overflow. The call
-    raises no RuntimeWarning when the per-sample loops raise none."""
+    -1, where rows speculated past an update grow and may overflow; the
+    default block geometry and the smallest. The call raises no
+    RuntimeWarning when the per-sample loops raise none."""
     rng = np.random.default_rng(seed)
     n = n_sep + n_noisy
     se = np.zeros(n, dtype=bool)
@@ -327,8 +348,10 @@ def test_skipped_steps_match_per_sample_loop(seed, n_sep, n_noisy, drawn):
     separated, noisy = np.arange(n_sep), np.arange(n_sep, n)
     streams = [(separated, seed), (noisy, seed + 1), (separated, seed + 2)]
     fits = [(s, HingeHyperparams(lam=hp.lam, lr=hp.lr, epochs=epochs)) for s, hp, epochs in drawn]
-    with warnings.catch_warnings(record=True) as lockstep_warnings:
+    with warnings.catch_warnings(record=True) as lockstep_warnings, pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("always")
+        if small:
+            small_blocks(patch)
         models = hinge_sgd(X, y, streams, fits)
     with warnings.catch_warnings(record=True) as loop_warnings:
         warnings.simplefilter("always")
@@ -688,6 +711,47 @@ BROKEN_ONLINE_MODELS = {
     "bool-seed": lambda obj: {**obj, "seed": True},
     "string-lambda": lambda obj: {**obj, "lam_poisson": "6.0"},
 }
+
+
+def _online_counts(value):
+    def broken(obj):
+        members = copy.deepcopy(obj["learners"])
+        members[0]["counts"] = [value, 1]
+        return {**obj, "learners": members}
+    return broken
+
+
+# Numbers past what a float or an int64 holds, which the conversions after
+# the reader's test would overflow on: (kind, edit, field, what it must be).
+OUT_OF_RANGE_NUMBERS = {
+    "batch-bias": ("batch", lambda obj: {**obj, "bias": 10**400}, "bias", "a finite number"),
+    "batch-weight": ("batch", lambda obj: {**obj, "weights": [10**400, *obj["weights"][1:]]},
+                     "weights", "a finite number"),
+    "batch-epochs": ("batch", lambda obj: {**obj, "hyperparams": {**obj["hyperparams"], "epochs": 2**70}},
+                     "hyperparams epochs", "an integer from 0"),
+    "online-lambda": ("online", lambda obj: {**obj, "lam_poisson": 10**400}, "poisson lambda",
+                      "a finite number"),
+    "online-counts": ("online", _online_counts(2**70), "counts", "an integer from 0"),
+    "online-n_draws": ("online", lambda obj: {**obj, "n_draws": 2**70}, "n_draws", "an integer from 0"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE_NUMBERS)
+def test_a_number_out_of_range_fails_the_readers_own_test(case):
+    """One finite-number rule, abs(v) <= the largest float, and counts
+    bounded by the int64 maximum: each such number is refused with the
+    reader's message, not a wrapped OverflowError. The largest values that
+    fit still load."""
+    kind, broken, field, must_be = OUT_OF_RANGE_NUMBERS[case]
+    model = batch_train(*design_matrix(toy_separable()), seed=2) if kind == "batch" \
+        else online_init(k=2, seed=4)
+    obj = model_to_json(model)
+    with pytest.raises(BadConfig, match=f"^malformed model: {field} holds a value that is not {must_be}"):
+        model_from_json(broken(obj))
+    if kind == "batch":
+        assert model_from_json({**obj, "bias": int(sys.float_info.max)}).bias == sys.float_info.max
+    else:
+        assert model_from_json(_online_counts(_COUNT_MAX)(obj)).counts[0, 0] == _COUNT_MAX
 
 
 @pytest.mark.parametrize("case", BROKEN_ONLINE_MODELS)
