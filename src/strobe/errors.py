@@ -59,7 +59,8 @@ class DuplicateId(StrobeError):
 
 
 class UnknownLabel(StrobeError):
-    """Label column value is neither SE nor NOT_SE."""
+    """A label is neither SE nor NOT_SE: a manifest's label column value, or a
+    learner's label that is not +1 or -1."""
 
 
 class UnknownId(StrobeError):

@@ -8,18 +8,22 @@ bit-identical to training each fit alone. A step in which some fit updates
 moves every fit by its own next sample [y * x, y] in five numpy calls, exact
 since y = +-1; a run of steps in which no fit updates is taken in one batch
 from the exact shrink-only trajectory, as long as the share of steps with an
-update stays low. Rows come from each stream in runs of several blocks, and
-the per-step row views are built once per count of live fits: neither
-changes an operand or the order of a numpy call, so neither changes a bit.
-batch_train is one fit, grid_search every (grid point, fold) pair, and
-run_lofo and run_experiment every fold or repetition of a run.
+update stays low. A block of samples is made ready in full-width passes (the
+label sign by a gathered table of sign rows, the step size held as a full
+row per fit), rows come from each stream in runs of 16 blocks, and the
+per-step row views are built once per count of live fits: none of this
+changes an operand or the order of a numpy call, so none of it changes a
+bit. batch_train is one fit, grid_search every (grid point, fold) pair, and
+run_lofo and run_experiment every fold or repetition of a run. Labels other
+than +1 and -1 raise UnknownLabel, in both learners.
 
 Online: an ensemble of incremental Gaussian class-conditional models where
 each arriving sample enters each ensemble member with a Poisson-drawn weight
 (online leveraging bagging). One body each draws the weights (_draw_weights)
 and merges weighted batches into the members' means and M2 (_chan_merge), for
 online_fit and the prequential sweep, and casts the Gaussian votes (_votes_se,
-for OnlineModel.decision and the sweep). Cold models and exact ties predict NOT_SE.
+for OnlineModel.decision, one pass over all members per chunk of rows, and
+for the sweep). Cold models and exact ties predict NOT_SE.
 
 Both learners train on rows of raw features X with labels y (+1 SE, -1
 NOT_SE), and both models score a whole feature matrix at once with
@@ -39,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Label, Sample, design_matrix
-from .errors import BadConfig, SingleClass, TooSmall, read_json
+from .errors import BadConfig, SingleClass, TooSmall, UnknownLabel, read_json
 from .features import FeatureVector
 
 N_FEATURES = 8
@@ -51,6 +55,15 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF  # numpy wants non-negative; seeds are 64-bit
 
 def _np_seed(seed: int) -> int:
     return seed & _SEED_MASK
+
+
+def _check_labels(y: np.ndarray) -> None:
+    """Both learners' label rule: every label is +1.0 (SE) or -1.0 (NOT_SE),
+    else UnknownLabel. The batch step's sign pass is exact only for these."""
+    bad = y[np.abs(y) != 1.0]
+    if bad.size:
+        raise UnknownLabel(f"labels must be +1 (SE) or -1 (NOT_SE), got {bad[0]!r}")
+
 
 DEFAULT_ONLINE_ENSEMBLE = 10
 DEFAULT_POISSON_LAMBDA = 6.0
@@ -103,8 +116,10 @@ def fit_scaler(X: np.ndarray) -> Scaler:
 # at a time; a block holds about this many values per (steps, fits, 9) array.
 _BLOCK_VALUES = 16384
 # Each stream's rows are drawn for a run of this many blocks at once, so its
-# take runs once per run, not once per block.
-_RUN_BLOCKS = 4
+# take runs once per run, not once per block. On the control corpus's batch
+# LOFO (20 fits, 91-step blocks) 16 make about 480 take calls a pass where 4
+# made 1,880; runs of 8 to 64 blocks train it in about the same time.
+_RUN_BLOCKS = 16
 # Skipping steps with no update (see hinge_sgd): a window speculates this
 # many steps of the shrink-only trajectory. Its 31 multiplies and one stacked
 # vecdot cost 8-11 us at 1-20 fits, a fifth of 32 steps taken one at a time.
@@ -155,7 +170,8 @@ def hinge_sgd(
     """Train many hinge-SGD models in lockstep, each bit-identical to its own
     per-sample loop.
 
-    X (N, 8) holds raw features and y (N,) labels in {-1, +1}. A stream
+    X (N, 8) holds raw features and y (N,) labels in {-1, +1}; any other
+    label raises UnknownLabel before anything is trained. A stream
     (rows, seed) is the training set X[rows], y[rows] with its own scaler and
     the permutations default_rng(seed) draws, one per epoch; a fit (stream
     index, hp) runs hp.epochs epochs of its stream. Returns one model per
@@ -191,11 +207,21 @@ def hinge_sgd(
     run goes unreported. The weights are the per-step loop's, whatever the
     policy below decides.
 
-    Rows enter a block at a time: gathered from X into Z, standardized, made
-    [y * x, y], and scaled into U. Each stream's take fills the row-index
-    buffer G for a run of up to 4 blocks at once, so it runs once per run,
-    not once per block. A stream's take hands out its permutations in order,
-    however long the request, so every fit sees the rows it would see alone.
+    Rows enter a block at a time, and every pass runs over the whole
+    (steps, fits, 9) block: gathered from X into Z and standardized; made
+    [y * x, y] by each row's sign row [y] * 8 + [1], which the block's own
+    row indices gather from an (N, 9) table into U as scratch; and scaled
+    into U by the fits' step sizes, held as (fits, 9) rows. A pass over
+    columns 0-7 alone, or a step size broadcast from one column, runs numpy's
+    inner loop over 8 or 9 values per (step, fit) pair: on a 16,380-value
+    block at 20 fits the sign pass took 39 us that way against 15 us for
+    gather and multiply, the step-size pass 17 us against 11 us. Both form
+    the same products of the same operands (x * y exact, as y is +-1, and
+    y * 1 for the bias), so neither changes a bit. Each stream's take fills
+    the row-index buffer G for a run of up to 16 blocks at once, so it runs
+    once per run, not once per block. A stream's take hands out its
+    permutations in order, however long the request, so every fit sees the
+    rows it would see alone.
     The row views that steps and windows read (Z[t], U[t], T[i]) are built
     once for each number L of live fits, which changes only when a fit
     finishes; a run ends there too. Taking a listed view instead of making
@@ -212,6 +238,7 @@ def hinge_sgd(
     doubling that wait on each fallback up to 65,536; a speculative stretch
     of 256 steps resets it.
     """
+    _check_labels(y)
     scalers: list[Scaler | None] = []
     for rows, _ in streams:
         two_classes = len(set(y[rows].tolist())) == 2
@@ -222,9 +249,12 @@ def hinge_sgd(
     n_live, width = len(live), N_FEATURES + 1
     sid = np.array([fits[f][0] for f in live], dtype=np.intp)
     n_steps = np.array([steps[f] for f in live], dtype=np.int64)
-    lr = np.array([fits[f][1].lr for f in live])[:, None]
-    # Each fit's scaler, extended by (0, 1), keeps y as it is.
+    lr = np.repeat(np.array([fits[f][1].lr for f in live])[:, None], width, axis=1)
+    # Each fit's scaler, extended by (0, 1), keeps y as it is; a row's sign
+    # row [y] * 8 + [1] turns its standardized [x, y] into [y * x, y].
     XY = np.column_stack([X, y])
+    SY = np.ones((len(y), width))
+    SY[:, :N_FEATURES] = y[:, None]
     mean = np.array([np.append(scalers[s].mean, 0.0) for s in sid]).reshape(-1, width)
     std = np.array([np.append(scalers[s].std, 1.0) for s in sid]).reshape(-1, width)
     # The bias shrinks by 1.0, which leaves it exactly as it is.
@@ -282,12 +312,15 @@ def hinge_sgd(
         c = t1 - t0
         Zc = Z[:c]
         # Every index is valid; mode="clip" lets take write straight into
-        # the buffer, where the default mode would stage a temporary.
-        np.take(XY, G[t0 - r0:t1 - r0, sid_l], axis=0, out=Zc, mode="clip")
+        # the buffer, where the default mode would stage a temporary. U holds
+        # the sign rows until it takes lr * z.
+        Uc, idx = U[:c], G[t0 - r0:t1 - r0, sid_l]
+        np.take(XY, idx, axis=0, out=Zc, mode="clip")
         np.subtract(Zc, mean_l, out=Zc)
         np.divide(Zc, std_l, out=Zc)
-        np.multiply(Zc[..., :N_FEATURES], Zc[..., N_FEATURES:], out=Zc[..., :N_FEATURES])
-        np.multiply(lr_l, Zc, out=U[:c])
+        np.take(SY, idx, axis=0, out=Uc, mode="clip")
+        np.multiply(Zc, Uc, out=Zc)
+        np.multiply(lr_l, Zc, out=Uc)
 
         j = 0
         while j < c:
@@ -459,16 +492,25 @@ class OnlineModel:
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         """The members' SE votes minus their NOT_SE votes, 2 * votes_se - k,
-        on every row of raw features X; a tie is 0. Members are scored one at
-        a time, in place: a (rows, members, 2, 8) temporary would dominate
-        peak memory on large test sets.
+        on every row of raw features X; a tie is 0. All members are scored
+        in one _votes_se pass per chunk of rows, in place, the chunk sized so
+        that its (rows, members, 2, 8) scratch holds at most _BLOCK_VALUES
+        values (at least one row), 102 rows at k = 10: peak memory stays
+        flat however large the test set. Each score is formed by the same
+        elementwise calls and the same 8-term last-axis sum as member by
+        member, so every vote is the same. One call per chunk, where each
+        member took one, brought online LOFO on the control corpus (seed 7,
+        k = 10, 60-row test families) from 28.1 to 26.3 ms in-process.
         """
         var, log_norm, prior = _member_terms(self)
-        votes_se = np.zeros(len(X), dtype=np.int64)
-        d = np.empty((len(X), 2, N_FEATURES))
-        for j in range(self.k):
-            votes_se += _votes_se(X[:, None, :], self.mean[j], var[j], log_norm[j],
-                                  prior[j], self.counts[j] > 0, d)
+        seen = self.counts > 0
+        chunk = max(1, _BLOCK_VALUES // (self.k * 2 * N_FEATURES))
+        votes_se = np.empty(len(X), dtype=np.int64)
+        d = np.empty((min(chunk, len(X)), self.k, 2, N_FEATURES))
+        for start in range(0, len(X), chunk):
+            Xc = X[start:start + chunk, None, None, :]
+            votes = _votes_se(Xc, self.mean, var, log_norm, prior, seen, d[:len(Xc)])
+            votes_se[start:start + len(Xc)] = np.count_nonzero(votes, axis=1)
         return 2 * votes_se - self.k
 
 
@@ -546,6 +588,7 @@ def _draw_weights(model: OnlineModel, y: np.ndarray) -> tuple[np.ndarray, np.nda
     every count on the way. The sums are exact: Python integers, where the
     cheap bound does not hold.
     """
+    _check_labels(y)
     cls = (y > 0).astype(np.int64)
     W = model.rng.poisson(model.lam_poisson, size=(len(y), model.k))
     model.n_draws += W.size
@@ -590,8 +633,9 @@ def _votes_se(x, mean, var, log_norm, prior, seen, d) -> np.ndarray:
     Gaussian log-likelihood of x (unbiased floored variances), or -inf for a
     class not seen, so a cold member and an exact tie vote NOT_SE.
 
-    Broadcasts one member over many rows or one row over many members; d is
-    scratch of the broadcast (..., 2, 8) shape, overwritten in place.
+    Broadcasts rows over members: a chunk of rows (rows, 1, 1, 8) against
+    every member, or one row against every member; d is scratch of the
+    broadcast (..., 2, 8) shape, overwritten in place.
     """
     np.subtract(x, mean, out=d)
     np.square(d, out=d)

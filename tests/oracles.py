@@ -12,7 +12,9 @@ straight from its definition, the box oracle works on an explicitly sorted list,
 replays every sample one Welford step at a time with one scalar Poisson draw
 per sample and member, the online vote oracle scores one sample over every
 member in one broadcast, the prequential oracle votes with it and updates
-one sample per library call, the hinge-SGD oracle trains one model at a time
+one sample per library call, the online decision oracle scores every row
+one member at a time (OnlineModel.decision before it scored all members per
+chunk of rows), the hinge-SGD oracle trains one model at a time
 with the per-sample loop, the decision oracle scores one feature vector with
 a plain dot product, the holdout oracle counts one sample's prediction at a
 time with the decision and vote oracles, the split oracles look every sample
@@ -48,7 +50,7 @@ from strobe.dex import (ENDIAN_CONSTANT, HEADER, IDENTIFIER_REFERENCES, NO_INDEX
                         SIGNED_FROM, SectionInfo, StringEntry)
 from strobe.errors import CorruptEntry, DecodeError, EmptyStream, EmptyTest, NoDex, NotAZip, OffsetOutOfBounds
 from strobe.evaluation import EvalResult, PrequentialResult
-from strobe.learners import BatchModel, _member_terms, online_update
+from strobe.learners import N_FEATURES, BatchModel, _member_terms, _votes_se, online_update
 from strobe.mutf8 import decode_mutf8, utf16_length
 from strobe.synth import (_CLASS_DEF, _INSERTED, _MANIFEST_STUB, DEX_MAGIC, TYPE_HEADER_ITEM,
                           TYPE_MAP_LIST, TYPE_STRING_DATA_ITEM, DexSpec)
@@ -453,6 +455,18 @@ def reference_online_predict(model, fv):
     scores = np.where(model.counts > 0, prior + ll, -math.inf)
     votes_se = int(np.count_nonzero(scores[:, 1] > scores[:, 0]))
     return Label.SE if 2 * votes_se > model.k else Label.NOT_SE
+
+
+def reference_online_decision(model, X):
+    """2 * votes_se - k on every row of raw features X, the members scored
+    one at a time over all rows, in place."""
+    var, log_norm, prior = _member_terms(model)
+    votes_se = np.zeros(len(X), dtype=np.int64)
+    d = np.empty((len(X), 2, N_FEATURES))
+    for j in range(model.k):
+        votes_se += _votes_se(X[:, None, :], model.mean[j], var[j], log_norm[j],
+                              prior[j], model.counts[j] > 0, d)
+    return 2 * votes_se - model.k
 
 
 def reference_prequential_eval(model, stream):

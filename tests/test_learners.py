@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strobe.dataset import Label, Sample
-from strobe.errors import BadConfig, SingleClass, TooSmall
+from strobe.errors import BadConfig, SingleClass, TooSmall, UnknownLabel
 from strobe.features import FeatureVector
 from strobe.learners import (
     _COUNT_MAX,
@@ -43,6 +43,7 @@ from oracles import (
     reference_batch_train,
     reference_decision,
     reference_grid_search,
+    reference_online_decision,
     reference_online_predict,
 )
 
@@ -250,6 +251,71 @@ def test_hinge_sgd_matches_per_sample_loop(trial, small, monkeypatch):
     assert_matches_reference(batch_train(X[rows], y[rows], hp, seed), [pool[i] for i in rows], hp, seed)
 
 
+@pytest.mark.parametrize("small", [pytest.param(False, id="default"), pytest.param(True, id="small-blocks")])
+def test_hinge_sgd_matches_per_sample_loop_at_many_fits(small, monkeypatch):
+    """One call of 72 fits, each on its own stream, against the per-sample
+    loop with signed zeros: ragged training sets of 2 to 59 rows, repeated
+    and negative seeds, a single-class stream, epochs 0, 1 and 20, and
+    negative-shrink grid points. strobe lofo on the confounded preset runs
+    71 fits in one call; at the default geometry 72 fits make 25-step
+    blocks, as 71 do, and runs of them span several blocks and epochs."""
+    if small:
+        small_blocks(monkeypatch)
+    rng = np.random.default_rng(64)
+    pool = random_train(rng, 60)
+    X, y = design_matrix(pool)
+    grid = default_grid()
+    streams = [(np.flatnonzero(y > 0)[:5], -1)]
+    fits = [(0, DEFAULT_HYPERPARAMS)]
+    while len(fits) < 72:
+        rows = np.sort(rng.choice(len(pool), int(rng.integers(2, len(pool))), replace=False))
+        streams.append((rows, int(rng.integers(-3, 3))))
+        base = NEGATIVE_SHRINK[int(rng.integers(len(NEGATIVE_SHRINK)))] if rng.random() < 0.25 \
+            else grid[int(rng.integers(len(grid)))]
+        epochs = int(rng.choice([0, 1, 20, 20]))
+        fits.append((len(streams) - 1, HingeHyperparams(lam=base.lam, lr=base.lr, epochs=epochs)))
+    assert learners._BLOCK_VALUES // (9 * len(fits)) == (0 if small else 25)
+    models = hinge_sgd(X, y, streams, fits)
+    assert models[0] is None
+    for (s, hp), model in zip(fits, models, strict=True):
+        rows, seed = streams[s]
+        assert_matches_reference(model, [pool[i] for i in rows], hp, seed)
+
+
+BAD_LABELS = {"0/1": lambda y: (y > 0).astype(float), "+-2": lambda y: 2.0 * y,
+              "one 0.5": lambda y: np.where(np.arange(len(y)) == 7, 0.5, y),
+              "one NaN": lambda y: np.where(np.arange(len(y)) == 7, np.nan, y)}
+
+
+@pytest.mark.parametrize("relabel", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+def test_labels_other_than_plus_minus_one_raise_unknown_label(relabel):
+    """Both learners take labels +1 (SE) and -1 (NOT_SE) only. With 0/1
+    labels hinge SGD used to train without a word on a set it cannot learn
+    (0.6 on these rows, separated by a gap on feature 0, against 1.0 with
+    +-1 labels), and +-2 would break the exact sign pass. Nothing is drawn
+    before the check."""
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(200, 8))
+    y = np.where(X[:, 0] > 0, 1.0, -1.0)
+    X[:, 0] += y
+    model = batch_train(X, y)
+    assert np.count_nonzero((model.decision(X) > 0) == (y > 0)) == 200
+    bad = relabel(y)
+    with pytest.raises(UnknownLabel):
+        batch_train(X, bad)
+    with pytest.raises(UnknownLabel):
+        hinge_sgd(X, bad, [(np.arange(100), 0)], [(0, DEFAULT_HYPERPARAMS)])
+    with pytest.raises(UnknownLabel):
+        online_train(X, bad)
+    online = online_init(k=3, seed=4)
+    state = copy.deepcopy(online.rng.bit_generator.state)
+    for feed in (online_fit, _prequential_sweep):
+        with pytest.raises(UnknownLabel):
+            feed(online, X, bad)
+    assert online.n_draws == 0 and online.rng.bit_generator.state == state
+    assert not online.counts.any()
+
+
 # Finite doubles with +-0, subnormals and magnitudes up to 1e300 (products
 # up to 1e600 overflow).
 _TERMS = st.floats(min_value=-1e300, max_value=1e300)
@@ -411,6 +477,45 @@ def test_online_predict_rows_matches_online_predict():
     for model in models:
         assert (model.decision(X) > 0).tolist() == \
             [reference_online_predict(model, s.features) is Label.SE for s in train]
+
+
+def _tie_model():
+    """Four members whose votes split exactly: members 0 and 1 have seen only
+    SE, member 2 only NOT_SE, and member 3 both classes with equal counts,
+    means and M2, so its two scores tie and it votes NOT_SE. Every row's
+    decision is 2 * 2 - 4 = 0."""
+    model = online_init(k=4, seed=0)
+    model.counts[:] = [[0, 3], [0, 5], [4, 0], [6, 6]]
+    model.mean[:] = np.arange(8.0)
+    model.m2[:] = 2.0
+    return model
+
+
+@pytest.mark.parametrize("small", [pytest.param(False, id="default"), pytest.param(True, id="small-blocks")])
+def test_online_decision_matches_member_loop_at_chunk_edges(small, monkeypatch):
+    """OnlineModel.decision, one vote pass over all members per chunk of
+    rows, against the member-by-member loop it replaced: full decision
+    values at 1 row, a chunk minus one, a chunk, a chunk plus one and three
+    chunks; a cold model, members that saw one class, exact ties, and an
+    ensemble large enough that a chunk floors at one row."""
+    if small:
+        small_blocks(monkeypatch)
+    rng = np.random.default_rng(6)
+    train = random_train(rng, 400)
+    X, _ = design_matrix(train)
+    big_k = learners._BLOCK_VALUES // (2 * 8) + 1
+    models = [online_init(k=4, seed=1),
+              online_train(*design_matrix(train[:3]), k=5, seed=2),
+              _tie_model(),
+              online_train(*design_matrix(train[:150]), k=10, seed=3),
+              online_train(*design_matrix(train[:40]), k=big_k, seed=4)]
+    assert not _tie_model().decision(X).any()
+    for model in models:
+        chunk = max(1, learners._BLOCK_VALUES // (model.k * 2 * 8))
+        assert chunk == 1 if small or model.k == big_k else chunk > 1
+        for n in sorted({1, chunk - 1, chunk, chunk + 1, 3 * chunk} - {0}):
+            got = model.decision(X[:n])
+            assert got.dtype == np.int64 and np.array_equal(got, reference_online_decision(model, X[:n]))
 
 
 # --- grid search -----------------------------------------------------------------
