@@ -33,6 +33,7 @@ from .errors import (
     TooSmall,
     UnknownId,
     UnknownLabel,
+    is_json_int,
     read_json,
 )
 from .features import CSV_HEADER, FEATURE_NAMES, FeatureVector
@@ -174,7 +175,7 @@ class Split:
             raise BadValue(f"malformed split: {exc!r}") from None
         # A string is not a list of its characters, nor a bool an integer.
         if not (all(type(side) is list and all(type(i) is str for i in side) for side in sides)
-                and type(seed) is int and type(retries) is int and (family is None or type(family) is str)):
+                and is_json_int(seed) and is_json_int(retries) and (family is None or type(family) is str)):
             raise BadValue("malformed split: the ids must be lists of strings, seed and retries "
                            "integers, and held_out_family a string or null")
         split = cls(frozenset(sides[0]), frozenset(sides[1]), strategy, seed, family, retries)

@@ -5,6 +5,8 @@ callers (and the CLI) can distinguish "rejected input" from genuine bugs.
 """
 
 import json
+import sys
+from numbers import Integral, Real
 
 
 class StrobeError(Exception):
@@ -133,3 +135,16 @@ def read_json(path, error: type[StrobeError]) -> dict:
     if not isinstance(obj, dict):
         raise error(f"{path}: not a JSON object")
     return obj
+
+
+# The value rules of model, config and split files: float() and numpy would
+# take a bool or a numeric string, and int64 truncates a float.
+def is_json_number(value) -> bool:
+    """A finite number, not a bool. abs(value) compares a JSON integer
+    exactly, so one too large for a float fails, as NaN and the infinities do."""
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def is_json_int(value) -> bool:
+    """An integer, not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)

@@ -4,6 +4,8 @@ SE is the positive class everywhere. The repeated-experiment driver mirrors
 the published protocol: build a split per derived seed, train the chosen
 learner on the training side (online learners see the training set once as a
 seeded shuffled stream), then classify the test side with the model frozen.
+Experiments and LOFO share one fold driver: every repetition or held-out
+family is a fold, all folds are trained, and one bincount counts their scores.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from .learners import (
     BatchModel,
     OnlineModel,
     _prequential_sweep,
-    batch_train,
     hinge_sgd,
     online_train,
 )
 # bench/tracing.py wraps these evaluation attributes by name.
 from .dataset import lofo_splits  # noqa: F401
-from .learners import online_predict, online_update, predict  # noqa: F401
+from .learners import batch_train, online_predict, online_update, predict  # noqa: F401
 
 
 class LearnerKind(enum.Enum):
@@ -212,37 +213,45 @@ def _features(corpus: Corpus) -> np.ndarray:
 def train_on_split(corpus: Corpus, train_rows: np.ndarray, learner: LearnerKind,
                    seed: int) -> BatchModel | OnlineModel:
     """Fit the chosen learner, with its default settings, on the corpus rows
-    train_rows (sorted, as Corpus.rows gives them)."""
-    X, y = _features(corpus)[train_rows], corpus.y[train_rows]
+    train_rows (sorted, as Corpus.rows gives them); a batch fit is the
+    one-stream case of train_on_splits."""
     if learner is LearnerKind.BATCH:
-        return batch_train(X, y, seed=seed)
-    return online_train(X, y, seed=seed)
+        return train_on_splits(corpus, [train_rows], [seed], learner)[0]
+    return online_train(_features(corpus)[train_rows], corpus.y[train_rows], seed=seed)
 
 
 def train_on_splits(corpus: Corpus, train_rows_list: list[np.ndarray], seeds: list[int],
                     learner: LearnerKind) -> list[BatchModel | OnlineModel]:
-    """train_on_split for each (training rows, seed) pair, with identical models.
-
-    Batch fits all train together in one lockstep hinge_sgd pass over the corpus matrix.
-    """
-    if learner is LearnerKind.ONLINE or not train_rows_list:
+    """One model per (training rows, seed) pair. Batch fits train together in
+    one lockstep hinge_sgd pass over the corpus matrix, each bit-identical to
+    batch_train on its own rows; online fits train one by one in train_on_split.
+    A corpus without features raises BadValue, even for no pair."""
+    X = _features(corpus)
+    if learner is LearnerKind.ONLINE:
         return [train_on_split(corpus, rows, learner, seed) for rows, seed in zip(train_rows_list, seeds)]
-    streams = list(zip(train_rows_list, seeds))
-    models = hinge_sgd(_features(corpus), corpus.y, streams,
-                       [(i, DEFAULT_HYPERPARAMS) for i in range(len(streams))])
+    models = hinge_sgd(X, corpus.y, list(zip(train_rows_list, seeds)),
+                       [(i, DEFAULT_HYPERPARAMS) for i in range(len(seeds))])
     if any(model is None for model in models):
         raise SingleClass("training data contains a single class")
     return models
 
 
-def _experiment_runs(
-    seeds: list[int],
-    corpus: Corpus,
-    strategy: SplitStrategy,
-    learner: LearnerKind,
-) -> list[RunRecord]:
-    """One RunRecord per seed: split, train every repetition together, and
-    score each test side."""
+def _score_folds(corpus: Corpus, folds: list[tuple[np.ndarray, np.ndarray]], seeds: list[int],
+                 learner: LearnerKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train fold i on its training rows with seeds[i], then score its test
+    rows with that model. Returns the test rows, their fold indices and
+    their decision values, fold after fold."""
+    models = train_on_splits(corpus, [train for train, _ in folds], seeds, learner)
+    tests = [test for _, test in folds]
+    # The leading empty arrays type the result of zero folds.
+    return (np.concatenate([np.empty(0, dtype=np.intp), *tests]),
+            np.repeat(np.arange(len(tests)), [len(test) for test in tests]),
+            np.concatenate([np.empty(0), *(m.decision(corpus.X[t]) for m, t in zip(models, tests))]))
+
+
+def _experiment_runs(seeds: list[int], corpus: Corpus, strategy: SplitStrategy,
+                     learner: LearnerKind) -> list[RunRecord]:
+    """One RunRecord per seed: split, then train and score the splits as folds."""
     splits: dict[int, Split] = {}
     for seed in seeds:
         try:
@@ -254,26 +263,20 @@ def _experiment_runs(
                     raise StrobeError("family-disjoint split produced family overlap")
         except Degenerate:
             continue
-    sides = [(corpus.rows(s.train_ids), corpus.rows(s.test_ids)) for s in splits.values()]
-    models = train_on_splits(corpus, [train for train, _ in sides], list(splits), learner)
-    results = {seed: holdout_eval(model, corpus.X[test], corpus.y[test])
-               for seed, (_, test), model in zip(splits, sides, models)}
+    folds = [(corpus.rows(s.train_ids), corpus.rows(s.test_ids)) for s in splits.values()]
+    rows, fold, decision = _score_folds(corpus, folds, list(splits), learner)
+    # One confusion row per split, in seed order.
+    counts = iter(_confusions(decision, corpus.y[rows], fold, len(folds)).tolist())
     return [
-        RunRecord(seed=seed, retries=splits[seed].retries, result=results[seed])
+        RunRecord(seed=seed, retries=splits[seed].retries, result=EvalResult.from_confusion(*next(counts)))
         if seed in splits
         else RunRecord(seed=seed, retries=MAX_SPLIT_RETRIES, result=None, skipped=True)
         for seed in seeds
     ]
 
 
-def run_experiment(
-    corpus: Corpus,
-    strategy: SplitStrategy,
-    learner: LearnerKind,
-    repetitions: int,
-    base_seed: int,
-    jobs: int = 1,
-) -> ExperimentSummary:
+def run_experiment(corpus: Corpus, strategy: SplitStrategy, learner: LearnerKind, repetitions: int,
+                   base_seed: int, jobs: int = 1) -> ExperimentSummary:
     """Repeat split/train/evaluate with seeds base_seed + i.
 
     Family-disjoint splits are validated on every run; a repetition whose
@@ -341,22 +344,15 @@ class LofoSummary:
         }
 
 
-def run_lofo(
-    corpus: Corpus,
-    learner: LearnerKind,
-    base_seed: int,
-) -> LofoSummary:
+def run_lofo(corpus: Corpus, learner: LearnerKind, base_seed: int) -> LofoSummary:
     """Hold out each family in turn (fold i trains with seed base_seed + i);
     aggregate size-weighted accuracy and the pooled confusion over all
-    held-out predictions. Batch folds train in lockstep in one pass; the test
-    sides partition the corpus, so one bincount of row decisions counts all."""
+    held-out predictions. Fold i holds out family i of families(), so its
+    confusion row is that family's."""
     folds = lofo_folds(corpus)
-    models = train_on_splits(corpus, [train for _, train, _ in folds],
-                             [base_seed + i for i in range(len(folds))], learner)
-    decision = np.empty(len(corpus.y))
-    for (_, _, test), model in zip(folds, models):
-        decision[test] = model.decision(corpus.X[test])
-    counts = _confusions(decision, corpus.y, corpus.family_codes, len(folds))
+    rows, fold, decision = _score_folds(corpus, [(train, test) for _, train, test in folds],
+                                        [base_seed + i for i in range(len(folds))], learner)
+    counts = _confusions(decision, corpus.y[rows], fold, len(folds))
     per_family = [
         FamilyResult(family=fam, n=sum(row), result=EvalResult.from_confusion(*row))
         for (fam, _, _), row in zip(folds, counts.tolist())

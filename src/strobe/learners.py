@@ -34,16 +34,14 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass
-from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Label, Sample, design_matrix
-from .errors import BadConfig, SingleClass, TooSmall, UnknownLabel, read_json
+from .errors import BadConfig, SingleClass, TooSmall, UnknownLabel, is_json_int, is_json_number, read_json
 from .features import FeatureVector
 
 N_FEATURES = 8
@@ -744,17 +742,14 @@ def model_to_json(model: BatchModel | OnlineModel) -> dict:
     }
 
 
-# What each number of a model file must be. Only JSON numbers pass: float()
-# and numpy would take a bool or a numeric string, and int64 truncates a float.
-# abs(v) compares a JSON integer exactly, so one too large for a float fails
-# the finite-number test, as NaN and the infinities do; a count must fit int64.
+# What each number of a model file must be; a count must fit int64.
 _NUMBER = "a finite number"
 _INTEGER = "an integer"
 _COUNT = "an integer from 0 to 2**63 - 1"
 _KIND_TESTS = {
-    _NUMBER: lambda v: isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
-    _INTEGER: lambda v: isinstance(v, Integral) and not isinstance(v, bool),
-    _COUNT: lambda v: isinstance(v, Integral) and not isinstance(v, bool) and 0 <= v <= _COUNT_MAX,
+    _NUMBER: is_json_number,
+    _INTEGER: is_json_int,
+    _COUNT: lambda v: is_json_int(v) and 0 <= v <= _COUNT_MAX,
 }
 
 

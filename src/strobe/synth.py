@@ -22,12 +22,10 @@ import csv
 import hashlib
 import math
 import struct
-import sys
 import zlib
 from dataclasses import dataclass, asdict, field, fields
 from functools import cache
 from itertools import chain
-from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,7 +36,7 @@ from .apk import (CENTRAL_HEADER, CENTRAL_MAGIC, END_MAGIC, END_RECORD, LOCAL_HE
 from .dataset import PATH_HEADER
 from .dex import (ENDIAN_CONSTANT, HEADER, IDENTIFIER_REFERENCES, NO_INDEX, SECTION_LAYOUT,
                   SIGNED_FROM, SectionInfo)
-from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge
+from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge, is_json_int, is_json_number
 from .mutf8 import encode_mutf8, mutf8_is_utf8, utf16_length, utf16_sort_key
 
 DEX_MAGIC = b"dex\n035\x00"
@@ -259,20 +257,13 @@ class SynthConfig:
         return cfg
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 _PAIR = "tuple[int, int]"
 # Per SynthConfig annotation: the test a field's value must pass, and what it must be.
 _FIELD_SHAPES = {
-    "int": (_is_int, "an integer"),
-    # abs(v) compares a JSON integer exactly, so one too large for a float
-    # fails here, as NaN and the infinities do.
-    "float": (lambda v: isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
-              "a finite number"),
+    "int": (is_json_int, "an integer"),
+    "float": (is_json_number, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    _PAIR: (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_int, v)),
+    _PAIR: (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(is_json_int, v)),
             "a pair of integers"),
 }
 

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strobe import evaluation
-from strobe.dataset import MAX_SPLIT_RETRIES, Corpus, Label, Sample, SplitStrategy, random_split
+from strobe.dataset import (MAX_SPLIT_RETRIES, Corpus, Label, Sample, SplitStrategy,
+                            family_disjoint_split, random_split)
 from strobe.errors import BadConfig, BadValue, Degenerate, Empty, EmptyStream, EmptyTest
 from strobe.evaluation import (
     EvalResult,
@@ -19,6 +20,7 @@ from strobe.evaluation import (
     run_experiment,
     run_lofo,
     train_on_split,
+    train_on_splits,
 )
 from strobe.features import FeatureVector
 from strobe.learners import (
@@ -26,6 +28,7 @@ from strobe.learners import (
     BatchModel,
     HingeHyperparams,
     Scaler,
+    batch_train,
     design_matrix,
     online_fit,
     online_init,
@@ -371,6 +374,72 @@ def test_skipped_run_records_every_split_attempt(monkeypatch):
     skipped = summary.to_json()["per_run"][1]
     assert skipped["skipped"] and skipped["retries"] == MAX_SPLIT_RETRIES
     assert not summary.per_run[0].skipped and not summary.per_run[2].skipped
+
+
+@pytest.mark.parametrize("learner", list(LearnerKind))
+def test_repetitions_keep_their_seeds(monkeypatch, learner):
+    # Seed 1 of 0-3 skips, so the folds are seeds 0, 2 and 3. On uneven
+    # families of random features each of them scores differently when its
+    # split is trained with another of these seeds or its model scores
+    # another seed's split, for both learners.
+    rng = random.Random(5)
+    corpus = Corpus.from_samples([
+        Sample(f"f{f}{label}{i}", f"fam{f}", Label(label),
+               features=FeatureVector(*(rng.uniform(0.0, 8.0) for _ in range(8)), n_strings=1))
+        for f in range(7) for label in ("SE", "NOT_SE") for i in range(rng.randint(2, 8))
+    ])
+    real_split = evaluation.family_disjoint_split
+
+    def split_failing_on_seed_1(corpus, seed):
+        if seed == 1:
+            raise Degenerate("no valid split")
+        return real_split(corpus, seed)
+
+    monkeypatch.setattr(evaluation, "family_disjoint_split", split_failing_on_seed_1)
+    summary = run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, learner,
+                             repetitions=4, base_seed=0)
+    assert [r.skipped for r in summary.per_run] == [False, True, False, False]
+    for record in (r for r in summary.per_run if not r.skipped):
+        split = real_split(corpus, record.seed)
+        test = corpus.rows(split.test_ids)
+        model = train_on_split(corpus, corpus.rows(split.train_ids), learner, record.seed)
+        assert record.result == holdout_eval(model, corpus.X[test], corpus.y[test])
+
+
+@pytest.mark.parametrize("learner", list(LearnerKind))
+def test_zero_folds_train_and_score_nothing(monkeypatch, learner):
+    # A --jobs chunk whose seeds all skip reaches the fold driver with no fold.
+    corpus = separable_corpus()
+    rows, fold, decision = evaluation._score_folds(corpus, [], [], learner)
+    assert rows.shape == fold.shape == decision.shape == (0,)
+    assert evaluation._confusions(decision, corpus.y[rows], fold, 0).shape == (0, 4)
+
+    def no_split(corpus, seed):
+        raise Degenerate("no valid split")
+
+    monkeypatch.setattr(evaluation, "family_disjoint_split", no_split)
+    records = evaluation._experiment_runs([5, 6], corpus, SplitStrategy.FAMILY_DISJOINT, learner)
+    assert [(r.seed, r.retries, r.result, r.skipped) for r in records] == \
+        [(5, MAX_SPLIT_RETRIES, None, True), (6, MAX_SPLIT_RETRIES, None, True)]
+    assert train_on_splits(corpus, [], [], learner) == []
+    # A corpus without features is rejected even when no fold is left.
+    with pytest.raises(BadValue, match="features"):
+        train_on_splits(Corpus.from_samples([Sample("a", "fam0", Label.SE, path="a.apk")]), [], [], learner)
+
+
+def test_batch_train_on_split_is_batch_train_on_its_rows(confounded):
+    # A batch fit trains over corpus rows in hinge_sgd: the same bits, signed
+    # zeros included, as batch_train on a copy of those rows.
+    corpus = confounded["corpus"]
+    disjoint = corpus.rows(family_disjoint_split(corpus, 3).train_ids)
+    strided = np.arange(len(corpus.y))[1::3]
+    assert not strided.flags.contiguous
+    for rows in (disjoint, strided):
+        moved = train_on_split(corpus, rows, LearnerKind.BATCH, seed=5)
+        direct = batch_train(corpus.X[rows], corpus.y[rows], seed=5)
+        for a, b in ((moved.weights, direct.weights), (moved.bias, direct.bias),
+                     (moved.scaler.mean, direct.scaler.mean), (moved.scaler.std, direct.scaler.std)):
+            assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("learner", list(LearnerKind))
