@@ -53,6 +53,7 @@ from .learners import (
     DEFAULT_HYPERPARAMS,
     DEFAULT_ONLINE_ENSEMBLE,
     DEFAULT_POISSON_LAMBDA,
+    _np_seed,
     batch_train,
     grid_search,
     load_model,
@@ -341,7 +342,7 @@ def cmd_eval(args) -> int:
     rows = test if args.side == "test" else train
     result = holdout_eval(model, corpus.X[rows], corpus.y[rows]).to_json()
     if args.format == "csv":
-        _write_csv(args.out, [list(result), [f"{v:.9g}" for v in result.values()]])
+        _write_csv(args.out, [list(result), [_csv_cell(v) for v in result.values()]])
     else:
         _write_json(args.out, result)
     return EXIT_OK
@@ -349,7 +350,7 @@ def cmd_eval(args) -> int:
 
 def cmd_prequential(args) -> int:
     corpus = _load_feature_corpus(args.manifest)
-    order = np.random.default_rng(args.seed & 0xFFFFFFFFFFFFFFFF).permutation(len(corpus.samples))
+    order = np.random.default_rng(_np_seed(args.seed)).permutation(len(corpus.samples))
     stream = [corpus.samples[int(i)] for i in order]
     model = online_init(k=args.k, lam_poisson=args.poisson_lambda, seed=args.seed)
     result = prequential_eval(model, stream)

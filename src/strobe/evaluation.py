@@ -30,6 +30,7 @@ from .dataset import (
     validate_split,
 )
 from .errors import BadConfig, BadValue, Degenerate, Empty, EmptyStream, EmptyTest, SingleClass, StrobeError
+from .features import left_sum
 from .learners import (
     DEFAULT_HYPERPARAMS,
     BatchModel,
@@ -137,7 +138,8 @@ def prequential_eval(model: OnlineModel, stream: list[Sample]) -> PrequentialRes
 
 
 def box_stats(values: Iterable[float]) -> BoxStats:
-    """Tukey box statistics: type-7 quartiles, whiskers at 1.5 * IQR."""
+    """Tukey box statistics: type-7 quartiles, whiskers at 1.5 * IQR; the
+    mean sums the values in their given order with left_sum."""
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
         raise Empty("no values")
@@ -148,7 +150,7 @@ def box_stats(values: Iterable[float]) -> BoxStats:
     inside = data[(data >= lo_fence) & (data <= hi_fence)]
     outliers = data[(data < lo_fence) | (data > hi_fence)]
     return BoxStats(
-        mean=float(data.mean()),
+        mean=left_sum(data.tolist()) / data.size,
         median=median,
         q1=q1,
         q3=q3,
@@ -178,7 +180,11 @@ class ExperimentSummary:
     base_seed: int
     per_run: tuple[RunRecord, ...]
     box: BoxStats
-    mean_accuracy: float
+
+    @property
+    def mean_accuracy(self) -> float:
+        """The mean accuracy over the repetitions that ran, in repetition order."""
+        return self.box.mean
 
     def accuracies(self) -> list[float]:
         return [r.result.accuracy for r in self.per_run if r.result is not None]
@@ -312,7 +318,6 @@ def run_experiment(corpus: Corpus, strategy: SplitStrategy, learner: LearnerKind
         base_seed=base_seed,
         per_run=tuple(records),
         box=box_stats(accuracies),
-        mean_accuracy=sum(accuracies) / len(accuracies),
     )
 
 
@@ -362,7 +367,7 @@ def run_lofo(corpus: Corpus, learner: LearnerKind, base_seed: int) -> LofoSummar
         base_seed=base_seed,
         per_family=tuple(per_family),
         # In family order; pooled.accuracy can differ from it in the last bit.
-        weighted_accuracy=sum(fr.n * fr.result.accuracy for fr in per_family) / len(corpus.y),
+        weighted_accuracy=left_sum(fr.n * fr.result.accuracy for fr in per_family) / len(corpus.y),
         pooled=EvalResult.from_confusion(*counts.sum(axis=0).tolist()),
     )
 

@@ -16,8 +16,15 @@ it is computed once per pair, as (c / n) * log2(c / n), the expression
 shannon_entropy uses, and kept in the module's memo, _TERMS. Two invariants
 keep the means equal, bit for bit, to those of per_string_metrics: each term
 is the same float shannon_entropy computes, and the terms are summed in the
-same order with the builtin sum, within a string in first-appearance order
-and across strings in string order.
+same order by left_sum, within a string in first-appearance order and across
+strings in string order.
+
+left_sum is the one summation rule for every float mean in the package: a
+plain left-to-right fold that starts from the integer 0, so the sum of
+[-0.0] is +0.0. CPython 3.10 and 3.11's builtin sum is exactly that fold and
+is what left_sum is there; from 3.12 the builtin sum of floats is
+compensated, so left_sum folds with operator.add instead, and every output
+keeps its bits on every supported Python.
 
 The memo holds one entry per (count, length) pair met in a string longer
 than one character. Row n holds at most n entries, and a string of length n
@@ -30,8 +37,11 @@ once are harmless: under the GIL each stores the same value.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, _count_elements
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .apk import AppStrings
 
@@ -51,6 +61,15 @@ CSV_HEADER = (
     *FEATURE_NAMES,
     "n_strings", "decode_failures",
 )
+
+
+def _left_fold(values) -> float:
+    """The sum of values, added one by one from the left onto the integer 0."""
+    return reduce(add, values, 0)
+
+
+# Before 3.12 the builtin sum is the same fold, and faster in the entropy loop.
+left_sum = sum if sys.version_info < (3, 12) else _left_fold
 
 
 @dataclass(frozen=True)
@@ -91,7 +110,7 @@ def shannon_entropy(s: str) -> float:
     if n <= 1:
         return 0.0
     counts = Counter(s)
-    return -sum((c / n) * math.log2(c / n) for c in counts.values())
+    return -left_sum((c / n) * math.log2(c / n) for c in counts.values())
 
 
 class _TermRow(dict):
@@ -152,13 +171,13 @@ def feature_vector_from_strings(strings: tuple[str, ...] | list[str]) -> Feature
         _count_elements(counts, s)
         distinct += len(counts)
         if len(s) > 1:
-            entropies.append(-sum(map(_TERMS[len(s)].__getitem__, counts.values())))
+            entropies.append(-left_sum(map(_TERMS[len(s)].__getitem__, counts.values())))
         else:
             entropies.append(0.0)
     joined = "".join(strings)
     length = len(joined)
     return FeatureVector(
-        avg_entropy=sum(entropies) / n,
+        avg_entropy=left_sum(entropies) / n,
         avg_wordsize=len(joined.encode("utf-8")) / n,
         avg_length=length / n,
         avg_eq=joined.count("=") / n,

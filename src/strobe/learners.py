@@ -42,7 +42,7 @@ import numpy as np
 
 from .dataset import Label, Sample, design_matrix
 from .errors import BadConfig, SingleClass, TooSmall, UnknownLabel, is_json_int, is_json_number, read_json
-from .features import FeatureVector
+from .features import FeatureVector, left_sum
 
 N_FEATURES = 8
 STD_FLOOR = 1e-9
@@ -446,7 +446,7 @@ def grid_search(
             accs.append(correct / len(chunk))
         if not accs:
             continue
-        score = (sum(accs) / len(accs), -gi)
+        score = (left_sum(accs) / len(accs), -gi)
         if best is None or score > best:
             best = score
             best_hp = hp

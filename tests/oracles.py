@@ -8,7 +8,9 @@ reads every entry through a general ULEB128 loop and re-encodes every
 decoded string to check its length, the identifier reference reads the
 header at its literal positions with one reader per id table, the checksum/digest references are
 textbook reimplementations, the feature reference recomputes every metric
-straight from its definition, the box oracle works on an explicitly sorted list, the online ensemble oracle
+straight from its definition, the box oracle works on an explicitly sorted list, every float
+sum is an explicit loop (loop_sum) and never the builtin sum, whose order
+changed in Python 3.12, the online ensemble oracle
 replays every sample one Welford step at a time with one scalar Poisson draw
 per sample and member, the online vote oracle scores one sample over every
 member in one broadcast, the prequential oracle votes with it and updates
@@ -311,11 +313,31 @@ def reference_utf8_len(s: str) -> int:
     return total
 
 
+def loop_sum(values):
+    """values added one by one, left to right, onto the integer 0."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def compensated_sum(values) -> float:
+    """CPython 3.12's builtin sum of floats (Neumaier's compensated sum), to
+    show that an input tells it apart from loop_sum."""
+    total = 0.0
+    c = 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
 def reference_entropy(s: str) -> float:
     if len(s) <= 1:
         return 0.0
     probs = [s.count(c) / len(s) for c in set(s)]
-    return -sum(p * math.log2(p) for p in probs)
+    return -loop_sum(p * math.log2(p) for p in probs)
 
 
 def reference_feature_means(strings) -> tuple[float, ...]:
@@ -333,11 +355,13 @@ def reference_feature_means(strings) -> tuple[float, ...]:
         [sum(1 for c in s if c == "+") for s in strings],
         [len(s) - len(set(s)) for s in strings],
     ]
-    return tuple(sum(col) / n for col in cols)
+    return tuple(loop_sum(col) / n for col in cols)
 
 
 def reference_box_stats(values):
-    """Sort-based box statistics with explicit type-7 interpolation."""
+    """Sort-based box statistics with explicit type-7 interpolation; the mean
+    sums the values in their given order."""
+    values = list(values)
     v = sorted(values)
     n = len(v)
 
@@ -353,7 +377,7 @@ def reference_box_stats(values):
     inside = [x for x in v if lo_fence <= x <= hi_fence]
     outliers = [x for x in v if x < lo_fence or x > hi_fence]
     return {
-        "mean": sum(v) / n,
+        "mean": loop_sum(values) / n,
         "median": median,
         "q1": q1,
         "q3": q3,
@@ -542,8 +566,8 @@ def reference_grid_search(train, grid, folds: int, seed: int):
                 predicted_se = float(w @ x + b) > 0.0
                 correct += predicted_se == (train[int(i)].label.value == "SE")
             accs.append(correct / len(chunk))
-        if accs and (best is None or (sum(accs) / len(accs), -gi) > best):
-            best, best_hp = (sum(accs) / len(accs), -gi), hp
+        if accs and (best is None or (loop_sum(accs) / len(accs), -gi) > best):
+            best, best_hp = (loop_sum(accs) / len(accs), -gi), hp
     return best_hp
 
 

@@ -65,6 +65,7 @@ from oracles import (
     ReplayEnsemble,
     hinge_objective,
     hinge_subgradient,
+    loop_sum,
     reference_adler32,
     reference_batch_train,
     reference_box_stats,
@@ -366,7 +367,9 @@ def test_criterion_10_box_stats():
             values = [rng.uniform(-100, 100) for _ in range(rng.randrange(1, 60))]
             got = box_stats(values)
             want = reference_box_stats(values)
-            for key in ("mean", "median", "q1", "q3", "whisker_lo", "whisker_hi"):
+            # One summation rule on both sides, so the means are equal.
+            assert got.mean == want["mean"]
+            for key in ("median", "q1", "q3", "whisker_lo", "whisker_hi"):
                 assert abs(getattr(got, key) - want[key]) <= 1e-12
             assert list(got.outliers) == pytest.approx(want["outliers"])
 
@@ -528,7 +531,7 @@ def test_confusion_counts_match_per_sample_holdout(confounded, learner):
     assert summary.pooled == EvalResult.from_confusion(
         *(sum(getattr(r, cell) for r in expected) for cell in ("tp", "fp", "tn", "fn")))
     assert summary.weighted_accuracy == \
-        sum(len(test) * r.accuracy for (_, _, test), r in zip(folds, expected)) / len(corpus.samples)
+        loop_sum(len(test) * r.accuracy for (_, _, test), r in zip(folds, expected)) / len(corpus.samples)
 
 
 def test_family_fingerprint_probe(confounded):

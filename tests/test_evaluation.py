@@ -35,7 +35,7 @@ from strobe.learners import (
     online_predict,
 )
 
-from oracles import reference_box_stats, reference_prequential_eval
+from oracles import loop_sum, reference_box_stats, reference_prequential_eval
 
 
 def fv(entropy=0.0):
@@ -287,7 +287,9 @@ def test_box_stats_against_sort_oracle():
         values = [rng.uniform(-50, 50) for _ in range(rng.randrange(1, 40))]
         got = box_stats(values)
         want = reference_box_stats(values)
-        for key in ("mean", "median", "q1", "q3", "whisker_lo", "whisker_hi"):
+        # One summation rule on both sides, so the means are equal.
+        assert got.mean == want["mean"]
+        for key in ("median", "q1", "q3", "whisker_lo", "whisker_hi"):
             assert abs(getattr(got, key) - want[key]) <= 1e-12
         assert list(got.outliers) == pytest.approx(want["outliers"])
 
@@ -303,6 +305,20 @@ def test_run_experiment_perfect_on_separable_toy():
         summary = run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, learner,
                                  repetitions=1, base_seed=0)
         assert summary.mean_accuracy == 1.0
+
+
+def test_experiment_mean_is_the_box_mean():
+    # From 8 values numpy's pairwise mean can part from the left fold; at
+    # these seeds it does, and the JSON still reports one mean, the left fold
+    # of the accuracies in repetition order.
+    corpus = separable_corpus(noise=4.0)
+    for learner, base_seed in ((LearnerKind.BATCH, 4), (LearnerKind.ONLINE, 0)):
+        summary = run_experiment(corpus, SplitStrategy.RANDOM, learner, repetitions=8, base_seed=base_seed)
+        accuracies = summary.accuracies()
+        want = loop_sum(accuracies) / len(accuracies)
+        assert len(accuracies) == 8 and float(np.mean(accuracies)) != want
+        doc = summary.to_json()
+        assert doc["mean"] == doc["box"]["mean"] == summary.mean_accuracy == want
 
 
 def test_run_experiment_deterministic():

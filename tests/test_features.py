@@ -1,6 +1,7 @@
 import base64
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from strobe.features import (
     shannon_entropy,
 )
 
-from oracles import reference_feature_means
+from oracles import compensated_sum, loop_sum, reference_feature_means
 
 
 def app(strings, app_id="t"):
@@ -126,7 +127,7 @@ def metric_means_hex(strings) -> list[str]:
     n = len(metrics)
     columns = zip(*((m.entropy, m.wordsize, m.length, m.eq_count, m.dash_count,
                      m.slash_count, m.plus_count, m.repeat_count) for m in metrics))
-    return [(sum(col) / n).hex() for col in columns] + [str(n)]
+    return [(loop_sum(col) / n).hex() for col in columns] + [str(n)]
 
 
 def vector_hex(strings) -> list[str]:
@@ -210,3 +211,59 @@ def test_memoized_entropy_terms_bit_equal_to_per_string_metrics(strings):
     features._TERMS.clear()
     vector_hex(strings[::-1])
     assert vector_hex(strings) == want
+
+
+# --- the summation rule -------------------------------------------------------
+
+# Plain and compensated summation (the builtin sum of floats from Python 3.12)
+# give other bits for the entropy terms of each of these strings, and for the
+# sum of their three entropies.
+ORDER_SENSITIVE = ["+b-=fhibfgf", "+f+-bdjdd/c/ihbbfihb", "ie+bif-id/jijehbj/gfjdec"]
+
+
+def loop_entropy(s: str) -> float:
+    """Entropy with its terms added in a loop, in first-appearance order."""
+    n = len(s)
+    total = 0
+    for ch in dict.fromkeys(s):
+        total += (s.count(ch) / n) * math.log2(s.count(ch) / n)
+    return -total
+
+
+def test_left_sum_is_the_plain_left_fold():
+    # Both bodies, whichever one this interpreter picked.
+    bodies = (features.left_sum, features._left_fold)
+    assert features.left_sum is (sum if sys.version_info < (3, 12) else features._left_fold)
+    cancel = [1.0, 1e100, 1.0, -1e100]
+    assert loop_sum(cancel) == 0.0 and compensated_sum(cancel) == 2.0
+    for body in bodies:
+        assert body(cancel) == 0.0
+        assert body(iter(cancel)) == 0.0
+        # Started from the integer 0, so 0 + -0.0 is +0.0.
+        assert body([-0.0]).hex() == (0.0).hex()
+        assert body([]) == 0
+    rng = random.Random(17)
+    differs = 0
+    for _ in range(500):
+        values = [rng.uniform(-1, 1) * 10.0 ** rng.randrange(-20, 20) for _ in range(rng.randrange(1, 30))]
+        want = loop_sum(values).hex()
+        differs += compensated_sum(values).hex() != want
+        for body in bodies:
+            assert body(values).hex() == want
+    assert differs > 100
+
+
+def test_feature_vector_sums_left_to_right():
+    entropies = [loop_entropy(s) for s in ORDER_SENSITIVE]
+    for s, entropy in zip(ORDER_SENSITIVE, entropies):
+        terms = [(s.count(ch) / len(s)) * math.log2(s.count(ch) / len(s)) for ch in dict.fromkeys(s)]
+        assert (-compensated_sum(terms)).hex() != entropy.hex()
+        assert shannon_entropy(s).hex() == entropy.hex()
+        assert feature_vector_from_strings([s]).avg_entropy.hex() == entropy.hex()
+    n = len(ORDER_SENSITIVE)
+    want = loop_sum(entropies) / n
+    assert (compensated_sum(entropies) / n).hex() != want.hex()
+    for strings in (ORDER_SENSITIVE, tuple(ORDER_SENSITIVE)):
+        features._TERMS.clear()
+        assert feature_vector_from_strings(strings).avg_entropy.hex() == want.hex()
+        assert feature_vector_from_strings(strings).avg_entropy.hex() == want.hex()
