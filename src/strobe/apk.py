@@ -50,7 +50,6 @@ _DEX_NAME = re.compile(rb"classes([0-9]+)?\.dex")
 class AppStrings:
     """Everything the feature extractor needs to know about one app."""
 
-    app_id: str
     non_identifier_strings: tuple[str, ...]
     dex_count: int
     decode_failures: int
@@ -183,8 +182,7 @@ def extract_app_strings(path: str | Path) -> AppStrings:
     cross-file deduplication. decode_failures counts string entries (of any
     kind) that failed MUTF-8 decoding.
     """
-    path = Path(path)
-    archive = path.read_bytes()
+    archive = Path(path).read_bytes()
     entries = list_dex_entries(archive)
 
     strings: list[str] = []
@@ -195,7 +193,6 @@ def extract_app_strings(path: str | Path) -> AppStrings:
         failures += dex.decode_failures
 
     return AppStrings(
-        app_id=path.stem,
         non_identifier_strings=tuple(strings),
         dex_count=len(entries),
         decode_failures=failures,

@@ -38,7 +38,7 @@ from .dataset import (
     lofo_splits,
     random_split,
 )
-from .errors import InvalidConfig, ParseError, StrobeError, read_json
+from .errors import InvalidConfig, ParseError, StrobeError, numpy_seed, read_json
 from .evaluation import (
     LearnerKind,
     gnuplot_box_data,
@@ -53,7 +53,6 @@ from .learners import (
     DEFAULT_HYPERPARAMS,
     DEFAULT_ONLINE_ENSEMBLE,
     DEFAULT_POISSON_LAMBDA,
-    _np_seed,
     batch_train,
     grid_search,
     load_model,
@@ -350,7 +349,7 @@ def cmd_eval(args) -> int:
 
 def cmd_prequential(args) -> int:
     corpus = _load_feature_corpus(args.manifest)
-    order = np.random.default_rng(_np_seed(args.seed)).permutation(len(corpus.samples))
+    order = np.random.default_rng(numpy_seed(args.seed)).permutation(len(corpus.samples))
     stream = [corpus.samples[int(i)] for i in order]
     model = online_init(k=args.k, lam_poisson=args.poisson_lambda, seed=args.seed)
     result = prequential_eval(model, stream)

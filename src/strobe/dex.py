@@ -4,7 +4,8 @@ Parses the 0x70-byte header, the six id tables, and every string_data item,
 then partitions the string section into identifier strings (reachable from
 type descriptors, prototype shorties, field/method names, and class
 source-file names) and non-identifier strings — the only material string
-encryption can touch.
+encryption can touch. The string table is held as plain texts, one per
+string_ids entry, with None for an entry that fails to decode.
 """
 
 from __future__ import annotations
@@ -66,13 +67,6 @@ class SectionInfo(NamedTuple):
     offset: int
 
 
-class StringEntry(NamedTuple):
-    index: int
-    data_offset: int
-    text: str
-    decode_ok: bool
-
-
 @dataclass(frozen=True)
 class DexFile:
     """Parsed structure of one DEX binary (immutable once built)."""
@@ -81,8 +75,9 @@ class DexFile:
     declared_file_size: int
     checksum: int
     section_table: dict[str, SectionInfo]
-    strings: tuple[StringEntry, ...]
-    decode_failures: int  # entries with decode_ok False
+    # One text per string_ids entry, None where its string data failed to decode.
+    strings: tuple[str | None, ...]
+    decode_failures: int  # the None entries of strings
     # String indices of type descriptors, proto shorties, field and method names, source files.
     identifier_ids: frozenset[int]
 
@@ -90,9 +85,8 @@ class DexFile:
 def parse_dex(data: bytes) -> DexFile:
     """Parse a DEX binary.
 
-    Entries whose string data fails MUTF-8 decoding are marked
-    decode_ok=False, and counted in decode_failures, instead of aborting
-    the file.
+    An entry whose string data fails MUTF-8 decoding is held as None, and
+    counted in decode_failures, instead of aborting the file.
     """
     if len(data) < 8 or data[:4] != b"dex\n" or data[7] != 0x00 \
             or not data[4:7].isdigit():
@@ -112,12 +106,12 @@ def parse_dex(data: bytes) -> DexFile:
             raise OffsetOutOfBounds(f"{name} table ({count} entries at 0x{offset:x}) exceeds buffer")
         sections[name] = SectionInfo(count, offset)
 
-    entries, failures = _read_strings(data, sections["string_ids"])
-    _warn_if_unsorted(entries)
+    texts = _read_strings(data, sections["string_ids"])
+    _warn_if_unsorted(texts)
 
     # Each table is read in one unpack, and its indices are checked one by
     # one only when the largest is out of range.
-    n_strings = len(entries)
+    n_strings = len(texts)
     n_types = sections["type_ids"].count
     referenced = []
     for name, (string_word, type_word, type_mask, optional) in IDENTIFIER_REFERENCES.items():
@@ -142,8 +136,8 @@ def parse_dex(data: bytes) -> DexFile:
         declared_file_size=file_size,
         checksum=checksum,
         section_table=sections,
-        strings=tuple(entries),
-        decode_failures=failures,
+        strings=texts,
+        decode_failures=texts.count(None),
         identifier_ids=frozenset().union(*referenced),
     )
 
@@ -151,7 +145,7 @@ def parse_dex(data: bytes) -> DexFile:
 def classify_strings(dex: DexFile) -> list[str]:
     """The decoded non-identifier strings, in string-table order."""
     ids = dex.identifier_ids
-    return [text for i, _, text, ok in dex.strings if ok and i not in ids]
+    return [text for i, text in enumerate(dex.strings) if text is not None and i not in ids]
 
 
 def _check_range(name: str, indices, n: int, what: str, allowed: int | None = None) -> None:
@@ -161,8 +155,9 @@ def _check_range(name: str, indices, n: int, what: str, allowed: int | None = No
             raise OffsetOutOfBounds(f"{name}[{i}] references {what} {idx} of {n}")
 
 
-def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry], int]:
-    """Every string_data item in string_ids order, and how many failed to decode.
+def _read_strings(data: bytes, section: SectionInfo) -> tuple[str | None, ...]:
+    """The text of every string_data item in string_ids order, None where it
+    fails to decode.
 
     A 1- or 2-byte ULEB128 length, the common case, is decoded inline and
     any longer one by _read_uleb128. A payload of ASCII bytes is decoded as
@@ -173,13 +168,9 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry],
     """
     decode = decode_mutf8
     find = data.find
-    # Builds a StringEntry from a tuple of its fields in C, as
-    # StringEntry._make does, without the Python-level constructor.
-    new = tuple.__new__
     size = len(data)
-    entries: list[StringEntry] = []
-    append = entries.append
-    failures = 0
+    texts: list[str | None] = []
+    append = texts.append
     # A table with no entries may carry any offset and is never read.
     offsets = struct.unpack_from(f"<{section.count}I", data, section.offset) if section.count else ()
     for i, data_off in enumerate(offsets):
@@ -195,8 +186,7 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry],
                 try:
                     declared_len, pos = _read_uleb128(data, data_off)
                 except DecodeError:
-                    failures += 1
-                    append(new(StringEntry, (i, data_off, "", False)))
+                    append(None)
                     continue
         text = None
         terminator = find(b"\x00", pos)
@@ -212,12 +202,8 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[list[StringEntry],
                     pass
                 if text is not None and declared_len != utf16_length(text):
                     text = None
-        if text is not None:
-            append(new(StringEntry, (i, data_off, text, True)))
-        else:
-            failures += 1
-            append(new(StringEntry, (i, data_off, "", False)))
-    return entries, failures
+        append(text)
+    return tuple(texts)
 
 
 def _read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
@@ -236,7 +222,7 @@ def _read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
-def _warn_if_unsorted(entries: list[StringEntry]) -> None:
+def _warn_if_unsorted(texts: tuple[str | None, ...]) -> None:
     # The format requires a sorted string table; obfuscated files in the wild
     # violate this, so it is a warning rather than an error. Each decoded
     # string is compared with the next. Strings compare in code-unit order as
@@ -244,7 +230,7 @@ def _warn_if_unsorted(entries: list[StringEntry]) -> None:
     # pair in UTF-16), which code-point order puts after U+E000-U+FFFF. An
     # ASCII table holds none; otherwise one UTF-16 encode of the joined table
     # finds one faster than max() over it.
-    keys = [e.text for e in entries if e.decode_ok]
+    keys = [text for text in texts if text is not None]
     joined = "".join(keys)
     if not joined.isascii() and utf16_length(joined) != len(joined):
         keys = list(map(utf16_sort_key, keys))

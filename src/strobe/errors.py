@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy and value rules shared across the toolkit.
 
 Every error the library raises deliberately derives from StrobeError so
 callers (and the CLI) can distinguish "rejected input" from genuine bugs.
@@ -148,3 +148,9 @@ def is_json_number(value) -> bool:
 def is_json_int(value) -> bool:
     """An integer, not a bool."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def numpy_seed(seed: int) -> int:
+    """The seed numpy is given for a seed of any sign: its low 64 bits, as
+    numpy wants a non-negative one."""
+    return seed & 0xFFFFFFFFFFFFFFFF

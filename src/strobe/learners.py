@@ -3,8 +3,9 @@
 Batch: a linear max-margin classifier trained by stochastic subgradient
 descent on the regularized hinge loss, with leakage-safe standardization
 fitted on training data only and a grid search capped at 200 configurations.
-One engine, hinge_sgd, trains any number of fits in lockstep with weights
-bit-identical to training each fit alone. A step in which some fit updates
+One engine, hinge_sgd, trains any number of fits in lockstep, one row of
+weights per fit on a two-class stream, with weights bit-identical to
+training each fit alone. A step in which some fit updates
 moves every fit by its own next sample [y * x, y] in five numpy calls, exact
 since y = +-1; a run of steps in which no fit updates is taken in one batch
 from the exact shrink-only trajectory, as long as the share of steps with an
@@ -41,19 +42,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Label, Sample, design_matrix
-from .errors import BadConfig, SingleClass, TooSmall, UnknownLabel, is_json_int, is_json_number, read_json
+from .errors import (BadConfig, SingleClass, TooSmall, UnknownLabel, is_json_int, is_json_number,
+                     numpy_seed, read_json)
 from .features import FeatureVector, left_sum
 
 N_FEATURES = 8
 STD_FLOOR = 1e-9
 VAR_FLOOR = 1e-9
-
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF  # numpy wants non-negative; seeds are 64-bit
-
-
-def _np_seed(seed: int) -> int:
-    return seed & _SEED_MASK
-
 
 def _check_labels(y: np.ndarray) -> None:
     """Both learners' label rule: every label is +1.0 (SE) or -1.0 (NOT_SE),
@@ -116,7 +111,9 @@ _BLOCK_VALUES = 16384
 # Each stream's rows are drawn for a run of this many blocks at once, so its
 # take runs once per run, not once per block. On the control corpus's batch
 # LOFO (20 fits, 91-step blocks) 16 make about 480 take calls a pass where 4
-# made 1,880; runs of 8 to 64 blocks train it in about the same time.
+# made 1,880; runs of 8 to 64 blocks train it in about the same time. Runs
+# of one block made the lofo benchmark's timed_s about 6% slower (median
+# 0.1185 against 0.1117 reference s, slower in 5 of 5 alternating pairs).
 _RUN_BLOCKS = 16
 # Skipping steps with no update (see hinge_sgd): a window speculates this
 # many steps of the shrink-only trajectory. Its 31 multiplies and one stacked
@@ -142,7 +139,7 @@ class _Stream:
 
     def __init__(self, rows: np.ndarray, seed: int) -> None:
         self.rows = rows
-        self.rng = np.random.default_rng(_np_seed(seed))
+        self.rng = np.random.default_rng(numpy_seed(seed))
         self.epoch = rows[:0]
         self.pos = 0
 
@@ -176,19 +173,21 @@ def hinge_sgd(
     fit, or None where the stream holds a single class.
 
     Step t moves every fit with more than t updates to make by its own t-th
-    sample, so the lockstep takes max(n * epochs) steps, not the sum. Fits
-    are ordered by update count, largest first, so the live fits are always a
-    prefix of the weight matrix. Row i of W holds fit i's [w, b]; a sample
-    enters as z = [y * x, y] (x standardized) and u = lr * z, and a step
-    taken on its own makes five calls on the stack of fits: the margins as
-    np.vecdot of W with z, the test margin < 1, the shrink, W + u into a
+    sample, so the lockstep takes max(n * epochs) steps, not the sum. Every
+    fit on a two-class stream has a row of the weight matrix W, ordered by
+    update count, largest first, so the live fits are always a prefix of W; a
+    fit of zero epochs never goes live and keeps its zero row. The streams
+    drawn from are those of the live prefix. Each row holds its fit's [w, b];
+    a sample enters as z = [y * x, y] (x standardized) and u = lr * z, and a
+    step taken on its own makes five calls on the stack of fits: the margins
+    as np.vecdot of W with z, the test margin < 1, the shrink, W + u into a
     scratch array, and a copy of that back into W where the test holds. The
-    copy is masked, not an add of u times the test, because adding zero
-    could flip a signed zero (-0 + 0 is +0) that a negative shrink left. As
-    y is +-1 and rounding is symmetric in sign, u is the loop's
-    (lr * y) * x, and vecdot runs the dot kernel of w @ x (einsum or a row
-    sum would round differently), so it gives the loop's y * (w @ x + b) bit
-    for bit, but for the sign of a zero margin.
+    copy is masked, not an add of u times the test, because adding zero could
+    flip a signed zero (-0 + 0 is +0) that a negative shrink left. As y is +-1
+    and rounding is symmetric in sign, u is the loop's (lr * y) * x, and
+    vecdot runs the dot kernel of w @ x (einsum or a row sum would round
+    differently), so it gives the loop's y * (w @ x + b) bit for bit, but for
+    the sign of a zero margin.
 
     Most steps on a nearly separable training set update no fit: every
     margin is >= 1 and the step only shrinks W. Such runs are skipped in
@@ -241,8 +240,8 @@ def hinge_sgd(
     for rows, _ in streams:
         two_classes = len(set(y[rows].tolist())) == 2
         scalers.append(fit_scaler(X[rows]) if two_classes else None)
-    steps = [len(streams[s][0]) * hp.epochs if scalers[s] is not None else 0 for s, hp in fits]
-    live = sorted((f for f in range(len(fits)) if steps[f] > 0), key=lambda f: -steps[f])
+    steps = [len(streams[s][0]) * hp.epochs for s, hp in fits]
+    live = sorted((f for f, (s, _) in enumerate(fits) if scalers[s] is not None), key=lambda f: -steps[f])
 
     n_live, width = len(live), N_FEATURES + 1
     sid = np.array([fits[f][0] for f in live], dtype=np.intp)
@@ -261,9 +260,7 @@ def hinge_sgd(
     shrink[:, :N_FEATURES] = np.array([1.0 - 2.0 * fits[f][1].lr * fits[f][1].lam for f in live])[:, None]
     ones = np.ones(n_live)
 
-    used = sorted(set(sid.tolist()))
-    state = {s: _Stream(*streams[s]) for s in used}
-    stream_steps = {s: int(n_steps[sid == s].max()) for s in used}
+    state = [_Stream(rows, seed) for rows, seed in streams]
     # Steps per block, never more than the lockstep takes, and buffers reused
     # by every block so that the pass allocates nothing per block; G holds a
     # run of blocks.
@@ -285,6 +282,7 @@ def hinge_sgd(
             L = int(np.count_nonzero(n_steps > t0))
             Wl, Sl, one = W[:L], shrink[:L], ones[:L]
             sid_l, mean_l, std_l, lr_l = sid[:L], mean[:L], std[:L], lr[:L]
+            drawn = set(sid_l.tolist())
             margin, nxt = np.empty(L), np.empty((L, width))
             active = np.empty((L, 1), dtype=bool)
             active1 = active.reshape(L)
@@ -299,13 +297,12 @@ def hinge_sgd(
             T_rows = list(T)
             T_pairs = list(zip(T_rows, T_rows[1:]))
         if t0 == r1:
-            # The next run: each live stream's take fills its column with
-            # up to _RUN_BLOCKS blocks of rows at once, ending where a fit
-            # does, which every live stream's fits outlast.
+            # The next run: the take of each stream of a live fit fills its
+            # column with up to _RUN_BLOCKS blocks of rows at once, ending
+            # where a fit does.
             r0, r1 = t0, min(t0 + len(G), int(n_steps[L - 1]))
-            for s in used:
-                if stream_steps[s] > r0:
-                    state[s].take(G[:r1 - r0, s])
+            for s in drawn:
+                state[s].take(G[:r1 - r0, s])
         t1 = min(t0 + cap, r1)
         c = t1 - t0
         Zc = Z[:c]
@@ -361,16 +358,10 @@ def hinge_sgd(
             j = e
         t0 = t1
 
-    slot = {f: i for i, f in enumerate(live)}
-    models: list[BatchModel | None] = []
-    for f, (s, hp) in enumerate(fits):
-        if scalers[s] is None:
-            models.append(None)
-        elif f in slot:
-            w = W[slot[f]]
-            models.append(BatchModel(w[:N_FEATURES].copy(), float(w[N_FEATURES]), scalers[s], hp))
-        else:  # zero epochs
-            models.append(BatchModel(np.zeros(N_FEATURES), 0.0, scalers[s], hp))
+    models: list[BatchModel | None] = [None] * len(fits)
+    for f, w in zip(live, W):
+        s, hp = fits[f]
+        models[f] = BatchModel(w[:N_FEATURES].copy(), float(w[N_FEATURES]), scalers[s], hp)
     return models
 
 
@@ -425,7 +416,7 @@ def grid_search(
         raise TooSmall(f"{len(train)} samples cannot fill {folds} folds")
 
     X, y = design_matrix(train)
-    rng = np.random.default_rng(_np_seed(seed))
+    rng = np.random.default_rng(numpy_seed(seed))
     chunks = np.array_split(rng.permutation(len(train)), folds)
     streams = []
     for f, chunk in enumerate(chunks):
@@ -527,7 +518,7 @@ def online_init(
         m2=np.zeros((k, 2, N_FEATURES)),
         lam_poisson=lam_poisson,
         seed=seed,
-        rng=np.random.default_rng(_np_seed(seed)),
+        rng=np.random.default_rng(numpy_seed(seed)),
     )
 
 
@@ -571,7 +562,7 @@ def online_train(X: np.ndarray, y: np.ndarray, k: int = DEFAULT_ONLINE_ENSEMBLE,
     stream shuffled by a generator derived from the seed."""
     model = online_init(k=k, lam_poisson=lam_poisson, seed=seed)
     order = np.random.default_rng(
-        np.random.SeedSequence([_np_seed(seed), 1])
+        np.random.SeedSequence([numpy_seed(seed), 1])
     ).permutation(len(y))
     return online_fit(model, X[order], y[order])
 

@@ -36,7 +36,7 @@ from .apk import (CENTRAL_HEADER, CENTRAL_MAGIC, END_MAGIC, END_RECORD, LOCAL_HE
 from .dataset import PATH_HEADER
 from .dex import (ENDIAN_CONSTANT, HEADER, IDENTIFIER_REFERENCES, NO_INDEX, SECTION_LAYOUT,
                   SIGNED_FROM, SectionInfo)
-from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge, is_json_int, is_json_number
+from .errors import EmptyIdentifiers, InvalidConfig, SpecTooLarge, is_json_int, is_json_number, numpy_seed
 from .mutf8 import encode_mutf8, mutf8_is_utf8, utf16_length, utf16_sort_key
 
 DEX_MAGIC = b"dex\n035\x00"
@@ -620,7 +620,7 @@ def gen_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    base = cfg.seed & 0xFFFFFFFFFFFFFFFF
+    base = numpy_seed(cfg.seed)
     meta_rng = np.random.default_rng(np.random.SeedSequence([base, 0]))
     sizes = family_sizes(cfg)
     se_counts = _plan_families(cfg, sizes, meta_rng)

@@ -49,7 +49,7 @@ import numpy as np
 
 from strobe.dataset import Label
 from strobe.dex import (ENDIAN_CONSTANT, HEADER, IDENTIFIER_REFERENCES, NO_INDEX, SECTION_LAYOUT,
-                        SIGNED_FROM, SectionInfo, StringEntry)
+                        SIGNED_FROM, SectionInfo)
 from strobe.errors import CorruptEntry, DecodeError, EmptyStream, EmptyTest, NoDex, NotAZip, OffsetOutOfBounds
 from strobe.evaluation import EvalResult, PrequentialResult
 from strobe.learners import N_FEATURES, BatchModel, _member_terms, _votes_se, online_update
@@ -127,20 +127,21 @@ def _reference_encode_unit(out: bytearray, u: int) -> None:
         out.append(0x80 | (u & 0x3F))
 
 
-def reference_read_strings(data: bytes, section) -> list[StringEntry]:
-    """Every string_data item of a dex's string_ids table (section), one
-    general read per entry: the string-table reader of parse_dex before it
-    read the common entry inline."""
+def reference_read_strings(data: bytes, section) -> list[str | None]:
+    """The text of every string_data item of a dex's string_ids table
+    (section), None where it fails to decode, one general read per entry:
+    the string-table reader of parse_dex before it read the common entry
+    inline."""
     ids = struct.unpack_from(f"<{section.count}I", data, section.offset) if section.count else ()
-    entries: list[StringEntry] = []
+    texts: list[str | None] = []
     for i, data_off in enumerate(ids):
         if data_off >= len(data):
             raise OffsetOutOfBounds(f"string_data offset 0x{data_off:x} of entry {i} exceeds buffer")
-        entries.append(_reference_read_string_entry(data, i, data_off))
-    return entries
+        texts.append(_reference_read_string(data, data_off))
+    return texts
 
 
-def _reference_read_string_entry(data: bytes, index: int, data_off: int) -> StringEntry:
+def _reference_read_string(data: bytes, data_off: int) -> str | None:
     text = None
     try:
         declared_len, pos = _reference_read_uleb128(data, data_off)
@@ -150,8 +151,8 @@ def _reference_read_string_entry(data: bytes, index: int, data_off: int) -> Stri
     except DecodeError:
         pass
     if text is None or utf16_length(text) != declared_len:
-        return StringEntry(index=index, data_offset=data_off, text="", decode_ok=False)
-    return StringEntry(index=index, data_offset=data_off, text=text, decode_ok=True)
+        return None
+    return text
 
 
 def _reference_read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
@@ -181,6 +182,15 @@ _REFERENCE_SECTIONS = {
     "class_defs": (96, 32),
 }
 _NO_INDEX = 0xFFFFFFFF
+
+
+def string_data_offset(data: bytes, index: int) -> int:
+    """The string_data offset that entry index of a dex's string_ids table
+    holds, read through the table's offset at its literal header position."""
+    count_pos, entry_size = _REFERENCE_SECTIONS["string_ids"]
+    (table,) = struct.unpack_from("<I", data, count_pos + 4)
+    (offset,) = struct.unpack_from("<I", data, table + entry_size * index)
+    return offset
 
 
 def reference_identifier_ids(data: bytes) -> frozenset[int]:

@@ -214,10 +214,9 @@ def test_criterion_05_dex_roundtrip():
                                      fields=tuple(rest[1::2]),
                                      non_identifier_strings=tuple(sorted(payload))))
             dex = parse_dex(blob)
-            texts = {e.index: e.text for e in dex.strings}
-            assert {texts[i] for i in dex.identifier_ids} == ids
+            assert {dex.strings[i] for i in dex.identifier_ids} == ids
             assert set(classify_strings(dex)) == payload
-            assert sorted(e.text for e in dex.strings) == sorted(ids | payload)
+            assert sorted(dex.strings) == sorted(ids | payload)
             assert struct.unpack_from("<I", blob, 8)[0] == reference_adler32(blob[12:])
             assert blob[12:32] == reference_sha1(blob[32:])
 

@@ -18,7 +18,7 @@ from strobe.evaluation import LearnerKind, train_on_split
 from strobe.learners import model_to_json, online_init
 from strobe.synth import SynthConfig, gen_corpus, write_apk
 
-from oracles import reference_prequential_eval
+from oracles import reference_prequential_eval, string_data_offset
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,8 @@ def dodgy_corpus(corpus_dir, tmp_path_factory):
     dex = parse_dex(dexes[0])
     blob = bytearray(dexes[0])
     # A lone continuation byte as the first payload byte of a short string.
-    victim = next(e for e in dex.strings if e.index not in dex.identifier_ids)
-    blob[victim.data_offset + 1] = 0x80
+    victim = next(i for i in range(len(dex.strings)) if i not in dex.identifier_ids)
+    blob[string_data_offset(blob, victim) + 1] = 0x80
     write_apk(apk, [bytes(blob), *dexes[1:]])
     return root, apk.stem
 

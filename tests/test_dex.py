@@ -13,7 +13,6 @@ from strobe.dex import (
     NO_INDEX,
     SECTION_LAYOUT,
     SectionInfo,
-    StringEntry,
     classify_strings,
     parse_dex,
 )
@@ -21,7 +20,7 @@ from strobe.errors import BadMagic, OffsetOutOfBounds, StrobeError, Truncated
 from strobe.mutf8 import encode_mutf8
 from strobe.synth import DexSpec, build_dex
 
-from oracles import reference_identifier_ids, reference_read_strings
+from oracles import reference_identifier_ids, reference_read_strings, string_data_offset
 
 
 def _count_field(name):
@@ -37,7 +36,7 @@ def simple_dex(types=("Lx;",), methods=("go",), fields=(), source_files=(), payl
 def test_parse_roundtrip_two_strings():
     blob = build_dex(DexSpec(types=("Lt;",), non_identifier_strings=("a", "b")))
     dex = parse_dex(blob)
-    assert sorted(e.text for e in dex.strings) == ["Lt;", "a", "b"]
+    assert sorted(dex.strings) == ["Lt;", "a", "b"]
     assert classify_strings(dex) == ["a", "b"]
 
 
@@ -80,9 +79,8 @@ def test_header_fields():
 def test_classify_identifiers_and_payload():
     blob = simple_dex(types=("Lcom/x;",), methods=("doIt",), payload=("hello world",))
     dex = parse_dex(blob)
-    texts = {e.index: e.text for e in dex.strings}
     assert classify_strings(dex) == ["hello world"]
-    assert {texts[i] for i in dex.identifier_ids} == {"Lcom/x;", "doIt"}
+    assert {dex.strings[i] for i in dex.identifier_ids} == {"Lcom/x;", "doIt"}
 
 
 def test_classify_all_identifiers():
@@ -96,9 +94,8 @@ def test_classify_all_identifiers():
 def test_classify_source_file_is_identifier():
     blob = simple_dex(methods=(), source_files=("Main.java",), payload=("data",))
     dex = parse_dex(blob)
-    texts = {e.index: e.text for e in dex.strings}
     assert classify_strings(dex) == ["data"]
-    assert {texts[i] for i in dex.identifier_ids} == {"Lx;", "Main.java"}  # via class_defs
+    assert {dex.strings[i] for i in dex.identifier_ids} == {"Lx;", "Main.java"}  # via class_defs
 
 
 def test_partition_property():
@@ -111,7 +108,7 @@ def test_partition_property():
         ids = types + members
         payload = tuple(f"payload {i} {rng.randrange(100)}" for i in range(n_payload))
         dex = parse_dex(simple_dex(types, members[0::2], members[1::2], payload=payload))
-        texts = [e.text for e in dex.strings]
+        texts = dex.strings
         assert {texts[i] for i in dex.identifier_ids} == set(ids)
         # Every string not named as an identifier, in string-table order.
         assert classify_strings(dex) == [t for i, t in enumerate(texts) if i not in dex.identifier_ids]
@@ -121,15 +118,14 @@ def test_partition_property():
 def test_decode_failure_marks_entry_not_file():
     blob = bytearray(simple_dex(payload=("good", "bad")))
     dex = parse_dex(bytes(blob))
-    victim = next(e for e in dex.strings if e.text == "bad")
+    victim = dex.strings.index("bad")
     # ULEB length for these short strings is 1 byte; corrupt the first
     # payload byte into a lone continuation byte.
-    blob[victim.data_offset + 1] = 0x80
+    blob[string_data_offset(blob, victim) + 1] = 0x80
     reparsed = parse_dex(bytes(blob))
-    broken = [e for e in reparsed.strings if not e.decode_ok]
-    assert len(broken) == 1
-    assert broken[0].index == victim.index
-    assert broken[0].text == ""
+    assert [i for i, text in enumerate(reparsed.strings) if text is None] == [victim]
+    assert reparsed.strings[:victim] + reparsed.strings[victim + 1:] \
+        == dex.strings[:victim] + dex.strings[victim + 1:]
     assert reparsed.decode_failures == 1
 
 
@@ -209,7 +205,7 @@ def test_sorted_table_with_astral_strings_does_not_warn(caplog):
     blob = simple_dex(methods=(), payload=("\uffff", "\U00010000"))
     with caplog.at_level(logging.WARNING, logger="strobe.dex"):
         dex = parse_dex(blob)
-    assert [e.text for e in dex.strings][-2:] == ["\U00010000", "\uffff"]
+    assert dex.strings[-2:] == ("\U00010000", "\uffff")
     assert not any("not sorted" in r.message for r in caplog.records)
 
 
@@ -246,8 +242,7 @@ def assert_strings_match_reference(blob: bytes) -> None:
     want = tuple(reference_read_strings(blob, section))
     dex = parse_dex(blob)
     assert dex.strings == want
-    assert all(type(e) is StringEntry for e in dex.strings)
-    assert dex.decode_failures == sum(not e.decode_ok for e in want)
+    assert dex.decode_failures == want.count(None)
 
 
 # Raw string_data items: the length prefix, the MUTF-8 payload and its NUL.
@@ -306,6 +301,35 @@ def test_unsorted_repeated_and_overlapping_offsets_read_as_reference():
         assert_strings_match_reference(strings_only_dex(blob, order))
 
 
+# One entry of each kind that fails to decode; a missing NUL must end the buffer.
+FAILING_ITEMS = {
+    "bad ULEB128": b"\x83" * 5 + b"abc\x00",
+    "wrong declared length": _uleb(4) + b"abc\x00",
+    "malformed MUTF-8": _uleb(2) + b"\xc3\x41\x00",
+    "missing NUL": _uleb(3) + b"abc",
+}
+
+
+@pytest.mark.parametrize("names", [[name] for name in FAILING_ITEMS] + [list(FAILING_ITEMS)],
+                         ids=[*FAILING_ITEMS, "every kind"])
+@pytest.mark.parametrize("order", [("abc", "abd"), ("abd", "abc")], ids=["sorted", "unsorted"])
+def test_failed_entries_read_as_none_and_reach_no_reader(names, order, caplog):
+    # The failed slots sit between two that decode. Were a failed entry
+    # compared as a text, the sorted order would warn (as "" sorts first)
+    # or raise (as None does not compare).
+    chunks = [_uleb(3) + text.encode() + b"\x00" for text in order]
+    chunks += [FAILING_ITEMS[name] for name in names]
+    starts = [sum(map(len, chunks[:i])) for i in range(len(chunks))]
+    blob = strings_only_dex(b"".join(chunks), [starts[0], *starts[2:], starts[1]])
+    with caplog.at_level(logging.WARNING, logger="strobe.dex"):
+        dex = parse_dex(blob)
+    assert_strings_match_reference(blob)
+    assert dex.strings == (order[0], *[None] * len(names), order[1])
+    assert dex.decode_failures == dex.strings.count(None) == len(names)
+    assert classify_strings(dex) == list(order)
+    assert any("not sorted" in r.message for r in caplog.records) == (order[0] > order[1])
+
+
 def test_string_offset_past_the_buffer_raises_as_reference():
     blob = strings_only_dex(SHORT_ITEMS["1-byte length"], [0, 10_000])
     section = SectionInfo(2, HEADER.size)
@@ -330,7 +354,7 @@ _FUZZ_BASE = simple_dex(
 )
 _FUZZ_IDS = parse_dex(_FUZZ_BASE).section_table["string_ids"]
 # From the first string_data item to the end of the file.
-_FUZZ_DATA = (min(e.data_offset for e in parse_dex(_FUZZ_BASE).strings), len(_FUZZ_BASE))
+_FUZZ_DATA = (min(string_data_offset(_FUZZ_BASE, i) for i in range(_FUZZ_IDS.count)), len(_FUZZ_BASE))
 
 
 @given(
@@ -379,8 +403,7 @@ _REF_VALUES = st.one_of(
 def test_identifier_base_dex_fills_every_table():
     assert all(_REF_COUNTS.values())
     assert _REF_COUNTS["method_ids"] == 2 and _REF_COUNTS["field_ids"] == 1
-    texts = [e.text for e in _REF_DEX.strings]
-    assert {texts[i] for i in _REF_DEX.identifier_ids} >= {"Main.java", "stop", "field0"}
+    assert {_REF_DEX.strings[i] for i in _REF_DEX.identifier_ids} >= {"Main.java", "stop", "field0"}
     assert _REF_DEX.identifier_ids == reference_identifier_ids(_REF_BASE)
 
 

@@ -22,8 +22,8 @@ from strobe.features import (
 from oracles import compensated_sum, loop_sum, reference_feature_means
 
 
-def app(strings, app_id="t"):
-    return AppStrings(app_id=app_id, non_identifier_strings=tuple(strings),
+def app(strings):
+    return AppStrings(non_identifier_strings=tuple(strings),
                       dex_count=1, decode_failures=0)
 
 

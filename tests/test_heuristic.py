@@ -7,7 +7,7 @@ from strobe.heuristic import detect_dexguard, zero_string_fraction
 
 
 def app(n_strings):
-    return AppStrings(app_id="a", non_identifier_strings=tuple(f"s{i}" for i in range(n_strings)),
+    return AppStrings(non_identifier_strings=tuple(f"s{i}" for i in range(n_strings)),
                       dex_count=1, decode_failures=0)
 
 

@@ -96,15 +96,14 @@ def test_writer_roundtrip_seeded_specs():
         members = tuple(sorted(ids - set(types)))
         s = spec(types, members[0::2], members[1::2], tuple(sorted(payload)))
         dex = parse_dex(build_dex(s))
-        texts = {e.index: e.text for e in dex.strings}
-        assert {texts[i] for i in dex.identifier_ids} == ids
+        assert {dex.strings[i] for i in dex.identifier_ids} == ids
         assert set(classify_strings(dex)) == payload
 
 
 def test_writer_string_table_is_sorted():
     blob = build_dex(spec(payload=("zz", "aa", "Ωmega", "mid")))
     dex = parse_dex(blob)
-    keys = [e.text.encode("utf-16-be", "surrogatepass") for e in dex.strings]
+    keys = [text.encode("utf-16-be", "surrogatepass") for text in dex.strings]
     assert keys == sorted(keys)
 
 
