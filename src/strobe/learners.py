@@ -5,18 +5,18 @@ descent on the regularized hinge loss, with leakage-safe standardization
 fitted on training data only and a grid search capped at 200 configurations.
 One engine, hinge_sgd, trains any number of fits in lockstep, one row of
 weights per fit on a two-class stream, with weights bit-identical to
-training each fit alone. A step in which some fit updates
-moves every fit by its own next sample [y * x, y] in five numpy calls, exact
-since y = +-1; a run of steps in which no fit updates is taken in one batch
-from the exact shrink-only trajectory, as long as the share of steps with an
-update stays low. A block of samples is made ready in full-width passes (the
-label sign by a gathered table of sign rows, the step size held as a full
-row per fit), rows come from each stream in runs of 16 blocks, and the
-per-step row views are built once per count of live fits: none of this
-changes an operand or the order of a numpy call, so none of it changes a
-bit. batch_train is one fit, grid_search every (grid point, fold) pair, and
-run_lofo and run_experiment every fold or repetition of a run. Labels other
-than +1 and -1 raise UnknownLabel, in both learners.
+training each fit alone. A step in which some fit updates moves every fit
+by its own next sample [y * x, y] in five numpy calls, exact since y = +-1;
+a run of steps in which no fit updates is taken in one batch from the exact
+shrink-only trajectory, as long as the share of steps with an update stays
+low. Each stream's rows are made [y * x, y] once per call, in one table
+that a block is taken from, lr * z is formed only for the steps taken one
+at a time, rows come from each stream in runs of 16 blocks, and the
+per-step row views are built once per count of live fits: every value is
+still formed by the same operations on the same operands, so none of this
+changes a bit. batch_train is one fit, grid_search every (grid point,
+fold) pair, and run_lofo and run_experiment every fold or repetition of a
+run. Labels other than +1 and -1 raise UnknownLabel, in both learners.
 
 Online: an ensemble of incremental Gaussian class-conditional models where
 each arriving sample enters each ensemble member with a Poisson-drawn weight
@@ -105,15 +105,14 @@ def fit_scaler(X: np.ndarray) -> Scaler:
     return Scaler(mean=X.mean(axis=0), std=np.maximum(X.std(axis=0), STD_FLOOR))
 
 
-# Rows [x, y] are gathered, standardized and made [y * x, y] a block of steps
-# at a time; a block holds about this many values per (steps, fits, 9) array.
+# A block of steps holds about this many values per (steps, fits, 9) array.
 _BLOCK_VALUES = 16384
 # Each stream's rows are drawn for a run of this many blocks at once, so its
 # take runs once per run, not once per block. On the control corpus's batch
 # LOFO (20 fits, 91-step blocks) 16 make about 480 take calls a pass where 4
 # made 1,880; runs of 8 to 64 blocks train it in about the same time. Runs
 # of one block made the lofo benchmark's timed_s about 6% slower (median
-# 0.1185 against 0.1117 reference s, slower in 5 of 5 alternating pairs).
+# 0.1006 against 0.0948 reference s, slower in 4 of 4 alternating pairs).
 _RUN_BLOCKS = 16
 # Skipping steps with no update (see hinge_sgd): a window speculates this
 # many steps of the shrink-only trajectory. Its 31 multiplies and one stacked
@@ -134,8 +133,9 @@ _SKIP_BACKOFF_MAX = 65536
 
 
 class _Stream:
-    """A training set X[rows] visited in one fresh permutation per epoch,
-    drawn from default_rng(seed): the sample order of one batch_train call."""
+    """A training set, as the positions of its rows in hinge_sgd's table,
+    visited in one fresh permutation per epoch, drawn from
+    default_rng(seed): the sample order of one batch_train call."""
 
     def __init__(self, rows: np.ndarray, seed: int) -> None:
         self.rows = rows
@@ -148,7 +148,7 @@ class _Stream:
         done = 0
         while done < len(out):
             if self.pos == len(self.epoch):
-                self.epoch = self.rows[self.rng.permutation(len(self.rows))]
+                self.epoch = self.rng.permutation(self.rows)
                 self.pos = 0
             k = min(len(out) - done, len(self.epoch) - self.pos)
             out[done:done + k] = self.epoch[self.pos:self.pos + k]
@@ -204,21 +204,19 @@ def hinge_sgd(
     run goes unreported. The weights are the per-step loop's, whatever the
     policy below decides.
 
-    Rows enter a block at a time, and every pass runs over the whole
-    (steps, fits, 9) block: gathered from X into Z and standardized; made
-    [y * x, y] by each row's sign row [y] * 8 + [1], which the block's own
-    row indices gather from an (N, 9) table into U as scratch; and scaled
-    into U by the fits' step sizes, held as (fits, 9) rows. A pass over
-    columns 0-7 alone, or a step size broadcast from one column, runs numpy's
-    inner loop over 8 or 9 values per (step, fit) pair: on a 16,380-value
-    block at 20 fits the sign pass took 39 us that way against 15 us for
-    gather and multiply, the step-size pass 17 us against 11 us. Both form
-    the same products of the same operands (x * y exact, as y is +-1, and
-    y * 1 for the bias), so neither changes a bit. Each stream's take fills
-    the row-index buffer G for a run of up to 16 blocks at once, so it runs
-    once per run, not once per block. A stream's take hands out its
-    permutations in order, however long the request, so every fit sees the
-    rows it would see alone.
+    Each stream's rows are made ready once per call: one table holds the
+    rows of every stream a fit draws from as the steps use them,
+    [y * (x - mean) / std, y] under the stream's scaler, exact as y is +-1,
+    and each stream hands out positions in it, so a block of (steps, fits, 9)
+    values is one take from the table into Z. The table and the positions
+    take 80 bytes for each row of each drawn stream: 1.8 MB for batch LOFO
+    on the control corpus (20 folds), 28 MB on the confounded corpus (71
+    folds). u = lr * z is formed into U only for the steps taken one at a
+    time, one multiply per stretch of them, since a skip window reads z
+    alone. Each stream's take fills the index buffer G for a run of up to 16
+    blocks at once, so it runs once per run, not once per block. A stream's
+    take hands out its permutations in order, however long the request, so
+    every fit sees the rows it would see alone.
     The row views that steps and windows read (Z[t], U[t], T[i]) are built
     once for each number L of live fits, which changes only when a fit
     finishes; a run ends there too. Taking a listed view instead of making
@@ -247,20 +245,29 @@ def hinge_sgd(
     sid = np.array([fits[f][0] for f in live], dtype=np.intp)
     n_steps = np.array([steps[f] for f in live], dtype=np.int64)
     lr = np.repeat(np.array([fits[f][1].lr for f in live])[:, None], width, axis=1)
-    # Each fit's scaler, extended by (0, 1), keeps y as it is; a row's sign
-    # row [y] * 8 + [1] turns its standardized [x, y] into [y * x, y].
-    XY = np.column_stack([X, y])
-    SY = np.ones((len(y), width))
-    SY[:, :N_FEATURES] = y[:, None]
-    mean = np.array([np.append(scalers[s].mean, 0.0) for s in sid]).reshape(-1, width)
-    std = np.array([np.append(scalers[s].std, 1.0) for s in sid]).reshape(-1, width)
+    # The rows of each stream some fit draws from, made [y * x, y] (x
+    # standardized) once, into one table; the stream hands out their
+    # positions there.
+    used = sorted(set(sid[n_steps > 0].tolist()))
+    offsets = np.cumsum([0] + [len(streams[s][0]) for s in used])
+    table = np.empty((int(offsets[-1]), width))
+    positions = {}
+    for s, start, end in zip(used, offsets, offsets[1:]):
+        rows = streams[s][0]
+        part = table[start:end]
+        x = part[:, :N_FEATURES]
+        np.subtract(X[rows], scalers[s].mean, out=x)
+        np.divide(x, scalers[s].std, out=x)
+        part[:, N_FEATURES] = y[rows]
+        np.multiply(x, part[:, N_FEATURES:], out=x)
+        positions[s] = np.arange(start, end)
+    state = [_Stream(positions.get(s, rows), seed) for s, (rows, seed) in enumerate(streams)]
     # The bias shrinks by 1.0, which leaves it exactly as it is.
     W = np.zeros((n_live, width))
     shrink = np.ones_like(W)
     shrink[:, :N_FEATURES] = np.array([1.0 - 2.0 * fits[f][1].lr * fits[f][1].lam for f in live])[:, None]
     ones = np.ones(n_live)
 
-    state = [_Stream(rows, seed) for rows, seed in streams]
     # Steps per block, never more than the lockstep takes, and buffers reused
     # by every block so that the pass allocates nothing per block; G holds a
     # run of blocks.
@@ -281,7 +288,7 @@ def hinge_sgd(
         if not L or n_steps[L - 1] <= t0:  # the first block, or a fit has finished
             L = int(np.count_nonzero(n_steps > t0))
             Wl, Sl, one = W[:L], shrink[:L], ones[:L]
-            sid_l, mean_l, std_l, lr_l = sid[:L], mean[:L], std[:L], lr[:L]
+            sid_l, lr_l = sid[:L], lr[:L]
             drawn = set(sid_l.tolist())
             margin, nxt = np.empty(L), np.empty((L, width))
             active = np.empty((L, 1), dtype=bool)
@@ -305,17 +312,9 @@ def hinge_sgd(
                 state[s].take(G[:r1 - r0, s])
         t1 = min(t0 + cap, r1)
         c = t1 - t0
-        Zc = Z[:c]
         # Every index is valid; mode="clip" lets take write straight into
-        # the buffer, where the default mode would stage a temporary. U holds
-        # the sign rows until it takes lr * z.
-        Uc, idx = U[:c], G[t0 - r0:t1 - r0, sid_l]
-        np.take(XY, idx, axis=0, out=Zc, mode="clip")
-        np.subtract(Zc, mean_l, out=Zc)
-        np.divide(Zc, std_l, out=Zc)
-        np.take(SY, idx, axis=0, out=Uc, mode="clip")
-        np.multiply(Zc, Uc, out=Zc)
-        np.multiply(lr_l, Zc, out=Uc)
+        # the buffer, where the default mode would stage a temporary.
+        np.take(table, G[t0 - r0:t1 - r0, sid_l], axis=0, out=Z[:c], mode="clip")
 
         j = 0
         while j < c:
@@ -349,6 +348,8 @@ def hinge_sgd(
                     seen = hits = 0
                 elif seen >= _SKIP_STRETCH:
                     backoff, seen, hits = _SKIP_STRETCH, 0, 0
+            if j < e:  # u = lr * z for the steps taken one at a time
+                multiply(lr_l, Z[j:e], U[j:e])
             for z, u in ZU[j:e]:
                 vecdot(Wl, z, margin)
                 less(margin, one, active1)

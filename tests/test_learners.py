@@ -451,6 +451,48 @@ def test_hinge_sgd_with_nothing_to_train():
     assert not model.weights.any() and model.bias == 0.0
 
 
+# --- LOFO- and grid-shaped calls against the per-sample loop ------------------------
+
+def lofo_shaped_call(rng, families=20, size=10, epochs=3):
+    """One fit per family on every row outside it, seeds 7 + family, as
+    run_lofo trains: (pool, streams, fits)."""
+    pool = random_train(rng, families * size)
+    family = np.arange(len(pool)) // size
+    streams = [(np.flatnonzero(family != f), 7 + f) for f in range(families)]
+    return pool, streams, [(f, HingeHyperparams(epochs=epochs)) for f in range(families)]
+
+
+def grid_shaped_call(rng):
+    """Three shared fold streams, as grid_search builds them, and a
+    single-class stream; grid points, negative-shrink points and zero-epoch
+    fits on every stream."""
+    pool = random_train(rng, 150)
+    y = design_matrix(pool)[1]
+    chunks = np.array_split(rng.permutation(len(y)), 3)
+    streams = [(np.setdiff1d(np.arange(len(y)), chunk), 11 + f) for f, chunk in enumerate(chunks)]
+    streams.append((np.flatnonzero(y > 0)[:20], -2))
+    grid = default_grid()[::23] + NEGATIVE_SHRINK
+    fits = [(s, HingeHyperparams(lam=hp.lam, lr=hp.lr, epochs=epochs))
+            for hp in grid for epochs in (0, 3) for s in range(len(streams))]
+    return pool, streams, fits
+
+
+@pytest.mark.parametrize("shape", [lofo_shaped_call, grid_shaped_call], ids=["lofo", "grid"])
+@pytest.mark.parametrize("small", [pytest.param(False, id="default"), pytest.param(True, id="small-blocks")])
+def test_lofo_and_grid_shaped_calls_match_per_sample_loop(shape, small, monkeypatch):
+    """Each stream's rows come from one table built per call; every fit's
+    weights and bias equal the per-sample loop's bit for bit, signed zeros
+    included, at the default block geometry and the smallest."""
+    if small:
+        small_blocks(monkeypatch)
+    pool, streams, fits = shape(np.random.default_rng(34))
+    models = hinge_sgd(*design_matrix(pool), streams, fits)
+    assert sum(model is None for model in models) == (len(fits) // 4 if shape is grid_shaped_call else 0)
+    for (s, hp), model in zip(fits, models, strict=True):
+        rows, seed = streams[s]
+        assert_matches_reference(model, [pool[i] for i in rows], hp, seed)
+
+
 # --- row scorers -------------------------------------------------------------------
 
 def test_batch_predict_rows_matches_predict():
