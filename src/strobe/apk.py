@@ -68,7 +68,9 @@ def list_dex_entries(archive: bytes) -> list[tuple[str, bytes]]:
     for entry in _central_directory(archive):
         # Names are cut at their first NUL. A dex name is ASCII, which UTF-8
         # and code page 437 both decode byte for byte, so it is matched, and
-        # decoded, as bytes.
+        # decoded, as bytes; only a name that starts with "classes" can match.
+        if not entry[0].startswith(b"classes"):
+            continue
         name = entry[0].partition(b"\x00")[0]
         m = _DEX_NAME.fullmatch(name)
         if m:
@@ -182,7 +184,8 @@ def extract_app_strings(path: str | Path) -> AppStrings:
     cross-file deduplication. decode_failures counts string entries (of any
     kind) that failed MUTF-8 decoding.
     """
-    archive = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        archive = fh.read()
     entries = list_dex_entries(archive)
 
     strings: list[str] = []
@@ -192,8 +195,4 @@ def extract_app_strings(path: str | Path) -> AppStrings:
         strings.extend(classify_strings(dex))
         failures += dex.decode_failures
 
-    return AppStrings(
-        non_identifier_strings=tuple(strings),
-        dex_count=len(entries),
-        decode_failures=failures,
-    )
+    return AppStrings(tuple(strings), len(entries), failures)

@@ -16,9 +16,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import fields
 from operator import itemgetter
 
 import numpy as np
@@ -197,10 +198,12 @@ def _build_parser() -> _Parser:
 # --------------------------------------------------------------------------
 
 def _apk_samples(corpus: Corpus, manifest: Path) -> list[Sample]:
-    """The samples of a path manifest, each path resolved against the manifest's directory."""
+    """The samples of a path manifest, each path joined to the manifest's directory."""
     if any(s.path is None for s in corpus.samples):
         raise _UsageError("manifest already contains features; nothing to extract")
-    return [replace(s, path=str(manifest.parent / s.path)) for s in corpus.samples]
+    base = str(manifest.parent)
+    return [Sample(s.sample_id, s.family, s.label, path=os.path.join(base, s.path))
+            for s in corpus.samples]
 
 
 def _apk_dir_samples(apk_dir: str, manifest: str | None) -> list[Sample]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
+from functools import lru_cache
 from operator import gt
 from typing import NamedTuple
 
@@ -67,9 +67,8 @@ class SectionInfo(NamedTuple):
     offset: int
 
 
-@dataclass(frozen=True)
-class DexFile:
-    """Parsed structure of one DEX binary (immutable once built)."""
+class DexFile(NamedTuple):
+    """Parsed structure of one DEX binary: a named tuple, so immutable once built."""
 
     version: int
     declared_file_size: int
@@ -100,46 +99,43 @@ def parse_dex(data: bytes) -> DexFile:
     if endian_tag != ENDIAN_CONSTANT:
         raise BadMagic(f"unsupported endian tag 0x{endian_tag:08x}")
 
+    # Sections are built as tuples directly: SectionInfo(...) would run its
+    # Python-level __new__ once per table.
     sections: dict[str, SectionInfo] = {}
     for (name, words), count, offset in zip(SECTION_LAYOUT.items(), pairs[0::2], pairs[1::2]):
         if count > 0 and offset + count * 4 * words > len(data):
             raise OffsetOutOfBounds(f"{name} table ({count} entries at 0x{offset:x}) exceeds buffer")
-        sections[name] = SectionInfo(count, offset)
+        sections[name] = tuple.__new__(SectionInfo, (count, offset))
 
     texts = _read_strings(data, sections["string_ids"])
-    _warn_if_unsorted(texts)
+    decode_failures = texts.count(None)
+    _warn_if_unsorted([text for text in texts if text is not None] if decode_failures else texts)
 
     # Each table is read in one unpack, and its indices are checked one by
-    # one only when the largest is out of range.
+    # one only when the largest is out of range. A type mask can only lower
+    # a value, so it is applied only when the unmasked largest is.
     n_strings = len(texts)
     n_types = sections["type_ids"].count
-    referenced = []
+    identifier_ids = set()
     for name, (string_word, type_word, type_mask, optional) in IDENTIFIER_REFERENCES.items():
         count, offset = sections[name]
         if not count:
             continue
         words = SECTION_LAYOUT[name]
-        table = struct.unpack_from(f"<{count * words}I", data, offset)
+        table = _u4_table(count * words).unpack_from(data, offset)
         if type_word is not None:
             types = table[type_word::words]
-            if max(map(type_mask.__and__, types)) >= n_types:
+            if max(types) >= n_types and max(map(type_mask.__and__, types)) >= n_types:
                 _check_range(name, [t & type_mask for t in types], n_types, "type")
         strings = table[string_word::words]
         if max(strings) >= n_strings:
             _check_range(name, strings, n_strings, "string", NO_INDEX if optional else None)
             # Only an optional reference's NO_INDEX gets past the check.
             strings = [s for s in strings if s != NO_INDEX]
-        referenced.append(strings)
+        identifier_ids.update(strings)
 
-    return DexFile(
-        version=int(data[4:7]),
-        declared_file_size=file_size,
-        checksum=checksum,
-        section_table=sections,
-        strings=texts,
-        decode_failures=texts.count(None),
-        identifier_ids=frozenset().union(*referenced),
-    )
+    return DexFile(int(data[4:7]), file_size, checksum, sections, texts, decode_failures,
+                   frozenset(identifier_ids))
 
 
 def classify_strings(dex: DexFile) -> list[str]:
@@ -153,6 +149,12 @@ def _check_range(name: str, indices, n: int, what: str, allowed: int | None = No
     for i, idx in enumerate(indices):
         if idx >= n and idx != allowed:
             raise OffsetOutOfBounds(f"{name}[{i}] references {what} {idx} of {n}")
+
+
+@lru_cache(maxsize=256)
+def _u4_table(n: int) -> struct.Struct:
+    """The Struct of n little-endian u4 words."""
+    return struct.Struct(f"<{n}I")
 
 
 def _read_strings(data: bytes, section: SectionInfo) -> tuple[str | None, ...]:
@@ -172,7 +174,7 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[str | None, ...]:
     texts: list[str | None] = []
     append = texts.append
     # A table with no entries may carry any offset and is never read.
-    offsets = struct.unpack_from(f"<{section.count}I", data, section.offset) if section.count else ()
+    offsets = _u4_table(section.count).unpack_from(data, section.offset) if section.count else ()
     for i, data_off in enumerate(offsets):
         if data_off >= size:
             raise OffsetOutOfBounds(f"string_data offset 0x{data_off:x} of entry {i} exceeds buffer")
@@ -222,15 +224,14 @@ def _read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
-def _warn_if_unsorted(texts: tuple[str | None, ...]) -> None:
+def _warn_if_unsorted(keys: tuple[str, ...] | list[str]) -> None:
     # The format requires a sorted string table; obfuscated files in the wild
-    # violate this, so it is a warning rather than an error. Each decoded
-    # string is compared with the next. Strings compare in code-unit order as
-    # they are unless the table holds a supplementary character (a surrogate
-    # pair in UTF-16), which code-point order puts after U+E000-U+FFFF. An
-    # ASCII table holds none; otherwise one UTF-16 encode of the joined table
-    # finds one faster than max() over it.
-    keys = [text for text in texts if text is not None]
+    # violate this, so it is a warning rather than an error. keys are the
+    # decoded strings in table order, and each is compared with the next.
+    # Strings compare in code-unit order as they are unless the table holds a
+    # supplementary character (a surrogate pair in UTF-16), which code-point
+    # order puts after U+E000-U+FFFF. An ASCII table holds none; otherwise one
+    # UTF-16 encode of the joined table finds one faster than max() over it.
     joined = "".join(keys)
     if not joined.isascii() and utf16_length(joined) != len(joined):
         keys = list(map(utf16_sort_key, keys))

@@ -176,16 +176,12 @@ def feature_vector_from_strings(strings: tuple[str, ...] | list[str]) -> Feature
             entropies.append(0.0)
     joined = "".join(strings)
     length = len(joined)
+    # Positional, in field order: avg_entropy, avg_wordsize, avg_length,
+    # avg_eq, avg_dash, avg_slash, avg_plus, avg_repeat, n_strings.
     return FeatureVector(
-        avg_entropy=left_sum(entropies) / n,
-        avg_wordsize=len(joined.encode("utf-8")) / n,
-        avg_length=length / n,
-        avg_eq=joined.count("=") / n,
-        avg_dash=joined.count("-") / n,
-        avg_slash=joined.count("/") / n,
-        avg_plus=joined.count("+") / n,
-        avg_repeat=(length - distinct) / n,
-        n_strings=n,
+        left_sum(entropies) / n, len(joined.encode("utf-8")) / n, length / n,
+        joined.count("=") / n, joined.count("-") / n, joined.count("/") / n,
+        joined.count("+") / n, (length - distinct) / n, n,
     )
 
 

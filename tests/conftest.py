@@ -34,7 +34,9 @@ def control(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def stripped(tmp_path_factory):
-    """Stripped SE apps mixed 50/50 with plaintext apps."""
+    """Stripped SE apps mixed 50/50 with plaintext apps, and their feature CSV."""
     root = tmp_path_factory.mktemp("stripped")
     out, manifest = gen_corpus(stripped_preset(), root / "corpus")
-    return {"dir": out, "corpus": load_manifest(manifest)}
+    features = root / "features.csv"
+    assert main(["extract", "--apk-dir", str(out), "--out", str(features)]) == 0
+    return {"dir": out, "features": features, "corpus": load_manifest(manifest)}

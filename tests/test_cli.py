@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -82,6 +83,28 @@ def test_extract_parallel_matches_serial(wide_corpus_dir, tmp_path):
     main(["extract", "--apk-dir", str(wide_corpus_dir), "--out", str(serial)])
     main(["extract", "--apk-dir", str(wide_corpus_dir), "--jobs", "3", "--out", str(parallel)])
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+# Per preset fixture: the SHA-256 of the feature CSV that `strobe extract`
+# wrote for its corpus. A change to the APK or DEX reader, the string
+# partition, the feature means or the CSV format that moves one byte changes it.
+PRESET_FEATURE_CSVS = {
+    "confounded": "82958a34de13c60f29599dbbf6897fe715c4b659715c4ab27da6084b19d98974",
+    "control": "86fd5e9b11fb959b780696d20cfa5c585fd7cb4d6e635c5d525ccccb99466543",
+    "stripped": "0ccf56bf99fd43cf46ac730e7c2c54113ccd2ee60646718070d7cef6d0fd922f",
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_FEATURE_CSVS)
+def test_preset_feature_csv_bytes_are_pinned(request, preset):
+    features = request.getfixturevalue(preset)["features"]
+    assert hashlib.sha256(features.read_bytes()).hexdigest() == PRESET_FEATURE_CSVS[preset]
+
+
+def test_extract_with_two_jobs_writes_the_control_csv(control, tmp_path):
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--apk-dir", str(control["dir"]), "--jobs", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == control["features"].read_bytes()
 
 
 class _InlinePool:

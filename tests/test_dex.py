@@ -20,7 +20,12 @@ from strobe.errors import BadMagic, OffsetOutOfBounds, StrobeError, Truncated
 from strobe.mutf8 import encode_mutf8
 from strobe.synth import DexSpec, build_dex
 
-from oracles import reference_identifier_ids, reference_read_strings, string_data_offset
+from oracles import (
+    reference_identifier_ids,
+    reference_list_dex_entries,
+    reference_read_strings,
+    string_data_offset,
+)
 
 
 def _count_field(name):
@@ -340,10 +345,16 @@ def test_string_offset_past_the_buffer_raises_as_reference():
 
 
 def test_every_dex_of_the_frozen_corpus_reads_as_reference(confounded):
+    # The container, the string table and the identifier partition of every
+    # app, each against the reader it replaced.
     n_dex = 0
     for path in sorted(confounded["dir"].rglob("*.apk")):
-        for _, payload in list_dex_entries(path.read_bytes()):
+        archive = path.read_bytes()
+        entries = list_dex_entries(archive)
+        assert entries == reference_list_dex_entries(archive)
+        for _, payload in entries:
             assert_strings_match_reference(payload)
+            assert parse_dex(payload).identifier_ids == reference_identifier_ids(payload)
             n_dex += 1
     assert n_dex > len(confounded["corpus"].samples)  # multidex apps included
 
