@@ -119,17 +119,16 @@ def _build_parser() -> _Parser:
 
     # Each subcommand declares only the flags its cmd_* reads. argparse shares
     # a parent parser's actions with every child, so flags are not inherited.
-    def command(name, func, help, *, seed=False, jobs=False, out_required=False):
+    def command(name, func, help, *, seed=False, out_required=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if seed:
             p.add_argument("--seed", type=int, default=42, help="base seed; fixes all randomized behavior")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="worker processes for per-file / per-rep work")
         p.add_argument("--out", required=out_required, help="output path")
         return p
 
-    p = command("extract", cmd_extract, "extract feature CSV from APKs", jobs=True)
+    p = command("extract", cmd_extract, "extract feature CSV from APKs")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for extraction")
     p.add_argument("--apk-dir", required=True, help="corpus directory of APK files")
     p.add_argument("--manifest", help="manifest CSV (defaults to <apk-dir>/manifest.csv if present)")
     p.add_argument("--strict", action="store_true",
@@ -169,14 +168,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=DEFAULT_ONLINE_ENSEMBLE)
     p.add_argument("--poisson-lambda", type=float, default=DEFAULT_POISSON_LAMBDA)
 
-    # lofo takes no --jobs: its folds train in one lockstep pass, which
-    # worker processes only slowed down.
+    # lofo and experiment take no --jobs: their folds and repetitions train in
+    # one lockstep pass, which worker processes only slowed down. A path
+    # manifest is extracted in one process; extract --jobs writes its CSV faster.
     p = command("lofo", cmd_lofo, "leave-one-family-out evaluation", seed=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--learner", required=True, choices=("batch", "online"))
 
-    p = command("experiment", cmd_experiment, "repeated split/train/eval with box statistics",
-                seed=True, jobs=True)
+    p = command("experiment", cmd_experiment, "repeated split/train/eval with box statistics", seed=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", required=True, choices=("random", "family-disjoint"))
     p.add_argument("--learner", required=True, choices=("batch", "online"))
@@ -243,13 +242,13 @@ def _feature_table(samples: list[Sample], jobs: int) -> list[list[str]]:
     return sorted(rows, key=itemgetter(0))
 
 
-def _load_feature_corpus(manifest: str, strict: bool = False, jobs: int = 1) -> Corpus:
+def _load_feature_corpus(manifest: str, strict: bool = False) -> Corpus:
     """Load a manifest, extracting a path manifest's feature table first; with
     strict, without the samples that have decode failures."""
     manifest_path = Path(manifest)
     corpus = load_manifest(manifest_path)
     if corpus.X is None:
-        corpus = feature_corpus(_feature_table(_apk_samples(corpus, manifest_path), jobs))
+        corpus = feature_corpus(_feature_table(_apk_samples(corpus, manifest_path), jobs=1))
     if strict:
         corpus = Corpus.from_samples([s for s in corpus.samples if not s.decode_failures])
     return corpus
@@ -373,12 +372,10 @@ def cmd_lofo(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    corpus = _load_feature_corpus(args.manifest, strict=args.strict, jobs=args.jobs)
+    corpus = _load_feature_corpus(args.manifest, strict=args.strict)
     strategy = SplitStrategy.RANDOM if args.strategy == "random" else SplitStrategy.FAMILY_DISJOINT
-    summary = run_experiment(
-        corpus, strategy, LearnerKind[args.learner.upper()],
-        repetitions=args.reps, base_seed=args.seed, jobs=args.jobs,
-    )
+    summary = run_experiment(corpus, strategy, LearnerKind[args.learner.upper()],
+                             repetitions=args.reps, base_seed=args.seed)
     _write_json(args.out, summary.to_json())
     if args.csv:
         keys = ["seed", "retries", "skipped", "accuracy", "precision", "recall", "f1"]

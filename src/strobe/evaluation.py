@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -287,27 +286,17 @@ def run_experiment(corpus: Corpus, strategy: SplitStrategy, learner: LearnerKind
 
     Family-disjoint splits are validated on every run; a repetition whose
     split cannot be built within the retry budget is recorded and skipped.
-    Batch repetitions train in lockstep; jobs > 1 splits the seeds into
-    contiguous chunks, one per worker process, so each worker trains its
-    chunk in one pass. Results are merged in repetition order and do not
-    depend on jobs.
+    Batch repetitions train in lockstep.
     """
+    # jobs stays only for bench/workloads.py's jobs=1 call; benchmark v2 drops both.
+    if jobs != 1:
+        raise BadConfig(f"jobs must be 1, got {jobs}")
     if repetitions < 1:
         raise BadConfig(f"repetitions must be >= 1, got {repetitions}")
     if strategy is SplitStrategy.LOFO:
         raise BadConfig("LOFO experiments use run_lofo")
 
-    seeds = [base_seed + i for i in range(repetitions)]
-    runs = partial(_experiment_runs, corpus=corpus, strategy=strategy, learner=learner)
-    if jobs > 1 and repetitions > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        bounds = np.linspace(0, repetitions, min(jobs, repetitions) + 1).round().astype(int)
-        chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            records = [r for part in pool.map(runs, chunks) for r in part]
-    else:
-        records = runs(seeds)
-
+    records = _experiment_runs([base_seed + i for i in range(repetitions)], corpus, strategy, learner)
     accuracies = [r.result.accuracy for r in records if r.result is not None]
     if not accuracies:
         raise Degenerate("every repetition was skipped")

@@ -142,14 +142,11 @@ def test_extract_starts_no_more_workers_than_chunks(request, monkeypatch, tmp_pa
     assert serial.read_bytes() == capped.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["extract", "experiment"])
+@pytest.mark.parametrize("command", ["extract"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_a_usage_error(corpus_dir, features_csv, tmp_path, capsys, command, jobs):
+def test_jobs_below_one_is_a_usage_error(corpus_dir, tmp_path, capsys, command, jobs):
     out = tmp_path / "out"
-    args = {"extract": ["--apk-dir", str(corpus_dir)],
-            "experiment": ["--manifest", str(features_csv), "--strategy", "random",
-                           "--learner", "batch", "--reps", "2"]}[command]
-    assert main([command, *args, "--jobs", jobs, "--out", str(out)]) == 1
+    assert main([command, "--apk-dir", str(corpus_dir), "--jobs", jobs, "--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 1
     assert not out.exists()
@@ -308,15 +305,6 @@ def test_experiment_accepts_path_manifest(corpus_dir, tmp_path):
     assert json.loads(out.read_text())["repetitions"] == 2
 
 
-def test_experiment_extracts_a_path_manifest_with_its_jobs(corpus_dir, tmp_path):
-    args = ["experiment", "--manifest", str(corpus_dir / "manifest.csv"), "--strategy", "random",
-            "--learner", "batch", "--reps", "2", "--seed", "1"]
-    serial, parallel = tmp_path / "jobs1.json", tmp_path / "jobs2.json"
-    assert main(args + ["--out", str(serial)]) == 0
-    assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 # Each command as run on either manifest form, besides --manifest, --seed and --out.
 MANIFEST_COMMANDS = {
     "train-batch": ["train", "--learner", "batch"],
@@ -436,13 +424,6 @@ def test_lofo_cli(features_csv, tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload["per_family"]) == 4
     assert 0.0 <= payload["weighted_accuracy"] <= 1.0
-
-
-def test_lofo_cli_rejects_jobs(features_csv, tmp_path):
-    # The folds train in one lockstep pass; a flag that did nothing is a usage error.
-    assert main(["lofo", "--manifest", str(features_csv), "--learner", "batch",
-                 "--jobs", "3", "--out", str(tmp_path / "lofo.json")]) == 1
-    assert not (tmp_path / "lofo.json").exists()
 
 
 def test_experiment_cli_with_csv_and_gnuplot(features_csv, tmp_path):
@@ -775,15 +756,14 @@ KEPT_OPTIONS = {
     "prequential": {"--manifest", "--k", "--poisson-lambda", "--seed", "--out"},
     "lofo": {"--manifest", "--learner", "--seed", "--out"},
     "experiment": {"--manifest", "--strategy", "--learner", "--reps", "--strict", "--csv",
-                   "--gnuplot", "--seed", "--jobs", "--out"},
+                   "--gnuplot", "--seed", "--out"},
     "praguard-check": {"--apk-dir", "--manifest", "--max-strings", "--out"},
 }
 
 SHARED_FLAGS = {"--seed": "3", "--jobs": "2", "--format": "json"}
 
-# (lofo, --jobs) is left to test_lofo_cli_rejects_jobs.
 REMOVED_PAIRS = [(name, flag) for name in KEPT_OPTIONS for flag in SHARED_FLAGS
-                 if flag not in KEPT_OPTIONS[name] and (name, flag) != ("lofo", "--jobs")]
+                 if flag not in KEPT_OPTIONS[name]]
 
 
 def test_each_subcommand_takes_exactly_its_options():

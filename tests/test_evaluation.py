@@ -338,22 +338,18 @@ def test_run_experiment_records_all_runs():
     assert summary.box.median >= 0.9
 
 
-def test_run_experiment_parallel_matches_serial():
+def test_run_experiment_accepts_only_one_job(monkeypatch):
     corpus = separable_corpus(noise=0.8)
-    serial = run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, LearnerKind.BATCH,
-                            repetitions=4, base_seed=3, jobs=1)
-    parallel = run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, LearnerKind.BATCH,
-                              repetitions=4, base_seed=3, jobs=3)
-    assert serial.to_json() == parallel.to_json()
+    args = (corpus, SplitStrategy.FAMILY_DISJOINT, LearnerKind.BATCH)
+    assert run_experiment(*args, repetitions=4, base_seed=3, jobs=1).to_json() == \
+        run_experiment(*args, repetitions=4, base_seed=3).to_json()
 
+    def no_draw(corpus, seed):
+        raise AssertionError("a split was drawn")
 
-@pytest.mark.parametrize("learner", list(LearnerKind))
-def test_results_do_not_depend_on_jobs(learner):
-    # 5 repetitions make chunks of 2+3 and 2+1+2.
-    corpus = separable_corpus(n_families=7, noise=0.8)
-    runs = [run_experiment(corpus, SplitStrategy.FAMILY_DISJOINT, learner, repetitions=5,
-                           base_seed=3, jobs=jobs).to_json() for jobs in (1, 2, 3)]
-    assert runs[0] == runs[1] == runs[2]
+    monkeypatch.setattr(evaluation, "family_disjoint_split", no_draw)
+    with pytest.raises(BadConfig, match="jobs"):
+        run_experiment(*args, repetitions=4, base_seed=3, jobs=2)
 
 
 def test_run_experiment_degenerate_corpus():
@@ -424,7 +420,8 @@ def test_repetitions_keep_their_seeds(monkeypatch, learner):
 
 @pytest.mark.parametrize("learner", list(LearnerKind))
 def test_zero_folds_train_and_score_nothing(monkeypatch, learner):
-    # A --jobs chunk whose seeds all skip reaches the fold driver with no fold.
+    # Reached only when every repetition's split fails, and run_experiment then
+    # raises Degenerate; the fold driver still takes zero folds.
     corpus = separable_corpus()
     rows, fold, decision = evaluation._score_folds(corpus, [], [], learner)
     assert rows.shape == fold.shape == decision.shape == (0,)
