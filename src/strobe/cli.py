@@ -95,8 +95,6 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except _UsageError as exc:
         return _fail(exc, EXIT_USAGE)
@@ -128,7 +126,6 @@ def _build_parser() -> _Parser:
         return p
 
     p = command("extract", cmd_extract, "extract feature CSV from APKs")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for extraction")
     p.add_argument("--apk-dir", required=True, help="corpus directory of APK files")
     p.add_argument("--manifest", help="manifest CSV (defaults to <apk-dir>/manifest.csv if present)")
     p.add_argument("--strict", action="store_true",
@@ -168,9 +165,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=DEFAULT_ONLINE_ENSEMBLE)
     p.add_argument("--poisson-lambda", type=float, default=DEFAULT_POISSON_LAMBDA)
 
-    # lofo and experiment take no --jobs: their folds and repetitions train in
-    # one lockstep pass, which worker processes only slowed down. A path
-    # manifest is extracted in one process; extract --jobs writes its CSV faster.
+    # lofo and experiment train their folds and repetitions in one lockstep
+    # pass, which worker processes only slowed down. A path manifest is
+    # extracted through the same worker pool as extract.
     p = command("lofo", cmd_lofo, "leave-one-family-out evaluation", seed=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--learner", required=True, choices=("batch", "online"))
@@ -229,17 +226,20 @@ def _feature_row(sample: Sample) -> list[str]:
                    app.decode_failures)
 
 
-def _feature_table(samples: list[Sample], jobs: int) -> list[list[str]]:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _feature_table(samples: list[Sample]) -> list[list[str]]:
     """The feature-CSV rows of the samples, sorted by sample_id."""
     # Under fork the pool starts every worker at the first submit, so it gets
     # no more workers than there are chunks to hand out.
-    workers = min(jobs, -(-len(samples) // _CHUNK))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_feature_row, samples, chunksize=_CHUNK))
-    else:
-        rows = list(map(_feature_row, samples))
-    return sorted(rows, key=itemgetter(0))
+    workers = min(_usable_cpus(), -(-len(samples) // _CHUNK))
+    if workers < 2:
+        return sorted(map(_feature_row, samples), key=itemgetter(0))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sorted(pool.map(_feature_row, samples, chunksize=_CHUNK), key=itemgetter(0))
 
 
 def _load_feature_corpus(manifest: str, strict: bool = False) -> Corpus:
@@ -248,7 +248,7 @@ def _load_feature_corpus(manifest: str, strict: bool = False) -> Corpus:
     manifest_path = Path(manifest)
     corpus = load_manifest(manifest_path)
     if corpus.X is None:
-        corpus = feature_corpus(_feature_table(_apk_samples(corpus, manifest_path), jobs=1))
+        corpus = feature_corpus(_feature_table(_apk_samples(corpus, manifest_path)))
     if strict:
         corpus = Corpus.from_samples([s for s in corpus.samples if not s.decode_failures])
     return corpus
@@ -277,7 +277,7 @@ def _write_csv(out: str | None, rows) -> None:
 # --------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
-    rows = _feature_table(_apk_dir_samples(args.apk_dir, args.manifest), args.jobs)
+    rows = _feature_table(_apk_dir_samples(args.apk_dir, args.manifest))
     if args.strict:
         rows = [row for row in rows if row[-1] == "0"]  # the decode_failures cell
     _write_csv(args.out, [CSV_HEADER, *rows])

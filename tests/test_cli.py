@@ -77,12 +77,42 @@ def wide_corpus_dir(tmp_path_factory):
     return out
 
 
-def test_extract_parallel_matches_serial(wide_corpus_dir, tmp_path):
+@pytest.fixture(scope="module")
+def wide_features_csv(wide_corpus_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_wide_feat") / "features.csv"
+    assert main(["extract", "--apk-dir", str(wide_corpus_dir), "--out", str(out)]) == 0
+    return out
+
+
+def _force_cpus(monkeypatch, n):
+    """Extraction sees n usable CPUs, so it starts min(n, chunks) workers."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+
+
+def test_extract_parallel_matches_serial(wide_corpus_dir, monkeypatch, tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
+    _force_cpus(monkeypatch, 1)
     main(["extract", "--apk-dir", str(wide_corpus_dir), "--out", str(serial)])
-    main(["extract", "--apk-dir", str(wide_corpus_dir), "--jobs", "3", "--out", str(parallel)])
+    _force_cpus(monkeypatch, 3)
+    main(["extract", "--apk-dir", str(wide_corpus_dir), "--out", str(parallel)])
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_a_parse_error_in_a_worker_reaches_main_unchanged(wide_corpus_dir, monkeypatch, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    shutil.copytree(wide_corpus_dir, root)
+    sorted(root.rglob("*.apk"))[40].write_bytes(b"not a zip")  # in the second 32-sample chunk
+    errors = []
+    for cpus in (1, 2):
+        _force_cpus(monkeypatch, cpus)
+        out = tmp_path / f"features-{cpus}.csv"
+        assert main(["extract", "--apk-dir", str(root), "--out", str(out)]) == 2
+        assert not out.exists()
+        errors.append(capsys.readouterr().err.splitlines())
+    assert len(errors[0]) == 1 and errors[1] == errors[0]
+    assert json.loads(errors[0][0]) == {"error": "NotAZip", "message": "no end of central directory record",
+                                        "exit_code": 2}
 
 
 # Per preset fixture: the SHA-256 of the feature CSV that `strobe extract`
@@ -96,14 +126,22 @@ PRESET_FEATURE_CSVS = {
 
 
 @pytest.mark.parametrize("preset", PRESET_FEATURE_CSVS)
-def test_preset_feature_csv_bytes_are_pinned(request, preset):
-    features = request.getfixturevalue(preset)["features"]
-    assert hashlib.sha256(features.read_bytes()).hexdigest() == PRESET_FEATURE_CSVS[preset]
+def test_preset_feature_csv_bytes_are_pinned(request, monkeypatch, tmp_path, preset):
+    fixture = request.getfixturevalue(preset)
+    assert hashlib.sha256(fixture["features"].read_bytes()).hexdigest() == PRESET_FEATURE_CSVS[preset]
+    # The fixture extracted with as many workers as this machine gives it;
+    # one worker and two must write the same bytes.
+    for cpus in (1, 2):
+        _force_cpus(monkeypatch, cpus)
+        out = tmp_path / f"features-{cpus}.csv"
+        assert main(["extract", "--apk-dir", str(fixture["dir"]), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_FEATURE_CSVS[preset]
 
 
-def test_extract_with_two_jobs_writes_the_control_csv(control, tmp_path):
+def test_extract_with_two_jobs_writes_the_control_csv(control, monkeypatch, tmp_path):
     out = tmp_path / "features.csv"
-    assert main(["extract", "--apk-dir", str(control["dir"]), "--jobs", "2", "--out", str(out)]) == 0
+    _force_cpus(monkeypatch, 2)
+    assert main(["extract", "--apk-dir", str(control["dir"]), "--out", str(out)]) == 0
     assert out.read_bytes() == control["features"].read_bytes()
 
 
@@ -120,13 +158,13 @@ class _InlinePool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("fixture, jobs, workers", [
-    ("wide_corpus_dir", "100000", [3]),
-    ("wide_corpus_dir", "2", [2]),
-    ("corpus_dir", "100000", []),  # one chunk is read in this process
+@pytest.mark.parametrize("fixture, cpus, workers", [
+    ("wide_corpus_dir", 100000, [3]),
+    ("wide_corpus_dir", 2, [2]),
+    ("corpus_dir", 100000, []),  # one chunk is read in this process
 ])
 def test_extract_starts_no_more_workers_than_chunks(request, monkeypatch, tmp_path,
-                                                     fixture, jobs, workers):
+                                                     fixture, cpus, workers):
     corpus = request.getfixturevalue(fixture)
     sizes = []
 
@@ -136,20 +174,12 @@ def test_extract_starts_no_more_workers_than_chunks(request, monkeypatch, tmp_pa
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
     serial, capped = tmp_path / "serial.csv", tmp_path / "capped.csv"
+    _force_cpus(monkeypatch, 1)
     assert main(["extract", "--apk-dir", str(corpus), "--out", str(serial)]) == 0
-    assert main(["extract", "--apk-dir", str(corpus), "--jobs", jobs, "--out", str(capped)]) == 0
+    _force_cpus(monkeypatch, cpus)
+    assert main(["extract", "--apk-dir", str(corpus), "--out", str(capped)]) == 0
     assert sizes == workers
     assert serial.read_bytes() == capped.read_bytes()
-
-
-@pytest.mark.parametrize("command", ["extract"])
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_a_usage_error(corpus_dir, tmp_path, capsys, command, jobs):
-    out = tmp_path / "out"
-    assert main([command, "--apk-dir", str(corpus_dir), "--jobs", jobs, "--out", str(out)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 1
-    assert not out.exists()
 
 
 def test_synth_cli_deterministic(tmp_path):
@@ -316,14 +346,18 @@ MANIFEST_COMMANDS = {
 
 
 @pytest.mark.parametrize("name", MANIFEST_COMMANDS)
-def test_a_path_manifest_gives_the_output_of_its_feature_csv(corpus_dir, features_csv, tmp_path, name):
-    outputs = []
-    for manifest in (corpus_dir / "manifest.csv", features_csv):
-        out = tmp_path / f"{manifest.stem}.json"
-        assert main([*MANIFEST_COMMANDS[name], "--manifest", str(manifest), "--seed", "3",
-                     "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+def test_a_path_manifest_gives_the_output_of_its_feature_csv(corpus_dir, features_csv, wide_corpus_dir,
+                                                             wide_features_csv, monkeypatch, tmp_path, name):
+    # Two workers extract the wide corpus's three chunks; the small corpus is one chunk.
+    _force_cpus(monkeypatch, 2)
+    for apk_dir, feature_csv in ((corpus_dir, features_csv), (wide_corpus_dir, wide_features_csv)):
+        outputs = []
+        for manifest in (apk_dir / "manifest.csv", feature_csv):
+            out = tmp_path / f"{manifest.stem}.json"
+            assert main([*MANIFEST_COMMANDS[name], "--manifest", str(manifest), "--seed", "3",
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_a_family_with_a_comma_and_a_quote_reads_back_from_the_feature_csv(corpus_dir, tmp_path):
@@ -744,7 +778,7 @@ def test_train_usage_errors_write_nothing(features_csv, tmp_path, capsys, flags)
 
 # The options each subcommand takes, besides -h: exactly the ones its cmd_* reads.
 KEPT_OPTIONS = {
-    "extract": {"--apk-dir", "--manifest", "--strict", "--jobs", "--out"},
+    "extract": {"--apk-dir", "--manifest", "--strict", "--out"},
     "synth": {"--config", "--preset", "--n-families", "--samples-per-family", "--skew",
               "--se-family-fraction", "--mixed-family-fraction", "--fingerprint-strength",
               "--se-string-fraction", "--strings-per-app", "--identifiers-per-app", "--scheme",
@@ -800,12 +834,15 @@ def valid_commands(corpus_dir, features_csv, tmp_path_factory):
 
 
 @pytest.mark.parametrize("name,flag", REMOVED_PAIRS)
-def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(valid_commands, tmp_path, name, flag):
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(valid_commands, tmp_path, capsys, name, flag):
     ok, rejected = tmp_path / "ok", tmp_path / "rejected"
     assert main(valid_commands[name] + ["--out", str(ok)]) == 0
     assert ok.exists()
+    capsys.readouterr()
     assert main(valid_commands[name] + [flag, SHARED_FLAGS[flag], "--out", str(rejected)]) == 1
     assert not rejected.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 1
 
 
 @pytest.mark.parametrize("name", ["split", "train", "prequential", "lofo", "experiment"])
