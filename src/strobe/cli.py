@@ -125,9 +125,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=out_required, help="output path")
         return p
 
+    apk_dir_help = "corpus directory: the APKs its manifest.csv lists, else every *.apk under it"
     p = command("extract", cmd_extract, "extract feature CSV from APKs")
-    p.add_argument("--apk-dir", required=True, help="corpus directory of APK files")
-    p.add_argument("--manifest", help="manifest CSV (defaults to <apk-dir>/manifest.csv if present)")
+    p.add_argument("--apk-dir", required=True, help=apk_dir_help)
     p.add_argument("--strict", action="store_true",
                    help="drop samples whose string section fails to decode")
 
@@ -182,8 +182,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gnuplot", help="also write a gnuplot-friendly box data file")
 
     p = command("praguard-check", cmd_praguard_check, "flag apps whose string section is (almost) empty")
-    p.add_argument("--apk-dir", required=True)
-    p.add_argument("--manifest")
+    p.add_argument("--apk-dir", required=True, help=apk_dir_help)
     p.add_argument("--max-strings", type=int, default=0)
 
     return parser
@@ -202,12 +201,12 @@ def _apk_samples(corpus: Corpus, manifest: Path) -> list[Sample]:
             for s in corpus.samples]
 
 
-def _apk_dir_samples(apk_dir: str, manifest: str | None) -> list[Sample]:
-    """The APKs to read: those the manifest lists (default <apk-dir>/manifest.csv), else every *.apk."""
+def _apk_dir_samples(apk_dir: str) -> list[Sample]:
+    """The APKs to read: those <apk-dir>/manifest.csv lists, else every *.apk under apk_dir."""
     base = Path(apk_dir)
-    manifest_path = Path(manifest) if manifest else base / "manifest.csv"
-    if manifest or manifest_path.exists():
-        return _apk_samples(load_manifest(manifest_path), manifest_path)
+    manifest = base / "manifest.csv"
+    if manifest.exists():
+        return _apk_samples(load_manifest(manifest), manifest)
     apks = sorted(base.rglob("*.apk"))
     if not apks:
         raise _UsageError(f"no .apk files under {base}")
@@ -226,20 +225,26 @@ def _feature_row(sample: Sample) -> list[str]:
                    app.decode_failures)
 
 
+def _string_count_row(sample: Sample) -> list:
+    """The sample's id and the number of non-identifier strings in its APK."""
+    return [sample.sample_id, len(extract_app_strings(sample.path).non_identifier_strings)]
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _feature_table(samples: list[Sample]) -> list[list[str]]:
-    """The feature-CSV rows of the samples, sorted by sample_id."""
+def _feature_table(row, samples: list[Sample]) -> list[list]:
+    """The rows row(sample) of the samples, sorted by their first cell, the sample_id.
+    Workers are handed row by name, so it is a module-level function."""
     # Under fork the pool starts every worker at the first submit, so it gets
     # no more workers than there are chunks to hand out.
     workers = min(_usable_cpus(), -(-len(samples) // _CHUNK))
     if workers < 2:
-        return sorted(map(_feature_row, samples), key=itemgetter(0))
+        return sorted(map(row, samples), key=itemgetter(0))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sorted(pool.map(_feature_row, samples, chunksize=_CHUNK), key=itemgetter(0))
+        return sorted(pool.map(row, samples, chunksize=_CHUNK), key=itemgetter(0))
 
 
 def _load_feature_corpus(manifest: str, strict: bool = False) -> Corpus:
@@ -248,7 +253,7 @@ def _load_feature_corpus(manifest: str, strict: bool = False) -> Corpus:
     manifest_path = Path(manifest)
     corpus = load_manifest(manifest_path)
     if corpus.X is None:
-        corpus = feature_corpus(_feature_table(_apk_samples(corpus, manifest_path)))
+        corpus = feature_corpus(_feature_table(_feature_row, _apk_samples(corpus, manifest_path)))
     if strict:
         corpus = Corpus.from_samples([s for s in corpus.samples if not s.decode_failures])
     return corpus
@@ -277,7 +282,7 @@ def _write_csv(out: str | None, rows) -> None:
 # --------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
-    rows = _feature_table(_apk_dir_samples(args.apk_dir, args.manifest))
+    rows = _feature_table(_feature_row, _apk_dir_samples(args.apk_dir))
     if args.strict:
         rows = [row for row in rows if row[-1] == "0"]  # the decode_failures cell
     _write_csv(args.out, [CSV_HEADER, *rows])
@@ -397,18 +402,13 @@ def _csv_cell(value) -> str:
 
 
 def cmd_praguard_check(args) -> int:
-    samples = sorted(_apk_dir_samples(args.apk_dir, args.manifest), key=lambda s: s.sample_id)
-    rows = [["sample_id", "n_strings", "verdict"]]
-    flagged = []  # the apps flagged SE, each with at most max_strings strings
-    for sample in samples:
-        app = extract_app_strings(sample.path)
-        verdict = detect_dexguard(app, args.max_strings)
-        if verdict is Label.SE:
-            flagged.append(app)
-        rows.append([sample.sample_id, len(app.non_identifier_strings), verdict.value])
-    fraction = zero_string_fraction(flagged, args.max_strings)  # checks max_strings before writing
-    _write_csv(args.out, rows)
-    print(f"flagged SE: {len(flagged)}/{len(samples)}; zero-string fraction among flagged: "
+    zero_string_fraction([], args.max_strings)  # a negative threshold fails before any APK is read
+    rows = _feature_table(_string_count_row, _apk_dir_samples(args.apk_dir))
+    verdicts = [detect_dexguard(n, args.max_strings) for _, n in rows]
+    _write_csv(args.out, [["sample_id", "n_strings", "verdict"],
+                          *([*row, verdict.value] for row, verdict in zip(rows, verdicts))])
+    fraction = zero_string_fraction([n for _, n in rows], args.max_strings)
+    print(f"flagged SE: {verdicts.count(Label.SE)}/{len(rows)}; zero-string fraction among flagged: "
           f"{fraction:.1%}", file=sys.stderr)
     return EXIT_OK
 

@@ -34,6 +34,7 @@ from .errors import (
     UnknownId,
     UnknownLabel,
     is_json_int,
+    numpy_seed,
     read_json,
 )
 from .features import CSV_HEADER, FEATURE_NAMES, FeatureVector
@@ -275,7 +276,7 @@ def random_split(corpus: Corpus, seed: int) -> Split:
     if n < 2:
         raise TooSmall(f"need at least 2 samples, got {n}")
     ids = [s.sample_id for s in corpus.samples]
-    rng = random.Random(seed)
+    rng = random.Random(numpy_seed(seed))
     rng.shuffle(ids)
     cut = (n + 1) // 2
     return Split(
@@ -298,7 +299,7 @@ def family_disjoint_split(corpus: Corpus, seed: int) -> Split:
         raise TooFewFamilies("family-disjoint split needs at least 2 families")
 
     for retry in range(MAX_SPLIT_RETRIES):
-        in_train = _draw_family_train(corpus, random.Random(seed + retry))
+        in_train = _draw_family_train(corpus, random.Random(numpy_seed(seed + retry)))
         if not in_train.all() and _both_classes(corpus, in_train) and _both_classes(corpus, ~in_train):
             # id_index holds the ids in row order.
             return Split(

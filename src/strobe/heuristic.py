@@ -3,33 +3,31 @@
 Some obfuscators remove encrypted strings from the string section entirely
 (storing them as byte arrays in code), leaving few or zero non-identifier
 strings. An app with at most max_strings of them (0 by default) is flagged
-SE; no learning needed. A negative max_strings raises BadConfig.
+SE; no learning needed. Both functions take the count of an app's
+non-identifier strings, not the app. A negative max_strings raises BadConfig.
 """
 
 from __future__ import annotations
 
-from .apk import AppStrings
 from .dataset import Label
 from .errors import BadConfig
 
 
-def detect_dexguard(app: AppStrings, max_strings: int = 0) -> Label:
-    """SE when the app retains at most max_strings non-identifier strings."""
+def detect_dexguard(n_strings: int, max_strings: int = 0) -> Label:
+    """SE when an app's n_strings non-identifier strings are at most max_strings."""
     _check_threshold(max_strings)
-    return Label.SE if len(app.non_identifier_strings) <= max_strings else Label.NOT_SE
+    return Label.SE if n_strings <= max_strings else Label.NOT_SE
 
 
-def zero_string_fraction(apps: list[AppStrings], max_strings: int = 0) -> float:
-    """Of the apps flagged SE, the fraction with zero non-identifier strings.
+def zero_string_fraction(counts: list[int], max_strings: int = 0) -> float:
+    """Of the string counts flagged SE, the fraction that are zero.
 
     With the default threshold this is trivially 1.0; with a looser threshold
     it reports how many flagged apps were fully stripped rather than nearly so.
     """
     _check_threshold(max_strings)
-    flagged = [a for a in apps if detect_dexguard(a, max_strings) is Label.SE]
-    if not flagged:
-        return 0.0
-    return sum(1 for a in flagged if not a.non_identifier_strings) / len(flagged)
+    flagged = [n for n in counts if n <= max_strings]
+    return flagged.count(0) / len(flagged) if flagged else 0.0
 
 
 def _check_threshold(max_strings: int) -> None:

@@ -99,15 +99,17 @@ def test_extract_parallel_matches_serial(wide_corpus_dir, monkeypatch, tmp_path)
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_a_parse_error_in_a_worker_reaches_main_unchanged(wide_corpus_dir, monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["extract", "praguard-check"])
+def test_a_parse_error_in_a_worker_reaches_main_unchanged(wide_corpus_dir, monkeypatch, tmp_path, capsys,
+                                                          command):
     root = tmp_path / "corpus"
     shutil.copytree(wide_corpus_dir, root)
     sorted(root.rglob("*.apk"))[40].write_bytes(b"not a zip")  # in the second 32-sample chunk
     errors = []
     for cpus in (1, 2):
         _force_cpus(monkeypatch, cpus)
-        out = tmp_path / f"features-{cpus}.csv"
-        assert main(["extract", "--apk-dir", str(root), "--out", str(out)]) == 2
+        out = tmp_path / f"out-{cpus}.csv"
+        assert main([command, "--apk-dir", str(root), "--out", str(out)]) == 2
         assert not out.exists()
         errors.append(capsys.readouterr().err.splitlines())
     assert len(errors[0]) == 1 and errors[1] == errors[0]
@@ -138,11 +140,18 @@ def test_preset_feature_csv_bytes_are_pinned(request, monkeypatch, tmp_path, pre
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_FEATURE_CSVS[preset]
 
 
-def test_extract_with_two_jobs_writes_the_control_csv(control, monkeypatch, tmp_path):
-    out = tmp_path / "features.csv"
-    _force_cpus(monkeypatch, 2)
-    assert main(["extract", "--apk-dir", str(control["dir"]), "--out", str(out)]) == 0
-    assert out.read_bytes() == control["features"].read_bytes()
+# The SHA-256 of the verdict CSV that `strobe praguard-check` writes for the
+# stripped preset's corpus.
+STRIPPED_VERDICTS = "8e63430a497576965741aa5f78f2862d3d504d63b59318a49fc847105e740339"
+
+
+def test_praguard_check_verdicts_on_the_stripped_preset_are_pinned(stripped, monkeypatch, tmp_path, capsys):
+    for cpus in (1, 2):
+        _force_cpus(monkeypatch, cpus)
+        out = tmp_path / f"verdicts-{cpus}.csv"
+        assert main(["praguard-check", "--apk-dir", str(stripped["dir"]), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == STRIPPED_VERDICTS
+        assert capsys.readouterr().err == "flagged SE: 200/400; zero-string fraction among flagged: 100.0%\n"
 
 
 class _InlinePool:
@@ -497,8 +506,14 @@ def test_praguard_check_cli(tmp_path, capsys):
 
 
 def test_praguard_check_rejects_a_negative_threshold(corpus_dir, tmp_path, capsys):
+    # The first APK is corrupt, so a threshold checked only after reading would fail with NotAZip.
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, root)
+    sorted(root.rglob("*.apk"))[0].write_bytes(b"not a zip")
     out = tmp_path / "verdicts.csv"
-    assert main(["praguard-check", "--apk-dir", str(corpus_dir), "--max-strings", "-1",
+    assert main(["praguard-check", "--apk-dir", str(root), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NotAZip"
+    assert main(["praguard-check", "--apk-dir", str(root), "--max-strings", "-1",
                  "--out", str(out)]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -547,16 +562,16 @@ def _feature_rows(keep):
 
 _PATH_MANIFEST = b"sample_id,family,label,path\n"
 # Ways to break the manifest a command reads: the command's flags (MANIFEST,
-# APKS and EMPTY stand for the manifest, the CLI corpus and an empty
-# directory), the manifest's bytes from the CLI feature CSV's, the error and
-# the exit code.
+# MANIFEST_DIR and EMPTY stand for the manifest, the directory that holds it
+# as manifest.csv and an empty directory), the manifest's bytes from the CLI
+# feature CSV's, the error and the exit code.
 BROKEN_MANIFESTS = {
     "split-row-not-utf8": (["split", "--manifest", "MANIFEST", "--strategy", "random"],
                            lambda f: _PATH_MANIFEST + b"s1,fam\xff,SE,x.apk\n", "BadValue", 3),
     "split-header-not-utf8": (["split", "--manifest", "MANIFEST", "--strategy", "random"],
                               lambda f: b"sample_id,fam\xffily,label,path\ns1,f,SE,x.apk\n",
                               "BadValue", 3),
-    "extract-manifest-not-utf8": (["extract", "--apk-dir", "APKS", "--manifest", "MANIFEST"],
+    "extract-manifest-not-utf8": (["extract", "--apk-dir", "MANIFEST_DIR"],
                                   lambda f: _PATH_MANIFEST + b"s1,fam\xff,SE,x.apk\n", "BadValue", 3),
     "experiment-features-not-utf8": (["experiment", "--manifest", "MANIFEST", "--strategy", "random",
                                       "--learner", "batch", "--reps", "2"],
@@ -573,19 +588,19 @@ BROKEN_MANIFESTS = {
                                         _feature_rows(lambda i, row: i <= 2), "TooSmall", 3),
     "train-grid-one-class": (["train", "--manifest", "MANIFEST", "--learner", "batch", "--grid"],
                              _feature_rows(lambda i, row: b",NOT_SE," not in row), "SingleClass", 3),
-    "extract-feature-manifest": (["extract", "--apk-dir", "APKS", "--manifest", "MANIFEST"],
+    "extract-feature-manifest": (["extract", "--apk-dir", "MANIFEST_DIR"],
                                  lambda f: f, "_UsageError", 1),
     "extract-no-apks": (["extract", "--apk-dir", "EMPTY"], lambda f: f, "_UsageError", 1),
 }
 
 
 @pytest.mark.parametrize("case", BROKEN_MANIFESTS)
-def test_a_broken_manifest_is_a_typed_error(corpus_dir, features_csv, tmp_path, capsys, case):
+def test_a_broken_manifest_is_a_typed_error(features_csv, tmp_path, capsys, case):
     flags, manifest_bytes, error, code = BROKEN_MANIFESTS[case]
-    manifest, empty, out = tmp_path / "m.csv", tmp_path / "empty", tmp_path / "out"
+    manifest, empty, out = tmp_path / "manifest.csv", tmp_path / "empty", tmp_path / "out"
     manifest.write_bytes(manifest_bytes(features_csv.read_bytes()))
     empty.mkdir()
-    places = {"MANIFEST": str(manifest), "APKS": str(corpus_dir), "EMPTY": str(empty)}
+    places = {"MANIFEST": str(manifest), "MANIFEST_DIR": str(tmp_path), "EMPTY": str(empty)}
     assert main([places.get(flag, flag) for flag in flags] + ["--out", str(out)]) == code
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -778,7 +793,7 @@ def test_train_usage_errors_write_nothing(features_csv, tmp_path, capsys, flags)
 
 # The options each subcommand takes, besides -h: exactly the ones its cmd_* reads.
 KEPT_OPTIONS = {
-    "extract": {"--apk-dir", "--manifest", "--strict", "--out"},
+    "extract": {"--apk-dir", "--strict", "--out"},
     "synth": {"--config", "--preset", "--n-families", "--samples-per-family", "--skew",
               "--se-family-fraction", "--mixed-family-fraction", "--fingerprint-strength",
               "--se-string-fraction", "--strings-per-app", "--identifiers-per-app", "--scheme",
@@ -791,10 +806,10 @@ KEPT_OPTIONS = {
     "lofo": {"--manifest", "--learner", "--seed", "--out"},
     "experiment": {"--manifest", "--strategy", "--learner", "--reps", "--strict", "--csv",
                    "--gnuplot", "--seed", "--out"},
-    "praguard-check": {"--apk-dir", "--manifest", "--max-strings", "--out"},
+    "praguard-check": {"--apk-dir", "--max-strings", "--out"},
 }
 
-SHARED_FLAGS = {"--seed": "3", "--jobs": "2", "--format": "json"}
+SHARED_FLAGS = {"--seed": "3", "--jobs": "2", "--format": "json", "--manifest": "manifest.csv"}
 
 REMOVED_PAIRS = [(name, flag) for name in KEPT_OPTIONS for flag in SHARED_FLAGS
                  if flag not in KEPT_OPTIONS[name]]

@@ -250,6 +250,14 @@ def test_family_disjoint_deterministic():
     assert family_disjoint_split(corpus, 5) == family_disjoint_split(corpus, 5)
 
 
+@pytest.mark.parametrize("split", [random_split, family_disjoint_split])
+def test_a_seed_and_its_negation_draw_different_splits(split):
+    # random.Random(seed) seeds from abs(seed), which drew one split for s and -s.
+    corpus = make_corpus({f"f{i}": ["SE", "NOT_SE"] for i in range(20)})
+    for seed in (3, 7, 42):
+        assert split(corpus, seed).train_ids != split(corpus, -seed).train_ids
+
+
 def test_train_overshoot_bounded_by_largest_family():
     rng = random.Random(2)
     for trial in range(20):
