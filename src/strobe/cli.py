@@ -33,13 +33,12 @@ from .dataset import (
     Sample,
     SplitStrategy,
     family_disjoint_split,
-    feature_corpus,
     load_manifest,
     load_split,
     lofo_splits,
     random_split,
 )
-from .errors import InvalidConfig, ParseError, StrobeError, numpy_seed, read_json
+from .errors import BadValue, InvalidConfig, ParseError, StrobeError, numpy_seed, read_json
 from .evaluation import (
     LearnerKind,
     gnuplot_box_data,
@@ -166,8 +165,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--poisson-lambda", type=float, default=DEFAULT_POISSON_LAMBDA)
 
     # lofo and experiment train their folds and repetitions in one lockstep
-    # pass, which worker processes only slowed down. A path manifest is
-    # extracted through the same worker pool as extract.
+    # pass, which worker processes only slowed down.
     p = command("lofo", cmd_lofo, "leave-one-family-out evaluation", seed=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--learner", required=True, choices=("batch", "online"))
@@ -177,7 +175,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--strategy", required=True, choices=("random", "family-disjoint"))
     p.add_argument("--learner", required=True, choices=("batch", "online"))
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--csv", help="also write per-run rows as CSV")
     p.add_argument("--gnuplot", help="also write a gnuplot-friendly box data file")
 
@@ -192,21 +189,16 @@ def _build_parser() -> _Parser:
 # Shared plumbing
 # --------------------------------------------------------------------------
 
-def _apk_samples(corpus: Corpus, manifest: Path) -> list[Sample]:
-    """The samples of a path manifest, each path joined to the manifest's directory."""
-    if any(s.path is None for s in corpus.samples):
-        raise _UsageError("manifest already contains features; nothing to extract")
-    base = str(manifest.parent)
-    return [Sample(s.sample_id, s.family, s.label, path=os.path.join(base, s.path))
-            for s in corpus.samples]
-
-
 def _apk_dir_samples(apk_dir: str) -> list[Sample]:
-    """The APKs to read: those <apk-dir>/manifest.csv lists, else every *.apk under apk_dir."""
+    """The APKs to read: those <apk-dir>/manifest.csv lists, each path joined
+    to apk_dir, else every *.apk under apk_dir."""
     base = Path(apk_dir)
     manifest = base / "manifest.csv"
     if manifest.exists():
-        return _apk_samples(load_manifest(manifest), manifest)
+        samples = load_manifest(manifest).samples
+        if any(s.path is None for s in samples):
+            raise _UsageError("manifest already contains features; nothing to extract")
+        return [Sample(s.sample_id, s.family, s.label, path=os.path.join(base, s.path)) for s in samples]
     apks = sorted(base.rglob("*.apk"))
     if not apks:
         raise _UsageError(f"no .apk files under {base}")
@@ -247,15 +239,13 @@ def _feature_table(row, samples: list[Sample]) -> list[list]:
         return sorted(pool.map(row, samples, chunksize=_CHUNK), key=itemgetter(0))
 
 
-def _load_feature_corpus(manifest: str, strict: bool = False) -> Corpus:
-    """Load a manifest, extracting a path manifest's feature table first; with
-    strict, without the samples that have decode failures."""
-    manifest_path = Path(manifest)
-    corpus = load_manifest(manifest_path)
+def _load_feature_corpus(manifest: str) -> Corpus:
+    """The corpus of a feature CSV; a path manifest, whose samples have no
+    features, raises BadValue before any APK is opened."""
+    corpus = load_manifest(manifest)
     if corpus.X is None:
-        corpus = feature_corpus(_feature_table(_feature_row, _apk_samples(corpus, manifest_path)))
-    if strict:
-        corpus = Corpus.from_samples([s for s in corpus.samples if not s.decode_failures])
+        raise BadValue(f"{manifest} lists APKs, not features: run `strobe extract` on its "
+                       f"directory and pass the feature CSV it writes")
     return corpus
 
 
@@ -377,7 +367,7 @@ def cmd_lofo(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    corpus = _load_feature_corpus(args.manifest, strict=args.strict)
+    corpus = _load_feature_corpus(args.manifest)
     strategy = SplitStrategy.RANDOM if args.strategy == "random" else SplitStrategy.FAMILY_DISJOINT
     summary = run_experiment(corpus, strategy, LearnerKind[args.learner.upper()],
                              repetitions=args.reps, base_seed=args.seed)

@@ -214,16 +214,10 @@ def load_manifest(path: str | Path) -> Corpus:
             if header == PATH_HEADER:
                 return Corpus.from_samples(_parse_rows(reader, _path_sample, len(header)))
             if tuple(header) == CSV_HEADER:
-                return feature_corpus(reader)
+                return Corpus.from_samples(_parse_rows(reader, _feature_sample, len(header)))
             raise BadHeader(f"unrecognized manifest header {header!r}")
     except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field over csv's size limit
         raise BadValue(f"{path}: unreadable CSV: {exc}") from None
-
-
-def feature_corpus(rows: Iterable[list[str]]) -> Corpus:
-    """The corpus of feature-CSV rows (CSV_HEADER order, no header), parsed
-    as load_manifest parses a feature CSV; row numbers count the header."""
-    return Corpus.from_samples(_parse_rows(rows, _feature_sample, len(CSV_HEADER)))
 
 
 def _parse_rows(rows: Iterable[list[str]], parse, width: int) -> list[Sample]:

@@ -77,13 +77,6 @@ def wide_corpus_dir(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def wide_features_csv(wide_corpus_dir, tmp_path_factory):
-    out = tmp_path_factory.mktemp("cli_wide_feat") / "features.csv"
-    assert main(["extract", "--apk-dir", str(wide_corpus_dir), "--out", str(out)]) == 0
-    return out
-
-
 def _force_cpus(monkeypatch, n):
     """Extraction sees n usable CPUs, so it starts min(n, chunks) workers."""
     monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
@@ -335,40 +328,6 @@ def test_eval_csv_format_and_train_side(features_csv, tmp_path):
     assert len(row.split(",")) == len(header.split(","))
 
 
-def test_experiment_accepts_path_manifest(corpus_dir, tmp_path):
-    out = tmp_path / "exp.json"
-    rc = main(["experiment", "--manifest", str(corpus_dir / "manifest.csv"),
-               "--strategy", "random", "--learner", "batch", "--reps", "2",
-               "--seed", "1", "--out", str(out)])
-    assert rc == 0
-    assert json.loads(out.read_text())["repetitions"] == 2
-
-
-# Each command as run on either manifest form, besides --manifest, --seed and --out.
-MANIFEST_COMMANDS = {
-    "train-batch": ["train", "--learner", "batch"],
-    "train-online": ["train", "--learner", "online"],
-    "experiment": ["experiment", "--strategy", "random", "--learner", "batch", "--reps", "3"],
-    "lofo": ["lofo", "--learner", "online"],
-    "prequential": ["prequential"],
-}
-
-
-@pytest.mark.parametrize("name", MANIFEST_COMMANDS)
-def test_a_path_manifest_gives_the_output_of_its_feature_csv(corpus_dir, features_csv, wide_corpus_dir,
-                                                             wide_features_csv, monkeypatch, tmp_path, name):
-    # Two workers extract the wide corpus's three chunks; the small corpus is one chunk.
-    _force_cpus(monkeypatch, 2)
-    for apk_dir, feature_csv in ((corpus_dir, features_csv), (wide_corpus_dir, wide_features_csv)):
-        outputs = []
-        for manifest in (apk_dir / "manifest.csv", feature_csv):
-            out = tmp_path / f"{manifest.stem}.json"
-            assert main([*MANIFEST_COMMANDS[name], "--manifest", str(manifest), "--seed", "3",
-                         "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
-
 def test_a_family_with_a_comma_and_a_quote_reads_back_from_the_feature_csv(corpus_dir, tmp_path):
     root = tmp_path / "corpus"
     shutil.copytree(corpus_dir, root)
@@ -382,15 +341,18 @@ def test_a_family_with_a_comma_and_a_quote_reads_back_from_the_feature_csv(corpu
     features = tmp_path / "features.csv"
     assert main(["extract", "--apk-dir", str(root), "--out", str(features)]) == 0
     assert 'fam,"x' in {s.family for s in load_manifest(features).samples}
-    commands = [["split", "--strategy", "family-disjoint"],
-                ["experiment", "--strategy", "family-disjoint", "--learner", "batch", "--reps", "3"]]
-    for command in commands:
-        outputs = []
-        for source in (manifest, features):
-            out = tmp_path / f"{command[0]}-{source.stem}.json"
-            assert main([*command, "--manifest", str(source), "--seed", "3", "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+    # split reads no features, so it takes either manifest form.
+    outputs = []
+    for source in (manifest, features):
+        out = tmp_path / f"split-{source.stem}.json"
+        assert main(["split", "--strategy", "family-disjoint", "--manifest", str(source), "--seed", "3",
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    out = tmp_path / "experiment.json"
+    assert main(["experiment", "--strategy", "family-disjoint", "--learner", "batch", "--reps", "3",
+                 "--manifest", str(features), "--seed", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["repetitions"] == 3
 
 
 def test_extract_strict_omits_the_row_with_decode_failures(dodgy_corpus, tmp_path):
@@ -405,20 +367,20 @@ def test_extract_strict_omits_the_row_with_decode_failures(dodgy_corpus, tmp_pat
 
 
 def test_experiment_strict_drops_decode_failures_in_either_manifest_form(dodgy_corpus, tmp_path):
+    # experiment on extract --strict's CSV is experiment on the CSV without the dodgy row.
     root, dodgy = dodgy_corpus
-    features, clean = tmp_path / "features.csv", tmp_path / "clean.csv"
+    features, strict, clean = tmp_path / "all.csv", tmp_path / "strict.csv", tmp_path / "clean.csv"
     assert main(["extract", "--apk-dir", str(root), "--out", str(features)]) == 0
+    assert main(["extract", "--apk-dir", str(root), "--strict", "--out", str(strict)]) == 0
     lines = features.read_text().splitlines(keepends=True)
     clean.write_text("".join(line for line in lines if not line.startswith(dodgy + ",")))
-    args = ["experiment", "--strategy", "random", "--learner", "batch", "--reps", "3", "--seed", "3"]
-    runs = {"path": [root / "manifest.csv", "--strict"], "csv": [features, "--strict"],
-            "clean": [clean], "all": [features]}
     outputs = {}
-    for name, (manifest, *strict) in runs.items():
-        out = tmp_path / f"{name}.json"
-        assert main([*args, "--manifest", str(manifest), *strict, "--out", str(out)]) == 0
-        outputs[name] = out.read_bytes()
-    assert outputs["path"] == outputs["csv"] == outputs["clean"] != outputs["all"]
+    for manifest in (features, strict, clean):
+        out = tmp_path / f"{manifest.stem}.json"
+        assert main(["experiment", "--strategy", "random", "--learner", "batch", "--reps", "3",
+                     "--seed", "3", "--manifest", str(manifest), "--out", str(out)]) == 0
+        outputs[manifest.stem] = out.read_bytes()
+    assert outputs["strict"] == outputs["clean"] != outputs["all"]
 
 
 def test_prequential_cli(features_csv, tmp_path):
@@ -554,6 +516,18 @@ def test_error_line_is_machine_readable(tmp_path, capsys):
     assert payload["exit_code"] == 4 and "message" in payload
 
 
+@pytest.fixture(scope="module")
+def model_and_split(features_csv, tmp_path_factory):
+    """A batch model trained on the CLI feature CSV, and a random split of it."""
+    root = tmp_path_factory.mktemp("model_and_split")
+    model, split = root / "model.json", root / "split.json"
+    assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
+                 "--out", str(model)]) == 0
+    assert main(["split", "--manifest", str(features_csv), "--strategy", "random",
+                 "--out", str(split)]) == 0
+    return model, split
+
+
 def _feature_rows(keep):
     """A feature CSV of the header and the rows of the CLI corpus that keep(row_no, row) keeps."""
     return lambda features: b"".join(line for i, line in enumerate(features.splitlines(keepends=True))
@@ -561,10 +535,18 @@ def _feature_rows(keep):
 
 
 _PATH_MANIFEST = b"sample_id,family,label,path\n"
+
+
+def _lists_an_apk(features):
+    """A path manifest whose one row names an x.apk that does not exist."""
+    return _PATH_MANIFEST + b"s1,fam,SE,x.apk\n"
+
+
 # Ways to break the manifest a command reads: the command's flags (MANIFEST,
 # MANIFEST_DIR and EMPTY stand for the manifest, the directory that holds it
-# as manifest.csv and an empty directory), the manifest's bytes from the CLI
-# feature CSV's, the error and the exit code.
+# as manifest.csv and an empty directory; MODEL and SPLIT for a working
+# model and split), the manifest's bytes from the CLI feature CSV's, the
+# error and the exit code.
 BROKEN_MANIFESTS = {
     "split-row-not-utf8": (["split", "--manifest", "MANIFEST", "--strategy", "random"],
                            lambda f: _PATH_MANIFEST + b"s1,fam\xff,SE,x.apk\n", "BadValue", 3),
@@ -588,6 +570,19 @@ BROKEN_MANIFESTS = {
                                         _feature_rows(lambda i, row: i <= 2), "TooSmall", 3),
     "train-grid-one-class": (["train", "--manifest", "MANIFEST", "--learner", "batch", "--grid"],
                              _feature_rows(lambda i, row: b",NOT_SE," not in row), "SingleClass", 3),
+    # The five evaluation subcommands read features only: a path manifest is
+    # refused before its missing x.apk is opened.
+    "train-batch-path-manifest": (["train", "--manifest", "MANIFEST", "--learner", "batch"],
+                                  _lists_an_apk, "BadValue", 3),
+    "train-online-path-manifest": (["train", "--manifest", "MANIFEST", "--learner", "online"],
+                                   _lists_an_apk, "BadValue", 3),
+    "eval-path-manifest": (["eval", "--manifest", "MANIFEST", "--model", "MODEL", "--split", "SPLIT"],
+                           _lists_an_apk, "BadValue", 3),
+    "prequential-path-manifest": (["prequential", "--manifest", "MANIFEST"], _lists_an_apk, "BadValue", 3),
+    "lofo-path-manifest": (["lofo", "--manifest", "MANIFEST", "--learner", "online"],
+                           _lists_an_apk, "BadValue", 3),
+    "experiment-path-manifest": (["experiment", "--manifest", "MANIFEST", "--strategy", "random",
+                                  "--learner", "batch", "--reps", "2"], _lists_an_apk, "BadValue", 3),
     "extract-feature-manifest": (["extract", "--apk-dir", "MANIFEST_DIR"],
                                  lambda f: f, "_UsageError", 1),
     "extract-no-apks": (["extract", "--apk-dir", "EMPTY"], lambda f: f, "_UsageError", 1),
@@ -595,12 +590,14 @@ BROKEN_MANIFESTS = {
 
 
 @pytest.mark.parametrize("case", BROKEN_MANIFESTS)
-def test_a_broken_manifest_is_a_typed_error(features_csv, tmp_path, capsys, case):
+def test_a_broken_manifest_is_a_typed_error(features_csv, model_and_split, tmp_path, capsys, case):
     flags, manifest_bytes, error, code = BROKEN_MANIFESTS[case]
     manifest, empty, out = tmp_path / "manifest.csv", tmp_path / "empty", tmp_path / "out"
     manifest.write_bytes(manifest_bytes(features_csv.read_bytes()))
     empty.mkdir()
-    places = {"MANIFEST": str(manifest), "MANIFEST_DIR": str(tmp_path), "EMPTY": str(empty)}
+    model, split = model_and_split
+    places = {"MANIFEST": str(manifest), "MANIFEST_DIR": str(tmp_path), "EMPTY": str(empty),
+              "MODEL": str(model), "SPLIT": str(split)}
     assert main([places.get(flag, flag) for flag in flags] + ["--out", str(out)]) == code
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -804,8 +801,8 @@ KEPT_OPTIONS = {
     "eval": {"--manifest", "--model", "--split", "--side", "--format", "--out"},
     "prequential": {"--manifest", "--k", "--poisson-lambda", "--seed", "--out"},
     "lofo": {"--manifest", "--learner", "--seed", "--out"},
-    "experiment": {"--manifest", "--strategy", "--learner", "--reps", "--strict", "--csv",
-                   "--gnuplot", "--seed", "--out"},
+    "experiment": {"--manifest", "--strategy", "--learner", "--reps", "--csv", "--gnuplot",
+                   "--seed", "--out"},
     "praguard-check": {"--apk-dir", "--max-strings", "--out"},
 }
 
@@ -824,14 +821,9 @@ def test_each_subcommand_takes_exactly_its_options():
 
 
 @pytest.fixture(scope="module")
-def valid_commands(corpus_dir, features_csv, tmp_path_factory):
+def valid_commands(corpus_dir, features_csv, model_and_split):
     """A working command line per subcommand, without its --out."""
-    root = tmp_path_factory.mktemp("commands")
-    model, split = root / "model.json", root / "split.json"
-    assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
-                 "--out", str(model)]) == 0
-    assert main(["split", "--manifest", str(features_csv), "--strategy", "random",
-                 "--out", str(split)]) == 0
+    model, split = model_and_split
     feat = ["--manifest", str(features_csv)]
     return {
         "extract": ["extract", "--apk-dir", str(corpus_dir)],
@@ -858,6 +850,25 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(valid_commands, tm
     assert not rejected.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 1
+
+
+def test_experiment_strict_is_a_usage_error(valid_commands, tmp_path, capsys):
+    # extract --strict is the one way to drop the samples with decode failures.
+    rejected = tmp_path / "rejected"
+    assert main(valid_commands["experiment"] + ["--strict", "--out", str(rejected)]) == 1
+    assert not rejected.exists()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and json.loads(lines[0])["exit_code"] == 1
+
+
+def test_a_path_manifest_error_names_extract(corpus_dir, tmp_path, capsys):
+    # The corpus's own manifest.csv lists APKs that exist; experiment reads none of them.
+    out = tmp_path / "exp.json"
+    assert main(["experiment", "--manifest", str(corpus_dir / "manifest.csv"), "--strategy", "random",
+                 "--learner", "batch", "--reps", "2", "--out", str(out)]) == 3
+    assert "strobe extract" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["split", "train", "prequential", "lofo", "experiment"])
