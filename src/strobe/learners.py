@@ -20,11 +20,13 @@ run. Labels other than +1 and -1 raise UnknownLabel, in both learners.
 
 Online: an ensemble of incremental Gaussian class-conditional models where
 each arriving sample enters each ensemble member with a Poisson-drawn weight
-(online leveraging bagging). One body each draws the weights (_draw_weights)
-and merges weighted batches into the members' means and M2 (_chan_merge), for
-online_fit and the prequential sweep, and casts the Gaussian votes (_votes_se,
-for OnlineModel.decision, one pass over all members per chunk of rows, and
-for the sweep). Cold models and exact ties predict NOT_SE.
+(online leveraging bagging). One body each draws the weights (_draw_weights),
+forms the merge coefficients (_merge_coefficients), merges weighted batches
+into the members' means and M2 (_chan_merge), states the variance and prior
+rule (_member_terms) and casts the Gaussian votes (_votes_se), for online_fit,
+OnlineModel.decision and the prequential sweep alike; decision and the sweep
+vote in chunks of one size (_chunk_rows). Cold models and exact ties predict
+NOT_SE.
 
 Both learners train on rows of raw features X with labels y (+1 SE, -1
 NOT_SE), and both models score a whole feature matrix at once with
@@ -451,6 +453,13 @@ def grid_search(
 # Online leveraging bagging
 # --------------------------------------------------------------------------
 
+def _chunk_rows(k: int) -> int:
+    """Rows that OnlineModel.decision and the prequential sweep vote in one
+    pass: a (rows, k, 2, 8) array holds at most _BLOCK_VALUES values, and a
+    chunk at least one row."""
+    return max(1, _BLOCK_VALUES // (k * 2 * N_FEATURES))
+
+
 class GaussianBaseLearner(NamedTuple):
     """One ensemble member: views of its row in the model's arrays."""
 
@@ -482,19 +491,19 @@ class OnlineModel:
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         """The members' SE votes minus their NOT_SE votes, 2 * votes_se - k,
-        on every row of raw features X; a tie is 0. All members are scored
-        in one _votes_se pass per chunk of rows, in place, the chunk sized so
-        that its (rows, members, 2, 8) scratch holds at most _BLOCK_VALUES
-        values (at least one row), 102 rows at k = 10: peak memory stays
-        flat however large the test set. Each score is formed by the same
+        on every row of raw features X; a tie is 0. Under _member_terms'
+        rule, all members are scored in one _votes_se pass per chunk of
+        _chunk_rows rows, in place, 102 rows at k = 10: peak memory stays
+        flat however large the test set, and the prequential sweep votes in
+        chunks of the same size. Each score is formed by the same
         elementwise calls and the same 8-term last-axis sum as member by
         member, so every vote is the same. One call per chunk, where each
         member took one, brought online LOFO on the control corpus (seed 7,
         k = 10, 60-row test families) from 28.1 to 26.3 ms in-process.
         """
-        var, log_norm, prior = _member_terms(self)
+        var, log_norm, prior = _member_terms(self.counts, self.m2)
         seen = self.counts > 0
-        chunk = max(1, _BLOCK_VALUES // (self.k * 2 * N_FEATURES))
+        chunk = _chunk_rows(self.k)
         votes_se = np.empty(len(X), dtype=np.int64)
         d = np.empty((min(chunk, len(X)), self.k, 2, N_FEATURES))
         for start in range(0, len(X), chunk):
@@ -544,11 +553,9 @@ def online_fit(model: OnlineModel, X: np.ndarray, y: np.ndarray) -> OnlineModel:
         # One member at a time: a (members, rows, features) temporary would
         # dominate peak memory on large streams.
         m2b = np.stack([Wc[:, i] @ (Xc - mb[i]) ** 2 for i in range(len(hit))])
-        na = model.counts[hit, c]
-        n = na + nb
         _chan_merge(model.mean[:, c], model.m2[:, c], hit, mb, m2b,
-                    (nb / n)[:, None], (na * nb.astype(float) / n)[:, None])
-        model.counts[hit, c] = n
+                    *_merge_coefficients(model.counts[hit, c], nb))
+        model.counts[hit, c] += nb
     return model
 
 
@@ -593,26 +600,33 @@ def _draw_weights(model: OnlineModel, y: np.ndarray) -> tuple[np.ndarray, np.nda
     return cls, W
 
 
-def _member_terms(model: OnlineModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per member and class: floored unbiased variances (k, 2, 8), their
-    log(2 pi var) and the log priors (k, 2)."""
-    counts = model.counts
+def _member_terms(counts: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one variance and prior rule, per member and class of counts
+    (..., 2) and M2 (..., 2, 8): floored unbiased variances (..., 2, 8),
+    their log(2 pi var), and log priors (..., 2), each class's count over
+    their sum on the last axis."""
     n = counts[..., None]
     # Cold classes divide by zero here; np.where discards those entries.
     with np.errstate(divide="ignore", invalid="ignore"):
-        var = np.where(n >= 2, np.maximum(model.m2 / (n - 1), VAR_FLOOR), VAR_FLOOR)
-        prior = np.log(counts / counts.sum(axis=1, keepdims=True))
+        var = np.where(n >= 2, np.maximum(m2 / (n - 1), VAR_FLOOR), VAR_FLOOR)
+        prior = np.log(counts / counts.sum(axis=-1, keepdims=True))
     return var, np.log(2.0 * math.pi * var), prior
+
+
+def _merge_coefficients(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_chan_merge's frac nb / n and coef na * nb / n, with a trailing axis
+    for the features, for na observations before, nb in the batch and
+    n = na + nb after. na * nb is formed in float64: the int64 product wraps
+    long before the counts do, while for counts below 2**53 the float product
+    is the exact one rounded once, as its conversion to float was."""
+    n = na + nb
+    return (nb / n)[..., None], (na * nb.astype(float) / n)[..., None]
 
 
 def _chan_merge(mean, m2, hit, mb, m2b, frac, coef) -> None:
     """Merge weighted batches (means mb, M2 m2b) into rows hit of one class's
     running mean and M2, in place, by the pairwise update of Chan, Golub &
-    LeVeque (1979); frac is nb / n and coef na * nb / n for na observations
-    before, nb in the batch and n = na + nb after. Callers form na * nb in
-    float64: the int64 product wraps long before the counts do, while for
-    counts below 2**53 the float product is the exact one rounded once, as
-    its conversion to float was."""
+    LeVeque (1979), with frac and coef from _merge_coefficients."""
     delta = mb - mean[hit]
     mean[hit] += delta * frac
     m2[hit] += m2b + delta ** 2 * coef
@@ -624,8 +638,9 @@ def _votes_se(x, mean, var, log_norm, prior, seen, d) -> np.ndarray:
     class not seen, so a cold member and an exact tie vote NOT_SE.
 
     Broadcasts rows over members: a chunk of rows (rows, 1, 1, 8) against
-    every member, or one row against every member; d is scratch of the
-    broadcast (..., 2, 8) shape, overwritten in place.
+    every member, or against each row's own member states (rows, k, 2, 8),
+    or one row against every member; d is scratch of the broadcast
+    (..., 2, 8) shape, overwritten in place.
     """
     np.subtract(x, mean, out=d)
     np.square(d, out=d)
@@ -637,74 +652,52 @@ def _votes_se(x, mean, var, log_norm, prior, seen, d) -> np.ndarray:
     return scores[..., 1] > scores[..., 0]
 
 
-_SWEEP_BLOCK = 256  # stream rows whose per-row terms are computed together
-
-
 def _prequential_sweep(model: OnlineModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vote on each row of X, then feed it to the model, in stream order;
     True where the vote named the row's label (+1 SE, -1 NOT_SE in y).
 
     Bit-identical to online_predict then online_update per row: the same
     values in the model, the same n_draws and the same generator state.
-    The weights come from _draw_weights, as in online_fit. The counts
-    depend on the weights and classes alone, so for a block of rows integer
-    cumulative sums give every row's counts, and with them its log priors
-    and merge coefficients; each row's weighted batch mean (w * x) / w and
-    M2 w * (x - mean)**2 are computed for the block too. The loop keeps the
-    floored variances and their log-norms current in place, refreshing only
-    the class and members a row was merged into; a member whose weight is 0
-    is left untouched, as online_fit leaves it.
+    The weights come from _draw_weights, as in online_fit, and the rows go
+    in chunks of OnlineModel.decision's size (_chunk_rows). The counts
+    depend on the weights and classes alone, so integer cumulative sums give
+    every row's counts before it, and with them its merge coefficients; each
+    row's weighted batch mean (w * x) / w and M2 w * (x - mean)**2 are
+    computed for the chunk too. The loop over rows only copies the members'
+    mean and M2 into the chunk's history and merges the row into the members
+    with weight > 0, as online_fit does. Then the chunk is voted in one
+    _votes_se pass, each row against its own history, as decision votes.
     """
     n, k = len(X), model.k
     cls, W = _draw_weights(model, y)
-    var, log_norm, _ = _member_terms(model)
     correct = np.empty(n, dtype=bool)
-    d = np.empty_like(model.mean)
-    # Per class c, views of member rows [:, c] of the state arrays.
-    mean_c, m2_c, var_c, log_norm_c = (
-        (a[:, 0], a[:, 1]) for a in (model.mean, model.m2, var, log_norm))
-    two_pi = 2.0 * math.pi
-    # Cold classes divide by zero below; their entries are never read.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n, _SWEEP_BLOCK):
-            Xb, cb, Wb = (a[start:start + _SWEEP_BLOCK] for a in (X, cls, W))
-            m = len(Xb)
-            step = np.zeros((m, k, 2), dtype=np.int64)
-            step[np.arange(m), :, cb] = Wb
-            after = model.counts + np.cumsum(step, axis=0)
-            before = after - step
-            seen = before > 0
-            prior = np.log(before / before.sum(axis=2, keepdims=True))
-            na = before[np.arange(m), :, cb]
-            nn = na + Wb
-            frac = (Wb / nn)[..., None]
-            coef = (na * Wb.astype(float) / nn)[..., None]
-            dof = (nn - 1.0)[..., None]
-            cold = ((nn < 2) & (Wb > 0)).any(axis=1)
-            full = (Wb > 0).all(axis=1)
-            Wf = Wb[..., None].astype(float)
-            mb = (Wf * Xb[:, None, :]) / Wf
-            m2b = Wf * (Xb[:, None, :] - mb) ** 2
-            for i in range(m):
-                votes_se = np.count_nonzero(
-                    _votes_se(Xb[i], model.mean, var, log_norm, prior[i], seen[i], d))
-                c = cb[i]
-                correct[start + i] = (2 * votes_se > k) == (c == 1)
-                # online_fit's merge into the members with weight > 0.
-                if full[i]:
-                    hit = slice(None)
-                else:
-                    hit = np.flatnonzero(Wb[i])
-                    if hit.size == 0:
-                        continue
-                _chan_merge(mean_c[c], m2_c[c], hit, mb[i, hit], m2b[i, hit],
+    chunk = _chunk_rows(k)
+    mean_h, m2_h, d = np.empty((3, min(chunk, n), k, 2, N_FEATURES))
+    for start in range(0, n, chunk):
+        Xc, cc, Wc = (a[start:start + chunk] for a in (X, cls, W))
+        m = len(Xc)
+        step = np.zeros((m, k, 2), dtype=np.int64)
+        step[np.arange(m), :, cc] = Wc
+        after = model.counts + np.cumsum(step, axis=0)
+        before = after - step
+        # Members with weight 0 divide by zero here; they are never merged.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac, coef = _merge_coefficients(before[np.arange(m), :, cc], Wc)
+            Wf = Wc[..., None].astype(float)
+            mb = (Wf * Xc[:, None, :]) / Wf
+            m2b = Wf * (Xc[:, None, :] - mb) ** 2
+        for i in range(m):
+            mean_h[i], m2_h[i] = model.mean, model.m2
+            hit = np.flatnonzero(Wc[i])
+            if hit.size:
+                hit = slice(None) if hit.size == k else hit  # a view, not a gather
+                c = cc[i]
+                _chan_merge(model.mean[:, c], model.m2[:, c], hit, mb[i, hit], m2b[i, hit],
                             frac[i, hit], coef[i, hit])
-                v = np.maximum(m2_c[c][hit] / dof[i, hit], VAR_FLOOR)
-                if cold[i]:
-                    v[nn[i, hit] < 2] = VAR_FLOOR
-                var_c[c][hit] = v
-                log_norm_c[c][hit] = np.log(two_pi * v)
-            model.counts[...] = after[-1]
+        var, log_norm, prior = _member_terms(before, m2_h[:m])
+        votes = _votes_se(Xc[:, None, None, :], mean_h[:m], var, log_norm, prior, before > 0, d[:m])
+        correct[start:start + m] = (2 * np.count_nonzero(votes, axis=1) > k) == (cc == 1)
+        model.counts[...] = after[-1]
     return correct
 
 

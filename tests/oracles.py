@@ -484,7 +484,7 @@ def reference_online_predict(model, fv):
     member and an exact tie vote NOT_SE. Variances are unbiased and floored.
     """
     x = np.asarray(fv.as_tuple(), dtype=float)
-    var, log_norm, prior = _member_terms(model)
+    var, log_norm, prior = _member_terms(model.counts, model.m2)
     ll = -0.5 * np.sum(log_norm + (x - model.mean) ** 2 / var, axis=-1)
     scores = np.where(model.counts > 0, prior + ll, -math.inf)
     votes_se = int(np.count_nonzero(scores[:, 1] > scores[:, 0]))
@@ -494,7 +494,7 @@ def reference_online_predict(model, fv):
 def reference_online_decision(model, X):
     """2 * votes_se - k on every row of raw features X, the members scored
     one at a time over all rows, in place."""
-    var, log_norm, prior = _member_terms(model)
+    var, log_norm, prior = _member_terms(model.counts, model.m2)
     votes_se = np.zeros(len(X), dtype=np.int64)
     d = np.empty((len(X), 2, N_FEATURES))
     for j in range(model.k):

@@ -366,7 +366,7 @@ def test_extract_strict_omits_the_row_with_decode_failures(dodgy_corpus, tmp_pat
     assert strict.read_text().splitlines() == [row for row in rows if row != dodgy_row]
 
 
-def test_experiment_strict_drops_decode_failures_in_either_manifest_form(dodgy_corpus, tmp_path):
+def test_experiment_on_the_strict_csv_equals_the_hand_cleaned_csv(dodgy_corpus, tmp_path):
     # experiment on extract --strict's CSV is experiment on the CSV without the dodgy row.
     root, dodgy = dodgy_corpus
     features, strict, clean = tmp_path / "all.csv", tmp_path / "strict.csv", tmp_path / "clean.csv"

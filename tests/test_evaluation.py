@@ -24,10 +24,10 @@ from strobe.evaluation import (
 )
 from strobe.features import FeatureVector
 from strobe.learners import (
-    _SWEEP_BLOCK,
     BatchModel,
     HingeHyperparams,
     Scaler,
+    _chunk_rows,
     batch_train,
     design_matrix,
     online_fit,
@@ -194,20 +194,27 @@ def assert_prequential_matches_reference(make_model, stream):
     assert model_state(model) == model_state(ref)
 
 
-B = _SWEEP_BLOCK
-LENGTHS = [1, B - 1, B, B + 1, 2 * B + 1, 37]
+def stream_lengths(k):
+    """Lengths around the sweep's chunk of B rows at k members; B - 1 is
+    at least 1, as an empty stream is an error."""
+    B = _chunk_rows(k)
+    return [1, max(B - 1, 1), B, B + 1, 2 * B + 1, 37]
+
+
 LAMBDAS = [0.3, 0.5, 1.0, 2.0, 6.0, 12.0]
 
 
-@pytest.mark.parametrize("k", range(1, 12))
+# k = 300 and k = 1,025 vote in chunks of 3 rows and of 1 row.
+@pytest.mark.parametrize("k", [*range(1, 12), 300, 1025])
 def test_prequential_sweep_matches_per_sample_loop(k):
-    # Per k, one stream per lambda, cycling through lengths around the block
+    # Per k, one stream per lambda, cycling through lengths around the chunk
     # size, single-class and mixed streams, cold and warm-started models,
     # feature scales 1e-6/1/1e3, and a constant and a -0.0 column; values
     # rounded to a coarse grid give repeated rows, zero variances and ties.
     rng = np.random.default_rng(900 + k)
+    lengths = stream_lengths(k)
     for j, lam in enumerate(LAMBDAS):
-        n = LENGTHS[(k + j) % len(LENGTHS)]
+        n = lengths[(k + j) % len(lengths)]
         scale = (1e-6, 1.0, 1e3)[(k + j) % 3]
         X = (rng.normal(size=(n, 8)) + rng.normal(size=8)) * scale
         if j % 2:
