@@ -218,11 +218,9 @@ def _features(corpus: Corpus) -> np.ndarray:
 def train_on_split(corpus: Corpus, train_rows: np.ndarray, learner: LearnerKind,
                    seed: int) -> BatchModel | OnlineModel:
     """Fit the chosen learner, with its default settings, on the corpus rows
-    train_rows (sorted, as Corpus.rows gives them); a batch fit is the
-    one-stream case of train_on_splits."""
-    if learner is LearnerKind.BATCH:
-        return train_on_splits(corpus, [train_rows], [seed], learner)[0]
-    return online_train(_features(corpus)[train_rows], corpus.y[train_rows], seed=seed)
+    train_rows (sorted, as Corpus.rows gives them)."""
+    X, y = _features(corpus)[train_rows], corpus.y[train_rows]
+    return batch_train(X, y, seed=seed) if learner is LearnerKind.BATCH else online_train(X, y, seed=seed)
 
 
 def train_on_splits(corpus: Corpus, train_rows_list: list[np.ndarray], seeds: list[int],

@@ -8,15 +8,16 @@ weights per fit on a two-class stream, with weights bit-identical to
 training each fit alone. A step in which some fit updates moves every fit
 by its own next sample [y * x, y] in five numpy calls, exact since y = +-1;
 a run of steps in which no fit updates is taken in one batch from the exact
-shrink-only trajectory, as long as the share of steps with an update stays
-low. Each stream's rows are made [y * x, y] once per call, in one table
-that a block is taken from, lr * z is formed only for the steps taken one
-at a time, rows come from each stream in runs of 16 blocks, and the
-per-step row views are built once per count of live fits: every value is
-still formed by the same operations on the same operands, so none of this
-changes a bit. batch_train is one fit, grid_search every (grid point,
-fold) pair, and run_lofo and run_experiment every fold or repetition of a
-run. Labels other than +1 and -1 raise UnknownLabel, in both learners.
+shrink-only trajectory, as long as every live fit's shrink 1 - 2 * lr * lam
+lies in [-1, 1] and few steps update. Each stream's rows are made [y * x, y]
+once per call, in one table that a block is taken from, lr * z is formed
+only for the steps taken one at a time, rows come from each stream in runs
+of 16 blocks, and the per-step row views are built once per count of live
+fits: every value is still formed by the same operations on the same
+operands, so none of this changes a bit, and no floating-point warning is
+silenced. batch_train is one fit, grid_search every (grid point, fold)
+pair, and run_lofo and run_experiment every fold or repetition of a run.
+Labels other than +1 and -1 raise UnknownLabel, in both learners.
 
 Online: an ensemble of incremental Gaussian class-conditional models where
 each arriving sample enters each ensemble member with a Poisson-drawn weight
@@ -185,7 +186,9 @@ def hinge_sgd(
     as np.vecdot of W with z, the test margin < 1, the shrink, W + u into a
     scratch array, and a copy of that back into W where the test holds. The
     copy is masked, not an add of u times the test, because adding zero could
-    flip a signed zero (-0 + 0 is +0) that a negative shrink left. As y is +-1
+    flip a signed zero (-0 + 0 is +0) that a negative shrink left; W + u is
+    formed for every fit, so at |u| near the float64 limit it can warn of an
+    overflow the loop, which adds only on an update, never forms. As y is +-1
     and rounding is symmetric in sign, u is the loop's (lr * y) * x, and
     vecdot runs the dot kernel of w @ x (einsum or a row sum would round
     differently), so it gives the loop's y * (w @ x + b) bit for bit, but for
@@ -200,11 +203,12 @@ def hinge_sgd(
     each equals the per-step margin bit for bit) and one less tests them.
     The steps before the first with a margin < 1 take their weights from T;
     that step runs in the per-step loop from its row of T, and the rows after
-    it are thrown away. Where |shrink| > 1 the rows grow and may overflow, so
-    a window is computed with overflow warnings off: skipping raises no
-    warning the per-step loop would not, though an overflow inside a skipped
-    run goes unreported. The weights are the per-step loop's, whatever the
-    policy below decides.
+    it are thrown away. Windows run only while every live fit's shrink lies
+    in [-1, 1], where no row of T is larger than W; while a fit with
+    |shrink| > 1 is live, every step is taken on its own with the loop's
+    multiplies. So no warning is silenced, and skipping raises none the
+    per-step loop would not. The weights are the per-step loop's, whatever
+    the policy below decides.
 
     Each stream's rows are made ready once per call: one table holds the
     rows of every stream a fit draws from as the steps use them,
@@ -236,10 +240,8 @@ def hinge_sgd(
     of 256 steps resets it.
     """
     _check_labels(y)
-    scalers: list[Scaler | None] = []
-    for rows, _ in streams:
-        two_classes = len(set(y[rows].tolist())) == 2
-        scalers.append(fit_scaler(X[rows]) if two_classes else None)
+    scalers = [fit_scaler(X[rows]) if (y[rows] > 0).any() and (y[rows] < 0).any() else None
+               for rows, _ in streams]
     steps = [len(streams[s][0]) * hp.epochs for s, hp in fits]
     live = sorted((f for f, (s, _) in enumerate(fits) if scalers[s] is not None), key=lambda f: -steps[f])
 
@@ -305,6 +307,9 @@ def hinge_sgd(
             ZU = list(zip(Z, U))
             T_rows = list(T)
             T_pairs = list(zip(T_rows, T_rows[1:]))
+            # Rows speculated under |shrink| > 1 grow: no window until that fit ends.
+            if not (np.abs(Sl[:, 0]) <= 1.0).all():
+                wait = int(n_steps[L - 1]) - t0
         if t0 == r1:
             # The next run: the take of each stream of a live fit fills its
             # column with up to _RUN_BLOCKS blocks of rows at once, ending
@@ -325,15 +330,12 @@ def hinge_sgd(
                 wait -= e - j
             else:
                 # T[i] holds the weights before step j + i if no step from
-                # j on updates. Rows past the first update are thrown away
-                # and may overflow where |shrink| > 1, so overflow is not
-                # reported here.
+                # j on updates; rows past the first update are thrown away.
                 r = min(rows, c - j)
                 copyto(T_rows[0], Wl)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for prev, cur in T_pairs[:r - 1]:
-                        multiply(prev, Sl, cur)
-                    vecdot(T[:r], Z[j:j + r], M[:r])
+                for prev, cur in T_pairs[:r - 1]:
+                    multiply(prev, Sl, cur)
+                vecdot(T[:r], Z[j:j + r], M[:r])
                 less(M[:r], one, A[:r])
                 first = int(A_flat[:r * L].argmax())
                 if A_flat[first]:  # step j + k updates a fit: take it below
@@ -605,12 +607,11 @@ def _member_terms(counts: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.nd
     (..., 2) and M2 (..., 2, 8): floored unbiased variances (..., 2, 8),
     their log(2 pi var), and log priors (..., 2), each class's count over
     their sum on the last axis."""
-    n = counts[..., None]
-    # Cold classes divide by zero here; np.where discards those entries.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = np.where(n >= 2, np.maximum(m2 / (n - 1), VAR_FLOOR), VAR_FLOOR)
-        prior = np.log(counts / counts.sum(axis=-1, keepdims=True))
-    return var, np.log(2.0 * math.pi * var), prior
+    n, seen = counts[..., None], counts > 0
+    # Divided only where read: _votes_se masks a class not seen.
+    var = np.maximum(np.divide(m2, n - 1, out=np.zeros(m2.shape), where=n >= 2), VAR_FLOOR)
+    prior = np.divide(counts, counts.sum(axis=-1, keepdims=True), out=np.zeros(counts.shape), where=seen)
+    return var, np.log(2.0 * math.pi * var), np.log(prior, out=prior, where=seen)
 
 
 def _merge_coefficients(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -618,9 +619,11 @@ def _merge_coefficients(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.
     for the features, for na observations before, nb in the batch and
     n = na + nb after. na * nb is formed in float64: the int64 product wraps
     long before the counts do, while for counts below 2**53 the float product
-    is the exact one rounded once, as its conversion to float was."""
+    is the exact one rounded once, as its conversion to float was. Both are
+    0 where n = 0, where nothing is merged."""
     n = na + nb
-    return (nb / n)[..., None], (na * nb.astype(float) / n)[..., None]
+    frac, coef = (np.divide(a, n, out=np.zeros(n.shape), where=n > 0) for a in (nb, na * nb.astype(float)))
+    return frac[..., None], coef[..., None]
 
 
 def _chan_merge(mean, m2, hit, mb, m2b, frac, coef) -> None:
@@ -680,12 +683,11 @@ def _prequential_sweep(model: OnlineModel, X: np.ndarray, y: np.ndarray) -> np.n
         step[np.arange(m), :, cc] = Wc
         after = model.counts + np.cumsum(step, axis=0)
         before = after - step
-        # Members with weight 0 divide by zero here; they are never merged.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac, coef = _merge_coefficients(before[np.arange(m), :, cc], Wc)
-            Wf = Wc[..., None].astype(float)
-            mb = (Wf * Xc[:, None, :]) / Wf
-            m2b = Wf * (Xc[:, None, :] - mb) ** 2
+        # Members with weight 0 are never merged: their batch mean is the row.
+        frac, coef = _merge_coefficients(before[np.arange(m), :, cc], Wc)
+        Wf = Wc[..., None].astype(float)
+        mb = np.divide(Wf * Xc[:, None, :], Wf, out=np.repeat(Xc[:, None, :], k, axis=1), where=Wf > 0)
+        m2b = Wf * (Xc[:, None, :] - mb) ** 2
         for i in range(m):
             mean_h[i], m2_h[i] = model.mean, model.m2
             hit = np.flatnonzero(Wc[i])

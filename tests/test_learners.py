@@ -380,7 +380,8 @@ def test_hinge_sgd_matches_per_sample_loop_on_drawn_streams(scales, constant, n,
 
 # Hyperparameters whose shrink 1 - 2 * lr * lam is about 1, exactly 0,
 # negative (-0.4), below -1 (-2), and about -1e12: a fit of the last kind
-# overflows within a few dozen steps, in speculated rows as in the loop.
+# overflows within a few dozen steps, and while a fit of either of the last
+# two is live, hinge_sgd takes every step on its own, as the loop does.
 SHRINK_CASES = [DEFAULT_HYPERPARAMS, HingeHyperparams(lam=1.0, lr=0.5),
                 HingeHyperparams(lam=7.0, lr=0.1), HingeHyperparams(lam=1.5, lr=1.0),
                 HingeHyperparams(lam=5e11, lr=1.0)]
@@ -397,9 +398,9 @@ def test_skipped_steps_match_per_sample_loop(seed, n_sep, n_noisy, drawn, small)
     runs), with a noisy stream whose fits update on most steps (the fallback
     to one step at a time and its backoff); step counts end inside a 32-step
     window; epochs 0, 1 and 30; shrink about 1, exactly 0, negative and below
-    -1, where rows speculated past an update grow and may overflow; the
-    default block geometry and the smallest. The call raises no
-    RuntimeWarning when the per-sample loops raise none."""
+    -1, where no step is speculated while the fit is live; the default block
+    geometry and the smallest. The call raises a RuntimeWarning if and only
+    if some per-sample loop raises one."""
     rng = np.random.default_rng(seed)
     n = n_sep + n_noisy
     se = np.zeros(n, dtype=bool)
@@ -424,8 +425,34 @@ def test_skipped_steps_match_per_sample_loop(seed, n_sep, n_noisy, drawn, small)
         for (s, hp), model in zip(fits, models, strict=True):
             rows, stream_seed = streams[s]
             assert_matches_reference(model, [pool[i] for i in rows], hp, stream_seed)
-    if not loop_warnings:
-        assert not lockstep_warnings, [str(w.message) for w in lockstep_warnings]
+    assert runtime_warnings(lockstep_warnings) == runtime_warnings(loop_warnings), (
+        [str(w.message) for w in lockstep_warnings], [str(w.message) for w in loop_warnings])
+
+
+def runtime_warnings(caught, word=""):
+    """Whether a RuntimeWarning whose message holds word was caught."""
+    return any(issubclass(w.category, RuntimeWarning) and word in str(w.message) for w in caught)
+
+
+def test_an_overflowing_fit_warns_as_the_per_sample_loop_does():
+    """Shrink 1 - 2 * lr * lam = 3 grows the weights of a fit on two
+    separable clusters until they overflow. hinge_sgd takes its steps one at
+    a time with the loop's multiplies, so it warns of the overflow as the
+    loop does (np.vecdot where the loop names matmul), with the same
+    weights."""
+    train = toy_separable()
+    hp = HingeHyperparams(lam=-1.0, lr=1.0, epochs=30)
+    X, y = design_matrix(train)
+    with warnings.catch_warnings(record=True) as lockstep_warnings:
+        warnings.simplefilter("always")
+        (model,) = hinge_sgd(X, y, [(np.arange(len(y)), 3)], [(0, hp)])
+    with warnings.catch_warnings(record=True) as loop_warnings:
+        warnings.simplefilter("always")
+        w, b, _, _ = reference_batch_train(train, hp, 3)
+    assert runtime_warnings(loop_warnings, "overflow")
+    assert runtime_warnings(lockstep_warnings, "overflow")
+    assert np.array_equal(model.weights, w, equal_nan=True)
+    assert np.array_equal(model.bias, b, equal_nan=True)
 
 
 def test_a_margin_of_exactly_one_makes_no_update():
