@@ -11,6 +11,7 @@ entries that are stored or raw-deflated, unencrypted.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 import zlib
@@ -40,6 +41,8 @@ DEFLATED = 8
 FLAG_UTF8_NAME = 0x800
 # Encrypted (bit 0), compressed patched data (bit 5), strong encryption (bit 6).
 _UNREADABLE_FLAGS = 0x61
+
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY exists on Windows only
 
 # Matched with fullmatch: "$" would also match before a trailing newline, and
 # Android loads no entry named "classes.dex\n".
@@ -177,6 +180,28 @@ def _read_entry(archive: bytes, name: str, raw_name: bytes, flags: int, method: 
     return payload
 
 
+def _read_file(path: str | Path) -> bytes:
+    """The bytes of the file at path, read unbuffered to its end: one read
+    sized by fstat takes the whole file, and one more finds the end (or
+    reads on, should the file have grown).
+
+    A read error names the path, as open() does, so that a directory raises
+    the same IsADirectoryError message as it would there.
+    """
+    fd = os.open(path, _OPEN_FLAGS)
+    try:
+        want = os.fstat(fd).st_size + 1
+        data = b""
+        while chunk := os.read(fd, want):
+            data += chunk
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    return data
+
+
 def extract_app_strings(path: str | Path) -> AppStrings:
     """Parse every dex in the APK and aggregate its non-identifier strings.
 
@@ -184,9 +209,7 @@ def extract_app_strings(path: str | Path) -> AppStrings:
     cross-file deduplication. decode_failures counts string entries (of any
     kind) that failed MUTF-8 decoding.
     """
-    with open(path, "rb") as fh:
-        archive = fh.read()
-    entries = list_dex_entries(archive)
+    entries = list_dex_entries(_read_file(path))
 
     strings: list[str] = []
     failures = 0

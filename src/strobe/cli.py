@@ -145,6 +145,7 @@ def _build_parser() -> _Parser:
     p = command("train", cmd_train, "train a model on a feature manifest", seed=True, out_required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--learner", required=True, choices=("batch", "online"))
+    p.add_argument("--split", help="split JSON: fit (and grid-search) only its training side")
     p.add_argument("--grid", action="store_true", help="grid-search hyperparameters first (batch only)")
     p.add_argument("--folds", type=int, help="grid-search folds (default 3; needs --grid)")
     p.add_argument("--k", type=int, help=f"online ensemble size (default {DEFAULT_ONLINE_ENSEMBLE}; online only)")
@@ -315,6 +316,11 @@ def cmd_train(args) -> int:
     if args.learner == "batch" and (args.k is not None or args.poisson_lambda is not None):
         raise _UsageError("--k and --poisson-lambda need --learner online")
     corpus = _load_feature_corpus(args.manifest)
+    if args.split is not None:
+        split = load_split(args.split)
+        # Both sides resolve, as in eval, so a split of another corpus is an error.
+        corpus.rows(split.test_ids)
+        corpus = Corpus.from_samples(corpus.by_ids(split.train_ids))
     if args.learner == "batch":
         hp = DEFAULT_HYPERPARAMS
         if args.grid:

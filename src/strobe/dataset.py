@@ -50,10 +50,15 @@ class Label(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Label":
+        # A dict lookup: calling the class runs Enum's Python-level lookup,
+        # once per manifest row.
         try:
-            return cls(text)
-        except ValueError:
+            return _LABELS[text]
+        except KeyError:
             raise UnknownLabel(f"label must be SE or NOT_SE, got {text!r}") from None
+
+
+_LABELS = {label.value: label for label in Label}
 
 
 class SplitStrategy(enum.Enum):

@@ -11,6 +11,7 @@ string_ids entry, with None for an entry that fails to decode.
 from __future__ import annotations
 
 import logging
+import re
 import struct
 from functools import lru_cache
 from operator import gt
@@ -81,33 +82,51 @@ class DexFile(NamedTuple):
     identifier_ids: frozenset[int]
 
 
+# The positions of HEADER's fields that parse_dex reads: the checksum, the
+# file size, the endian tag, and the first id table's count, each table's
+# offset following its count.
+_CHECKSUM, _FILE_SIZE, _ENDIAN_TAG, _FIRST_COUNT = 1, 3, 5, 9
+# Per id table in header order: (name, position of its count, bytes per entry).
+_SECTION_ROWS = tuple((name, _FIRST_COUNT + 2 * i, 4 * words)
+                      for i, (name, words) in enumerate(SECTION_LAYOUT.items()))
+# Per table that names identifiers, in header order: (name, position of its
+# count, words per entry, string word, type word, type mask, optional).
+_IDENTIFIER_ROWS = tuple((name, field, SECTION_LAYOUT[name], *IDENTIFIER_REFERENCES[name])
+                         for name, field, _ in _SECTION_ROWS if name in IDENTIFIER_REFERENCES)
+_STRING_IDS_COUNT = _SECTION_ROWS[0][1]
+_TYPE_IDS_COUNT = _SECTION_ROWS[1][1]
+
+
 def parse_dex(data: bytes) -> DexFile:
     """Parse a DEX binary.
 
     An entry whose string data fails MUTF-8 decoding is held as None, and
     counted in decode_failures, instead of aborting the file.
     """
-    if len(data) < 8 or data[:4] != b"dex\n" or data[7] != 0x00 \
+    size = len(data)
+    if size < 8 or data[:4] != b"dex\n" or data[7] != 0x00 \
             or not data[4:7].isdigit():
         raise BadMagic("first 8 bytes are not a dex magic")
-    if len(data) < HEADER.size:
-        raise Truncated(f"buffer of {len(data)} bytes is smaller than a dex header")
+    if size < HEADER.size:
+        raise Truncated(f"buffer of {size} bytes is smaller than a dex header")
 
-    _, checksum, _, file_size, _, endian_tag, _, _, _, *pairs, _, _ = HEADER.unpack_from(data)
-    if file_size != len(data):
-        raise Truncated(f"declared size {file_size} disagrees with buffer of {len(data)} bytes")
-    if endian_tag != ENDIAN_CONSTANT:
-        raise BadMagic(f"unsupported endian tag 0x{endian_tag:08x}")
+    header = HEADER.unpack_from(data)
+    if header[_FILE_SIZE] != size:
+        raise Truncated(f"declared size {header[_FILE_SIZE]} disagrees with buffer of {size} bytes")
+    if header[_ENDIAN_TAG] != ENDIAN_CONSTANT:
+        raise BadMagic(f"unsupported endian tag 0x{header[_ENDIAN_TAG]:08x}")
 
-    # Sections are built as tuples directly: SectionInfo(...) would run its
-    # Python-level __new__ once per table.
+    # Named tuples are built with tuple.__new__ directly: calling the class
+    # would run its Python-level __new__.
     sections: dict[str, SectionInfo] = {}
-    for (name, words), count, offset in zip(SECTION_LAYOUT.items(), pairs[0::2], pairs[1::2]):
-        if count > 0 and offset + count * 4 * words > len(data):
+    for name, field, entry_size in _SECTION_ROWS:
+        count = header[field]
+        offset = header[field + 1]
+        if count and offset + count * entry_size > size:
             raise OffsetOutOfBounds(f"{name} table ({count} entries at 0x{offset:x}) exceeds buffer")
         sections[name] = tuple.__new__(SectionInfo, (count, offset))
 
-    texts = _read_strings(data, sections["string_ids"])
+    texts = _read_strings(data, header[_STRING_IDS_COUNT], header[_STRING_IDS_COUNT + 1])
     decode_failures = texts.count(None)
     _warn_if_unsorted([text for text in texts if text is not None] if decode_failures else texts)
 
@@ -115,14 +134,13 @@ def parse_dex(data: bytes) -> DexFile:
     # one only when the largest is out of range. A type mask can only lower
     # a value, so it is applied only when the unmasked largest is.
     n_strings = len(texts)
-    n_types = sections["type_ids"].count
+    n_types = header[_TYPE_IDS_COUNT]
     identifier_ids = set()
-    for name, (string_word, type_word, type_mask, optional) in IDENTIFIER_REFERENCES.items():
-        count, offset = sections[name]
+    for name, field, words, string_word, type_word, type_mask, optional in _IDENTIFIER_ROWS:
+        count = header[field]
         if not count:
             continue
-        words = SECTION_LAYOUT[name]
-        table = _u4_table(count * words).unpack_from(data, offset)
+        table = _u4_table(count * words).unpack_from(data, header[field + 1])
         if type_word is not None:
             types = table[type_word::words]
             if max(types) >= n_types and max(map(type_mask.__and__, types)) >= n_types:
@@ -134,8 +152,8 @@ def parse_dex(data: bytes) -> DexFile:
             strings = [s for s in strings if s != NO_INDEX]
         identifier_ids.update(strings)
 
-    return DexFile(int(data[4:7]), file_size, checksum, sections, texts, decode_failures,
-                   frozenset(identifier_ids))
+    return tuple.__new__(DexFile, (int(data[4:7]), size, header[_CHECKSUM], sections, texts,
+                                   decode_failures, frozenset(identifier_ids)))
 
 
 def classify_strings(dex: DexFile) -> list[str]:
@@ -151,33 +169,46 @@ def _check_range(name: str, indices, n: int, what: str, allowed: int | None = No
             raise OffsetOutOfBounds(f"{name}[{i}] references {what} {idx} of {n}")
 
 
+# The bytes that may start an encoded NUL (0xC0), a surrogate (0xED) or a
+# 4-byte sequence (0xF0 and up): a payload without them is plain UTF-8.
+_NOT_PLAIN_UTF8 = re.compile(rb"[\xc0\xed\xf0-\xff]")
+
+
 @lru_cache(maxsize=256)
 def _u4_table(n: int) -> struct.Struct:
     """The Struct of n little-endian u4 words."""
     return struct.Struct(f"<{n}I")
 
 
-def _read_strings(data: bytes, section: SectionInfo) -> tuple[str | None, ...]:
-    """The text of every string_data item in string_ids order, None where it
-    fails to decode.
+def _read_strings(data: bytes, count: int, offset: int) -> tuple[str | None, ...]:
+    """The text of the string_data item of each of the count string_ids
+    entries at offset, in table order, None where it fails to decode.
 
     A 1- or 2-byte ULEB128 length, the common case, is decoded inline and
-    any longer one by _read_uleb128. A payload of ASCII bytes is decoded as
-    ASCII, to one UTF-16 code unit per byte: decode_mutf8 would return the
-    same text, since the payload ends before the first NUL and ASCII holds
-    no C0 80 pair. Only other payloads go through decode_mutf8 and
-    utf16_length.
+    any longer one by _read_uleb128. The payload, which ends before the
+    first NUL, then takes one of three routes:
+    - ASCII bytes decode to one UTF-16 code unit per byte, and ASCII holds
+      no C0 80 pair;
+    - other bytes with no 0xC0, no 0xED and none of 0xF0 and up hold no
+      encoded NUL, no surrogate and no 4-byte sequence, so one strict UTF-8
+      decode gives decode_mutf8's text, all in the BMP, whose length is
+      its UTF-16 length;
+    - every other payload goes through decode_mutf8 and utf16_length.
     """
-    decode = decode_mutf8
-    find = data.find
+    # A table with no entries may carry any offset and is never read.
+    if not count:
+        return ()
     size = len(data)
+    offsets = _u4_table(count).unpack_from(data, offset)
+    if max(offsets) >= size:
+        i = next(i for i, data_off in enumerate(offsets) if data_off >= size)
+        raise OffsetOutOfBounds(f"string_data offset 0x{offsets[i]:x} of entry {i} exceeds buffer")
+    decode = decode_mutf8
+    not_plain = _NOT_PLAIN_UTF8.search
+    find = data.find
     texts: list[str | None] = []
     append = texts.append
-    # A table with no entries may carry any offset and is never read.
-    offsets = _u4_table(section.count).unpack_from(data, section.offset) if section.count else ()
-    for i, data_off in enumerate(offsets):
-        if data_off >= size:
-            raise OffsetOutOfBounds(f"string_data offset 0x{data_off:x} of entry {i} exceeds buffer")
+    for data_off in offsets:
         declared_len = data[data_off]
         pos = data_off + 1
         if declared_len & 0x80:
@@ -194,9 +225,13 @@ def _read_strings(data: bytes, section: SectionInfo) -> tuple[str | None, ...]:
         terminator = find(b"\x00", pos)
         if terminator != -1:
             raw = data[pos:terminator]
-            if raw.isascii():
-                if declared_len == len(raw):
-                    text = raw.decode("ascii")
+            if raw.isascii() or not not_plain(raw):
+                try:
+                    text = raw.decode()
+                except UnicodeDecodeError:
+                    pass
+                if text is not None and declared_len != len(text):
+                    text = None
             else:
                 try:
                     text = decode(raw)

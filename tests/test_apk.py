@@ -2,6 +2,7 @@ import io
 import random
 import struct
 import zipfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -192,6 +193,26 @@ def test_decode_failures_counted_per_app(tmp_path):
     app = extract_app_strings(path)
     assert app.decode_failures == 1
     assert app.non_identifier_strings == ("good",)
+
+
+def test_an_empty_file_is_not_a_zip(tmp_path):
+    path = tmp_path / "empty.apk"
+    path.write_bytes(b"")
+    with pytest.raises(NotAZip):
+        extract_app_strings(path)
+
+
+@pytest.mark.parametrize("kind", [str, Path])
+@pytest.mark.parametrize("make", [None, Path.mkdir], ids=["missing", "directory"])
+def test_an_unreadable_path_raises_what_open_raises(tmp_path, make, kind):
+    path = tmp_path / "app.apk"
+    if make is not None:
+        make(path)
+    with pytest.raises(OSError) as opened:
+        open(kind(path), "rb")
+    with pytest.raises(type(opened.value)) as extracted:
+        extract_app_strings(kind(path))
+    assert str(extracted.value) == str(opened.value)
 
 
 def test_extract_is_deterministic(tmp_path):

@@ -12,11 +12,11 @@ import pytest
 from strobe.apk import list_dex_entries
 from strobe import cli
 from strobe.cli import _build_parser, main
-from strobe.dataset import Split, SplitStrategy, load_manifest
+from strobe.dataset import Split, SplitStrategy, load_manifest, load_split
 from strobe.dex import parse_dex
 from strobe.errors import InvalidConfig
-from strobe.evaluation import LearnerKind, train_on_split
-from strobe.learners import model_to_json, online_init
+from strobe.evaluation import LearnerKind, holdout_eval, train_on_split
+from strobe.learners import batch_train, grid_search, model_to_json, online_init, online_train
 from strobe.synth import SynthConfig, gen_corpus, write_apk
 
 from oracles import reference_prequential_eval, string_data_offset
@@ -312,6 +312,33 @@ def test_train_online_matches_train_on_split(features_csv, tmp_path):
     assert json.loads(model.read_text()) == json.loads(json.dumps(model_to_json(expected)))
 
 
+@pytest.mark.parametrize("learner", [["batch"], ["batch", "--grid"], ["online"]],
+                         ids=["batch", "batch-grid", "online"])
+def test_train_on_a_split_then_eval_is_a_holdout(confounded, tmp_path, learner):
+    # README's single-split recipe on the frozen corpus.
+    features = str(confounded["features"])
+    split, model, out = tmp_path / "split.json", tmp_path / "model.json", tmp_path / "eval.json"
+    assert main(["split", "--manifest", features, "--strategy", "family-disjoint", "--seed", "7",
+                 "--out", str(split)]) == 0
+    assert main(["train", "--manifest", features, "--learner", *learner,
+                 "--split", str(split), "--out", str(model)]) == 0
+    assert main(["eval", "--manifest", features, "--model", str(model),
+                 "--split", str(split), "--out", str(out)]) == 0
+    corpus = confounded["corpus"]
+    sides = load_split(split)
+    train, test = corpus.rows(sides.train_ids), corpus.rows(sides.test_ids)
+    X, y = corpus.X[train], corpus.y[train]
+    if learner == ["online"]:
+        expected = online_train(X, y, seed=42)
+    elif learner == ["batch"]:
+        expected = batch_train(X, y, seed=42)
+    else:
+        expected = batch_train(X, y, grid_search(corpus.by_ids(sides.train_ids), seed=42), seed=42)
+    assert json.loads(model.read_text()) == json.loads(json.dumps(model_to_json(expected)))
+    want = holdout_eval(expected, corpus.X[test], corpus.y[test]).to_json()
+    assert out.read_text() == json.dumps(want, indent=2) + "\n"
+
+
 def test_eval_csv_format_and_train_side(features_csv, tmp_path):
     model = tmp_path / "m.json"
     split = tmp_path / "s.json"
@@ -583,6 +610,8 @@ BROKEN_MANIFESTS = {
                            _lists_an_apk, "BadValue", 3),
     "experiment-path-manifest": (["experiment", "--manifest", "MANIFEST", "--strategy", "random",
                                   "--learner", "batch", "--reps", "2"], _lists_an_apk, "BadValue", 3),
+    "extract-missing-apk": (["extract", "--apk-dir", "MANIFEST_DIR"], _lists_an_apk,
+                            "FileNotFoundError", 4),
     "extract-feature-manifest": (["extract", "--apk-dir", "MANIFEST_DIR"],
                                  lambda f: f, "_UsageError", 1),
     "extract-no-apks": (["extract", "--apk-dir", "EMPTY"], lambda f: f, "_UsageError", 1),
@@ -660,6 +689,19 @@ def test_eval_rejects_a_split_with_unknown_ids(features_csv, tmp_path, capsys):
                      "--split", str(split), "--out", str(out)]) == 3
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "UnknownId"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_train_rejects_a_split_with_unknown_ids(features_csv, tmp_path, capsys, side):
+    first, *rest = sorted(s.sample_id for s in load_manifest(features_csv).samples)
+    sides = {"train": frozenset(rest), "test": frozenset({first})}
+    sides[side] |= {"ghost1"}
+    split, model = tmp_path / "s.json", tmp_path / "m.json"
+    split.write_text(json.dumps(Split(sides["train"], sides["test"], SplitStrategy.RANDOM, 0).to_json()))
+    assert main(["train", "--manifest", str(features_csv), "--learner", "batch",
+                 "--split", str(split), "--out", str(model)]) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "UnknownId"
+    assert not model.exists()
 
 
 def _without(key):
@@ -796,7 +838,7 @@ KEPT_OPTIONS = {
               "--se-string-fraction", "--strings-per-app", "--identifiers-per-app", "--scheme",
               "--seed", "--out"},
     "split": {"--manifest", "--strategy", "--seed", "--out"},
-    "train": {"--manifest", "--learner", "--grid", "--folds", "--k", "--poisson-lambda",
+    "train": {"--manifest", "--learner", "--split", "--grid", "--folds", "--k", "--poisson-lambda",
               "--seed", "--out"},
     "eval": {"--manifest", "--model", "--split", "--side", "--format", "--out"},
     "prequential": {"--manifest", "--k", "--poisson-lambda", "--seed", "--out"},

@@ -268,6 +268,14 @@ SHORT_ITEMS = {
     "lone low surrogate": _uleb(1) + b"\xed\xb0\x80\x00",
     "non-ASCII BMP": _uleb(3) + "Ω€\uffff".encode() + b"\x00",
     "bad continuation": _uleb(2) + b"\xc3\x41\x00",
+    # Around the strict UTF-8 route for payloads with no 0xC0, no 0xED and
+    # no byte of 0xF0 and up.
+    "4-byte UTF-8 counted as one": _uleb(1) + "\U0001F600".encode() + b"\x00",
+    "0xED-led BMP character": _uleb(1) + "\ud7ff".encode() + b"\x00",
+    "overlong 2-byte form": _uleb(1) + b"\xc0\xaf\x00",
+    "overlong 3-byte form": _uleb(1) + b"\xe0\x80\xaf\x00",
+    "3-byte sequence cut by the NUL": _uleb(1) + b"\xe4\xb8\x00",
+    "BMP length counted in UTF-8 bytes": _uleb(5) + "Ω€".encode() + b"\x00",
 }
 LONG_ITEMS = {
     "2-byte length": _uleb(200) + b"a" * 200 + b"\x00",
